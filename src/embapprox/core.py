@@ -68,6 +68,15 @@ class PlaneGraph:
         """Edge ids at each vertex (rotation order)."""
         return self.rotation
 
+    @cached_property
+    def crossing_memo(self) -> dict:
+        """Crossing test results of transversal, keyed by an ordered pair of image subgraphs.
+
+        It lives on the graph so that every map into one target shares it
+        and it goes away with the graph; it is not part of equality.
+        """
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 

@@ -14,7 +14,6 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import transversal
 from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
 from .decide import decide_cycle, decide_deg3_to_circle, decide_path, decide_path_via_vk
@@ -220,7 +219,6 @@ def run_agreement(spec: CorpusSpec, jobs: int = 1):
             rows = list(pool.map(_eval_packed, tasks, chunksize=64))
     else:
         rows = [_eval_packed(t) for t in tasks]
-    transversal._crossing_component.cache_clear()
     rows.sort(key=lambda r: r.instance)
     bad = sum(1 for r in rows if not r.agree)
     return rows, bad

@@ -6,17 +6,21 @@ component sigma of the image intersection: the arcs enter and leave the
 regular neighborhood of sigma through ports, and they cross if the ports of
 one arc interleave with the ports of the other around a boundary circle, or
 if sigma contains a cycle and both arcs thread every boundary circle of it.
+
+That test reads nothing but the two image subgraphs.  The search over arc
+pairs therefore groups arcs by image and tests each pair of distinct images
+once; results are memoized on the target graph (`PlaneGraph.crossing_memo`),
+so maps into one target share them and no cache outlives the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .core import PlaneGraph, SimplicialMap, WalkArc, closed_walk, open_walk
 from .errors import PreconditionError
-from .ribbon import Port, boundary_walks, circle_touches_both, interleaves
+from .ribbon import Port, boundary_walks, circle_touches_both
 
 Subgraph = tuple[frozenset[int], frozenset[int]]
 
@@ -84,32 +88,29 @@ def _alternating_ports(circle, a_edges: frozenset[int], b_edges: frozenset[int])
     return None
 
 
-@lru_cache(maxsize=None)
-def _crossing_component(
-    g: PlaneGraph,
-    a_vs: frozenset[int],
-    a_es: frozenset[int],
-    b_vs: frozenset[int],
-    b_es: frozenset[int],
-):
-    """Shared engine behind images_cross; returns (sigma, kind, ports) or None."""
+def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
+    """Shared engine behind the crossing tests; returns (sigma, kind, ports) or None.
+
+    Ports of a come first in an "interleaved" witness, so swapping a and b
+    can change the ports but never the answer.
+    """
     if g.max_degree() <= 2:
         # every intersection component has at most two ports: nothing can alternate
         return None
-    for sigma_vs, sigma_es in _intersection_components(g, (a_vs, a_es), (b_vs, b_es)):
+    a_es, b_es = a[1], b[1]
+    for sigma_vs, sigma_es in _intersection_components(g, a, b):
         a_stubs = frozenset(e for e in a_es - sigma_es if sigma_vs & set(g.edges[e]))
         b_stubs = frozenset(e for e in b_es - sigma_es if sigma_vs & set(g.edges[e]))
         if not a_stubs or not b_stubs:
             continue
         circles = boundary_walks(g, sigma_vs, sigma_es)
-        a_ports = frozenset(p for c in circles for p in c.ports if p.edge in a_stubs)
-        b_ports = frozenset(p for c in circles for p in c.ports if p.edge in b_stubs)
         for c in circles:
             picks = _alternating_ports(c, a_stubs, b_stubs)
-            assert (picks is not None) == interleaves(c, a_ports, b_ports)
             if picks is not None:
                 return (sigma_vs, sigma_es, "interleaved", picks)
         if len(sigma_es) >= len(sigma_vs) and len(circles) >= 2:
+            a_ports = frozenset(p for c in circles for p in c.ports if p.edge in a_stubs)
+            b_ports = frozenset(p for c in circles for p in c.ports if p.edge in b_stubs)
             if all(circle_touches_both(c, a_ports, b_ports) for c in circles):
                 picks = []
                 for c in circles:
@@ -119,53 +120,80 @@ def _crossing_component(
     return None
 
 
+def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(sorted(image[0])), tuple(sorted(image[1])))
+
+
+def _crossing(g: PlaneGraph, a: Subgraph, b: Subgraph, a_first: bool):
+    """The engine on (a, b), or on (b, a) unless a_first, memoized on g.
+
+    Callers pass a_first = sort key of a <= sort key of b, so each unordered
+    image pair is tested in one orientation and its witness ports are fixed.
+    """
+    pair = (a, b) if a_first else (b, a)
+    memo = g.crossing_memo
+    if pair not in memo:
+        memo[pair] = _crossing_component(g, *pair)
+    return memo[pair]
+
+
 def images_cross(g: PlaneGraph, a: Subgraph, b: Subgraph) -> bool:
     """Do two arc images cross transversally somewhere?
 
     a and b are (vertex set, edge set) subgraphs of g, each the image of an
     arc.  Symmetric, and false whenever the subgraphs are disjoint.
     """
-    key_a = (tuple(sorted(a[0])), tuple(sorted(a[1])))
-    key_b = (tuple(sorted(b[0])), tuple(sorted(b[1])))
-    if key_b < key_a:
-        a, b = b, a
-    return _crossing_component(g, a[0], a[1], b[0], b[1]) is not None
+    return _crossing(g, a, b, _sort_key(a) <= _sort_key(b)) is not None
 
 
-def _domain_arcs(phi: SimplicialMap) -> list[WalkArc]:
+def _grown(image: Subgraph, v: int, e: int) -> Subgraph:
+    """image plus target vertex v and target edge e; image itself when it has both."""
+    vs, es = image
+    if v in vs and e in es:
+        return image
+    return (vs | {v}, es | {e})
+
+
+def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
     """Vertex-aligned arcs of the domain with at least one edge, in stable order.
 
     Path and cycle shapes enumerate contiguous subwalks; general shapes
     enumerate all simple paths (each taken once, smaller endpoint first).
+    Each arc comes with its image subgraph, grown one step at a time from the
+    arc's start; a step that adds no new target vertex or edge reuses the
+    previous image object.  Requires a nondegenerate map.
     """
     d = phi.domain
+    vimg, eimg = phi.vertex_image, phi.edge_image
+    arcs: list[tuple[WalkArc, Subgraph]] = []
     if d.shape == "path":
         order, eids = open_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
-        arcs = []
         for i in range(len(order)):
+            image: Subgraph = (frozenset((vimg[order[i]],)), frozenset())
             for j in range(i + 1, len(order)):
-                arcs.append(WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j])))
+                image = _grown(image, vimg[order[j]], eimg[eids[j - 1]])
+                arcs.append((WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j])), image))
         return arcs
     if d.shape == "cycle":
         order, eids = closed_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
         m = len(order)
-        arcs = []
         for s in range(m):
+            image = (frozenset((vimg[order[s]],)), frozenset())
             for length in range(1, m):
+                image = _grown(image, vimg[order[(s + length) % m]], eimg[eids[(s + length - 1) % m]])
                 vs = tuple(order[(s + t) % m] for t in range(length + 1))
                 es = tuple(eids[(s + t) % m] for t in range(length))
-                arcs.append(WalkArc(vs, es))
+                arcs.append((WalkArc(vs, es), image))
         return arcs
-    arcs = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
-    def extend(vs: list[int], es: list[int]):
+    def extend(vs: list[int], es: list[int], image: Subgraph):
         if es:
             key = (tuple(vs), tuple(es))
             rkey = (tuple(reversed(vs)), tuple(reversed(es)))
             if rkey not in seen:
                 seen.add(key)
-                arcs.append(WalkArc(tuple(vs), tuple(es)))
+                arcs.append((WalkArc(tuple(vs), tuple(es)), image))
         cur = vs[-1]
         for e in d.incident[cur]:
             if e in es:
@@ -176,22 +204,12 @@ def _domain_arcs(phi: SimplicialMap) -> list[WalkArc]:
             nxt = d.other_end(e, cur)
             if nxt in vs:
                 continue
-            extend(vs + [nxt], es + [e])
+            extend(vs + [nxt], es + [e], _grown(image, vimg[nxt], eimg[e]))
 
     for v in range(d.n):
-        extend([v], [])
-    arcs.sort(key=lambda a: (a.vertices, a.edges))
+        extend([v], [], (frozenset((vimg[v],)), frozenset()))
+    arcs.sort(key=lambda pair: (pair[0].vertices, pair[0].edges))
     return arcs
-
-
-def _arc_pairs(arcs: list[WalkArc], disjoint_only: bool):
-    for i in range(len(arcs)):
-        vi = set(arcs[i].vertices)
-        for j in range(i + 1, len(arcs)):
-            disjoint = vi.isdisjoint(arcs[j].vertices)
-            if disjoint_only and not disjoint:
-                continue
-            yield arcs[i], arcs[j], disjoint
 
 
 def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
@@ -200,29 +218,41 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     With disjoint_only the search realizes the transversal self-intersection
     predicate; without it, the stronger any-two-arcs condition that guards
     the derivative construction.
+
+    Whether two arcs cross depends only on their images, and a small target
+    has few distinct images, so arcs are grouped by image and each image
+    pair is tested once, through the memo on the target that instances
+    sharing it also reuse.  An arc whose image crosses no image is skipped;
+    for the others the later arcs are scanned for a crossing partner, which
+    keeps the first witness of the plain scan over all arc pairs.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
-    if phi.target.max_degree() <= 2:
+    g = phi.target
+    if g.max_degree() <= 2:
         return None
     arcs = _domain_arcs(phi)
-    images = [phi.arc_image(a) for a in arcs]
-    for i in range(len(arcs)):
-        vi = set(arcs[i].vertices)
-        for j in range(i + 1, len(arcs)):
-            if disjoint_only and not vi.isdisjoint(arcs[j].vertices):
-                continue
-            a, b = images[i], images[j]
-            key_a = (tuple(sorted(a[0])), tuple(sorted(a[1])))
-            key_b = (tuple(sorted(b[0])), tuple(sorted(b[1])))
-            hit = (
-                _crossing_component(phi.target, a[0], a[1], b[0], b[1])
-                if key_a <= key_b
-                else _crossing_component(phi.target, b[0], b[1], a[0], a[1])
+    ids: dict[Subgraph, int] = {}
+    image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
+    images = list(ids)
+    keys = [_sort_key(image) for image in images]
+    crossers: dict[int, frozenset[int]] = {}
+    for i, a in enumerate(image_id):
+        if a not in crossers:
+            crossers[a] = frozenset(
+                b for b in range(len(images))
+                if _crossing(g, images[a], images[b], keys[a] <= keys[b]) is not None
             )
-            if hit is not None:
-                svs, ses, kind, ports = hit
-                return CrossingWitness(arcs[i], arcs[j], svs, ses, kind, ports)
+        partners = crossers[a]
+        if not partners:
+            continue
+        vi = set(arcs[i][0].vertices)
+        for j in range(i + 1, len(arcs)):
+            b = image_id[j]
+            if b not in partners or (disjoint_only and not vi.isdisjoint(arcs[j][0].vertices)):
+                continue
+            svs, ses, kind, ports = _crossing(g, images[a], images[b], keys[a] <= keys[b])
+            return CrossingWitness(arcs[i][0], arcs[j][0], svs, ses, kind, ports)
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from embapprox.catalog import (
     path_domain,
     small_targets,
     terminal_flower,
+    theta_target,
     whole_fold,
     winding_map,
     x_cross_path,
@@ -96,6 +98,21 @@ def test_fold_iterates_to_empty():
     kinds = [e.kind for _, e in v.trace]
     assert kinds.count("clean-pass") >= 2
     assert kinds[-1] == "empty-domain"
+
+
+def test_long_theta_fold_is_decided_quickly():
+    # the fold u a v b u b v a ... only ever turns back along the outer cycle;
+    # the crossing search must not grow with the number of arc pairs
+    g = theta_target()
+    index = {name: v for v, name in enumerate(g.vertex_names)}
+    period = ("u", "a", "v", "b", "u", "b", "v", "a")
+    phi = SimplicialMap(path_domain(128), g, tuple(index[period[i % 8]] for i in range(128)))
+    start = time.perf_counter()
+    v = decide_path(phi)
+    elapsed = time.perf_counter() - start
+    assert v.approximable is True
+    assert [e.kind for _, e in v.trace] == ["clean-pass"] * 5 + ["empty-domain"]
+    assert elapsed < 5.0
 
 
 def test_stabilization_is_a_pure_optimization():

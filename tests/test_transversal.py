@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import random_walk_map
+
+from embapprox import transversal
 from embapprox.catalog import (
+    TARGETS,
     euler_cycle_map,
     euler_path_map,
     ex33_pair,
@@ -15,9 +21,12 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import DomainGraph, SimplicialMap
+from embapprox.core import DomainGraph, SimplicialMap, normalize_nondegenerate
+from embapprox.corpus import CorpusSpec, generate
 from embapprox.errors import PreconditionError
+from embapprox.ribbon import interleaves
 from embapprox.transversal import (
+    CrossingWitness,
     contains_simple_triod,
     find_crossing_pair,
     has_transversal_self_intersection,
@@ -116,3 +125,97 @@ def test_identified_triods_need_disjoint_supports_and_equal_images():
         shared, g, (center, leaves[0], leaves[1], leaves[2], leaves[0], leaves[1], leaves[2])
     )
     assert identifies_triods(phi2) is False
+
+
+def test_crossing_results_are_memoized_on_the_target(monkeypatch):
+    engine = transversal._crossing_component
+    calls = []
+
+    def counted(g, a, b):
+        calls.append((a, b))
+        return engine(g, a, b)
+
+    monkeypatch.setattr(transversal, "_crossing_component", counted)
+    phi = x_cross_path()
+    wit = find_crossing_pair(phi, disjoint_only=True)
+    assert calls and len(calls) == len(set(calls))
+    # a second map into the same target object reuses every result
+    n = len(calls)
+    again = SimplicialMap(phi.domain, phi.target, phi.vertex_image)
+    assert find_crossing_pair(again, disjoint_only=True) == wit
+    assert len(calls) == n
+    # an equal but separately built target starts with its own empty memo
+    fresh = x_cross_path()
+    assert fresh.target == phi.target and not fresh.target.crossing_memo
+    assert find_crossing_pair(fresh, disjoint_only=True) == wit
+    assert len(calls) == 2 * n
+
+
+def _reference_scan(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
+    """The plain scan: every arc pair in enumeration order, images from arc_image."""
+    g = phi.target
+    arcs = [arc for arc, _ in transversal._domain_arcs(phi)]
+    images = [phi.arc_image(arc) for arc in arcs]
+    tested = {}
+    for i in range(len(arcs)):
+        vi = set(arcs[i].vertices)
+        for j in range(i + 1, len(arcs)):
+            if disjoint_only and not vi.isdisjoint(arcs[j].vertices):
+                continue
+            a, b = images[i], images[j]
+            key_a = (tuple(sorted(a[0])), tuple(sorted(a[1])))
+            key_b = (tuple(sorted(b[0])), tuple(sorted(b[1])))
+            pair = (a, b) if key_a <= key_b else (b, a)
+            if pair not in tested:
+                tested[pair] = transversal._crossing_component(g, *pair)
+            if tested[pair] is not None:
+                return CrossingWitness(arcs[i], arcs[j], *tested[pair])
+    return None
+
+
+def _witness_maps() -> list[SimplicialMap]:
+    """Seeded walks into theta, W4 and ex33 (k = 6..14) and two catalog crossings."""
+    rng = random.Random(2)
+    maps = [x_cross_path(), ex33_pair()[1]]
+    for name in ("theta", "W4", "ex33"):
+        g = TARGETS[name]()
+        for _ in range(40):
+            closed = rng.random() < 0.5
+            maps.append(random_walk_map(rng, g, rng.randint(6, 14), closed))
+    return [psi for psi in map(normalize_nondegenerate, maps) if psi.domain.edges]
+
+
+def test_grouped_search_returns_the_reference_witness():
+    found = {True: 0, False: 0}
+    for phi in _witness_maps():
+        for disjoint_only in (True, False):
+            want = _reference_scan(phi, disjoint_only)
+            assert find_crossing_pair(phi, disjoint_only) == want
+            found[disjoint_only] += want is not None
+    assert min(found.values()) >= 5
+
+
+def test_alternating_ports_agrees_with_interleaves(monkeypatch):
+    engine = transversal._alternating_ports
+    outcomes = set()
+
+    def checked(circle, a_edges, b_edges):
+        picks = engine(circle, a_edges, b_edges)
+        a_ports = frozenset(p for p in circle.ports if p.edge in a_edges)
+        b_ports = frozenset(p for p in circle.ports if p.edge in b_edges)
+        assert (picks is not None) == interleaves(circle, a_ports, b_ports)
+        outcomes.add(picks is not None)
+        return picks
+
+    monkeypatch.setattr(transversal, "_alternating_ports", checked)
+    # the k <= 5 corpora reach no alternating circle on these targets; the
+    # seeded walks do
+    maps = _witness_maps()
+    for shape in ("path", "cycle"):
+        for _, phi in generate(CorpusSpec(shape, ("theta", "W4", "ex33"), k_max=5)):
+            psi = normalize_nondegenerate(phi)
+            if psi.domain.edges:
+                maps.append(psi)
+    for phi in maps:
+        find_crossing_pair(phi, disjoint_only=True)
+    assert outcomes == {True, False}
