@@ -277,6 +277,15 @@ class SimplicialMap:
         return tuple(out)
 
     @cached_property
+    def witness_memo(self) -> dict:
+        """First crossing witnesses of transversal, keyed by its disjoint_only flag.
+
+        One scan of the arcs fills both entries; like the target's
+        crossing_memo it goes away with the map and is not part of equality.
+        """
+        return {}
+
+    @cached_property
     def degenerate_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edge_image) if e is None)
 

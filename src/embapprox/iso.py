@@ -150,12 +150,3 @@ def maps_isomorphic(m1: SimplicialMap, m2: SimplicialMap) -> bool:
                 return True
     return False
 
-
-def domains_isomorphic_with_map(m1: SimplicialMap, m2: SimplicialMap) -> bool:
-    """Same-target variant: domain bijection commuting with the maps, target fixed pointwise."""
-    if m1.target != m2.target:
-        return False
-    for dmap in _domain_isos(m1.domain, m2.domain):
-        if all(m2.vertex_image[dmap[x]] == m1.vertex_image[x] for x in range(m1.domain.n)):
-            return True
-    return False

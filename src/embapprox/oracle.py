@@ -32,18 +32,12 @@ class Expansion:
     strands: tuple[tuple[int, ...], ...]  # per target edge: domain edges onto it
     refined: tuple[tuple[tuple[int, int], ...], ...]
 
-    def lane_count(self, a: int) -> int:
-        return len(self.strands[a])
-
 
 @dataclass(frozen=True)
 class Lift:
     """One copy assignment: ``by_edge[a][lane]`` is the domain edge riding it."""
 
     by_edge: tuple[tuple[int, ...], ...]
-
-    def lane_of(self, a: int, eid: int) -> int:
-        return self.by_edge[a].index(eid)
 
 
 @dataclass(frozen=True)

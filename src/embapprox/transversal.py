@@ -10,7 +10,8 @@ if sigma contains a cycle and both arcs thread every boundary circle of it.
 That test reads nothing but the two image subgraphs.  The search over arc
 pairs therefore groups arcs by image and tests each pair of distinct images
 once; results are memoized on the target graph (`PlaneGraph.crossing_memo`),
-so maps into one target share them and no cache outlives the target.
+so maps into one target share them and no cache outlives the target.  The
+first witnesses of a map are memoized on the map itself.
 """
 
 from __future__ import annotations
@@ -217,26 +218,40 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
 
     With disjoint_only the search realizes the transversal self-intersection
     predicate; without it, the stronger any-two-arcs condition that guards
-    the derivative construction.
+    the derivative construction.  One scan answers both and is memoized on
+    the map (`SimplicialMap.witness_memo`), so a derivative stage that asks
+    both questions enumerates its arcs once.
+    """
+    if not phi.is_nondegenerate():
+        raise PreconditionError("map has degenerate edges; normalize first")
+    if phi.target.max_degree() <= 2:
+        return None
+    memo = phi.witness_memo
+    if not memo:
+        memo[False], memo[True] = _first_crossings(phi)
+    return memo[disjoint_only]
+
+
+def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, CrossingWitness | None]:
+    """The first crossing arc pair and the first vertex-disjoint one.
 
     Whether two arcs cross depends only on their images, and a small target
     has few distinct images, so arcs are grouped by image and each image
     pair is tested once, through the memo on the target that instances
     sharing it also reuse.  An arc whose image crosses no image is skipped;
     for the others the later arcs are scanned for a crossing partner, which
-    keeps the first witness of the plain scan over all arc pairs.
+    keeps the first witnesses of the plain scan over all arc pairs.  A
+    disjoint crossing pair is a crossing pair, so the disjoint witness never
+    comes before the other and the scan stops once it has both.
     """
-    if not phi.is_nondegenerate():
-        raise PreconditionError("map has degenerate edges; normalize first")
     g = phi.target
-    if g.max_degree() <= 2:
-        return None
     arcs = _domain_arcs(phi)
     ids: dict[Subgraph, int] = {}
     image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
     images = list(ids)
     keys = [_sort_key(image) for image in images]
     crossers: dict[int, frozenset[int]] = {}
+    first = None
     for i, a in enumerate(image_id):
         if a not in crossers:
             crossers[a] = frozenset(
@@ -249,11 +264,18 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
         vi = set(arcs[i][0].vertices)
         for j in range(i + 1, len(arcs)):
             b = image_id[j]
-            if b not in partners or (disjoint_only and not vi.isdisjoint(arcs[j][0].vertices)):
+            if b not in partners:
+                continue
+            disjoint = vi.isdisjoint(arcs[j][0].vertices)
+            if first is not None and not disjoint:
                 continue
             svs, ses, kind, ports = _crossing(g, images[a], images[b], keys[a] <= keys[b])
-            return CrossingWitness(arcs[i][0], arcs[j][0], svs, ses, kind, ports)
-    return None
+            witness = CrossingWitness(arcs[i][0], arcs[j][0], svs, ses, kind, ports)
+            if first is None:
+                first = witness
+            if disjoint:
+                return first, witness
+    return first, None
 
 
 def has_transversal_self_intersection(phi: SimplicialMap) -> CrossingWitness | None:

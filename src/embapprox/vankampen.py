@@ -12,13 +12,18 @@ per-component parities split along the red cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .core import SimplicialMap, normalize_nondegenerate
 from .errors import DegenerateDrawingError, PreconditionError
-from .geometry import DegenerateConfiguration, circle_point, proper_crossing
+from .geometry import (
+    DegenerateConfiguration,
+    Point,
+    circle_point,
+    half_centroid,
+    proper_crossing,
+)
 from .gf2 import solve_or_certify
 
 MAX_DRAWING_ATTEMPTS = 64
@@ -126,8 +131,8 @@ class Drawing:
                 lanes[a] = list(order)
         self.lanes = lanes
 
-        self._port_point: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
-        self._center_point: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        self._port_point: dict[tuple[int, int, int, int], Point] = {}  # (v, side, eid, a)
+        self._center_point: dict[tuple[int, int, int], Point] = {}  # (v, side, x)
         g = self.target
         for v in range(g.n):
             ports: list[tuple[int, int, int]] = []
@@ -136,11 +141,12 @@ class Drawing:
                 if v != g.edges[a][0]:
                     block = list(reversed(block))
                 ports.extend((a, side, eid) for side, eid in block)
-            star_ports: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
+            star_ports: dict[tuple[int, int], list[Point]] = {}
             for i, key in enumerate(ports):
                 a, side, eid = key
-                t = Fraction(2 * i - len(ports) + 1, 2) + Fraction(attempt, 1009)
-                point = circle_point(t, Fraction(1))
+                # t = (2i - L + 1)/2 + attempt/1009
+                t = ((2 * i - len(ports) + 1) * 1009 + 2 * attempt, 2018)
+                point = circle_point(t, (1, 1))
                 self._port_point[(v, side, eid, a)] = point
                 u, w = self.maps[side].domain.edges[eid]
                 x = u if self.maps[side].vertex_image[u] == v else w
@@ -154,12 +160,11 @@ class Drawing:
             for j, key in enumerate(stars):
                 own = star_ports.get(key)
                 if own:
-                    cx = sum(p[0] for p in own) / (2 * len(own))
-                    cy = sum(p[1] for p in own) / (2 * len(own))
-                    self._center_point[(v,) + key] = (cx, cy)
+                    self._center_point[(v,) + key] = half_centroid(own)
                 else:
-                    t = Fraction(6 * j - 3 * len(stars) + 4, 6) + Fraction(attempt, 997)
-                    self._center_point[(v,) + key] = circle_point(t, Fraction(1, 2))
+                    # t = (6j - 3S + 4)/6 + attempt/997
+                    t = ((6 * j - 3 * len(stars) + 4) * 997 + 6 * attempt, 5982)
+                    self._center_point[(v,) + key] = circle_point(t, (1, 2))
 
     def _segment(self, v: int, side: int, eid: int):
         m = self.maps[side]

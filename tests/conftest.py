@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from embapprox.catalog import cycle_domain, path_domain, small_targets
+from embapprox.catalog import cycle_domain, path_domain, small_targets, theta_target
 from embapprox.core import SimplicialMap
+from embapprox.geometry import DegenerateConfiguration
 
 
 def random_lane_orders(phi: SimplicialMap, rng: random.Random, side: int = 0):
@@ -54,3 +56,49 @@ def sample_corpus(shape: str, count: int, seed: int, k_max: int = 6):
     items = list(generate(spec))
     rng = random.Random(seed)
     return rng.sample(items, count)
+
+
+def theta_fold(k: int) -> SimplicialMap:
+    """The approximable path u a v b u b v a ... of k vertices on theta."""
+    g = theta_target()
+    index = {name: v for v, name in enumerate(g.vertex_names)}
+    period = ("u", "a", "v", "b", "u", "b", "v", "a")
+    return SimplicialMap(path_domain(k), g, tuple(index[period[i % 8]] for i in range(k)))
+
+
+# --- Fraction reference geometry -------------------------------------------
+# The drawing's predicates as plain rational arithmetic on (x, y) Fraction
+# pairs; the integer code in embapprox.geometry must agree with them exactly.
+
+
+def frac_point(p) -> tuple[Fraction, Fraction]:
+    """The (x, y) Fraction pair of a homogeneous integer triple."""
+    x, y, w = p
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def frac_circle_point(t: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
+    den = 1 + t * t
+    return (radius * (1 - t * t) / den, radius * 2 * t / den)
+
+
+def frac_orient(p, q, r) -> int:
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (v > 0) - (v < 0)
+
+
+def _frac_on_segment(p, a, b) -> bool:
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
+        a[1], b[1]
+    )
+
+
+def frac_proper_crossing(p1, p2, q1, q2) -> bool:
+    o1 = frac_orient(p1, p2, q1)
+    o2 = frac_orient(p1, p2, q2)
+    o3 = frac_orient(q1, q2, p1)
+    o4 = frac_orient(q1, q2, p2)
+    for o, p, a, b in ((o1, q1, p1, p2), (o2, q2, p1, p2), (o3, p1, q1, q2), (o4, p2, q1, q2)):
+        if o == 0 and _frac_on_segment(p, a, b):
+            raise DegenerateConfiguration
+    return o1 != o2 and o3 != o4 and o1 != 0 and o3 != 0

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import random_walk_map
+from conftest import random_walk_map, theta_fold
 
 from embapprox.catalog import (
     cycle_domain,
@@ -16,7 +16,6 @@ from embapprox.catalog import (
     path_domain,
     small_targets,
     terminal_flower,
-    theta_target,
     whole_fold,
     winding_map,
     x_cross_path,
@@ -103,10 +102,7 @@ def test_fold_iterates_to_empty():
 def test_long_theta_fold_is_decided_quickly():
     # the fold u a v b u b v a ... only ever turns back along the outer cycle;
     # the crossing search must not grow with the number of arc pairs
-    g = theta_target()
-    index = {name: v for v, name in enumerate(g.vertex_names)}
-    period = ("u", "a", "v", "b", "u", "b", "v", "a")
-    phi = SimplicialMap(path_domain(128), g, tuple(index[period[i % 8]] for i in range(128)))
+    phi = theta_fold(128)
     start = time.perf_counter()
     v = decide_path(phi)
     elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_walk_map
+from conftest import random_walk_map, theta_fold
 
 from embapprox import transversal
 from embapprox.catalog import (
@@ -23,6 +23,8 @@ from embapprox.catalog import (
 )
 from embapprox.core import DomainGraph, SimplicialMap, normalize_nondegenerate
 from embapprox.corpus import CorpusSpec, generate
+from embapprox.decide import decide_path
+from embapprox.derivative import iterate_derivative
 from embapprox.errors import PreconditionError
 from embapprox.ribbon import interleaves
 from embapprox.transversal import (
@@ -149,6 +151,29 @@ def test_crossing_results_are_memoized_on_the_target(monkeypatch):
     assert fresh.target == phi.target and not fresh.target.crossing_memo
     assert find_crossing_pair(fresh, disjoint_only=True) == wit
     assert len(calls) == 2 * n
+
+
+def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
+    phi = theta_fold(32)
+    # the search enumerates arcs only on stages whose target has a vertex of
+    # degree 3 or more; arcs in a target of maximum degree 2 cannot cross
+    # (computed on a copy: the stage maps keep their witnesses memoized)
+    stages = iterate_derivative(theta_fold(32), max_steps=phi.domain.n).maps
+    branching = [m for m in stages if m.target.max_degree() > 2]
+    enumerate_arcs = transversal._domain_arcs
+    scanned = []
+
+    def counted(phi):
+        scanned.append(phi)
+        return enumerate_arcs(phi)
+
+    monkeypatch.setattr(transversal, "_domain_arcs", counted)
+    verdict = decide_path(phi)
+    assert verdict.approximable is True
+    assert [e.kind for _, e in verdict.trace] == ["clean-pass"] * 5 + ["empty-domain"]
+    # each of those stages asks for the disjoint and then the any-pair witness
+    assert len(stages) == 6 and len(branching) >= 1
+    assert [m.target for m in scanned] == [m.target for m in branching]
 
 
 def _reference_scan(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
