@@ -21,6 +21,34 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+class UnionFind:
+    """Disjoint sets over hashable keys; a key is a singleton until first joined."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = x
+        while (up := parent.get(root, root)) != root:
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x, y) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+    def classes(self, keys) -> list[list]:
+        """The given keys grouped by set, in key order, sets ordered by first key."""
+        groups: dict = {}
+        for k in keys:
+            groups.setdefault(self.find(k), []).append(k)
+        return list(groups.values())
+
+
 @dataclass(frozen=True)
 class PlaneGraph:
     """Simple graph with a counterclockwise rotation system.
@@ -39,6 +67,7 @@ class PlaneGraph:
         if len(self.rotation) != self.n:
             raise InvariantError("rotation-cover", "one rotation line per vertex required")
         seen: set[tuple[int, int]] = set()
+        incident: list[list[int]] = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise DanglingIdError(f"edge {eid} references unknown vertex", 0)
@@ -49,9 +78,10 @@ class PlaneGraph:
             if (u, v) in seen:
                 raise InvariantError("simple-target", f"parallel edge {u}-{v}")
             seen.add((u, v))
+            incident[u].append(eid)
+            incident[v].append(eid)
         for v in range(self.n):
-            incident = sorted(eid for eid, e in enumerate(self.edges) if v in e)
-            if sorted(self.rotation[v]) != incident:
+            if sorted(self.rotation[v]) != incident[v]:
                 raise InvariantError(
                     "rotation-cover",
                     f"rotation at vertex {v} must list each incident edge exactly once",
@@ -80,6 +110,7 @@ class PlaneGraph:
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
+    @cached_property
     def max_degree(self) -> int:
         return max((len(r) for r in self.rotation), default=0)
 
@@ -174,6 +205,19 @@ class DomainGraph:
         if self.vertex_names and len(self.vertex_names) != self.n:
             raise InvariantError("names", "vertex_names length mismatch")
 
+    @classmethod
+    def from_structure(
+        cls, n: int, edges: tuple[tuple[int, int], ...], vertex_names: tuple[str, ...] = ()
+    ) -> "DomainGraph":
+        """The domain on these edges, tagged with the shape its structure has.
+
+        The shape is computed once, by `_shape_of`, instead of being passed
+        in and recomputed to check it.
+        """
+        graph = cls(n, edges, "general", vertex_names)
+        object.__setattr__(graph, "shape", _shape_of(n, edges))
+        return graph
+
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids at each vertex; loops listed once."""
@@ -186,10 +230,8 @@ class DomainGraph:
 
     def degree(self, v: int) -> int:
         """Topological degree: loops count twice."""
-        d = 0
-        for u, w in self.edges:
-            d += (u == v) + (w == v)
-        return d
+        edges = self.edges
+        return sum(2 if edges[e][0] == edges[e][1] else 1 for e in self.incident[v])
 
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
@@ -199,26 +241,19 @@ class DomainGraph:
         return self.vertex_names[v] if self.vertex_names else str(v)
 
     def components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """Connected components as (vertex set, edge set) pairs."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """Connected components as (vertex set, edge set) pairs, by smallest vertex."""
+        sets = UnionFind()
         for u, v in self.edges:
-            parent[find(u)] = find(v)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        out = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            vs = frozenset(groups[root])
-            es = frozenset(i for i, (u, w) in enumerate(self.edges) if u in vs)
-            out.append((vs, es))
-        return out
+            sets.union(u, v)
+        classes = sets.classes(range(self.n))
+        class_of = [0] * self.n
+        for i, vs in enumerate(classes):
+            for v in vs:
+                class_of[v] = i
+        edges: list[list[int]] = [[] for _ in classes]
+        for eid, (u, _) in enumerate(self.edges):
+            edges[class_of[u]].append(eid)
+        return [(frozenset(vs), frozenset(es)) for vs, es in zip(classes, edges)]
 
     def is_circle(self) -> bool:
         """Homeomorphic to a circle: connected, every vertex of degree 2."""
@@ -500,7 +535,7 @@ def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
     images = [0] * new_n
     for x in range(d.n):
         images[relabel[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph(new_n, new_edges, _shape_of(new_n, new_edges), tuple(names))
+    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
     return SimplicialMap(new_domain, phi.target, tuple(images))
 
 
@@ -512,21 +547,16 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     kept.  Returns the quotient map and, per original vertex, its class id.
     """
     d = phi.domain
-    parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind()
     for eid in phi.degenerate_edges:
-        u, v = d.edges[eid]
-        parent[find(u)] = find(v)
-    roots = sorted({find(v) for v in range(d.n)}, key=lambda r: min(x for x in range(d.n) if find(x) == r))
-    class_id = {r: i for i, r in enumerate(roots)}
-    member = tuple(class_id[find(v)] for v in range(d.n))
-    new_n = len(roots)
+        sets.union(*d.edges[eid])
+    classes = sets.classes(range(d.n))
+    member_of = [0] * d.n
+    for i, xs in enumerate(classes):
+        for x in xs:
+            member_of[x] = i
+    member = tuple(member_of)
+    new_n = len(classes)
     old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
     names = [""] * new_n
     for x in range(d.n):
@@ -540,7 +570,7 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     images = [0] * new_n
     for x in range(d.n):
         images[member[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph(new_n, new_edges, _shape_of(new_n, new_edges), tuple(names))
+    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
     return SimplicialMap(new_domain, phi.target, tuple(images)), member
 
 

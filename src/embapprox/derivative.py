@@ -14,13 +14,14 @@ the strips to edges through y in counterclockwise order after a at y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import (
     DomainGraph,
     PlaneGraph,
     SimplicialMap,
+    UnionFind,
     _pair,
-    _shape_of,
     closed_walk,
     normalize_nondegenerate,
 )
@@ -54,43 +55,41 @@ def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
 
     The preimage subgraph of a closed edge a also contains the degenerate
     edges sitting over a's endpoints; they can join pieces together but a
-    component must contain at least one edge mapped onto a to count.
+    component must contain at least one edge mapped onto a to count.  One
+    union-find keyed by (target edge, domain vertex) finds the pieces over
+    every target edge at once.
     """
     d, g = phi.domain, phi.target
-    out: list[PhiComponent] = []
-    for a, (x, y) in enumerate(g.edges):
-        vs = [v for v in range(d.n) if phi.vertex_image[v] in (x, y)]
-        if not vs:
-            continue
-        in_pre = set(vs)
-        parent = {v: v for v in vs}
-
-        def find(z: int) -> int:
-            while parent[z] != z:
-                parent[z] = parent[parent[z]]
-                z = parent[z]
-            return z
-
-        member_edges: dict[int, list[int]] = {}
-        onto: set[int] = set()
-        for eid, (u, v) in enumerate(d.edges):
-            img = phi.edge_image[eid]
-            keep = img == a or (img is None and u in in_pre)
-            if not keep:
+    members: dict[int, list[int]] = {}  # target edge -> its edges onto it, then its glue
+    for eid, a in enumerate(phi.edge_image):
+        if a is not None:
+            members.setdefault(a, []).append(eid)
+    onto = {a: len(eids) for a, eids in members.items()}
+    for eid in phi.degenerate_edges:
+        for a in g.incident[phi.vertex_image[d.edges[eid][0]]]:
+            if a in onto:
+                members[a].append(eid)
+    sets = UnionFind()
+    for a, eids in members.items():
+        for eid in eids:
+            u, v = d.edges[eid]
+            sets.union((a, u), (a, v))
+    pieces: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
+    for a, eids in members.items():
+        for i, eid in enumerate(eids):
+            u, v = d.edges[eid]
+            root = sets.find((a, u))
+            if i < onto[a]:
+                vs, es = pieces.setdefault(root, (set(), set()))
+            elif root in pieces:
+                # glue comes after every onto edge, so a missing piece has none
+                vs, es = pieces[root]
+            else:
                 continue
-            member_edges.setdefault(eid, [u, v])
-            parent[find(u)] = find(v)
-            if img == a:
-                onto.add(eid)
-        groups: dict[int, tuple[set[int], set[int]]] = {}
-        for v in vs:
-            groups.setdefault(find(v), (set(), set()))[0].add(v)
-        for eid, (u, _) in member_edges.items():
-            groups[find(u)][1].add(eid)
-        for root in sorted(groups, key=lambda r: min(groups[r][0])):
-            gvs, ges = groups[root]
-            if ges & onto:
-                out.append(PhiComponent(a, frozenset(gvs), frozenset(ges)))
+            vs.add(u)
+            vs.add(v)
+            es.add(eid)
+    out = [PhiComponent(a, frozenset(vs), frozenset(es)) for (a, _), (vs, es) in pieces.items()]
     out.sort(key=lambda c: (c.target_edge, min(c.vertices)))
     return tuple(out)
 
@@ -149,7 +148,7 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
             raise DerivePreconditionError(
                 "arc images cross; the derivative is undefined", witness
             )
-    elif phi.target.max_degree() > 2:
+    elif phi.target.max_degree > 2:
         raise DerivePreconditionError(
             "derivative of a general domain is only constructed over targets "
             "of maximum degree 2",
@@ -158,15 +157,16 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
 
     comps = phi_components(phi)
     m = len(comps)
-    shared: list[tuple[int, int]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if comps[i].vertices & comps[j].vertices or comps[i].edges & comps[j].edges:
-                shared.append((i, j))
+    # every edge lies in exactly one component, so components touch only at vertices
+    at_vertex: dict[int, list[int]] = {}
+    for i, c in enumerate(comps):
+        for v in c.vertices:
+            at_vertex.setdefault(v, []).append(i)
+    shared = sorted({pair for ids in at_vertex.values() for pair in combinations(ids, 2)})
 
     terminal = (
-        d.is_circle()
-        and m == 2
+        m == 2
+        and d.is_circle()
         and len(comps[0].vertices & comps[1].vertices) == 2
     )
 
@@ -176,20 +176,13 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
         _pair(comps[i].target_edge, comps[j].target_edge) for i, j in shared
     )
     rotation = derived_rotation(phi.target, realized_edges, realized_pairs, far_end_clockwise)
-    gp_edges = tuple(
-        sorted(_pair(vertex_of[a], vertex_of[b]) for a, b in realized_pairs)
-    )
-    gp_index = {e: i for i, e in enumerate(gp_edges)}
-    pair_order = {p: i for i, p in enumerate(sorted(realized_pairs))}
-    # derived_rotation numbered edges by sorted realized pair; renumber to gp ids
-    renum = {}
-    for p, old in pair_order.items():
-        renum[old] = gp_index[_pair(vertex_of[p[0]], vertex_of[p[1]])]
-    gp_rotation = tuple(tuple(renum[e] for e in rot) for rot in rotation)
+    # derived_rotation numbers edges by sorted realized pair; vertex_of is
+    # increasing, so that is also the sorted order of the G' edges
+    gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
     gprime = PlaneGraph(
         len(realized_edges),
         gp_edges,
-        gp_rotation,
+        rotation,
         tuple(phi.target.edge_name(a) for a in realized_edges),
     )
 
@@ -199,8 +192,7 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
         j = per_edge_counter.get(c.target_edge, 0)
         per_edge_counter[c.target_edge] = j + 1
         names.append(f"{phi.target.edge_name(c.target_edge)}#{j}")
-    kp_edges = tuple(sorted(_pair(i, j) for i, j in shared))
-    kprime = DomainGraph(m, kp_edges, _shape_of(m, kp_edges), tuple(names))
+    kprime = DomainGraph.from_structure(m, tuple(shared), tuple(names))
     phiprime = SimplicialMap(
         kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps)
     )
@@ -304,18 +296,19 @@ def winding_report(phi: SimplicialMap) -> WindingReport:
     d, g = phi.domain, phi.target
     out = []
     for vs, es in d.components():
-        circ = bool(es) and all(
-            sum((u == v) + (w == v) for u, w in (d.edges[e] for e in es)) == 2 for v in vs
-        )
+        # a component holds every edge at its vertices
+        circ = bool(es) and all(d.degree(v) == 2 for v in vs)
         img_vs = frozenset(phi.vertex_image[v] for v in vs)
         img_es = frozenset(
             phi.edge_image[e] for e in es if phi.edge_image[e] is not None
         )
         entry = ComponentWinding(vs, es, circ, False, 0, img_vs, img_es)
         if circ and img_es:
-            deg_ok = all(
-                sum(1 for e in img_es if v in g.edges[e]) == 2 for v in img_vs
-            ) and len(img_es) == len(img_vs)
+            img_degree = dict.fromkeys(img_vs, 0)
+            for e in img_es:
+                for v in g.edges[e]:
+                    img_degree[v] += 1
+            deg_ok = all(x == 2 for x in img_degree.values()) and len(img_es) == len(img_vs)
             if deg_ok:
                 try:
                     img_order, _ = closed_walk(g, img_vs, img_es)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import PlaneGraph, SimplicialMap, WalkArc, closed_walk, open_walk
+from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc, closed_walk, open_walk
 from .errors import PreconditionError
 from .ribbon import Port, boundary_walks, circle_touches_both
 
@@ -43,23 +43,12 @@ def _intersection_components(g: PlaneGraph, a: Subgraph, b: Subgraph) -> list[Su
     es = a[1] & b[1]
     if not vs:
         return []
-    parent = {v: v for v in vs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind()
     for e in es:
-        u, v = g.edges[e]
-        parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(vs):
-        groups.setdefault(find(v), []).append(v)
+        sets.union(*g.edges[e])
     out = []
-    for root in sorted(groups, key=lambda r: groups[r][0]):
-        cvs = frozenset(groups[root])
+    for group in sets.classes(sorted(vs)):
+        cvs = frozenset(group)
         ces = frozenset(e for e in es if g.edges[e][0] in cvs)
         out.append((cvs, ces))
     return out
@@ -95,7 +84,7 @@ def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
     Ports of a come first in an "interleaved" witness, so swapping a and b
     can change the ports but never the answer.
     """
-    if g.max_degree() <= 2:
+    if g.max_degree <= 2:
         # every intersection component has at most two ports: nothing can alternate
         return None
     a_es, b_es = a[1], b[1]
@@ -178,13 +167,12 @@ def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
     if d.shape == "cycle":
         order, eids = closed_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
         m = len(order)
+        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
         for s in range(m):
             image = (frozenset((vimg[order[s]],)), frozenset())
-            for length in range(1, m):
-                image = _grown(image, vimg[order[(s + length) % m]], eimg[eids[(s + length - 1) % m]])
-                vs = tuple(order[(s + t) % m] for t in range(length + 1))
-                es = tuple(eids[(s + t) % m] for t in range(length))
-                arcs.append((WalkArc(vs, es), image))
+            for end in range(s + 1, s + m):
+                image = _grown(image, vimg[order2[end]], eimg[eids2[end - 1]])
+                arcs.append((WalkArc(order2[s : end + 1], eids2[s:end]), image))
         return arcs
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
@@ -224,7 +212,7 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
-    if phi.target.max_degree() <= 2:
+    if phi.target.max_degree <= 2:
         return None
     memo = phi.witness_memo
     if not memo:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplicialMap, normalize_nondegenerate
+from .core import SimplicialMap, UnionFind, normalize_nondegenerate
 from .errors import DegenerateDrawingError, PreconditionError
 from .geometry import (
     DegenerateConfiguration,
@@ -93,6 +93,32 @@ def _square_faces(d, cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
 # canonical drawing
 
 
+def _lanes(maps, lane_orders) -> dict[int, list[tuple[int, int]]]:
+    """(side, domain edge) strands in each target edge's strip, in lane order.
+
+    Checks that the maps share one target and have no degenerate edges and
+    that every given lane order permutes its strip's strands.
+    """
+    target = maps[0].target
+    for m in maps[1:]:
+        if m.target != target:
+            raise PreconditionError("maps must share one target")
+    lanes: dict[int, list[tuple[int, int]]] = {}
+    for side, m in enumerate(maps):
+        for eid, img in enumerate(m.edge_image):
+            if img is None:
+                raise PreconditionError("map has degenerate edges; normalize first")
+            lanes.setdefault(img, []).append((side, eid))
+    for a in lanes:
+        lanes[a].sort()
+    if lane_orders is not None:
+        for a, order in lane_orders.items():
+            if sorted(order) != sorted(lanes.get(a, [])):
+                raise PreconditionError(f"lane order for target edge {a} is not a permutation")
+            lanes[a] = list(order)
+    return lanes
+
+
 class Drawing:
     """Exact general-position drawing of one or two maps into the target.
 
@@ -113,23 +139,7 @@ class Drawing:
     def __init__(self, maps, lane_orders=None, attempt: int = 0):
         self.maps = tuple(maps)
         self.target = self.maps[0].target
-        for m in self.maps[1:]:
-            if m.target != self.target:
-                raise PreconditionError("maps must share one target")
-        lanes: dict[int, list[tuple[int, int]]] = {}
-        for side, m in enumerate(self.maps):
-            for eid, img in enumerate(m.edge_image):
-                if img is None:
-                    raise PreconditionError("map has degenerate edges; normalize first")
-                lanes.setdefault(img, []).append((side, eid))
-        for a in lanes:
-            lanes[a].sort()
-        if lane_orders is not None:
-            for a, order in lane_orders.items():
-                if sorted(order) != sorted(lanes.get(a, [])):
-                    raise PreconditionError(f"lane order for target edge {a} is not a permutation")
-                lanes[a] = list(order)
-        self.lanes = lanes
+        self.lanes = lanes = _lanes(self.maps, lane_orders)
 
         self._port_point: dict[tuple[int, int, int, int], Point] = {}  # (v, side, eid, a)
         self._center_point: dict[tuple[int, int, int], Point] = {}  # (v, side, x)
@@ -191,7 +201,13 @@ class Drawing:
 
 
 def _evaluate_with_retries(maps, pairs, lane_orders):
-    """Crossing parities for the listed strand pairs, re-jittering on touches."""
+    """Crossing parities for the listed strand pairs, re-jittering on touches.
+
+    With no pairs nothing is drawn, but the drawing's input checks still run.
+    """
+    if not pairs:
+        _lanes(maps, lane_orders)
+        return []
     for attempt in range(MAX_DRAWING_ATTEMPTS):
         drawing = Drawing(maps, lane_orders, attempt)
         try:
@@ -296,27 +312,16 @@ def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]
         for f in _square_faces(d, cell):
             cofaces.setdefault(f, []).append(idx)
 
-    parent = list(range(ncells))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    sets = UnionFind()
     for f, owners in cofaces.items():
         if len(owners) == 2 and not red1[f]:
-            parent[find(owners[0])] = find(owners[1])
-
-    members: dict[int, list[int]] = {}
-    for idx in range(ncells):
-        members.setdefault(find(idx), []).append(idx)
+            sets.union(owners[0], owners[1])
 
     vector = []
-    for root in sorted(members, key=lambda r: min(members[r])):
+    for members in sets.classes(range(ncells)):
         qualified = True
         parity = 0
-        for idx in members[root]:
+        for idx in members:
             parity ^= values[idx]
             for f in _square_faces(d, complex_.cells2[idx]):
                 if len(cofaces[f]) == 1 and not red1[f]:

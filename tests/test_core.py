@@ -69,7 +69,7 @@ def test_degrees_count_loops_twice_in_domains():
 
 def test_incidence_helpers():
     g = theta_target()
-    assert g.max_degree() == 3
+    assert g.max_degree == 3
     for eid, (u, v) in enumerate(g.edges):
         assert g.other_end(eid, u) == v and g.other_end(eid, v) == u
     c = cycle_domain(4)

@@ -21,7 +21,7 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import DomainGraph, SimplicialMap, normalize_nondegenerate
+from embapprox.core import DomainGraph, SimplicialMap, WalkArc, closed_walk, normalize_nondegenerate
 from embapprox.corpus import CorpusSpec, generate
 from embapprox.decide import decide_path
 from embapprox.derivative import iterate_derivative
@@ -159,7 +159,7 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
     # degree 3 or more; arcs in a target of maximum degree 2 cannot cross
     # (computed on a copy: the stage maps keep their witnesses memoized)
     stages = iterate_derivative(theta_fold(32), max_steps=phi.domain.n).maps
-    branching = [m for m in stages if m.target.max_degree() > 2]
+    branching = [m for m in stages if m.target.max_degree > 2]
     enumerate_arcs = transversal._domain_arcs
     scanned = []
 
@@ -174,6 +174,31 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
     # each of those stages asks for the disjoint and then the any-pair witness
     assert len(stages) == 6 and len(branching) >= 1
     assert [m.target for m in scanned] == [m.target for m in branching]
+
+
+def test_cycle_arcs_are_the_proper_cyclic_subwalks():
+    rng = random.Random(5)
+    checked = 0
+    for k in range(3, 15):
+        phi = normalize_nondegenerate(random_walk_map(rng, TARGETS["W4"](), k, closed=True))
+        if phi.domain.shape != "cycle":
+            continue
+        checked += 1
+        d = phi.domain
+        order, eids = closed_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
+        m = len(order)
+        want = [
+            WalkArc(
+                tuple(order[(s + t) % m] for t in range(length + 1)),
+                tuple(eids[(s + t) % m] for t in range(length)),
+            )
+            for s in range(m)
+            for length in range(1, m)
+        ]
+        arcs = transversal._domain_arcs(phi)
+        assert [arc for arc, _ in arcs] == want
+        assert all(image == phi.arc_image(arc) for arc, image in arcs)
+    assert checked >= 5
 
 
 def _reference_scan(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:

@@ -202,6 +202,38 @@ def test_pair_requires_a_common_target():
         pair_report(a, b)
 
 
+def test_all_red_maps_skip_the_drawing_but_keep_its_checks(monkeypatch):
+    drawings = []
+
+    class Recorded(vankampen.Drawing):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            drawings.append(self)
+
+    monkeypatch.setattr(vankampen, "Drawing", Recorded)
+    g = small_targets()["C6"]
+    # an embedded path: every disjoint edge pair has disjoint images
+    phi = SimplicialMap(path_domain(5), g, (0, 1, 2, 3, 4))
+    complex_, values = intersection_cochain(phi)
+    assert complex_.cells2 and all(complex_.red2) and not any(values)
+    a = SimplicialMap(path_domain(2), g, (0, 1))
+    b = SimplicialMap(path_domain(2), g, (3, 4))
+    report = pair_report(a, b)
+    assert all(report.red2) and report.vanishes is True
+    assert drawings == []
+    # the checks a drawing makes on its input still apply
+    not_a_permutation = {g.edge_index[(0, 1)]: ((0, 7),)}
+    with pytest.raises(PreconditionError):
+        intersection_cochain(phi, not_a_permutation)
+    with pytest.raises(PreconditionError):
+        pair_report(a, b, not_a_permutation)
+    with pytest.raises(PreconditionError):
+        pair_report(a, SimplicialMap(path_domain(2), theta_target(), (0, 1)))
+    with pytest.raises(PreconditionError):
+        intersection_cochain(SimplicialMap(path_domain(3), g, (0, 0, 1)))
+    assert drawings == []
+
+
 def test_pair_values_are_binary_and_zero_on_red_cells():
     phi, psi = ex33_pair()
     report = pair_report(phi, psi)
