@@ -42,11 +42,11 @@ def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
     if sorted(deg1) != sorted(deg2):
         return
     order = sorted(range(g1.n), key=lambda v: -deg1[v])
-    adj1 = {frozenset(e) for e in g1.edges}
-    adj2 = {frozenset(e) for e in g2.edges}
+    nbrs1 = [{g1.other_end(e, v) for e in g1.incident[v]} for v in range(g1.n)]
+    nbrs2 = [{g2.other_end(e, w) for e in g2.incident[w]} for w in range(g2.n)]
 
     vmap: list[int] = [-1] * g1.n
-    used = [False] * g2.n
+    inverse: list[int] = [-1] * g2.n
 
     def extend(i: int):
         if i == len(order):
@@ -62,22 +62,21 @@ def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
                 yield list(vmap)
             return
         v = order[i]
+        # w must be adjacent to the images of v's mapped neighbours, and the
+        # mapped neighbours of w must be images of neighbours of v
+        mapped = [vmap[u] for u in nbrs1[v] if vmap[u] >= 0]
         for w in range(g2.n):
-            if used[w] or deg1[v] != deg2[w]:
+            if inverse[w] >= 0 or deg1[v] != deg2[w]:
                 continue
-            good = True
-            for u in range(g1.n):
-                if vmap[u] >= 0:
-                    if (frozenset((u, v)) in adj1) != (frozenset((vmap[u], w)) in adj2):
-                        good = False
-                        break
-            if not good:
+            if any(x not in nbrs2[w] for x in mapped):
+                continue
+            if any(inverse[x] >= 0 and inverse[x] not in nbrs1[v] for x in nbrs2[w]):
                 continue
             vmap[v] = w
-            used[w] = True
+            inverse[w] = v
             yield from extend(i + 1)
             vmap[v] = -1
-            used[w] = False
+            inverse[w] = -1
 
     yield from extend(0)
 
@@ -104,14 +103,12 @@ def _domain_isos(d1: DomainGraph, d2: DomainGraph):
         return
 
     order = sorted(range(d1.n), key=lambda v: -deg1[v])
+    adj1 = _multiplicities(d1)
+    adj2 = _multiplicities(d2)
+    nbrs1 = [{d1.other_end(e, v) for e in d1.incident[v]} for v in range(d1.n)]
+    nbrs2 = [{d2.other_end(e, w) for e in d2.incident[w]} for w in range(d2.n)]
     vmap: list[int] = [-1] * d1.n
-    used = [False] * d2.n
-    adj2: dict[tuple[int, int], int] = {}
-    for u, v in d2.edges:
-        adj2[_pair(u, v)] = adj2.get(_pair(u, v), 0) + 1
-    adj1: dict[tuple[int, int], int] = {}
-    for u, v in d1.edges:
-        adj1[_pair(u, v)] = adj1.get(_pair(u, v), 0) + 1
+    inverse: list[int] = [-1] * d2.n
 
     def extend(i: int):
         if i == len(order):
@@ -119,23 +116,30 @@ def _domain_isos(d1: DomainGraph, d2: DomainGraph):
                 yield list(vmap)
             return
         v = order[i]
+        # mapped neighbours must keep their multiplicity, and the mapped
+        # neighbours of w must be images of neighbours of v
+        mapped = [(vmap[u], adj1[_pair(u, v)]) for u in nbrs1[v] if vmap[u] >= 0]
         for w in range(d2.n):
-            if used[w] or deg1[v] != deg2[w]:
+            if inverse[w] >= 0 or deg1[v] != deg2[w]:
                 continue
-            good = True
-            for u in range(d1.n):
-                if vmap[u] >= 0 and adj1.get(_pair(u, v), 0) != adj2.get(_pair(vmap[u], w), 0):
-                    good = False
-                    break
-            if not good:
+            if any(adj2.get(_pair(x, w), 0) != count for x, count in mapped):
+                continue
+            if any(inverse[x] >= 0 and inverse[x] not in nbrs1[v] for x in nbrs2[w]):
                 continue
             vmap[v] = w
-            used[w] = True
+            inverse[w] = v
             yield from extend(i + 1)
             vmap[v] = -1
-            used[w] = False
+            inverse[w] = -1
 
     yield from extend(0)
+
+
+def _multiplicities(d: DomainGraph) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for u, v in d.edges:
+        counts[_pair(u, v)] = counts.get(_pair(u, v), 0) + 1
+    return counts
 
 
 def maps_isomorphic(m1: SimplicialMap, m2: SimplicialMap) -> bool:

@@ -5,8 +5,11 @@ pair is painted red when the images are disjoint too, since nothing can
 force those curves to meet.  Drawing the map in general position with exact
 rational coordinates gives a crossing-parity cochain on the non-red pairs,
 and the map passes the obstruction test when that cochain is a coboundary
-relative to the red part.  Over a path domain the same data regroups into
-per-component parities split along the red cells.
+relative to the red part.  That is a GF(2) system with one equation per
+non-red 2-cell and one unknown per non-red 1-cell; over a path or cycle
+domain each 1-cell bounds at most two 2-cells, so `gf2` solves it by
+union-find.  Over a path domain the same data regroups into per-component
+parities split along the red cells.
 """
 
 from __future__ import annotations
@@ -45,9 +48,14 @@ class DeletedProduct:
     red0: tuple[bool, ...]
 
 
-def _edge_vertices(phi: SimplicialMap, eid: int) -> set[int]:
-    img = phi.edge_image[eid]
-    return set(phi.target.edges[img])
+def _image_ends(phi: SimplicialMap) -> list[tuple[int, int]]:
+    """Endpoints of each domain edge's image edge, indexed by domain edge."""
+    target_edges = phi.target.edges
+    return [target_edges[img] for img in phi.edge_image]
+
+
+def _disjoint(e: tuple[int, int], f: tuple[int, int]) -> bool:
+    return e[0] not in f and e[1] not in f
 
 
 def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
@@ -55,22 +63,22 @@ def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     d = phi.domain
+    images = _image_ends(phi)
     cells2 = []
     red2 = []
-    for s in range(len(d.edges)):
+    for s, es in enumerate(d.edges):
         for t in range(s + 1, len(d.edges)):
-            if set(d.edges[s]) & set(d.edges[t]):
-                continue
-            cells2.append((s, t))
-            red2.append(not (_edge_vertices(phi, s) & _edge_vertices(phi, t)))
+            if _disjoint(es, d.edges[t]):
+                cells2.append((s, t))
+                red2.append(_disjoint(images[s], images[t]))
     cells1 = []
     red1 = []
     for x in range(d.n):
-        for t in range(len(d.edges)):
-            if x in d.edges[t]:
-                continue
-            cells1.append((x, t))
-            red1.append(phi.vertex_image[x] not in _edge_vertices(phi, t))
+        fx = phi.vertex_image[x]
+        for t, et in enumerate(d.edges):
+            if x not in et:
+                cells1.append((x, t))
+                red1.append(fx not in images[t])
     cells0 = []
     red0 = []
     for x in range(d.n):
@@ -244,13 +252,22 @@ def intersection_cochain(phi: SimplicialMap, lane_orders=None):
 
 
 def _relative_solve(equations, rhs, variables):
-    """GF(2) solve of face sums = rhs over the non-red 1-cells."""
+    """GF(2) solve of face sums = rhs over the non-red 1-cells.
+
+    Each equation lists distinct faces, so its entries are set, not summed.
+    """
     var_index = {c: i for i, c in enumerate(variables)}
-    a = np.zeros((len(equations), len(variables)), dtype=np.uint8)
+    rows = []
+    cols = []
     for r, faces in enumerate(equations):
         for f in faces:
-            if f in var_index:
-                a[r, var_index[f]] ^= 1
+            j = var_index.get(f)
+            if j is not None:
+                rows.append(r)
+                cols.append(j)
+    a = np.zeros((len(equations), len(variables)), dtype=np.uint8)
+    if rows:
+        a[rows, cols] = 1
     b = np.array(rhs, dtype=np.uint8)
     return solve_or_certify(a, b)
 
@@ -354,13 +371,14 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
         raise PreconditionError("maps must share one target")
     phi = normalize_nondegenerate(phi)
     psi = normalize_nondegenerate(psi)
+    phi_images = _image_ends(phi)
+    psi_images = _image_ends(psi)
     cells2 = []
     red2 = []
-    for i in range(len(phi.domain.edges)):
-        vi = _edge_vertices(phi, i)
-        for j in range(len(psi.domain.edges)):
+    for i, ei in enumerate(phi_images):
+        for j, ej in enumerate(psi_images):
             cells2.append((i, j))
-            red2.append(not (vi & _edge_vertices(psi, j)))
+            red2.append(_disjoint(ei, ej))
     pairs = [((0, i), (1, j)) for (i, j), red in zip(cells2, red2) if not red]
     computed = _evaluate_with_retries((phi, psi), pairs, lane_orders)
     values = []
@@ -369,10 +387,10 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
         values.append(0 if red else next(it))
 
     def red_ve(x: int, j: int) -> bool:
-        return phi.vertex_image[x] not in _edge_vertices(psi, j)
+        return phi.vertex_image[x] not in psi_images[j]
 
     def red_ev(i: int, y: int) -> bool:
-        return psi.vertex_image[y] not in _edge_vertices(phi, i)
+        return psi.vertex_image[y] not in phi_images[i]
 
     variables: list[tuple] = []
     for x in range(phi.domain.n):

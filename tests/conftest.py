@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from embapprox.catalog import cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import SimplicialMap
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
+from embapprox.core import SimplicialMap, _pair
 from embapprox.geometry import DegenerateConfiguration
 
 
@@ -43,6 +46,28 @@ def random_walk_map(
             continue
         domain = cycle_domain(k) if closed else path_domain(k)
         return SimplicialMap(domain, target, tuple(images))
+
+
+@st.composite
+def walk_maps(draw, k_max: int, k_min: int = 1, closed: bool = True):
+    """Walks into theta, W4 or ex33; a step may stay put.
+
+    With closed=False every walk is a path; otherwise walks with k >= 3 may
+    close up.
+    """
+    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33")))]()
+    k = draw(st.integers(k_min, k_max))
+    images = [draw(st.integers(0, g.n - 1))]
+    for _ in range(k - 1):
+        v = images[-1]
+        choice = draw(st.integers(0, len(g.incident[v])))
+        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+    closed = closed and k >= 3 and draw(st.booleans())
+    if closed:
+        u, v = images[-1], images[0]
+        assume(u == v or _pair(u, v) in g.edge_index)
+    domain = cycle_domain(k) if closed else path_domain(k)
+    return SimplicialMap(domain, g, tuple(images))
 
 
 def sample_corpus(shape: str, count: int, seed: int, k_max: int = 6):

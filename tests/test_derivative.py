@@ -6,8 +6,9 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
+
+from conftest import walk_maps
 
 from embapprox.catalog import (
     TARGETS,
@@ -42,6 +43,7 @@ from embapprox.derivative import (
     winding_report,
 )
 from embapprox.errors import DerivePreconditionError, PreconditionError
+from embapprox.iso import maps_isomorphic
 from embapprox.transversal import find_crossing_pair
 
 
@@ -349,26 +351,8 @@ def test_stages_match_reference_on_degree_three_maps():
     assert stages > 450
 
 
-@st.composite
-def _walk_maps(draw):
-    """Walks into theta, W4 or ex33 with k <= 40; a step may stay put."""
-    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33")))]()
-    k = draw(st.integers(1, 40))
-    images = [draw(st.integers(0, g.n - 1))]
-    for _ in range(k - 1):
-        v = images[-1]
-        choice = draw(st.integers(0, len(g.incident[v])))
-        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
-    closed = k >= 3 and draw(st.booleans())
-    if closed:
-        u, v = images[-1], images[0]
-        assume(u == v or _pair(u, v) in g.edge_index)
-    domain = cycle_domain(k) if closed else path_domain(k)
-    return SimplicialMap(domain, g, tuple(images))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_walk_maps())
+@given(walk_maps(k_max=40))
 def test_stages_match_reference_on_random_walks(phi):
     _assert_stages_match_reference(phi, max_stages=3)
 
@@ -403,3 +387,15 @@ def test_stage_work_is_linear_at_k4000(case):
     start = time.perf_counter()
     stage(phi)
     assert time.perf_counter() - start < 0.5
+
+
+def test_cycle_isomorphism_check_is_not_cubic():
+    # the stabilization check compares a map with its derivative; it took
+    # 3 s at k=250 while each candidate vertex was checked against every
+    # mapped vertex
+    phi = SimplicialMap(cycle_domain(250), cycle_target(250), tuple(range(250)))
+    derived = derive(phi).map
+    start = time.perf_counter()
+    assert maps_isomorphic(phi, phi)
+    assert maps_isomorphic(phi, derived)
+    assert time.perf_counter() - start < 1.0

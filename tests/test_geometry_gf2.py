@@ -18,6 +18,7 @@ from embapprox.geometry import (
     orient,
     proper_crossing,
 )
+from embapprox import gf2
 from embapprox.gf2 import solve_or_certify, verify_certificate
 
 
@@ -224,3 +225,66 @@ def test_solvable_systems_never_certified():
         b = (a @ x0) % 2  # solvable by construction
         x, cert = solve_or_certify(a, b)
         assert cert is None and np.array_equal((a @ x) % 2, b), trial
+
+
+def _graphic_system(rng: random.Random, ne: int, nv: int):
+    """A random system whose columns have weight 0, 1 or 2."""
+    a = np.zeros((ne, nv), dtype=np.uint8)
+    for col in range(nv):
+        weight = min(rng.choice((0, 1, 2, 2, 2)), ne)
+        for r in rng.sample(range(ne), weight):
+            a[r, col] = 1
+    b = np.array([rng.randrange(2) for _ in range(ne)], dtype=np.uint8)
+    return a, b
+
+
+def _same_result(got, want) -> bool:
+    return all(
+        (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+        for g, w in zip(got, want)
+    )
+
+
+def test_graphic_systems_match_dense_elimination_bit_for_bit():
+    rng = random.Random(5)
+    certified = 0
+    for trial in range(3000):
+        a, b = _graphic_system(rng, rng.randrange(0, 13), rng.randrange(0, 15))
+        want = gf2._solve_dense(a, b)
+        assert _same_result(solve_or_certify(a, b), want), trial
+        # entries are read mod 2
+        assert _same_result(solve_or_certify(a + 2 * (a ^ 1), b + 2), want), trial
+        certified += want[1] is not None
+    assert 1000 < certified < 2000
+
+
+def test_graphic_certificate_is_the_first_odd_component_left_by_elimination():
+    # column 0 joins equations 0 and 3 and leaves their sum at row 3; column 1
+    # grounds equation 2 and swaps equation 1's row into row 2, so the odd
+    # component {1} precedes the odd component {0, 3}
+    a = np.array([[1, 0], [0, 0], [0, 1], [1, 0]], dtype=np.uint8)
+    b = np.array([1, 1, 1, 0], dtype=np.uint8)
+    x, cert = solve_or_certify(a, b)
+    assert x is None and cert.tolist() == [0, 1, 0, 0]
+    assert _same_result((x, cert), gf2._solve_dense(a, b))
+
+
+def test_graphic_branch_handles_edge_shapes():
+    for ne, nv in ((0, 0), (0, 3), (3, 0), (1, 1)):
+        for bits in range(2 ** ne):
+            b = np.array([(bits >> i) & 1 for i in range(ne)], dtype=np.uint8)
+            for fill in (0, 1):
+                a = np.full((ne, nv), fill, dtype=np.uint8)
+                assert _same_result(solve_or_certify(a, b), gf2._solve_dense(a, b))
+
+
+def test_heavy_columns_use_dense_elimination(monkeypatch):
+    a = np.array([[1, 0], [1, 1], [1, 0]], dtype=np.uint8)
+    b = np.array([1, 0, 1], dtype=np.uint8)
+    want = gf2._solve_dense(a, b)
+
+    def no_graphic(*args):
+        raise AssertionError("a weight-3 column must be eliminated densely")
+
+    monkeypatch.setattr(gf2, "_solve_graphic", no_graphic)
+    assert _same_result(solve_or_certify(a, b), want)

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     frac_circle_point,
@@ -15,9 +16,10 @@ from conftest import (
     random_lane_orders,
     sample_corpus,
     theta_fold,
+    walk_maps,
 )
 
-from embapprox import vankampen
+from embapprox import gf2, vankampen
 
 from embapprox.catalog import (
     ex33_pair,
@@ -27,8 +29,8 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import PlaneGraph, SimplicialMap, normalize_nondegenerate
-from embapprox.corpus import CorpusSpec, generate
+from embapprox.core import PlaneGraph, SimplicialMap, mirrored_map, normalize_nondegenerate
+from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path_via_vk
 from embapprox.errors import PreconditionError
 from embapprox.geometry import DegenerateConfiguration
@@ -360,3 +362,37 @@ def test_long_theta_fold_obstruction_is_quick():
     elapsed = time.perf_counter() - start
     assert verdict.approximable is True
     assert elapsed < 2.0
+
+
+def test_path_and_cycle_systems_never_reach_dense_elimination(monkeypatch):
+    dense = gf2._solve_dense
+    dense_shapes = []
+
+    def counted(a, b):
+        dense_shapes.append(a.shape)
+        return dense(a, b)
+
+    # a degree-3 domain can put a 1-cell on three 2-cells: elimination stays
+    monkeypatch.setattr(gf2, "_solve_dense", counted)
+    rng = random.Random(3)
+    for _ in range(40):
+        obstruction_report(random_deg3_map(small_targets()["C4"], rng))
+    assert dense_shapes
+
+    def refused(a, b):
+        raise AssertionError("a path or cycle system reached dense elimination")
+
+    monkeypatch.setattr(gf2, "_solve_dense", refused)
+    maps = [phi for _, phi in sample_corpus("path", 300, seed=4)]
+    maps += [phi for _, phi in sample_corpus("cycle", 300, seed=4)]
+    maps += [winding_map(3), x_cross_path(), theta_fold(128)]
+    assert {obstruction_report(phi).vanishes for phi in maps} == {True, False}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(walk_maps(k_min=8, k_max=64, closed=False))
+def test_obstruction_verdict_survives_reversal_and_mirroring(phi):
+    vanishes, _ = obstruction_vanishes(phi)
+    reversed_ = SimplicialMap(phi.domain, phi.target, phi.vertex_image[::-1])
+    assert obstruction_vanishes(reversed_)[0] is vanishes
+    assert obstruction_vanishes(mirrored_map(phi))[0] is vanishes
