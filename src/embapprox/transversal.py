@@ -12,10 +12,18 @@ pairs therefore groups arcs by image and tests each pair of distinct images
 once; results are memoized on the target graph (`PlaneGraph.crossing_memo`),
 so maps into one target share them and no cache outlives the target.  The
 first witnesses of a map are memoized on the map itself.
+
+On a path or cycle domain, moving an arc's end away from its start only
+grows its image, so the arcs from one start fall into a few runs of one
+image.  The search scans those runs and builds only the two arcs of each
+witness; it never lists the O(k^2) arcs.  General domains list their
+simple paths.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -145,35 +153,16 @@ def _grown(image: Subgraph, v: int, e: int) -> Subgraph:
 
 
 def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
-    """Vertex-aligned arcs of the domain with at least one edge, in stable order.
+    """Simple paths of a general domain with at least one edge, in stable order.
 
-    Path and cycle shapes enumerate contiguous subwalks; general shapes
-    enumerate all simple paths (each taken once, smaller endpoint first).
-    Each arc comes with its image subgraph, grown one step at a time from the
-    arc's start; a step that adds no new target vertex or edge reuses the
-    previous image object.  Requires a nondegenerate map.
+    Each path is taken once, smaller endpoint first, and comes with its image
+    subgraph, grown one step at a time from the path's start; a step that
+    adds no new target vertex or edge reuses the previous image object.
+    Requires a nondegenerate map.
     """
     d = phi.domain
     vimg, eimg = phi.vertex_image, phi.edge_image
     arcs: list[tuple[WalkArc, Subgraph]] = []
-    if d.shape == "path":
-        order, eids = open_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
-        for i in range(len(order)):
-            image: Subgraph = (frozenset((vimg[order[i]],)), frozenset())
-            for j in range(i + 1, len(order)):
-                image = _grown(image, vimg[order[j]], eimg[eids[j - 1]])
-                arcs.append((WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j])), image))
-        return arcs
-    if d.shape == "cycle":
-        order, eids = closed_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
-        m = len(order)
-        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
-        for s in range(m):
-            image = (frozenset((vimg[order[s]],)), frozenset())
-            for end in range(s + 1, s + m):
-                image = _grown(image, vimg[order2[end]], eimg[eids2[end - 1]])
-                arcs.append((WalkArc(order2[s : end + 1], eids2[s:end]), image))
-        return arcs
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def extend(vs: list[int], es: list[int], image: Subgraph):
@@ -201,6 +190,62 @@ def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
     return arcs
 
 
+def _walk(phi: SimplicialMap) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
+    """A path or cycle domain as one walk: (vertices, edges, m, closed).
+
+    Position p holds vertices[p], entered along edges[p - 1], and the arc
+    (s, e) is the subwalk from position s to position e.  Arcs start at the
+    m positions s < m.  A path's arcs from s end at s + 1 ... m - 1; a
+    cycle's walk is unrolled twice and its arcs from s end at
+    s + 1 ... s + m - 1, so arcs are enumerated by start, then by end.
+    """
+    d = phi.domain
+    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
+    if d.shape == "path":
+        order, eids = open_walk(d, *every)
+        return tuple(order), tuple(eids), len(order), False
+    order, eids = closed_walk(d, *every)
+    return tuple(order) * 2, tuple(eids) * 2, len(order), True
+
+
+def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):
+    """Runs of arcs with one image, as (start, first end, image), in arc order.
+
+    From a fixed start, a later end only adds to the image, so the arcs from
+    one start fall into at most |V(G)| + |E(G)| runs of constant image; this
+    is the one place that key is computed.  The walk from s stops at the
+    run whose image is as large as that of the longest arc from s: a
+    backward pass (paths) or the edge image counts (cycles) give those sizes
+    for every start in linear time.
+    """
+    vimg, eimg = phi.vertex_image, phi.edge_image
+    if closed:
+        counts = Counter(eimg[e] for e in edges[:m])
+        full = len({vimg[v] for v in vertices[:m]}) + len(counts)
+        # the longest arc from s misses only the edge that enters s
+        longest = [full - (counts[eimg[edges[s - 1]]] == 1) for s in range(m)]
+    else:
+        longest = [0] * m
+        seen_vs: set[int] = set()
+        seen_es: set[int] = set()
+        for p in range(m - 1, -1, -1):
+            seen_vs.add(vimg[vertices[p]])
+            if p < m - 1:
+                seen_es.add(eimg[edges[p]])
+            longest[p] = len(seen_vs) + len(seen_es)
+    for s in range(m):
+        vs: frozenset[int] = frozenset((vimg[vertices[s]],))
+        es: frozenset[int] = frozenset()
+        for e in range(s + 1, s + m if closed else m):
+            v, x = vimg[vertices[e]], eimg[edges[e - 1]]
+            if v in vs and x in es:
+                continue
+            vs, es = vs | {v}, es | {x}
+            yield s, e, (vs, es)
+            if len(vs) + len(es) == longest[s]:
+                break
+
+
 def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
     """First crossing arc pair in enumeration order, or None.
 
@@ -208,7 +253,7 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     predicate; without it, the stronger any-two-arcs condition that guards
     the derivative construction.  One scan answers both and is memoized on
     the map (`SimplicialMap.witness_memo`), so a derivative stage that asks
-    both questions enumerates its arcs once.
+    both questions scans its domain once.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
@@ -220,32 +265,55 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     return memo[disjoint_only]
 
 
+def _partners(g: PlaneGraph, images: list[Subgraph], keys, a: int) -> tuple[int, ...]:
+    """Ids of the images that cross image a, each pair tested through the target's memo."""
+    return tuple(
+        b for b in range(len(images))
+        if _crossing(g, images[a], images[b], keys[a] <= keys[b]) is not None
+    )
+
+
+def _witness(g: PlaneGraph, images, keys, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
+    """The witness for arcs arc_p and arc_q, whose images are images[a] and images[b]."""
+    svs, ses, kind, ports = _crossing(g, images[a], images[b], keys[a] <= keys[b])
+    return CrossingWitness(arc_p, arc_q, svs, ses, kind, ports)
+
+
 def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, CrossingWitness | None]:
     """The first crossing arc pair and the first vertex-disjoint one.
 
-    Whether two arcs cross depends only on their images, and a small target
-    has few distinct images, so arcs are grouped by image and each image
-    pair is tested once, through the memo on the target that instances
-    sharing it also reuse.  An arc whose image crosses no image is skipped;
-    for the others the later arcs are scanned for a crossing partner, which
-    keeps the first witnesses of the plain scan over all arc pairs.  A
+    Whether two arcs cross depends only on their images, so each pair of
+    distinct images is tested once, through the memo on the target that
+    instances sharing it also reuse.  An image never crosses itself.  A
     disjoint crossing pair is a crossing pair, so the disjoint witness never
-    comes before the other and the scan stops once it has both.
+    comes before the other.
+
+    Path and cycle domains are scanned by runs (`_runs`) and never list
+    their O(k^2) arcs.  The first arc (s, lo) of a run comes before the
+    run's other arcs, has every later partner they have, and is contained in
+    each of them, so it has their vertex-disjoint partners too.  Hence both
+    witnesses pair the first arcs of two runs, and only those two arcs are
+    built.  A later run's first arc (t, e) is disjoint from (s, lo) iff
+    t > lo, and on a cycle of length m also e <= s + m - 1.  The first ends
+    of one image's runs never decrease as their starts grow (if t < t' and
+    e' < e, the arc (t, e') would reach that image before e), so the first
+    run of a partner image that starts after lo is the only one to test.
+    General domains list their arcs and scan the later arcs of each arc that
+    crosses.
     """
+    if phi.domain.shape in ("path", "cycle"):
+        return _first_run_crossings(phi)
     g = phi.target
     arcs = _domain_arcs(phi)
     ids: dict[Subgraph, int] = {}
     image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
     images = list(ids)
     keys = [_sort_key(image) for image in images]
-    crossers: dict[int, frozenset[int]] = {}
+    crossers: dict[int, tuple[int, ...]] = {}
     first = None
     for i, a in enumerate(image_id):
         if a not in crossers:
-            crossers[a] = frozenset(
-                b for b in range(len(images))
-                if _crossing(g, images[a], images[b], keys[a] <= keys[b]) is not None
-            )
+            crossers[a] = _partners(g, images, keys, a)
         partners = crossers[a]
         if not partners:
             continue
@@ -257,12 +325,61 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
             disjoint = vi.isdisjoint(arcs[j][0].vertices)
             if first is not None and not disjoint:
                 continue
-            svs, ses, kind, ports = _crossing(g, images[a], images[b], keys[a] <= keys[b])
-            witness = CrossingWitness(arcs[i][0], arcs[j][0], svs, ses, kind, ports)
+            witness = _witness(g, images, keys, arcs[i][0], a, arcs[j][0], b)
             if first is None:
                 first = witness
             if disjoint:
                 return first, witness
+    return first, None
+
+
+def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, CrossingWitness | None]:
+    """`_first_crossings` of a path or cycle map, from the first arcs of its runs."""
+    g = phi.target
+    vertices, edges, m, closed = _walk(phi)
+    ids: dict[Subgraph, int] = {}
+    runs = [
+        (s, lo, ids.setdefault(image, len(ids)))
+        for s, lo, image in _runs(phi, vertices, edges, m, closed)
+    ]
+    images = list(ids)
+    keys = [_sort_key(image) for image in images]
+    # the positions of each image's runs, and their starts
+    at: list[list[int]] = [[] for _ in images]
+    for r, run in enumerate(runs):
+        at[run[2]].append(r)
+    starts = [[runs[r][0] for r in rs] for rs in at]
+
+    def arc(r: int) -> WalkArc:
+        s, lo, _ = runs[r]
+        return WalkArc(vertices[s : lo + 1], edges[s:lo])
+
+    def next_disjoint(b: int, lo: int, bound: int) -> int | None:
+        """Position of the first run of image b that starts after lo and ends by bound."""
+        x = bisect_right(starts[b], lo)
+        if x < len(at[b]) and runs[at[b][x]][1] <= bound:
+            return at[b][x]
+        return None
+
+    crossers: dict[int, tuple[int, ...]] = {}
+    first = None
+    for i, (s, lo, a) in enumerate(runs):
+        if a not in crossers:
+            crossers[a] = _partners(g, images, keys, a)
+        partners = crossers[a]
+        if not partners:
+            continue
+        if first is None:
+            later = [at[b][x] for b in partners if (x := bisect_right(at[b], i)) < len(at[b])]
+            if not later:
+                continue
+            j = min(later)
+            first = _witness(g, images, keys, arc(i), a, arc(j), runs[j][2])
+        bound = s + m - 1 if closed else m - 1
+        disjoint = [j for b in partners if (j := next_disjoint(b, lo, bound)) is not None]
+        if disjoint:
+            j = min(disjoint)
+            return first, _witness(g, images, keys, arc(i), a, arc(j), runs[j][2])
     return first, None
 
 

@@ -83,12 +83,17 @@ def sample_corpus(shape: str, count: int, seed: int, k_max: int = 6):
     return rng.sample(items, count)
 
 
-def theta_fold(k: int) -> SimplicialMap:
-    """The approximable path u a v b u b v a ... of k vertices on theta."""
+def theta_fold(k: int, closed: bool = False) -> SimplicialMap:
+    """The approximable path u a v b u b v a ... of k vertices on theta.
+
+    With closed the same walk is a cycle; k must then be a multiple of 8, so
+    that its last step a u closes it.
+    """
     g = theta_target()
     index = {name: v for v, name in enumerate(g.vertex_names)}
     period = ("u", "a", "v", "b", "u", "b", "v", "a")
-    return SimplicialMap(path_domain(k), g, tuple(index[period[i % 8]] for i in range(k)))
+    domain = cycle_domain(k) if closed else path_domain(k)
+    return SimplicialMap(domain, g, tuple(index[period[i % 8]] for i in range(k)))
 
 
 # --- Fraction reference geometry -------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from embapprox.catalog import (
     path_domain,
     small_targets,
     terminal_flower,
+    wheel_target,
     whole_fold,
     winding_map,
     x_cross_path,
@@ -109,6 +111,55 @@ def test_long_theta_fold_is_decided_quickly():
     assert v.approximable is True
     assert [e.kind for _, e in v.trace] == ["clean-pass"] * 5 + ["empty-domain"]
     assert elapsed < 5.0
+
+
+def test_theta_fold_at_k4096_is_decided_quickly():
+    # the crossing search scans runs of constant image; listing the O(k^2)
+    # arcs of every stage took 17.5 s and 2.96 GB at k=1024
+    phi = theta_fold(4096)
+    start = time.perf_counter()
+    v = decide_path(phi)
+    elapsed = time.perf_counter() - start
+    assert v.approximable is True
+    assert [e.kind for _, e in v.trace] == ["clean-pass"] * 5 + ["empty-domain"]
+    assert elapsed < 5.0
+
+
+def test_theta_fold_memory_does_not_grow_with_the_arc_count():
+    phi = theta_fold(512)
+    tracemalloc.start()
+    try:
+        v = decide_path(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.approximable is True
+    assert peak < 10 * 2**20
+
+
+def test_closed_theta_fold_at_k2048_is_decided_quickly():
+    phi = theta_fold(2048, closed=True)
+    start = time.perf_counter()
+    v = decide_cycle(phi)
+    elapsed = time.perf_counter() - start
+    assert v.approximable is True
+    assert elapsed < 2.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a crossing is reported at h, where arc 3-7 only ends (ROADMAP item 1)",
+)
+def test_w4_path_min_decide_path_agrees_with_the_oracle():
+    # walk-W4-path-min, the smallest known false negative of decide_path:
+    # it reports arcs 0-2 and 3-7 crossing at h, while the obstruction and
+    # the oracle both accept the map
+    g = wheel_target()
+    index = {name: v for v, name in enumerate(g.vertex_names)}
+    walk = ("r1", "h", "r3", "h", "r2", "r3", "r4", "h")
+    phi = SimplicialMap(path_domain(len(walk)), g, tuple(index[name] for name in walk))
+    oracle_verdict, _ = is_approximable_oracle(phi)
+    assert decide_path(phi).approximable == oracle_verdict
 
 
 def test_stabilization_is_a_pure_optimization():

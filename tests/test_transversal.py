@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_walk_map, theta_fold
+from conftest import random_walk_map, theta_fold, walk_maps
 
 from embapprox import transversal
 from embapprox.catalog import (
@@ -21,11 +22,18 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import DomainGraph, SimplicialMap, WalkArc, closed_walk, normalize_nondegenerate
+from embapprox.core import (
+    DomainGraph,
+    SimplicialMap,
+    WalkArc,
+    closed_walk,
+    normalize_nondegenerate,
+    open_walk,
+)
 from embapprox.corpus import CorpusSpec, generate
 from embapprox.decide import decide_path
-from embapprox.derivative import iterate_derivative
-from embapprox.errors import PreconditionError
+from embapprox.derivative import derive, iterate_derivative
+from embapprox.errors import DerivePreconditionError, PreconditionError
 from embapprox.ribbon import interleaves
 from embapprox.transversal import (
     CrossingWitness,
@@ -155,25 +163,59 @@ def test_crossing_results_are_memoized_on_the_target(monkeypatch):
 
 def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
     phi = theta_fold(32)
-    # the search enumerates arcs only on stages whose target has a vertex of
-    # degree 3 or more; arcs in a target of maximum degree 2 cannot cross
+    # the search scans the runs of a stage only if its target has a vertex
+    # of degree 3 or more; arcs in a target of maximum degree 2 cannot cross
     # (computed on a copy: the stage maps keep their witnesses memoized)
     stages = iterate_derivative(theta_fold(32), max_steps=phi.domain.n).maps
     branching = [m for m in stages if m.target.max_degree > 2]
-    enumerate_arcs = transversal._domain_arcs
+    scan_runs = transversal._runs
     scanned = []
 
-    def counted(phi):
+    def counted(phi, *walk):
         scanned.append(phi)
-        return enumerate_arcs(phi)
+        return scan_runs(phi, *walk)
 
-    monkeypatch.setattr(transversal, "_domain_arcs", counted)
+    monkeypatch.setattr(transversal, "_runs", counted)
     verdict = decide_path(phi)
     assert verdict.approximable is True
     assert [e.kind for _, e in verdict.trace] == ["clean-pass"] * 5 + ["empty-domain"]
     # each of those stages asks for the disjoint and then the any-pair witness
     assert len(stages) == 6 and len(branching) >= 1
     assert [m.target for m in scanned] == [m.target for m in branching]
+
+
+def _subwalks(phi: SimplicialMap) -> list[WalkArc]:
+    """Every arc in enumeration order.
+
+    Path and cycle domains give their contiguous subwalks, listed here
+    independently of the run scan; general domains give their simple paths.
+    """
+    d = phi.domain
+    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
+    if d.shape == "path":
+        order, eids = open_walk(d, *every)
+        return [
+            WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j]))
+            for i in range(len(order))
+            for j in range(i + 1, len(order))
+        ]
+    if d.shape == "cycle":
+        order, eids = closed_walk(d, *every)
+        m = len(order)
+        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
+        return [
+            WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
+        ]
+    return [arc for arc, _ in transversal._domain_arcs(phi)]
+
+
+def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
+    """First arc and image of every run that the run scan produces."""
+    vertices, edges, m, closed = transversal._walk(phi)
+    return [
+        (WalkArc(vertices[s : lo + 1], edges[s:lo]), image)
+        for s, lo, image in transversal._runs(phi, vertices, edges, m, closed)
+    ]
 
 
 def test_cycle_arcs_are_the_proper_cyclic_subwalks():
@@ -195,16 +237,37 @@ def test_cycle_arcs_are_the_proper_cyclic_subwalks():
             for s in range(m)
             for length in range(1, m)
         ]
-        arcs = transversal._domain_arcs(phi)
-        assert [arc for arc, _ in arcs] == want
-        assert all(image == phi.arc_image(arc) for arc, image in arcs)
+        assert _subwalks(phi) == want
     assert checked >= 5
+
+
+def test_runs_start_where_the_image_of_an_arc_changes():
+    # the first arcs of runs are the subwalks whose image differs from that
+    # of the subwalk one step shorter from the same start
+    rng = random.Random(6)
+    maps = [x_cross_path(), theta_fold(24), theta_fold(24, closed=True)]
+    for name in ("theta", "W4", "ex33"):
+        for _ in range(20):
+            k = rng.randint(3, 16)
+            maps.append(random_walk_map(rng, TARGETS[name](), k, rng.random() < 0.5))
+    runs = {"path": 0, "cycle": 0}
+    for phi in map(normalize_nondegenerate, maps):
+        if phi.domain.shape not in runs or not phi.domain.edges:
+            continue
+        want = []
+        for arc in _subwalks(phi):
+            image = phi.arc_image(arc)
+            if len(arc.edges) == 1 or image != want[-1][1]:
+                want.append((arc, image))
+        assert _run_firsts(phi) == want
+        runs[phi.domain.shape] += len(want)
+    assert min(runs.values()) > 200
 
 
 def _reference_scan(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
     """The plain scan: every arc pair in enumeration order, images from arc_image."""
     g = phi.target
-    arcs = [arc for arc, _ in transversal._domain_arcs(phi)]
+    arcs = _subwalks(phi)
     images = [phi.arc_image(arc) for arc in arcs]
     tested = {}
     for i in range(len(arcs)):
@@ -243,6 +306,59 @@ def test_grouped_search_returns_the_reference_witness():
             assert find_crossing_pair(phi, disjoint_only) == want
             found[disjoint_only] += want is not None
     assert min(found.values()) >= 5
+
+
+def _assert_both_witnesses_match_reference(phi: SimplicialMap) -> tuple[bool, bool]:
+    """Compare both witnesses with the reference on phi; returns which exist."""
+    # witness_memo is bypassed so that every call below runs the scan
+    got = transversal._first_crossings(phi)
+    want = (_reference_scan(phi, disjoint_only=False), _reference_scan(phi, disjoint_only=True))
+    assert got == want, (phi.domain.shape, phi.vertex_image)
+    return want[0] is not None, want[1] is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(walk_maps(k_max=24))
+def test_run_scan_matches_reference_on_the_first_derivative_stages(phi):
+    cur = normalize_nondegenerate(phi)
+    for _ in range(3):
+        if not cur.domain.edges:
+            return
+        if cur.target.max_degree > 2:
+            _assert_both_witnesses_match_reference(cur)
+        try:
+            step = derive(cur)
+        except DerivePreconditionError:
+            return
+        if step.terminal_approximable:
+            return
+        cur = step.map
+
+
+def test_run_scan_matches_reference_on_every_small_w4_and_ex33_walk():
+    checked = 0
+    for shape in ("path", "cycle"):
+        spec = CorpusSpec(shape, ("W4", "ex33"), k_min=3 if shape == "cycle" else 1, k_max=5)
+        for _, phi in generate(spec):
+            psi = normalize_nondegenerate(phi)
+            if psi.domain.edges:
+                _assert_both_witnesses_match_reference(psi)
+                checked += 1
+    assert checked > 6000
+
+
+def test_w4_path_min_witness_is_the_reference_witness():
+    # walk-W4-path-min: r1 h r3 h r2 r3 r4 h, the smallest known map on which
+    # decide_path disagrees with the oracle (tests/test_decide.py)
+    g = TARGETS["W4"]()
+    index = {name: v for v, name in enumerate(g.vertex_names)}
+    walk = ("r1", "h", "r3", "h", "r2", "r3", "r4", "h")
+    phi = SimplicialMap(path_domain(len(walk)), g, tuple(index[name] for name in walk))
+    assert _assert_both_witnesses_match_reference(phi) == (True, True)
+    wit = find_crossing_pair(phi, disjoint_only=True)
+    assert wit.arc_p.vertices == (0, 1, 2) and wit.arc_q.vertices == (3, 4, 5, 6, 7)
+    assert wit.component_vertices == {index["h"]} and not wit.component_edges
+    assert wit.kind == "interleaved"
 
 
 def test_alternating_ports_agrees_with_interleaves(monkeypatch):
