@@ -218,6 +218,17 @@ class DomainGraph:
         object.__setattr__(graph, "shape", _shape_of(n, edges))
         return graph
 
+    @classmethod
+    def _built(
+        cls, n: int, edges: tuple[tuple[int, int], ...], shape: str, vertex_names: tuple[str, ...]
+    ) -> "DomainGraph":
+        """A domain whose construction already fixes its structure and shape; nothing is checked."""
+        graph = object.__new__(cls)
+        fields = (("n", n), ("edges", edges), ("shape", shape), ("vertex_names", vertex_names))
+        for name, value in fields:
+            object.__setattr__(graph, name, value)
+        return graph
+
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids at each vertex; loops listed once."""
@@ -227,6 +238,55 @@ class DomainGraph:
             if v != u:
                 out[v].append(eid)
         return tuple(tuple(x) for x in out)
+
+    @property
+    def walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A path or cycle domain as one walk: (vertices, edges) in traversal order.
+
+        A path starts at its smaller end; a cycle starts at vertex 0 and
+        leaves along its smaller edge id, and its vertex list does not repeat
+        vertex 0 at the end.  This is the order `open_walk` and `closed_walk`
+        give, read off the edge list without their checks because the shape
+        is already validated.  Computed once.
+        """
+        walk = getattr(self, "_walk", None)
+        if walk is not None:
+            return walk
+        if self.shape not in ("path", "cycle"):
+            raise PreconditionError("only path and cycle domains are one walk")
+        n, edges = self.n, self.edges
+        # the one or two edge ids at each vertex, the smaller first
+        first = [-1] * n
+        second = [-1] * n
+        for eid, (u, v) in enumerate(edges):
+            if first[u] < 0:
+                first[u] = eid
+            else:
+                second[u] = eid
+            if first[v] < 0:
+                first[v] = eid
+            else:
+                second[v] = eid
+        start = 0
+        if self.shape == "path":
+            start = next((v for v in range(n) if second[v] < 0 <= first[v]), 0)
+        vertices = [start]
+        order: list[int] = []
+        cur, e = start, first[start]
+        for _ in range(len(edges)):
+            order.append(e)
+            u, w = edges[e]
+            cur = w if cur == u else u
+            vertices.append(cur)
+            e = second[cur] if first[cur] == e else first[cur]
+        if self.shape == "cycle":
+            vertices.pop()
+        walk = (tuple(vertices), tuple(order))
+        # kept as a plain attribute: a cached_property writes through
+        # __dict__, and on CPython 3.11 every later attribute load on an
+        # instance whose __dict__ was materialized takes a slower path
+        object.__setattr__(self, "_walk", walk)
+        return walk
 
     def degree(self, v: int) -> int:
         """Topological degree: loops count twice."""
@@ -285,31 +345,31 @@ class SimplicialMap:
     domain: DomainGraph
     target: PlaneGraph
     vertex_image: tuple[int, ...]
+    # target edge id per domain edge, or None when degenerate; set while
+    # the edges are checked
+    edge_image: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.vertex_image) != self.domain.n:
+        image, target, edges = self.vertex_image, self.target, self.domain.edges
+        if len(image) != self.domain.n:
             raise InvariantError("map-cover", "every domain vertex needs an image")
-        for v, img in enumerate(self.vertex_image):
-            if not (0 <= img < self.target.n):
+        n_target = target.n
+        for v, img in enumerate(image):
+            if not (0 <= img < n_target):
                 raise DanglingIdError(f"vertex {v} maps to unknown target vertex {img}", 0)
-        idx = self.target.edge_index
-        for eid, (u, v) in enumerate(self.domain.edges):
-            a, b = self.vertex_image[u], self.vertex_image[v]
-            if a != b and _pair(a, b) not in idx:
-                raise InvariantError(
-                    "simplicial",
-                    f"domain edge {eid} ({u},{v}) maps to non-adjacent pair ({a},{b})",
-                )
-
-    @cached_property
-    def edge_image(self) -> tuple[int | None, ...]:
-        """Target edge id per domain edge, or None when degenerate."""
-        idx = self.target.edge_index
-        out = []
-        for u, v in self.domain.edges:
-            a, b = self.vertex_image[u], self.vertex_image[v]
-            out.append(None if a == b else idx[_pair(a, b)])
-        return tuple(out)
+        idx = target.edge_index
+        out: list[int | None] = [None] * len(edges)
+        try:
+            for eid, (u, v) in enumerate(edges):
+                a, b = image[u], image[v]
+                if a != b:
+                    out[eid] = idx[(a, b) if a < b else (b, a)]
+        except KeyError:
+            raise InvariantError(
+                "simplicial",
+                f"domain edge {eid} ({u},{v}) maps to non-adjacent pair ({a},{b})",
+            ) from None
+        object.__setattr__(self, "edge_image", tuple(out))
 
     @cached_property
     def witness_memo(self) -> dict:
@@ -539,6 +599,35 @@ def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
     return SimplicialMap(new_domain, phi.target, tuple(images))
 
 
+def _quotient(
+    phi: SimplicialMap, member: list[int], count: int, shape: str | None
+) -> SimplicialMap:
+    """The map on the classes of `member`, numbered by smallest vertex.
+
+    Names are the `+`-joined names of a class's vertices, and the
+    nondegenerate edges keep their order.  The shape is `shape` when the
+    caller's construction determines it, else it is computed.
+    """
+    d = phi.domain
+    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
+    groups: list[list[str]] = [[] for _ in range(count)]
+    images = [0] * count
+    for x in range(d.n):
+        groups[member[x]].append(old_names[x])
+        images[member[x]] = phi.vertex_image[x]
+    names = tuple("+".join(g) for g in groups)
+    new_edges = tuple(
+        _pair(member[u], member[v])
+        for (u, v), a in zip(d.edges, phi.edge_image)
+        if a is not None
+    )
+    if shape is None:
+        new_domain = DomainGraph.from_structure(count, new_edges, names)
+    else:
+        new_domain = DomainGraph._built(count, new_edges, shape, names)
+    return SimplicialMap(new_domain, phi.target, tuple(images))
+
+
 def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
     """Quotient the domain by the components of the degenerate part.
 
@@ -555,34 +644,49 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     for i, xs in enumerate(classes):
         for x in xs:
             member_of[x] = i
-    member = tuple(member_of)
-    new_n = len(classes)
-    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
-    names = [""] * new_n
-    for x in range(d.n):
-        y = member[x]
-        names[y] = old_names[x] if not names[y] else f"{names[y]}+{old_names[x]}"
-    new_edges = tuple(
-        _pair(member[u], member[v])
-        for eid, (u, v) in enumerate(d.edges)
-        if phi.edge_image[eid] is not None
-    )
-    images = [0] * new_n
-    for x in range(d.n):
-        images[member[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
-    return SimplicialMap(new_domain, phi.target, tuple(images)), member
+    return _quotient(phi, member_of, len(classes), None), tuple(member_of)
 
 
 def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     """Contract all degenerate edges; the result has none.
 
     Equal (up to relabeling) to contracting degenerate edges one at a time in
-    any order.
+    any order.  On a path or cycle domain the classes are the runs of one
+    vertex image along the walk (on a cycle the last run joins the first
+    when the edge between them is degenerate); they and their numbering are
+    those of `zero_components`.
     """
     if phi.is_nondegenerate():
         return phi
-    return zero_components(phi)[0]
+    d = phi.domain
+    if d.shape not in ("path", "cycle"):
+        return zero_components(phi)[0]
+    vertices, edges = d.walk
+    eimg = phi.edge_image
+    run_of = [0] * d.n
+    r = 0
+    for p in range(1, len(vertices)):
+        if eimg[edges[p - 1]] is not None:
+            r += 1
+        run_of[vertices[p]] = r
+    # on a cycle the last run joins the first across a degenerate last edge
+    wrap = d.shape == "cycle" and eimg[edges[-1]] is None
+    label = [-1] * (r + 1)
+    member = [0] * d.n
+    count = 0
+    for x in range(d.n):
+        q = run_of[x]
+        if wrap and q == r:
+            q = 0
+        if label[q] < 0:
+            label[q] = count
+            count += 1
+        member[x] = label[q]
+    if d.shape == "path":
+        shape = "path"
+    else:
+        shape = "cycle" if count >= 3 else None
+    return _quotient(phi, member, count, shape)
 
 
 def mirrored_map(phi: SimplicialMap) -> SimplicialMap:

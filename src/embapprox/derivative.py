@@ -9,6 +9,12 @@ adjacency.  The derivative phi' sends each component to its covered edge.
 G' inherits an embedding: around the vertex for edge a = xy, the strips to
 edges through x attach in counterclockwise order after a at x, followed by
 the strips to edges through y in counterclockwise order after a at y.
+
+On a path or cycle domain the phi-components are the maximal runs of one
+edge image along the domain's walk, and two components touch exactly when
+their runs are consecutive, so such a stage is built in one pass over the
+walk.  Other domains group the preimage of every target edge with one
+union-find (`phi_components`).
 """
 
 from __future__ import annotations
@@ -140,14 +146,16 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     d = phi.domain
+    if d.shape in ("path", "cycle"):
+        if d.edges:
+            witness = find_crossing_pair(phi, disjoint_only=False)
+            if witness is not None:
+                raise DerivePreconditionError(
+                    "arc images cross; the derivative is undefined", witness
+                )
+        return _derive_runs(phi, far_end_clockwise)
     if not d.edges:
         pass  # no edges means no arcs: the derivative is empty over any target
-    elif d.shape in ("path", "cycle"):
-        witness = find_crossing_pair(phi, disjoint_only=False)
-        if witness is not None:
-            raise DerivePreconditionError(
-                "arc images cross; the derivative is undefined", witness
-            )
     elif phi.target.max_degree > 2:
         raise DerivePreconditionError(
             "derivative of a general domain is only constructed over targets "
@@ -163,13 +171,85 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
         for v in c.vertices:
             at_vertex.setdefault(v, []).append(i)
     shared = sorted({pair for ids in at_vertex.values() for pair in combinations(ids, 2)})
-
     terminal = (
         m == 2
         and d.is_circle()
         and len(comps[0].vertices & comps[1].vertices) == 2
     )
+    kprime = DomainGraph.from_structure(m, tuple(shared), _component_names(phi.target, comps))
+    return _stage(phi, comps, shared, kprime, terminal, far_end_clockwise)
 
+
+def _derive_runs(phi: SimplicialMap, far_end_clockwise: bool) -> DerivativeStep:
+    """`derive` of a nondegenerate path or cycle map.
+
+    Its components are the maximal runs of one edge image along the walk;
+    on a cycle a run that wraps past the walk's start is one run, and one
+    image all round is one component.  Touching components are consecutive
+    runs, so K' is a path, or a cycle when a cycle domain has three runs or
+    more; a cycle domain with exactly two runs is the terminal case.  A
+    single vertex has no runs and an empty derivative.
+    """
+    vertices, edges = phi.domain.walk
+    if not edges:
+        empty = DomainGraph._built(0, (), "general", ())
+        return _stage(phi, (), [], empty, False, far_end_clockwise)
+    eimg = phi.edge_image
+    closed = phi.domain.shape == "cycle"
+    length = len(edges)
+    if closed:
+        # start at a run boundary so that no run wraps past the end
+        first = eimg[edges[0]]
+        offset = length
+        while offset and eimg[edges[offset - 1]] == first:
+            offset -= 1
+        if offset < length:
+            vertices = vertices[offset:] + vertices[:offset]
+            edges = edges[offset:] + edges[:offset]
+        vertices += vertices[:1]
+    bounds = [0]
+    images = [eimg[edges[0]]]
+    for p in range(1, length):
+        a = eimg[edges[p]]
+        if a != images[-1]:
+            bounds.append(p)
+            images.append(a)
+    bounds.append(length)
+    runs = len(images)
+    comps = [
+        PhiComponent(a, frozenset(vertices[lo : hi + 1]), frozenset(edges[lo:hi]))
+        for a, lo, hi in zip(images, bounds, bounds[1:])
+    ]
+    order = sorted(range(runs), key=lambda i: (images[i], min(comps[i].vertices)))
+    rank = [0] * runs
+    for r, i in enumerate(order):
+        rank[i] = r
+    pairs = {_pair(rank[i], rank[i + 1]) for i in range(runs - 1)}
+    if closed and runs >= 3:
+        pairs.add(_pair(rank[-1], rank[0]))
+    shared = sorted(pairs)
+    sorted_comps = tuple(comps[i] for i in order)
+    shape = "cycle" if closed and runs >= 3 else "path"
+    kprime = DomainGraph._built(
+        runs, tuple(shared), shape, _component_names(phi.target, sorted_comps)
+    )
+    terminal = closed and runs == 2
+    return _stage(phi, sorted_comps, shared, kprime, terminal, far_end_clockwise)
+
+
+def _component_names(g: PlaneGraph, comps) -> tuple[str, ...]:
+    """`<edge name>#<j>` for the j-th component over each target edge."""
+    per_edge_counter: dict[int, int] = {}
+    names = []
+    for c in comps:
+        j = per_edge_counter.get(c.target_edge, 0)
+        per_edge_counter[c.target_edge] = j + 1
+        names.append(f"{g.edge_name(c.target_edge)}#{j}")
+    return tuple(names)
+
+
+def _stage(phi, comps, shared, kprime, terminal, far_end_clockwise) -> DerivativeStep:
+    """G', its rotation and phi' from the components and the pairs that touch."""
     realized_edges = tuple(sorted({c.target_edge for c in comps}))
     vertex_of = {a: i for i, a in enumerate(realized_edges)}
     realized_pairs = frozenset(
@@ -185,18 +265,10 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
         rotation,
         tuple(phi.target.edge_name(a) for a in realized_edges),
     )
-
-    per_edge_counter: dict[int, int] = {}
-    names = []
-    for c in comps:
-        j = per_edge_counter.get(c.target_edge, 0)
-        per_edge_counter[c.target_edge] = j + 1
-        names.append(f"{phi.target.edge_name(c.target_edge)}#{j}")
-    kprime = DomainGraph.from_structure(m, tuple(shared), tuple(names))
     phiprime = SimplicialMap(
         kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps)
     )
-    return DerivativeStep(phi, comps, kprime, gprime, phiprime, terminal, realized_edges)
+    return DerivativeStep(phi, tuple(comps), kprime, gprime, phiprime, terminal, realized_edges)
 
 
 def _target_is_circle(g: PlaneGraph) -> bool:
@@ -295,9 +367,14 @@ def winding_report(phi: SimplicialMap) -> WindingReport:
     """
     d, g = phi.domain, phi.target
     out = []
-    for vs, es in d.components():
+    if d.shape in ("path", "cycle"):
+        pieces = [(frozenset(range(d.n)), frozenset(range(len(d.edges))), d.shape == "cycle")]
+    else:
         # a component holds every edge at its vertices
-        circ = bool(es) and all(d.degree(v) == 2 for v in vs)
+        pieces = [
+            (vs, es, bool(es) and all(d.degree(v) == 2 for v in vs)) for vs, es in d.components()
+        ]
+    for vs, es, circ in pieces:
         img_vs = frozenset(phi.vertex_image[v] for v in vs)
         img_es = frozenset(
             phi.edge_image[e] for e in es if phi.edge_image[e] is not None
@@ -317,7 +394,7 @@ def winding_report(phi: SimplicialMap) -> WindingReport:
                 if img_order is not None:
                     pos = {v: i for i, v in enumerate(img_order)}
                     length = len(img_order)
-                    walk_vs, walk_es = closed_walk(d, vs, es)
+                    walk_vs, walk_es = d.walk if d.shape == "cycle" else closed_walk(d, vs, es)
                     sign = 0
                     ok = all(phi.edge_image[e] is not None for e in walk_es)
                     if ok:

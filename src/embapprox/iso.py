@@ -9,8 +9,6 @@ order-independence tests, so it deliberately ignores provenance names.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
 
 
@@ -33,8 +31,43 @@ def _rotation_respected(g1: PlaneGraph, g2: PlaneGraph, vmap: list[int], emap: d
     return True
 
 
+def _backtrack(order: list[int], candidates, complete, vmap: list[int], inverse: list[int]):
+    """Yield a copy of vmap for every assignment of the vertices in order that complete accepts.
+
+    candidates(v) iterates the images v may take given the vertices already
+    mapped; an explicit stack of those iterators replaces recursion, so the
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    if not order:
+        if complete():
+            yield []
+        return
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if vmap[v] >= 0:
+            inverse[vmap[v]] = -1
+            vmap[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        vmap[v] = w
+        inverse[w] = v
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+        elif complete():
+            yield list(vmap)
+
+
 def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
-    """Yield rotation-preserving isomorphisms g1 -> g2 as vertex lists."""
+    """Yield rotation-preserving isomorphisms g1 -> g2 as vertex lists.
+
+    Vertices are mapped by decreasing degree.  A vertex with a mapped
+    neighbour takes its candidates from the neighbours of that neighbour's
+    image in increasing order, the order a scan of every vertex of g2
+    would find them in.
+    """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return
     deg1 = [g1.degree(v) for v in range(g1.n)]
@@ -44,64 +77,71 @@ def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
     order = sorted(range(g1.n), key=lambda v: -deg1[v])
     nbrs1 = [{g1.other_end(e, v) for e in g1.incident[v]} for v in range(g1.n)]
     nbrs2 = [{g2.other_end(e, w) for e in g2.incident[w]} for w in range(g2.n)]
-
     vmap: list[int] = [-1] * g1.n
     inverse: list[int] = [-1] * g2.n
 
-    def extend(i: int):
-        if i == len(order):
-            emap = {}
-            ok = True
-            for eid, (u, v) in enumerate(g1.edges):
-                key = _pair(vmap[u], vmap[v])
-                if key not in g2.edge_index:
-                    ok = False
-                    break
-                emap[eid] = g2.edge_index[key]
-            if ok and _rotation_respected(g1, g2, vmap, emap):
-                yield list(vmap)
-            return
-        v = order[i]
+    def candidates(v: int):
         # w must be adjacent to the images of v's mapped neighbours, and the
         # mapped neighbours of w must be images of neighbours of v
         mapped = [vmap[u] for u in nbrs1[v] if vmap[u] >= 0]
-        for w in range(g2.n):
+        for w in sorted(nbrs2[mapped[0]]) if mapped else range(g2.n):
             if inverse[w] >= 0 or deg1[v] != deg2[w]:
                 continue
             if any(x not in nbrs2[w] for x in mapped):
                 continue
             if any(inverse[x] >= 0 and inverse[x] not in nbrs1[v] for x in nbrs2[w]):
                 continue
-            vmap[v] = w
-            inverse[w] = v
-            yield from extend(i + 1)
-            vmap[v] = -1
-            inverse[w] = -1
+            yield w
 
-    yield from extend(0)
+    def complete() -> bool:
+        emap = {}
+        for eid, (u, v) in enumerate(g1.edges):
+            key = _pair(vmap[u], vmap[v])
+            if key not in g2.edge_index:
+                return False
+            emap[eid] = g2.edge_index[key]
+        return _rotation_respected(g1, g2, vmap, emap)
+
+    yield from _backtrack(order, candidates, complete, vmap, inverse)
 
 
 def _edge_multiset(d: DomainGraph, vmap: list[int]) -> list[tuple[int, int]]:
     return sorted(_pair(vmap[u], vmap[v]) for u, v in d.edges)
 
 
+def _walk_alignments(d1: DomainGraph, d2: DomainGraph):
+    """Yield the isomorphisms between two paths or two cycles of one length.
+
+    They carry one walk onto the other: forwards or backwards, and on a
+    cycle from any starting position, so a path with an edge has 2 and a
+    cycle of n vertices has 2n.
+    """
+    w1, w2 = d1.walk[0], d2.walk[0]
+    n = len(w1)
+    position = [0] * n
+    for i, x in enumerate(w1):
+        position[x] = i
+    if d1.shape == "path":
+        aligned = (w2,) if n == 1 else (w2, w2[::-1])
+    else:
+        back = w2[::-1]
+        aligned = (w[s:] + w[:s] for w in (w2, back) for s in range(n))
+    for seq in aligned:
+        yield [seq[i] for i in position]
+
+
 def _domain_isos(d1: DomainGraph, d2: DomainGraph):
     """Yield multigraph isomorphisms d1 -> d2 as vertex lists."""
     if d1.n != d2.n or len(d1.edges) != len(d2.edges):
+        return
+    if d1.shape == d2.shape and d1.shape in ("path", "cycle"):
+        yield from _walk_alignments(d1, d2)
         return
     deg1 = [d1.degree(v) for v in range(d1.n)]
     deg2 = [d2.degree(v) for v in range(d2.n)]
     if sorted(deg1) != sorted(deg2):
         return
     target_multiset = sorted(d2.edges)
-    if d1.n <= 8:
-        for perm in permutations(range(d1.n)):
-            vmap = list(perm)
-            if all(deg1[v] == deg2[vmap[v]] for v in range(d1.n)):
-                if _edge_multiset(d1, vmap) == target_multiset:
-                    yield vmap
-        return
-
     order = sorted(range(d1.n), key=lambda v: -deg1[v])
     adj1 = _multiplicities(d1)
     adj2 = _multiplicities(d2)
@@ -110,29 +150,23 @@ def _domain_isos(d1: DomainGraph, d2: DomainGraph):
     vmap: list[int] = [-1] * d1.n
     inverse: list[int] = [-1] * d2.n
 
-    def extend(i: int):
-        if i == len(order):
-            if _edge_multiset(d1, vmap) == target_multiset:
-                yield list(vmap)
-            return
-        v = order[i]
+    def candidates(v: int):
         # mapped neighbours must keep their multiplicity, and the mapped
         # neighbours of w must be images of neighbours of v
         mapped = [(vmap[u], adj1[_pair(u, v)]) for u in nbrs1[v] if vmap[u] >= 0]
-        for w in range(d2.n):
+        for w in sorted(nbrs2[mapped[0][0]]) if mapped else range(d2.n):
             if inverse[w] >= 0 or deg1[v] != deg2[w]:
                 continue
             if any(adj2.get(_pair(x, w), 0) != count for x, count in mapped):
                 continue
             if any(inverse[x] >= 0 and inverse[x] not in nbrs1[v] for x in nbrs2[w]):
                 continue
-            vmap[v] = w
-            inverse[w] = v
-            yield from extend(i + 1)
-            vmap[v] = -1
-            inverse[w] = -1
+            yield w
 
-    yield from extend(0)
+    def complete() -> bool:
+        return _edge_multiset(d1, vmap) == target_multiset
+
+    yield from _backtrack(order, candidates, complete, vmap, inverse)
 
 
 def _multiplicities(d: DomainGraph) -> dict[tuple[int, int], int]:
@@ -148,9 +182,10 @@ def maps_isomorphic(m1: SimplicialMap, m2: SimplicialMap) -> bool:
         return False
     if m1.target.n != m2.target.n or len(m1.target.edges) != len(m2.target.edges):
         return False
+    image2 = m2.vertex_image
     for gmap in _plane_isos(m1.target, m2.target):
+        want = [gmap[a] for a in m1.vertex_image]
         for dmap in _domain_isos(m1.domain, m2.domain):
-            if all(m2.vertex_image[dmap[x]] == gmap[m1.vertex_image[x]] for x in range(m1.domain.n)):
+            if all(image2[y] == a for y, a in zip(dmap, want)):
                 return True
     return False
-

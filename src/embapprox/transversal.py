@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc, closed_walk, open_walk
+from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc
 from .errors import PreconditionError
 from .ribbon import Port, boundary_walks, circle_touches_both
 
@@ -199,13 +199,10 @@ def _walk(phi: SimplicialMap) -> tuple[tuple[int, ...], tuple[int, ...], int, bo
     cycle's walk is unrolled twice and its arcs from s end at
     s + 1 ... s + m - 1, so arcs are enumerated by start, then by end.
     """
-    d = phi.domain
-    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
-    if d.shape == "path":
-        order, eids = open_walk(d, *every)
-        return tuple(order), tuple(eids), len(order), False
-    order, eids = closed_walk(d, *every)
-    return tuple(order) * 2, tuple(eids) * 2, len(order), True
+    order, eids = phi.domain.walk
+    if phi.domain.shape == "path":
+        return order, eids, len(order), False
+    return order * 2, eids * 2, len(order), True
 
 
 def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):

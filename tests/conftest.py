@@ -8,9 +8,11 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from embapprox import transversal
 from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import SimplicialMap, _pair
+from embapprox.core import SimplicialMap, WalkArc, _pair, closed_walk, open_walk
 from embapprox.geometry import DegenerateConfiguration
+from embapprox.transversal import CrossingWitness
 
 
 def random_lane_orders(phi: SimplicialMap, rng: random.Random, side: int = 0):
@@ -94,6 +96,63 @@ def theta_fold(k: int, closed: bool = False) -> SimplicialMap:
     period = ("u", "a", "v", "b", "u", "b", "v", "a")
     domain = cycle_domain(k) if closed else path_domain(k)
     return SimplicialMap(domain, g, tuple(index[period[i % 8]] for i in range(k)))
+
+
+# --- reference crossing scan -----------------------------------------------
+# Every arc pair in enumeration order, with arcs listed from open_walk and
+# closed_walk, independently of the run scan and of DomainGraph.walk.
+
+
+def subwalks(phi: SimplicialMap) -> list[WalkArc]:
+    """Every arc in enumeration order.
+
+    Path and cycle domains give their contiguous subwalks, listed here
+    independently of the run scan; general domains give their simple paths.
+    """
+    d = phi.domain
+    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
+    if d.shape == "path":
+        order, eids = open_walk(d, *every)
+        return [
+            WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j]))
+            for i in range(len(order))
+            for j in range(i + 1, len(order))
+        ]
+    if d.shape == "cycle":
+        order, eids = closed_walk(d, *every)
+        m = len(order)
+        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
+        return [
+            WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
+        ]
+    return [arc for arc, _ in transversal._domain_arcs(phi)]
+
+
+def reference_scan(
+    phi: SimplicialMap, disjoint_only: bool, tested: dict | None = None
+) -> CrossingWitness | None:
+    """The plain scan: every arc pair in enumeration order, images from arc_image.
+
+    `tested` keeps crossing test results by ordered image pair; callers may
+    share one dict between maps into equal targets.
+    """
+    g = phi.target
+    arcs = subwalks(phi)
+    images = [phi.arc_image(arc) for arc in arcs]
+    keys = [(tuple(sorted(a[0])), tuple(sorted(a[1]))) for a in images]
+    tested = {} if tested is None else tested
+    for i in range(len(arcs)):
+        vi = set(arcs[i].vertices)
+        for j in range(i + 1, len(arcs)):
+            if disjoint_only and not vi.isdisjoint(arcs[j].vertices):
+                continue
+            a, b = images[i], images[j]
+            pair = (a, b) if keys[i] <= keys[j] else (b, a)
+            if pair not in tested:
+                tested[pair] = transversal._crossing_component(g, *pair)
+            if tested[pair] is not None:
+                return CrossingWitness(arcs[i], arcs[j], *tested[pair])
+    return None
 
 
 # --- Fraction reference geometry -------------------------------------------

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import walk_maps
 
 from embapprox.catalog import (
     FIXTURES,
@@ -26,6 +29,8 @@ from embapprox.core import (
     parse_instance,
     zero_components,
 )
+from embapprox.corpus import CorpusSpec, generate
+from embapprox.derivative import iterate_derivative
 from embapprox.errors import (
     DanglingIdError,
     InvariantError,
@@ -213,6 +218,42 @@ def test_walk_extraction():
     assert len(vs2) == 4 and len(es2) == 4
     with pytest.raises(PreconditionError):
         closed_walk(d, frozenset(range(4)), frozenset(range(3)))
+
+
+def _reference_walk(d: DomainGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
+    vs, es = (open_walk if d.shape == "path" else closed_walk)(d, *every)
+    return tuple(vs), tuple(es)
+
+
+def _assert_stage_walks_match(phi: SimplicialMap, walks: dict[str, int]) -> None:
+    """DomainGraph.walk equals the reference walk on every path or cycle stage of phi."""
+    for m in (phi, *iterate_derivative(phi, phi.domain.n + 1).maps):
+        d = m.domain
+        if d.shape in walks:
+            assert d.walk == _reference_walk(d), (d.n, d.edges)
+            walks[d.shape] += 1
+
+
+def test_walk_is_the_reference_walk_on_every_stage_of_the_small_corpora():
+    walks = {"path": 0, "cycle": 0}
+    for shape in ("path", "cycle"):
+        spec = CorpusSpec(shape, tuple(small_targets()), k_min=3 if shape == "cycle" else 1, k_max=6)
+        for _, phi in generate(spec):
+            _assert_stage_walks_match(phi, walks)
+    assert min(walks.values()) > 10000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(walk_maps(k_max=40))
+def test_walk_is_the_reference_walk_on_every_stage_of_random_walks(phi):
+    _assert_stage_walks_match(phi, {"path": 0, "cycle": 0})
+
+
+def test_walk_is_only_defined_on_paths_and_cycles():
+    assert path_domain(1).walk == ((0,), ())
+    with pytest.raises(PreconditionError):
+        DomainGraph(2, ((0, 1), (0, 1)), "general").walk
 
 
 def test_cycle_target_and_catalog_targets_are_valid():

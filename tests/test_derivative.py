@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import walk_maps
+from conftest import random_walk_map, reference_scan, walk_maps
 
 from embapprox.catalog import (
     TARGETS,
@@ -43,7 +44,8 @@ from embapprox.derivative import (
     winding_report,
 )
 from embapprox.errors import DerivePreconditionError, PreconditionError
-from embapprox.iso import maps_isomorphic
+from embapprox.decide import decide_cycle
+from embapprox.iso import _domain_isos, _plane_isos, maps_isomorphic
 from embapprox.transversal import find_crossing_pair
 
 
@@ -357,6 +359,43 @@ def test_stages_match_reference_on_random_walks(phi):
     _assert_stages_match_reference(phi, max_stages=3)
 
 
+def test_stages_and_witnesses_match_reference_on_seeded_walks():
+    # the k <= 5 corpora reach no crossing at any stage, so witnesses are
+    # compared here, on walks long enough to cross, through every stage the
+    # decision procedure reaches
+    rng = random.Random(8)
+    targets = {name: TARGETS[name]() for name in ("theta", "W4", "ex33")}
+    tested: dict = {}
+    witnesses = 0
+    for _ in range(400):
+        g = targets[rng.choice(sorted(targets))]
+        phi = random_walk_map(rng, g, rng.randint(8, 20), rng.random() < 0.5)
+        cur = normalize_nondegenerate(phi)
+        for _ in range(phi.domain.n + 1):
+            if not cur.domain.edges:
+                break
+            if cur.target.max_degree > 2:
+                memo = tested.setdefault(cur.target, {})
+                want_any = reference_scan(cur, disjoint_only=False, tested=memo)
+                # a disjoint crossing pair is a crossing pair
+                want = (want_any, want_any and reference_scan(cur, True, tested=memo))
+                got = tuple(find_crossing_pair(cur, disjoint_only=flag) for flag in (False, True))
+                assert got == want
+                witnesses += sum(w is not None for w in want)
+            try:
+                step = _reference_derive(cur)
+            except DerivePreconditionError as exc:
+                with pytest.raises(DerivePreconditionError) as got:
+                    derive(cur)
+                assert got.value.witness == exc.witness
+                break
+            assert derive(cur) == step
+            if step.terminal_approximable or maps_isomorphic(cur, step.map):
+                break
+            cur = step.map
+    assert witnesses >= 100
+
+
 # --- linear-time guards ------------------------------------------------------
 
 
@@ -376,6 +415,16 @@ LARGE_STAGES = {
     "derive-identity-cycle-C4000": (
         derive,
         lambda: SimplicialMap(cycle_domain(K_LARGE), cycle_target(K_LARGE), tuple(range(K_LARGE))),
+    ),
+    "normalize-half-stationary-path-C5": (
+        normalize_nondegenerate,
+        lambda: SimplicialMap(
+            path_domain(K_LARGE), cycle_target(5), tuple((i // 2) % 5 for i in range(K_LARGE))
+        ),
+    ),
+    "derive-cycle-C5": (
+        derive,
+        lambda: SimplicialMap(cycle_domain(K_LARGE), cycle_target(5), tuple(i % 5 for i in range(K_LARGE))),
     ),
 }
 
@@ -399,3 +448,101 @@ def test_cycle_isomorphism_check_is_not_cubic():
     assert maps_isomorphic(phi, phi)
     assert maps_isomorphic(phi, derived)
     assert time.perf_counter() - start < 1.0
+
+
+def test_identity_cycle_stabilization_is_linear_at_k2000():
+    # the stabilization check recursed once per vertex and raised
+    # RecursionError from C1200 up
+    phi = SimplicialMap(cycle_domain(2000), cycle_target(2000), tuple(range(2000)))
+    start = time.perf_counter()
+    verdict = decide_cycle(phi)
+    assert time.perf_counter() - start < 2.0
+    assert verdict.approximable is True
+    assert [e.kind for _, e in verdict.trace] == ["clean-pass"]
+
+
+def test_long_path_isomorphism_check_at_k4000():
+    phi = SimplicialMap(path_domain(4000), cycle_target(5), tuple(i % 5 for i in range(4000)))
+    start = time.perf_counter()
+    assert maps_isomorphic(phi, phi)
+    assert time.perf_counter() - start < 0.5
+
+
+def _reference_domain_isos(d1: DomainGraph, d2: DomainGraph) -> list[list[int]]:
+    """Every vertex bijection that carries the edge multiset of d1 onto that of d2."""
+    want = sorted(d2.edges)
+    return sorted(
+        list(p)
+        for p in permutations(range(d1.n))
+        if sorted(_pair(p[u], p[v]) for u, v in d1.edges) == want
+    )
+
+
+def _relabelled(d: DomainGraph, rng: random.Random) -> DomainGraph:
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    edges = tuple(sorted(_pair(perm[u], perm[v]) for u, v in d.edges))
+    return DomainGraph(d.n, edges, d.shape)
+
+
+def test_domain_isomorphisms_match_the_permutation_reference():
+    rng = random.Random(4)
+    domains = [path_domain(n) for n in range(1, 7)] + [cycle_domain(n) for n in range(3, 7)]
+    deg3 = 0
+    while deg3 < 60:
+        d = random_deg3_map(TARGETS["C4"](), rng, max_vertices=6).domain
+        deg3 += any(d.degree(v) == 3 for v in range(d.n))
+        domains.append(d)
+    # a path tagged general takes the search, not the walk alignments
+    domains.append(DomainGraph(4, ((0, 1), (1, 2), (2, 3)), "general"))
+    shapes: dict[str, int] = {}
+    for d in domains:
+        for e in (d, _relabelled(d, rng), path_domain(d.n)):
+            got = [list(x) for x in _domain_isos(d, e)]
+            assert len(got) == len({tuple(x) for x in got})
+            assert sorted(got) == _reference_domain_isos(d, e)
+            shapes[d.shape] = shapes.get(d.shape, 0) + bool(got)
+    assert min(shapes.values()) >= 8
+
+
+def _reference_plane_isos(g1: PlaneGraph, g2: PlaneGraph) -> list[list[int]]:
+    """Every vertex bijection carrying edges to edges and each rotation to a cyclic shift of one."""
+    out = []
+    for p in permutations(range(g1.n)):
+        pairs = [_pair(p[u], p[v]) for u, v in g1.edges]
+        if sorted(pairs) != sorted(g2.edges):
+            continue
+        emap = [g2.edges.index(pair) for pair in pairs]
+        ok = True
+        for v in range(g1.n):
+            image = [emap[e] for e in g1.rotation[v]]
+            rot = list(g2.rotation[p[v]])
+            shifts = [rot[i:] + rot[:i] for i in range(len(rot))] or [[]]
+            ok = ok and (sorted(image) == sorted(rot) if len(rot) <= 2 else image in shifts)
+        if ok:
+            out.append(list(p))
+    return sorted(out)
+
+
+def _relabelled_plane(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = tuple(sorted(_pair(perm[u], perm[v]) for u, v in g.edges))
+    new_id = [edges.index(_pair(perm[u], perm[v])) for u, v in g.edges]
+    rotation: list[tuple[int, ...]] = [()] * g.n
+    for v in range(g.n):
+        rotation[perm[v]] = tuple(new_id[e] for e in g.rotation[v])
+    return PlaneGraph(g.n, edges, tuple(rotation))
+
+
+def test_plane_isomorphisms_match_the_permutation_reference():
+    rng = random.Random(5)
+    found = 0
+    for name in sorted(TARGETS):
+        g = TARGETS[name]()
+        for h in (g, g.mirrored(), _relabelled_plane(g, rng), _relabelled_plane(g.mirrored(), rng)):
+            got = [list(x) for x in _plane_isos(g, h)]
+            assert len(got) == len({tuple(x) for x in got})
+            assert sorted(got) == _reference_plane_isos(g, h), name
+            found += bool(got)
+    assert found == 32

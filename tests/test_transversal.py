@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_walk_map, theta_fold, walk_maps
+from conftest import random_walk_map, reference_scan, subwalks, theta_fold, walk_maps
 
 from embapprox import transversal
 from embapprox.catalog import (
@@ -28,7 +28,6 @@ from embapprox.core import (
     WalkArc,
     closed_walk,
     normalize_nondegenerate,
-    open_walk,
 )
 from embapprox.corpus import CorpusSpec, generate
 from embapprox.decide import decide_path
@@ -36,7 +35,6 @@ from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
 from embapprox.ribbon import interleaves
 from embapprox.transversal import (
-    CrossingWitness,
     contains_simple_triod,
     find_crossing_pair,
     has_transversal_self_intersection,
@@ -184,31 +182,6 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
     assert [m.target for m in scanned] == [m.target for m in branching]
 
 
-def _subwalks(phi: SimplicialMap) -> list[WalkArc]:
-    """Every arc in enumeration order.
-
-    Path and cycle domains give their contiguous subwalks, listed here
-    independently of the run scan; general domains give their simple paths.
-    """
-    d = phi.domain
-    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
-    if d.shape == "path":
-        order, eids = open_walk(d, *every)
-        return [
-            WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j]))
-            for i in range(len(order))
-            for j in range(i + 1, len(order))
-        ]
-    if d.shape == "cycle":
-        order, eids = closed_walk(d, *every)
-        m = len(order)
-        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
-        return [
-            WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
-        ]
-    return [arc for arc, _ in transversal._domain_arcs(phi)]
-
-
 def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
     """First arc and image of every run that the run scan produces."""
     vertices, edges, m, closed = transversal._walk(phi)
@@ -237,7 +210,7 @@ def test_cycle_arcs_are_the_proper_cyclic_subwalks():
             for s in range(m)
             for length in range(1, m)
         ]
-        assert _subwalks(phi) == want
+        assert subwalks(phi) == want
     assert checked >= 5
 
 
@@ -255,35 +228,13 @@ def test_runs_start_where_the_image_of_an_arc_changes():
         if phi.domain.shape not in runs or not phi.domain.edges:
             continue
         want = []
-        for arc in _subwalks(phi):
+        for arc in subwalks(phi):
             image = phi.arc_image(arc)
             if len(arc.edges) == 1 or image != want[-1][1]:
                 want.append((arc, image))
         assert _run_firsts(phi) == want
         runs[phi.domain.shape] += len(want)
     assert min(runs.values()) > 200
-
-
-def _reference_scan(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
-    """The plain scan: every arc pair in enumeration order, images from arc_image."""
-    g = phi.target
-    arcs = _subwalks(phi)
-    images = [phi.arc_image(arc) for arc in arcs]
-    tested = {}
-    for i in range(len(arcs)):
-        vi = set(arcs[i].vertices)
-        for j in range(i + 1, len(arcs)):
-            if disjoint_only and not vi.isdisjoint(arcs[j].vertices):
-                continue
-            a, b = images[i], images[j]
-            key_a = (tuple(sorted(a[0])), tuple(sorted(a[1])))
-            key_b = (tuple(sorted(b[0])), tuple(sorted(b[1])))
-            pair = (a, b) if key_a <= key_b else (b, a)
-            if pair not in tested:
-                tested[pair] = transversal._crossing_component(g, *pair)
-            if tested[pair] is not None:
-                return CrossingWitness(arcs[i], arcs[j], *tested[pair])
-    return None
 
 
 def _witness_maps() -> list[SimplicialMap]:
@@ -302,7 +253,7 @@ def test_grouped_search_returns_the_reference_witness():
     found = {True: 0, False: 0}
     for phi in _witness_maps():
         for disjoint_only in (True, False):
-            want = _reference_scan(phi, disjoint_only)
+            want = reference_scan(phi, disjoint_only)
             assert find_crossing_pair(phi, disjoint_only) == want
             found[disjoint_only] += want is not None
     assert min(found.values()) >= 5
@@ -312,7 +263,7 @@ def _assert_both_witnesses_match_reference(phi: SimplicialMap) -> tuple[bool, bo
     """Compare both witnesses with the reference on phi; returns which exist."""
     # witness_memo is bypassed so that every call below runs the scan
     got = transversal._first_crossings(phi)
-    want = (_reference_scan(phi, disjoint_only=False), _reference_scan(phi, disjoint_only=True))
+    want = (reference_scan(phi, disjoint_only=False), reference_scan(phi, disjoint_only=True))
     assert got == want, (phi.domain.shape, phi.vertex_image)
     return want[0] is not None, want[1] is not None
 
