@@ -10,7 +10,6 @@ collapses to a target vertex (degenerate) or lands on a target edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import DanglingIdError, InvariantError, ParseError, PreconditionError
 
@@ -19,6 +18,33 @@ SHAPES = ("path", "cycle", "general")
 
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
+
+
+class computed_once:
+    """A value computed on first access and then stored on the instance.
+
+    A non-data descriptor: it stores the value with `object.__setattr__`
+    (the dataclasses here are frozen) under its own name, so every later
+    load finds the value on the instance and never reaches the descriptor.
+    Unlike `functools.cached_property` it neither reads `__dict__`, which on
+    CPython 3.11 materializes it and slows every later attribute load on
+    the instance, nor takes a lock (two threads racing on a first access
+    may both compute; every value here is pure or an empty memo, so either
+    serves).  It is not a dataclass field, so the value stays out of
+    equality, hashing and repr.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 class UnionFind:
@@ -89,16 +115,16 @@ class PlaneGraph:
         if self.vertex_names and len(self.vertex_names) != self.n:
             raise InvariantError("names", "vertex_names length mismatch")
 
-    @cached_property
+    @computed_once
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    @cached_property
+    @computed_once
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids at each vertex (rotation order)."""
         return self.rotation
 
-    @cached_property
+    @computed_once
     def crossing_memo(self) -> dict:
         """Crossing test results of transversal, keyed by an ordered pair of image subgraphs.
 
@@ -107,10 +133,21 @@ class PlaneGraph:
         """
         return {}
 
+    @computed_once
+    def derived_memo(self) -> dict:
+        """Derived targets of this graph, keyed by what determines one.
+
+        `derivative` keys each G' by its realized edges, realized pairs and
+        rotation convention, so every map into this graph shares one tower
+        of derived targets.  Like crossing_memo it goes away with the graph
+        and is not part of equality.
+        """
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
-    @cached_property
+    @computed_once
     def max_degree(self) -> int:
         return max((len(r) for r in self.rotation), default=0)
 
@@ -229,7 +266,7 @@ class DomainGraph:
             object.__setattr__(graph, name, value)
         return graph
 
-    @cached_property
+    @computed_once
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids at each vertex; loops listed once."""
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -239,7 +276,7 @@ class DomainGraph:
                 out[v].append(eid)
         return tuple(tuple(x) for x in out)
 
-    @property
+    @computed_once
     def walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A path or cycle domain as one walk: (vertices, edges) in traversal order.
 
@@ -247,11 +284,8 @@ class DomainGraph:
         leaves along its smaller edge id, and its vertex list does not repeat
         vertex 0 at the end.  This is the order `open_walk` and `closed_walk`
         give, read off the edge list without their checks because the shape
-        is already validated.  Computed once.
+        is already validated.
         """
-        walk = getattr(self, "_walk", None)
-        if walk is not None:
-            return walk
         if self.shape not in ("path", "cycle"):
             raise PreconditionError("only path and cycle domains are one walk")
         n, edges = self.n, self.edges
@@ -281,12 +315,7 @@ class DomainGraph:
             e = second[cur] if first[cur] == e else first[cur]
         if self.shape == "cycle":
             vertices.pop()
-        walk = (tuple(vertices), tuple(order))
-        # kept as a plain attribute: a cached_property writes through
-        # __dict__, and on CPython 3.11 every later attribute load on an
-        # instance whose __dict__ was materialized takes a slower path
-        object.__setattr__(self, "_walk", walk)
-        return walk
+        return (tuple(vertices), tuple(order))
 
     def degree(self, v: int) -> int:
         """Topological degree: loops count twice."""
@@ -371,7 +400,7 @@ class SimplicialMap:
             ) from None
         object.__setattr__(self, "edge_image", tuple(out))
 
-    @cached_property
+    @computed_once
     def witness_memo(self) -> dict:
         """First crossing witnesses of transversal, keyed by its disjoint_only flag.
 
@@ -380,7 +409,7 @@ class SimplicialMap:
         """
         return {}
 
-    @cached_property
+    @computed_once
     def degenerate_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edge_image) if e is None)
 

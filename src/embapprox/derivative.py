@@ -249,22 +249,32 @@ def _component_names(g: PlaneGraph, comps) -> tuple[str, ...]:
 
 
 def _stage(phi, comps, shared, kprime, terminal, far_end_clockwise) -> DerivativeStep:
-    """G', its rotation and phi' from the components and the pairs that touch."""
+    """G', its rotation and phi' from the components and the pairs that touch.
+
+    G' depends only on the target, the realized edges and pairs and the
+    rotation convention, so it is built once per key and kept in the
+    target's `derived_memo`: all maps into one target share their derived
+    targets, and with them those targets' own memos.
+    """
+    g = phi.target
     realized_edges = tuple(sorted({c.target_edge for c in comps}))
     vertex_of = {a: i for i, a in enumerate(realized_edges)}
     realized_pairs = frozenset(
         _pair(comps[i].target_edge, comps[j].target_edge) for i, j in shared
     )
-    rotation = derived_rotation(phi.target, realized_edges, realized_pairs, far_end_clockwise)
-    # derived_rotation numbers edges by sorted realized pair; vertex_of is
-    # increasing, so that is also the sorted order of the G' edges
-    gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
-    gprime = PlaneGraph(
-        len(realized_edges),
-        gp_edges,
-        rotation,
-        tuple(phi.target.edge_name(a) for a in realized_edges),
-    )
+    key = (realized_edges, realized_pairs, far_end_clockwise)
+    gprime = g.derived_memo.get(key)
+    if gprime is None:
+        rotation = derived_rotation(g, realized_edges, realized_pairs, far_end_clockwise)
+        # derived_rotation numbers edges by sorted realized pair; vertex_of is
+        # increasing, so that is also the sorted order of the G' edges
+        gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
+        gprime = g.derived_memo[key] = PlaneGraph(
+            len(realized_edges),
+            gp_edges,
+            rotation,
+            tuple(g.edge_name(a) for a in realized_edges),
+        )
     phiprime = SimplicialMap(
         kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps)
     )

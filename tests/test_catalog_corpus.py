@@ -118,6 +118,12 @@ def test_run_agreement_returns_sorted_rows_and_disagreements():
     assert len(rows) == (3 + 9 + 27) + (4 + 12 + 36)
 
 
+def test_run_agreement_in_worker_processes_gives_the_same_rows():
+    # the process pool pickles every map together with its target
+    spec = CorpusSpec(shape="path", targets=("C3", "theta"), k_min=1, k_max=4)
+    assert run_agreement(spec, jobs=2) == run_agreement(spec, jobs=1)
+
+
 def test_final_derivative_state_statuses():
     status, last = final_derivative_state(winding_map(2))
     assert status == "stabilized" and last.domain.n == 6

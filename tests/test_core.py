@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import walk_maps
+from conftest import theta_fold, walk_maps
 
 from embapprox.catalog import (
     FIXTURES,
@@ -21,6 +24,7 @@ from embapprox.core import (
     PlaneGraph,
     SimplicialMap,
     closed_walk,
+    computed_once,
     contract_edge,
     format_instance,
     mirrored_map,
@@ -30,6 +34,7 @@ from embapprox.core import (
     zero_components,
 )
 from embapprox.corpus import CorpusSpec, generate
+from embapprox.decide import decide_path
 from embapprox.derivative import iterate_derivative
 from embapprox.errors import (
     DanglingIdError,
@@ -262,3 +267,33 @@ def test_cycle_target_and_catalog_targets_are_valid():
         assert len(g.edges) <= 6, name
     assert cycle_target(5).n == 5
     assert all(len(r) == 2 for r in cycle_target(5).rotation)
+
+
+# --- values computed once ---------------------------------------------------
+
+COMPUTED_ONCE = {
+    PlaneGraph: ("edge_index", "incident", "max_degree", "crossing_memo", "derived_memo"),
+    DomainGraph: ("incident", "walk"),
+    SimplicialMap: ("degenerate_edges", "witness_memo"),
+}
+
+
+def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
+    phi = theta_fold(16)
+    verdict = decide_path(phi)
+    objects = {PlaneGraph: phi.target, DomainGraph: phi.domain, SimplicialMap: phi}
+    for cls, names in COMPUTED_ONCE.items():
+        assert not set(names) & {f.name for f in fields(cls)}
+        for name in names:
+            assert isinstance(vars(cls)[name], computed_once)
+            value = getattr(objects[cls], name)
+            assert getattr(objects[cls], name) is value
+    assert phi.target.crossing_memo and phi.target.derived_memo and phi.witness_memo
+    fresh = theta_fold(16)
+    pickled = pickle.loads(pickle.dumps(phi))
+    for other in (fresh, pickled):
+        pairs = ((phi.target, other.target), (phi.domain, other.domain), (phi, other))
+        for filled, same in pairs:
+            assert filled == same and hash(filled) == hash(same)
+            assert repr(filled) == repr(same)
+    assert decide_path(pickled) == decide_path(fresh) == verdict

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import fields
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from conftest import random_walk_map, reference_scan, walk_maps
 
+from embapprox import derivative
 from embapprox.catalog import (
     TARGETS,
     cycle_domain,
@@ -44,7 +46,7 @@ from embapprox.derivative import (
     winding_report,
 )
 from embapprox.errors import DerivePreconditionError, PreconditionError
-from embapprox.decide import decide_cycle
+from embapprox.decide import decide_cycle, decide_path
 from embapprox.iso import _domain_isos, _plane_isos, maps_isomorphic
 from embapprox.transversal import find_crossing_pair
 
@@ -394,6 +396,43 @@ def test_stages_and_witnesses_match_reference_on_seeded_walks():
                 break
             cur = step.map
     assert witnesses >= 100
+
+
+def test_maps_into_one_target_share_each_derived_target(monkeypatch):
+    # G' depends only on (parent target, realized edges, realized pairs), so
+    # the stages of every walk into one target share one tower of derived
+    # targets and each G' is built once
+    stage, rotation = derivative._stage, derivative.derived_rotation
+    stages = []  # (source map, key, G')
+    rotations = []
+
+    def recorded_stage(phi, comps, shared, *rest):
+        step = stage(phi, comps, shared, *rest)
+        pairs = frozenset(_pair(comps[i].target_edge, comps[j].target_edge) for i, j in shared)
+        stages.append((phi, (id(phi.target), step.realized_edges, pairs), step.gprime))
+        return step
+
+    def counted_rotation(g, realized_edges, realized_pairs, *rest):
+        rotations.append((id(g), realized_edges, realized_pairs))
+        return rotation(g, realized_edges, realized_pairs, *rest)
+
+    monkeypatch.setattr(derivative, "_stage", recorded_stage)
+    monkeypatch.setattr(derivative, "derived_rotation", counted_rotation)
+    for shape, decide in (("path", decide_path), ("cycle", decide_cycle)):
+        spec = CorpusSpec(shape, ("theta", "W4", "ex33"), k_min=3 if shape == "cycle" else 1, k_max=5)
+        for _, phi in generate(spec):
+            decide(phi)
+    monkeypatch.undo()
+    # every parent target stays alive in `stages`, so no id is reused
+    by_key: dict = {}
+    for _, key, gprime in stages:
+        assert by_key.setdefault(key, gprime) is gprime
+    assert len(rotations) == len(set(rotations)) and set(rotations) == set(by_key)
+    assert len(stages) > 2 * len(by_key) > 200
+    for phi, _, gprime in stages:
+        want = _reference_derive(phi).gprime
+        for f in fields(PlaneGraph):
+            assert getattr(gprime, f.name) == getattr(want, f.name), f.name
 
 
 # --- linear-time guards ------------------------------------------------------
