@@ -47,6 +47,23 @@ class computed_once:
         return value
 
 
+class FieldState:
+    """Pickles a frozen dataclass by its field values alone.
+
+    Values computed once stay behind, so a copy sent to a worker process
+    carries no memo, and the copy's fields are restored with
+    `object.__setattr__`, so, like the original, it has no materialized
+    instance `__dict__`.
+    """
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__dataclass_fields__, state):
+            object.__setattr__(self, name, value)
+
+
 class UnionFind:
     """Disjoint sets over hashable keys; a key is a singleton until first joined."""
 
@@ -76,7 +93,7 @@ class UnionFind:
 
 
 @dataclass(frozen=True)
-class PlaneGraph:
+class PlaneGraph(FieldState):
     """Simple graph with a counterclockwise rotation system.
 
     `edges[i]` is the sorted endpoint pair of edge i.  `rotation[v]` lists the
@@ -141,6 +158,19 @@ class PlaneGraph:
         rotation convention, so every map into this graph shares one tower
         of derived targets.  Like crossing_memo it goes away with the graph
         and is not part of equality.
+        """
+        return {}
+
+    @computed_once
+    def decide_memo(self) -> dict:
+        """What `decide` concluded from each stage map into this graph onward.
+
+        Keyed by the checks asked for (windings, stabilization) and the
+        stage map's domain shape, domain edges and vertex image; no names,
+        since no verdict reads one.  Values hold counts and event tuples,
+        never maps or graphs.  Like crossing_memo it grows with the distinct
+        stages decided into this graph, goes away with the graph and is not
+        part of equality.
         """
         return {}
 
@@ -217,7 +247,7 @@ def _shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
 
 
 @dataclass(frozen=True)
-class DomainGraph:
+class DomainGraph(FieldState):
     """Multigraph domain; loops and parallel edges allowed under shape general.
 
     `edges[i]` is the sorted endpoint pair of edge i; distinct ids may repeat
@@ -368,7 +398,7 @@ class WalkArc:
 
 
 @dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(FieldState):
     """Vertex assignment under which every domain edge maps to a target edge or vertex."""
 
     domain: DomainGraph

@@ -2,10 +2,16 @@
 
 Paths and cycles are decided by iterating the derivative and checking each
 stage for transversal self-intersections (cycles additionally for windings
-of degree outside {-1, 0, 1}).  Degree-3 domains over a cycle combine the
-mod-2 obstruction with a winding-parity check on the last derivative.  A
-second, independent route for paths uses the obstruction alone.  Every
-verdict carries a trace of per-step events.
+of degree outside {-1, 0, 1}).  What a stage map concludes from there on is
+kept in its target's `PlaneGraph.decide_memo`, keyed by the checks asked for
+and the map's domain shape, domain edges and vertex image (names play no
+part in a verdict), so a stage met again under one target, by the same map
+or another, is decided once.  The memo grows with the distinct stages
+decided into the target and lives as long as the target, like its
+`crossing_memo`.  Degree-3 domains over a cycle combine the mod-2
+obstruction with a winding-parity check on the last derivative.  A second,
+independent route for paths uses the obstruction alone.  Every verdict
+carries a trace of per-step events.
 """
 
 from __future__ import annotations
@@ -71,48 +77,86 @@ class Verdict:
         return hits[0] if hits else None
 
 
-def _escalate(cur: SimplicialMap, criterion: str, trace, step: int, err) -> Verdict:
-    """Derive refused with a non-disjoint crossing: let the oracle decide."""
+_CLEAN_PASS = Event("clean-pass")
+
+
+def _escalate(cur: SimplicialMap, err) -> tuple:
+    """Derive refused with a non-disjoint crossing: let the oracle decide.
+
+    Returns the final events, placed relative to the refused stage's end,
+    the verdict and the review flag.
+    """
     ok, _ = is_approximable_oracle(cur)
     if ok:
-        return Verdict(True, criterion, tuple(trace), flagged_for_review=True)
-    trace.append((step, Event("transversal-self-intersection", err.witness)))
-    return Verdict(False, criterion, tuple(trace), flagged_for_review=True)
+        return (), True, True
+    return ((-1, Event("transversal-self-intersection", err.witness)),), False, True
 
 
-def _decide_by_iteration(
-    phi: SimplicialMap, criterion: str, check_windings: bool, stabilize: bool
-) -> Verdict:
-    budget = phi.domain.n
-    cur = normalize_nondegenerate(phi)
-    trace: list[tuple[int, Event]] = []
+def _outcome(cur: SimplicialMap, budget: int, check_windings: bool, stabilize: bool, ran: list):
+    """How the stages from the normalized map `cur` onward end.
+
+    Returns (end, final, approximable, flagged): stages 0 .. end - 1 are
+    clean passes, each followed by a derive, and `final` holds the events
+    after them as (index - end, event).  Returns None when the budget runs
+    out.  Every stage decided here, not found in a memo, is appended to
+    `ran` as (memo, key).
+    """
     for i in range(budget + 1):
-        if cur.domain.n == 0:
-            trace.append((i, Event("empty-domain")))
-            return Verdict(True, criterion, tuple(trace))
+        d = cur.domain
+        memo = cur.target.decide_memo
+        key = (check_windings, stabilize, d.shape, d.edges, cur.vertex_image)
+        known = memo.get(key)
+        # a known suffix fits when its last derive, at stage i + derives - 1, is below the budget
+        if known is not None and i + known[0] <= budget:
+            derives, final, approximable, flagged = known
+            return i + derives, final, approximable, flagged
+        ran.append((memo, key))
+        if d.n == 0:
+            return i, ((0, Event("empty-domain")),), True, False
         witness = find_crossing_pair(cur, disjoint_only=True)
         if witness is not None:
-            trace.append((i, Event("transversal-self-intersection", witness)))
-            return Verdict(False, criterion, tuple(trace))
+            return i, ((0, Event("transversal-self-intersection", witness)),), False, False
         if check_windings:
             for comp in winding_report(cur).components:
                 if comp.is_winding and abs(comp.degree) >= 2:
-                    trace.append((i, Event("forbidden-winding", comp.degree)))
-                    return Verdict(False, criterion, tuple(trace))
-        trace.append((i, Event("clean-pass")))
+                    return i, ((0, Event("forbidden-winding", comp.degree)),), False, False
         if i == budget:
             break
         try:
             step = derive(cur)
         except DerivePreconditionError as err:
-            return _escalate(cur, criterion, trace, i, err)
+            return (i + 1, *_escalate(cur, err))
         if step.terminal_approximable:
-            trace.append((i + 1, Event("terminal-approximable")))
-            return Verdict(True, criterion, tuple(trace))
+            return i + 1, ((0, Event("terminal-approximable")),), True, False
         if stabilize and step.map.domain.n > 0 and maps_isomorphic(cur, step.map):
-            break
+            return i + 1, (), True, False
         cur = step.map
-    return Verdict(True, criterion, tuple(trace))
+    return None
+
+
+def _decide_by_iteration(
+    phi: SimplicialMap, criterion: str, check_windings: bool, stabilize: bool
+) -> Verdict:
+    """Check every derivative stage, at most phi's vertex count of derives.
+
+    What a stage map concludes from there on is kept in its target's
+    `decide_memo`, so a stage met again under the same target, by this map
+    or another, is not decided twice.  A suffix whose derives do not fit
+    the remaining budget is run again, and one that ends because the budget
+    ran out is not kept.
+    """
+    budget = phi.domain.n
+    ran: list = []
+    outcome = _outcome(normalize_nondegenerate(phi), budget, check_windings, stabilize, ran)
+    if outcome is None:  # budget + 1 clean passes; not kept, since the budget cut it short
+        end, final, approximable, flagged = budget + 1, (), True, False
+    else:
+        end, final, approximable, flagged = outcome
+        for i, (memo, key) in enumerate(ran):
+            memo[key] = (end - i, final, approximable, flagged)
+    trace = [(i, _CLEAN_PASS) for i in range(end)]
+    trace.extend((end + t, event) for t, event in final)
+    return Verdict(approximable, criterion, tuple(trace), flagged)
 
 
 def decide_path(phi: SimplicialMap, stabilize: bool = True) -> Verdict:

@@ -272,7 +272,7 @@ def test_cycle_target_and_catalog_targets_are_valid():
 # --- values computed once ---------------------------------------------------
 
 COMPUTED_ONCE = {
-    PlaneGraph: ("edge_index", "incident", "max_degree", "crossing_memo", "derived_memo"),
+    PlaneGraph: ("edge_index", "incident", "max_degree", "crossing_memo", "derived_memo", "decide_memo"),
     DomainGraph: ("incident", "walk"),
     SimplicialMap: ("degenerate_edges", "witness_memo"),
 }
@@ -288,9 +288,15 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
             assert isinstance(vars(cls)[name], computed_once)
             value = getattr(objects[cls], name)
             assert getattr(objects[cls], name) is value
-    assert phi.target.crossing_memo and phi.target.derived_memo and phi.witness_memo
+    target = phi.target
+    assert target.crossing_memo and target.derived_memo and target.decide_memo and phi.witness_memo
     fresh = theta_fold(16)
+    # only the fields are pickled, so no memo travels with a copy
+    assert pickle.dumps(phi) == pickle.dumps(fresh)
     pickled = pickle.loads(pickle.dumps(phi))
+    assert pickled.witness_memo == {}
+    for name in ("crossing_memo", "derived_memo", "decide_memo"):
+        assert getattr(pickled.target, name) == {}
     for other in (fresh, pickled):
         pairs = ((phi.target, other.target), (phi.domain, other.domain), (phi, other))
         for filled, same in pairs:

@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from conftest import random_walk_map, theta_fold
 
+from embapprox import decide
 from embapprox.catalog import (
+    TARGETS,
     cycle_domain,
+    cycle_target,
     euler_path_map,
     ex33_pair,
     path_domain,
@@ -22,8 +26,8 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import DomainGraph, SimplicialMap
-from embapprox.corpus import random_deg3_map
+from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, normalize_nondegenerate
+from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import (
     Event,
     decide_cycle,
@@ -236,3 +240,102 @@ def test_winding_verdict_criterion_and_trace_structure():
     v = decide_cycle(winding_map(2))
     assert all(isinstance(i, int) and isinstance(e, Event) for i, e in v.trace)
     assert v.trace == tuple(sorted(v.trace, key=lambda t: t[0]))
+
+
+# --- decide_memo ---------------------------------------------------------------
+
+
+def _on_fresh_target(phi: SimplicialMap) -> SimplicialMap:
+    """phi into an equal copy of its target, whose memos are empty."""
+    g = phi.target
+    copy = PlaneGraph(g.n, g.edges, g.rotation, g.vertex_names)
+    return SimplicialMap(phi.domain, copy, phi.vertex_image)
+
+
+def _memo_entries(g: PlaneGraph):
+    """Every decide_memo entry of g and of the derived targets built under it."""
+    stack = [g]
+    while stack:
+        t = stack.pop()
+        yield from t.decide_memo.items()
+        stack.extend(t.derived_memo.values())
+
+
+def _holds_a_graph_or_map(value) -> bool:
+    if isinstance(value, (SimplicialMap, DomainGraph, PlaneGraph)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return any(_holds_a_graph_or_map(v) for v in value)
+    if is_dataclass(value):
+        return any(_holds_a_graph_or_map(getattr(value, f.name)) for f in fields(value))
+    return False
+
+
+def _counting_stages(monkeypatch) -> list:
+    """Stages decide checks for crossings from now on, as a growing list."""
+    checked = []
+    find = decide.find_crossing_pair
+
+    def counted(phi, disjoint_only):
+        checked.append(phi)
+        return find(phi, disjoint_only)
+
+    monkeypatch.setattr(decide, "find_crossing_pair", counted)
+    return checked
+
+
+def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
+    # the maps of one corpus share each target and so its decide_memo; each
+    # map on its own copy of the target decides its stages from scratch
+    checked = _counting_stages(monkeypatch)
+    maps = []
+    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
+        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
+        maps += [(judge, phi) for _, phi in generate(spec)]
+    shared = [repr(judge(phi, stabilize=lazy)) for judge, phi in maps for lazy in (True, False)]
+    shared_stages = len(checked)
+    del checked[:]
+    alone = []
+    for judge, phi in maps:
+        own = _on_fresh_target(phi)
+        # without stabilization first, so that no entry made with it can
+        # stand in for one made without it
+        eager = judge(own, stabilize=False)
+        alone += [repr(judge(own, stabilize=True)), repr(eager)]
+    assert alone == shared
+    assert shared_stages < len(checked) // 2
+    targets = {id(phi.target): phi.target for _, phi in maps}.values()
+    entries = [entry for g in targets for entry in _memo_entries(g)]
+    assert any(flagged for _, (_, _, _, flagged) in entries)
+    assert not any(_holds_a_graph_or_map(entry) for entry in entries)
+
+
+def test_decide_memo_never_lends_a_suffix_beyond_the_budget(monkeypatch):
+    # both maps normalize to the identity cycle onto C5, but the second has
+    # a budget of 7 derives against 5: without stabilization neither reaches
+    # a verdict, so each must run to its own budget
+    identity = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
+    stationary = SimplicialMap(cycle_domain(7), cycle_target(5), (0, 1, 1, 2, 3, 3, 4))
+    a, b = (normalize_nondegenerate(m) for m in (identity, stationary))
+    assert (a.domain.shape, a.domain.edges) == (b.domain.shape, b.domain.edges)
+    assert a.vertex_image == b.vertex_image
+    for first, second in ((identity, stationary), (stationary, identity)):
+        g = first.target
+        # with stabilization first, so that an entry made with it could
+        # stand in for one made without it
+        for stabilize in (True, False):
+            for phi in (first, SimplicialMap(second.domain, g, second.vertex_image)):
+                assert decide_cycle(phi, stabilize=stabilize) == decide_cycle(
+                    _on_fresh_target(phi), stabilize=stabilize
+                )
+        assert not any(_holds_a_graph_or_map(entry) for entry in _memo_entries(g))
+    # a verdict reached within the budget is lent to later maps, also one
+    # whose derives use up the whole budget, as on the identity path onto C5
+    checked = _counting_stages(monkeypatch)
+    g = cycle_target(5)
+    lent = [decide_cycle(SimplicialMap(m.domain, g, m.vertex_image)) for m in (identity, stationary)]
+    assert lent[0] == lent[1] and len(checked) == 1
+    path = SimplicialMap(path_domain(5), g, (0, 1, 2, 3, 4))
+    first = decide_path(path)
+    assert first.trace[-1] == (5, Event("empty-domain")) and len(checked) == 1 + 5
+    assert decide_path(path) == first and len(checked) == 1 + 5
