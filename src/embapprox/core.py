@@ -174,6 +174,17 @@ class PlaneGraph(FieldState):
         """
         return {}
 
+    @computed_once
+    def obstruction_memo(self) -> dict:
+        """Mod-2 obstruction verdicts of `decide`, per normalized map into this graph.
+
+        Keyed by the normalized map's domain edges and vertex image; each
+        value is (vanishes, witness cells), ints and tuples only.  Like
+        crossing_memo it goes away with the graph and is not part of
+        equality.
+        """
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
@@ -440,6 +451,18 @@ class SimplicialMap(FieldState):
         return {}
 
     @computed_once
+    def normalized(self) -> "SimplicialMap":
+        """The quotient by the degenerate edges, kept for `normalize_nondegenerate`.
+
+        Only a degenerate map stores one: a nondegenerate map is its own
+        normalization, and storing it on itself would make a reference
+        cycle that only the cyclic collector frees.
+        """
+        if self.is_nondegenerate():
+            raise PreconditionError("a nondegenerate map is its own normalization")
+        return _contract_degenerate(self)
+
+    @computed_once
     def degenerate_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edge_image) if e is None)
 
@@ -480,7 +503,8 @@ def _parse_edge_name(tok: str, names: dict[str, int], lineno: int) -> tuple[int,
 def parse_instance(text: str) -> SimplicialMap:
     """Parse the sectioned instance format.
 
-    Sections, in order: #target (edge lines), #rotation (rot lines),
+    Sections, in order: #target (edge lines, and vertex lines that name a
+    vertex before its first edge does), #rotation (rot lines),
     #domain (shape line then edge lines), #map (``dv -> tv`` lines).
     Blank lines and ``%`` comments are ignored anywhere.
     """
@@ -502,32 +526,34 @@ def parse_instance(text: str) -> SimplicialMap:
     pending_rot: list[tuple[int, int, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+        if "%" in raw:
+            raw = raw.split("%", 1)[0]
+        toks = raw.split()
+        if not toks:
             continue
-        if line.startswith("#"):
-            section = line[1:].strip()
+        if toks[0].startswith("#"):
+            section = raw.strip()[1:].strip()
             if section not in ("target", "rotation", "domain", "map"):
                 raise ParseError(f"unknown section {section!r}", lineno)
             continue
         if section == "target":
-            toks = line.split()
+            if len(toks) == 2 and toks[0] == "vertex":
+                t_vertex(toks[1])
+                continue
             if len(toks) != 3 or toks[0] != "edge":
-                raise ParseError("expected 'edge u v'", lineno)
+                raise ParseError("expected 'edge u v' or 'vertex v'", lineno)
             u, v = t_vertex(toks[1]), t_vertex(toks[2])
             if u == v:
                 raise InvariantError("simple-target", f"line {lineno}: loop at {toks[1]}")
             t_edges.append(_pair(u, v))
             t_edge_lines.append(lineno)
         elif section == "rotation":
-            toks = line.split()
             if len(toks) < 3 or toks[0] != "rot" or toks[2] != ":":
                 raise ParseError("expected 'rot v : e1 e2 ...'", lineno)
             if toks[1] not in t_names:
                 raise DanglingIdError(f"rotation for unknown vertex {toks[1]!r}", lineno)
             pending_rot.append((lineno, t_names[toks[1]], toks[3:]))
         elif section == "domain":
-            toks = line.split()
             if toks[0] == "shape":
                 if len(toks) != 2 or toks[1] not in SHAPES:
                     raise ParseError("expected 'shape path|cycle|general'", lineno)
@@ -546,7 +572,6 @@ def parse_instance(text: str) -> SimplicialMap:
             else:
                 raise ParseError("expected 'shape ...' or 'edge u v'", lineno)
         elif section == "map":
-            toks = line.split()
             if len(toks) != 3 or toks[1] != "->":
                 raise ParseError("expected 'dv -> tv'", lineno)
             try:
@@ -602,22 +627,33 @@ def parse_instance(text: str) -> SimplicialMap:
 
 
 def format_instance(phi: SimplicialMap) -> str:
-    """Inverse of parse_instance for fixture generation."""
+    """Inverse of parse_instance for fixture generation.
+
+    Target edges are written in edge-id order.  The parser numbers target
+    vertices by first appearance, so where an edge line would name a vertex
+    ahead of a smaller unnamed one, `vertex` lines name the smaller ones
+    first; vertices without edges are named at the end.
+    """
     g, d = phi.target, phi.domain
+    names = g.vertex_names or tuple(str(v) for v in range(g.n))
     out = ["#target"]
-    for u, v in g.edges:
-        out.append(f"edge {g.name_of(u)} {g.name_of(v)}")
+    named = 0  # vertices 0 .. named - 1 have appeared
+    for u, v in g.edges:  # u < v
+        if v >= named:
+            if v > named and (u, v) != (named, named + 1):
+                out.extend(f"vertex {names[x]}" for x in range(named, v))
+            named = v + 1
+        out.append(f"edge {names[u]} {names[v]}")
+    out.extend(f"vertex {names[x]}" for x in range(named, g.n))
     out.append("#rotation")
+    edge_names = [f"{names[u]}-{names[v]}" for u, v in g.edges]
     for v in range(g.n):
-        names = " ".join(g.edge_name(e) for e in g.rotation[v])
-        out.append(f"rot {g.name_of(v)} : {names}")
+        out.append(f"rot {names[v]} : " + " ".join(edge_names[e] for e in g.rotation[v]))
     out.append("#domain")
     out.append(f"shape {d.shape}")
-    for u, v in d.edges:
-        out.append(f"edge {u} {v}")
+    out.extend(f"edge {u} {v}" for u, v in d.edges)
     out.append("#map")
-    for v in range(d.n):
-        out.append(f"{v} -> {g.name_of(phi.vertex_image[v])}")
+    out.extend(f"{v} -> {names[img]}" for v, img in enumerate(phi.vertex_image))
     return "\n".join(out) + "\n"
 
 
@@ -710,13 +746,21 @@ def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     """Contract all degenerate edges; the result has none.
 
     Equal (up to relabeling) to contracting degenerate edges one at a time in
-    any order.  On a path or cycle domain the classes are the runs of one
-    vertex image along the walk (on a cycle the last run joins the first
-    when the edge between them is degenerate); they and their numbering are
-    those of `zero_components`.
+    any order.  A nondegenerate map is returned as it is; a degenerate one
+    builds its quotient once and keeps it as `phi.normalized`, so every
+    route deciding one map shares one normalized map.
     """
-    if phi.is_nondegenerate():
-        return phi
+    return phi if phi.is_nondegenerate() else phi.normalized
+
+
+def _contract_degenerate(phi: SimplicialMap) -> SimplicialMap:
+    """The quotient of a degenerate map by the components of its degenerate part.
+
+    On a path or cycle domain the classes are the runs of one vertex image
+    along the walk (on a cycle the last run joins the first when the edge
+    between them is degenerate); they and their numbering are those of
+    `zero_components`.
+    """
     d = phi.domain
     if d.shape not in ("path", "cycle"):
         return zero_components(phi)[0]

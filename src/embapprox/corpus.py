@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
@@ -203,22 +203,29 @@ def evaluate_instance(
     )
 
 
-def _eval_packed(args) -> AgreementRow:
-    instance_id, phi, shape, target_name, max_lifts = args
-    return evaluate_instance(instance_id, phi, shape, target_name, max_lifts)
+def _evaluate_target(spec: CorpusSpec) -> list[AgreementRow]:
+    """The rows of a one-target corpus, every map built into one copy of the target."""
+    (target_name,) = spec.targets
+    return [
+        evaluate_instance(instance_id, phi, spec.shape, target_name, spec.max_lifts)
+        for instance_id, phi in generate(spec)
+    ]
 
 
 def run_agreement(spec: CorpusSpec, jobs: int = 1):
-    """Evaluate the whole corpus; returns (rows sorted by id, disagreements)."""
-    tasks = []
-    for instance_id, phi in generate(spec):
-        target_name = instance_id.split("-")[1]
-        tasks.append((instance_id, phi, spec.shape, target_name, spec.max_lifts))
+    """Evaluate the whole corpus; returns (rows sorted by id, disagreements).
+
+    The work is split by target.  With jobs > 1 a worker process generates
+    and decides all maps of one target, so they share one copy of the
+    target and the memos kept on it, as they do in a single process.
+    """
+    per_target = [replace(spec, targets=(name,)) for name in spec.targets]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_packed, tasks, chunksize=64))
+            batches = list(pool.map(_evaluate_target, per_target))
     else:
-        rows = [_eval_packed(t) for t in tasks]
+        batches = [_evaluate_target(s) for s in per_target]
+    rows = [row for batch in batches for row in batch]
     rows.sort(key=lambda r: r.instance)
     bad = sum(1 for r in rows if not r.agree)
     return rows, bad

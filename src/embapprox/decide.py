@@ -10,8 +10,11 @@ or another, is decided once.  The memo grows with the distinct stages
 decided into the target and lives as long as the target, like its
 `crossing_memo`.  Degree-3 domains over a cycle combine the mod-2
 obstruction with a winding-parity check on the last derivative.  A second,
-independent route for paths uses the obstruction alone.  Every verdict
-carries a trace of per-step events.
+independent route for paths uses the obstruction alone.  Both routes keep
+the obstruction's verdict in the target's `PlaneGraph.obstruction_memo`,
+keyed by the normalized map's domain edges and vertex image, so each
+distinct normalized map into one target is drawn and solved once.  Every
+verdict carries a trace of per-step events.
 """
 
 from __future__ import annotations
@@ -177,11 +180,28 @@ def decide_cycle(phi: SimplicialMap, stabilize: bool = True) -> Verdict:
     return _decide_by_iteration(phi, "cycle-derivatives", True, stabilize)
 
 
+def _obstruction(phi: SimplicialMap) -> tuple:
+    """`obstruction_vanishes(phi)`, decided once per distinct normalized map and target.
+
+    The obstruction of a normalized map reads only its domain edges, its
+    vertex image and the target, and its witness cells use domain ids, so
+    a map that normalizes to a stored key takes the stored (vanishes,
+    witness cells).
+    """
+    phi = normalize_nondegenerate(phi)
+    memo = phi.target.obstruction_memo
+    key = (phi.domain.edges, phi.vertex_image)
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = obstruction_vanishes(phi)
+    return known
+
+
 def decide_path_via_vk(phi: SimplicialMap) -> Verdict:
     """Independent path route: approximable iff the obstruction vanishes."""
     if phi.domain.shape != "path":
         raise PreconditionError("domain shape must be path")
-    vanishes, witness = obstruction_vanishes(phi)
+    vanishes, witness = _obstruction(phi)
     if vanishes:
         return Verdict(True, "path-van-kampen", ((0, Event("clean-pass")),))
     return Verdict(
@@ -205,7 +225,7 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
         raise PreconditionError("target is not a cycle")
     if not phi.is_nondegenerate():
         raise PreconditionError("map must be nondegenerate")
-    vanishes, witness = obstruction_vanishes(phi)
+    vanishes, witness = _obstruction(phi)
     if not vanishes:
         return Verdict(
             False,

@@ -119,7 +119,7 @@ def test_run_agreement_returns_sorted_rows_and_disagreements():
 
 
 def test_run_agreement_in_worker_processes_gives_the_same_rows():
-    # the process pool pickles every map together with its target
+    # each worker process generates and decides the maps of one target
     spec = CorpusSpec(shape="path", targets=("C3", "theta"), k_min=1, k_max=4)
     assert run_agreement(spec, jobs=2) == run_agreement(spec, jobs=1)
 

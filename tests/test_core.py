@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import theta_fold, walk_maps
 
 from embapprox.catalog import (
     FIXTURES,
+    TARGETS,
     cycle_domain,
     cycle_target,
     path_domain,
@@ -34,7 +37,7 @@ from embapprox.core import (
     zero_components,
 )
 from embapprox.corpus import CorpusSpec, generate
-from embapprox.decide import decide_path
+from embapprox.decide import decide_path, decide_path_via_vk
 from embapprox.derivative import iterate_derivative
 from embapprox.errors import (
     DanglingIdError,
@@ -110,6 +113,26 @@ def test_edge_image_and_degenerate_edges():
 
 
 # --- parse / format ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_format_parse_round_trip_into_every_catalog_target(name):
+    g = TARGETS[name]()
+    phi = SimplicialMap(path_domain(2), g, g.edges[-1])
+    text = format_instance(phi)
+    back = parse_instance(text)
+    assert back.target == g
+    assert format_instance(back) == text
+
+
+def test_format_names_a_vertex_before_an_edge_would_name_it_out_of_order():
+    # vertex 2 has no edge, and edge 0 names vertex 3 before vertex 1
+    g = PlaneGraph(4, ((0, 3), (1, 3)), ((0,), (1,), (), (0, 1)), ("a", "b", "c", "d"))
+    text = format_instance(SimplicialMap(path_domain(2), g, (0, 3)))
+    assert text.startswith("#target\nvertex a\nvertex b\nvertex c\nedge a d\nedge b d\n#rotation\n")
+    back = parse_instance(text)
+    assert back.target == g
+    assert format_instance(back) == text
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -272,15 +295,25 @@ def test_cycle_target_and_catalog_targets_are_valid():
 # --- values computed once ---------------------------------------------------
 
 COMPUTED_ONCE = {
-    PlaneGraph: ("edge_index", "incident", "max_degree", "crossing_memo", "derived_memo", "decide_memo"),
+    PlaneGraph: (
+        "edge_index", "incident", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
+        "obstruction_memo",
+    ),
     DomainGraph: ("incident", "walk"),
-    SimplicialMap: ("degenerate_edges", "witness_memo"),
+    SimplicialMap: ("degenerate_edges", "witness_memo", "normalized"),
 }
 
 
+def _theta_fold_with_a_stay() -> SimplicialMap:
+    """theta_fold(16) with its first vertex doubled, so one edge is degenerate."""
+    fold = theta_fold(16)
+    return SimplicialMap(path_domain(17), fold.target, fold.vertex_image[:1] + fold.vertex_image)
+
+
 def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
-    phi = theta_fold(16)
+    phi = _theta_fold_with_a_stay()
     verdict = decide_path(phi)
+    vk_verdict = decide_path_via_vk(phi)
     objects = {PlaneGraph: phi.target, DomainGraph: phi.domain, SimplicialMap: phi}
     for cls, names in COMPUTED_ONCE.items():
         assert not set(names) & {f.name for f in fields(cls)}
@@ -289,17 +322,43 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
             value = getattr(objects[cls], name)
             assert getattr(objects[cls], name) is value
     target = phi.target
-    assert target.crossing_memo and target.derived_memo and target.decide_memo and phi.witness_memo
-    fresh = theta_fold(16)
-    # only the fields are pickled, so no memo travels with a copy
+    assert target.crossing_memo and target.derived_memo and target.decide_memo
+    assert target.obstruction_memo and phi.normalized.witness_memo
+    fresh = _theta_fold_with_a_stay()
+    # only the fields are pickled, so no memo and no normalized map travels with a copy
     assert pickle.dumps(phi) == pickle.dumps(fresh)
     pickled = pickle.loads(pickle.dumps(phi))
     assert pickled.witness_memo == {}
-    for name in ("crossing_memo", "derived_memo", "decide_memo"):
+    for name in ("crossing_memo", "derived_memo", "decide_memo", "obstruction_memo"):
         assert getattr(pickled.target, name) == {}
+    assert pickled.normalized == phi.normalized and pickled.normalized is not phi.normalized
     for other in (fresh, pickled):
         pairs = ((phi.target, other.target), (phi.domain, other.domain), (phi, other))
         for filled, same in pairs:
             assert filled == same and hash(filled) == hash(same)
             assert repr(filled) == repr(same)
     assert decide_path(pickled) == decide_path(fresh) == verdict
+    assert decide_path_via_vk(pickled) == decide_path_via_vk(fresh) == vk_verdict
+
+
+def test_a_degenerate_map_keeps_its_normalization_and_a_nondegenerate_one_is_its_own():
+    phi = _theta_fold_with_a_stay()
+    normal = normalize_nondegenerate(phi)
+    assert normalize_nondegenerate(phi) is normal is phi.normalized
+    assert normalize_nondegenerate(normal) is normal
+    with pytest.raises(PreconditionError):
+        normal.normalized
+    # with the cyclic collector off, dropping the last reference frees a
+    # decided map: nothing that the decide routes keep on maps and targets
+    # refers back to it
+    gc.disable()
+    try:
+        for make in (theta_fold, lambda k: SimplicialMap(path_domain(k), theta_target(), (0,) * k)):
+            phi = make(16)
+            for route in (decide_path, decide_path_via_vk):
+                route(phi)
+            refs = [weakref.ref(phi), weakref.ref(normalize_nondegenerate(phi))]
+            del phi
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

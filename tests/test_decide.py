@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_walk_map, theta_fold
 
-from embapprox import decide
+from embapprox import decide, vankampen
 from embapprox.catalog import (
     TARGETS,
     cycle_domain,
@@ -339,3 +339,43 @@ def test_decide_memo_never_lends_a_suffix_beyond_the_budget(monkeypatch):
     first = decide_path(path)
     assert first.trace[-1] == (5, Event("empty-domain")) and len(checked) == 1 + 5
     assert decide_path(path) == first and len(checked) == 1 + 5
+
+
+# --- obstruction_memo ------------------------------------------------------------
+
+
+def _ints_and_tuples(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_ints_and_tuples(v) for v in value)
+    return isinstance(value, int)
+
+
+def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
+    # the maps of one corpus share each target and so its obstruction_memo;
+    # each map on its own copy of the target draws its cochain itself
+    drawn = []
+    cochain = vankampen.intersection_cochain
+
+    def counted(phi, lane_orders=None):
+        drawn.append(phi)
+        return cochain(phi, lane_orders)
+
+    monkeypatch.setattr(vankampen, "intersection_cochain", counted)
+    routes = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]
+    deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
+    routes += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]
+    # a vanishing obstruction puts no witness in the verdict, so the solving
+    # cells are compared as well: kept ones against a direct computation
+    shared = [(repr(route(phi)), decide._obstruction(phi)) for route, phi in routes]
+    shared_drawn = len(drawn)
+    alone = []
+    for route, phi in routes:
+        own = _on_fresh_target(phi)
+        alone.append((repr(route(own)), vankampen.obstruction_vanishes(own)))
+    assert alone == shared
+    assert len(drawn) - shared_drawn == 2 * len(routes)
+    assert len(routes) > 2 * shared_drawn
+    targets = {id(phi.target): phi.target for _, phi in routes}.values()
+    entries = [entry for g in targets for entry in g.obstruction_memo.items()]
+    assert len(entries) == shared_drawn
+    assert all(_ints_and_tuples(entry) for entry in entries)
