@@ -230,7 +230,6 @@ def _cmd_corpus(args) -> int:
         targets=tuple(args.target),
         k_min=args.k_min,
         k_max=args.k_max,
-        mode=args.mode,
         seed=args.seed,
         count=args.count,
         max_lifts=args.max_lifts,
@@ -284,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action="append", help="catalog target (repeatable)")
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--max-lifts", type=int, default=None)

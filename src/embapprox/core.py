@@ -92,6 +92,38 @@ class UnionFind:
         return list(groups.values())
 
 
+def backtrack(order, candidates, complete, vmap: list[int], inverse: list[int]):
+    """Yield a copy of vmap for every assignment of the keys in order that complete accepts.
+
+    vmap[key] is the value chosen for key and inverse[value] the key holding
+    it, both -1 when unset.  candidates(key) iterates the values key may take
+    given the keys already assigned; it resumes after the value is unset
+    again, so it may undo its own bookkeeping there.  An explicit stack of
+    those iterators replaces recursion, so the depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    if not order:
+        if complete():
+            yield []
+        return
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if vmap[v] >= 0:
+            inverse[vmap[v]] = -1
+            vmap[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        vmap[v] = w
+        inverse[w] = v
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+        elif complete():
+            yield list(vmap)
+
+
 @dataclass(frozen=True)
 class PlaneGraph(FieldState):
     """Simple graph with a counterclockwise rotation system.
@@ -154,10 +186,10 @@ class PlaneGraph(FieldState):
     def derived_memo(self) -> dict:
         """Derived targets of this graph, keyed by what determines one.
 
-        `derivative` keys each G' by its realized edges, realized pairs and
-        rotation convention, so every map into this graph shares one tower
-        of derived targets.  Like crossing_memo it goes away with the graph
-        and is not part of equality.
+        `derivative` keys each G' by its realized edges and realized pairs,
+        so every map into this graph shares one tower of derived targets.
+        Like crossing_memo it goes away with the graph and is not part of
+        equality.
         """
         return {}
 

@@ -32,9 +32,8 @@ class CorpusSpec:
     targets: tuple[str, ...]
     k_min: int = 1
     k_max: int = 7
-    mode: str = "exhaustive"  # exhaustive | random (deg3 is always random)
     seed: int = 0
-    count: int = 500  # random mode: instances per target
+    count: int = 500  # deg3: instances per target
     max_lifts: int | None = None  # per-instance oracle budget
 
     def __post_init__(self):

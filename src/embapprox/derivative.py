@@ -1,4 +1,4 @@
-"""The derivative of a simplicial map, iteration, windings, singular set.
+"""The derivative of a simplicial map, its iteration and windings.
 
 For a nondegenerate map phi: K -> G, each target edge a pulls back to a
 subgraph of K; its connected components that actually cover a are the
@@ -111,8 +111,8 @@ def derived_rotation(
     realized_edges lists the target edge ids that become vertices, in order;
     realized_pairs holds the adjacencies {a, b} (as sorted target-edge-id
     pairs) that become edges.  The far_end_clockwise switch flips the second
-    endpoint's block to the mirrored reading; it exists so the corpus suite
-    can demonstrate that only the default convention matches the oracle.
+    endpoint's block to the mirrored reading; it is a negative control that
+    no stage uses, kept so a test can show the reading changes the rotation.
     """
     pair_ids = {p: i for i, p in enumerate(sorted(realized_pairs))}
 
@@ -132,7 +132,7 @@ def derived_rotation(
     return tuple(rotation)
 
 
-def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeStep:
+def derive(phi: SimplicialMap) -> DerivativeStep:
     """One derivative step.
 
     Requires a nondegenerate map whose arc images never cross pairwise, a
@@ -153,7 +153,7 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
                 raise DerivePreconditionError(
                     "arc images cross; the derivative is undefined", witness
                 )
-        return _derive_runs(phi, far_end_clockwise)
+        return _derive_runs(phi)
     if not d.edges:
         pass  # no edges means no arcs: the derivative is empty over any target
     elif phi.target.max_degree > 2:
@@ -177,10 +177,10 @@ def derive(phi: SimplicialMap, far_end_clockwise: bool = False) -> DerivativeSte
         and len(comps[0].vertices & comps[1].vertices) == 2
     )
     kprime = DomainGraph.from_structure(m, tuple(shared), _component_names(phi.target, comps))
-    return _stage(phi, comps, shared, kprime, terminal, far_end_clockwise)
+    return _stage(phi, comps, shared, kprime, terminal)
 
 
-def _derive_runs(phi: SimplicialMap, far_end_clockwise: bool) -> DerivativeStep:
+def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
     """`derive` of a nondegenerate path or cycle map.
 
     Its components are the maximal runs of one edge image along the walk;
@@ -193,7 +193,7 @@ def _derive_runs(phi: SimplicialMap, far_end_clockwise: bool) -> DerivativeStep:
     vertices, edges = phi.domain.walk
     if not edges:
         empty = DomainGraph._built(0, (), "general", ())
-        return _stage(phi, (), [], empty, False, far_end_clockwise)
+        return _stage(phi, (), [], empty, False)
     eimg = phi.edge_image
     closed = phi.domain.shape == "cycle"
     length = len(edges)
@@ -234,7 +234,7 @@ def _derive_runs(phi: SimplicialMap, far_end_clockwise: bool) -> DerivativeStep:
         runs, tuple(shared), shape, _component_names(phi.target, sorted_comps)
     )
     terminal = closed and runs == 2
-    return _stage(phi, sorted_comps, shared, kprime, terminal, far_end_clockwise)
+    return _stage(phi, sorted_comps, shared, kprime, terminal)
 
 
 def _component_names(g: PlaneGraph, comps) -> tuple[str, ...]:
@@ -248,13 +248,13 @@ def _component_names(g: PlaneGraph, comps) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _stage(phi, comps, shared, kprime, terminal, far_end_clockwise) -> DerivativeStep:
+def _stage(phi, comps, shared, kprime, terminal) -> DerivativeStep:
     """G', its rotation and phi' from the components and the pairs that touch.
 
-    G' depends only on the target, the realized edges and pairs and the
-    rotation convention, so it is built once per key and kept in the
-    target's `derived_memo`: all maps into one target share their derived
-    targets, and with them those targets' own memos.
+    G' depends only on the target and the realized edges and pairs, so it
+    is built once per key and kept in the target's `derived_memo`: all maps
+    into one target share their derived targets, and with them those
+    targets' own memos.
     """
     g = phi.target
     realized_edges = tuple(sorted({c.target_edge for c in comps}))
@@ -262,10 +262,10 @@ def _stage(phi, comps, shared, kprime, terminal, far_end_clockwise) -> Derivativ
     realized_pairs = frozenset(
         _pair(comps[i].target_edge, comps[j].target_edge) for i, j in shared
     )
-    key = (realized_edges, realized_pairs, far_end_clockwise)
+    key = (realized_edges, realized_pairs)
     gprime = g.derived_memo.get(key)
     if gprime is None:
-        rotation = derived_rotation(g, realized_edges, realized_pairs, far_end_clockwise)
+        rotation = derived_rotation(g, realized_edges, realized_pairs)
         # derived_rotation numbers edges by sorted realized pair; vertex_of is
         # increasing, so that is also the sorted order of the G' edges
         gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
@@ -302,9 +302,7 @@ class IterationResult:
     maps: tuple[SimplicialMap, ...]  # phi^(0) .. phi^(len(steps))
 
 
-def iterate_derivative(
-    phi: SimplicialMap, max_steps: int, far_end_clockwise: bool = False
-) -> IterationResult:
+def iterate_derivative(phi: SimplicialMap, max_steps: int) -> IterationResult:
     """Derivative sequence phi^(0), phi^(1), ... with early exits.
 
     Stops after max_steps derivations, or earlier on an empty domain, the
@@ -322,7 +320,7 @@ def iterate_derivative(
             status = "empty-domain"
             break
         try:
-            step = derive(current, far_end_clockwise)
+            step = derive(current)
         except DerivePreconditionError as exc:
             status = "precondition-failed"
             failure = exc.witness
@@ -423,25 +421,3 @@ def winding_report(phi: SimplicialMap) -> WindingReport:
                         )
         out.append(entry)
     return WindingReport(tuple(out))
-
-
-def singular_set(phi: SimplicialMap) -> tuple[frozenset[int], frozenset[int]]:
-    """Closed subgraph of the domain whose points have extra preimages."""
-    if not phi.is_nondegenerate():
-        raise PreconditionError("map has degenerate edges; normalize first")
-    edge_count: dict[int, int] = {}
-    for img in phi.edge_image:
-        edge_count[img] = edge_count.get(img, 0) + 1
-    sing_edges = frozenset(
-        e for e, img in enumerate(phi.edge_image) if edge_count[img] >= 2
-    )
-    vertex_count: dict[int, int] = {}
-    for img in phi.vertex_image:
-        vertex_count[img] = vertex_count.get(img, 0) + 1
-    sing_vertices = set()
-    for v in range(phi.domain.n):
-        if vertex_count[phi.vertex_image[v]] >= 2:
-            sing_vertices.add(v)
-    for e in sing_edges:
-        sing_vertices.update(phi.domain.edges[e])
-    return frozenset(sing_vertices), sing_edges

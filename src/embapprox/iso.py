@@ -9,7 +9,7 @@ order-independence tests, so it deliberately ignores provenance names.
 
 from __future__ import annotations
 
-from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
+from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair, backtrack
 
 
 def _cyclic_variants(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -29,35 +29,6 @@ def _rotation_respected(g1: PlaneGraph, g2: PlaneGraph, vmap: list[int], emap: d
         if image not in _cyclic_variants(rot2):
             return False
     return True
-
-
-def _backtrack(order: list[int], candidates, complete, vmap: list[int], inverse: list[int]):
-    """Yield a copy of vmap for every assignment of the vertices in order that complete accepts.
-
-    candidates(v) iterates the images v may take given the vertices already
-    mapped; an explicit stack of those iterators replaces recursion, so the
-    depth is not bounded by the interpreter's recursion limit.
-    """
-    if not order:
-        if complete():
-            yield []
-        return
-    stack = [candidates(order[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        if vmap[v] >= 0:
-            inverse[vmap[v]] = -1
-            vmap[v] = -1
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            continue
-        vmap[v] = w
-        inverse[w] = v
-        if len(stack) < len(order):
-            stack.append(candidates(order[len(stack)]))
-        elif complete():
-            yield list(vmap)
 
 
 def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
@@ -102,7 +73,7 @@ def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
             emap[eid] = g2.edge_index[key]
         return _rotation_respected(g1, g2, vmap, emap)
 
-    yield from _backtrack(order, candidates, complete, vmap, inverse)
+    yield from backtrack(order, candidates, complete, vmap, inverse)
 
 
 def _edge_multiset(d: DomainGraph, vmap: list[int]) -> list[tuple[int, int]]:
@@ -166,7 +137,7 @@ def _domain_isos(d1: DomainGraph, d2: DomainGraph):
     def complete() -> bool:
         return _edge_multiset(d1, vmap) == target_multiset
 
-    yield from _backtrack(order, candidates, complete, vmap, inverse)
+    yield from backtrack(order, candidates, complete, vmap, inverse)
 
 
 def _multiplicities(d: DomainGraph) -> dict[tuple[int, int], int]:

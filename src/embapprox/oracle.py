@@ -3,9 +3,13 @@
 Replace each target edge carrying m domain edges by m nested parallel
 copies.  A lift assigns each domain edge its own copy; the lifted map is
 injective along strips, so it can be perturbed to an embedding exactly when
-no vertex disc forces a crossing between two vertex-disjoint length-2 walks
-of the domain.  The search over all per-edge copy assignments is exhaustive
-and therefore decides approximability outright, at factorial cost.
+no vertex disc forces a crossing.  In the disc of a target vertex, each
+domain vertex over it is a star: a centre joined to the ports of its edges.
+The centres are distinct points, so two stars cross exactly when their
+ports alternate around the disc, whether or not their edges share a domain
+vertex.  The search over all per-edge copy assignments runs on
+`core.backtrack`; it is exhaustive and therefore decides approximability
+outright, at factorial cost.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .core import SimplicialMap, WalkArc, normalize_nondegenerate
+from .core import SimplicialMap, WalkArc, backtrack, normalize_nondegenerate
 from .errors import OracleBudgetExceeded, PreconditionError
 
 
@@ -42,7 +46,7 @@ class Lift:
 
 @dataclass(frozen=True)
 class LiftCrossing:
-    """Two vertex-disjoint length-2 walks forced to cross inside one disc."""
+    """Two stars' length-2 walks whose ports alternate around one disc."""
 
     disc: int
     arc_p: WalkArc
@@ -83,10 +87,6 @@ def _branch_end(phi: SimplicialMap, eid: int, v: int) -> int:
     return u if phi.vertex_image[u] == v else w
 
 
-def _walk_vertices(d, x: int, e1: int, e2: int) -> set[int]:
-    return {x, *d.edges[e1], *d.edges[e2]}
-
-
 def _interleaved(i: int, j: int, k: int, l: int) -> bool:
     """Do boundary positions {i,j} and {k,l} alternate around the disc?"""
     lo, hi = min(i, j), max(i, j)
@@ -117,11 +117,8 @@ def _disc_witness(phi: SimplicialMap, v: int, entries) -> LiftCrossing | None:
         if len(stars[x]) < 2 or len(stars[y]) < 2:
             continue
         for (pa, ea), (pb, eb) in combinations(sorted(stars[x]), 2):
-            px = _walk_vertices(phi.domain, x, ea, eb)
             for (qa, ec), (qb, ed) in combinations(sorted(stars[y]), 2):
                 if not _interleaved(pa, pb, qa, qb):
-                    continue
-                if px & _walk_vertices(phi.domain, y, ec, ed):
                     continue
                 key = tuple(sorted((pa, pb, qa, qb)))
                 if best is None or key < best[0]:
@@ -143,22 +140,24 @@ def lift_crossing_check(exp: Expansion, lift: Lift) -> LiftCrossing | None:
     return None
 
 
-def _forces_crossing(phi, stars: dict[int, list[tuple[int, int]]], x: int, pos: int, eid: int) -> bool:
-    """Would adding this branch cross an already-placed pair of another star?"""
-    own = stars.get(x, ())
+def _forces_crossing(stars: dict[int, list[int]], x: int, pos: int) -> bool:
+    """Would a port of star x at pos split the placed ports of another star?
+
+    The search keeps every disc free of alternation, so each other star's
+    ports lie in one gap between consecutive ports of x.  The new port
+    splits such a star exactly when the chord from it to any one placed port
+    of x does: when strictly between none and all of the star's ports lie
+    inside the chord.
+    """
+    own = stars.get(x)
     if not own:
         return False
-    for pb, eb in own:
-        lo, hi = min(pos, pb), max(pos, pb)
-        mine = _walk_vertices(phi.domain, x, eid, eb)
-        for y, branches in stars.items():
-            if y == x or len(branches) < 2:
-                continue
-            for (qa, ec), (qb, ed) in combinations(branches, 2):
-                if (lo < qa < hi) == (lo < qb < hi):
-                    continue
-                if not (mine & _walk_vertices(phi.domain, y, ec, ed)):
-                    return True
+    lo, hi = min(pos, own[0]), max(pos, own[0])
+    for y, ports in stars.items():
+        if y != x and len(ports) >= 2:
+            inside = sum(lo < p < hi for p in ports)
+            if 0 < inside < len(ports):
+                return True
     return False
 
 
@@ -187,77 +186,62 @@ def oracle_result(
         )
     exp = build_expansion(phi)
     g = phi.target
-    d = phi.domain
+    edges = len(phi.domain.edges)
     total = 1
     for s in exp.strands:
         total *= factorial(len(s))
-    order = strand_order if strand_order is not None else tuple(range(len(d.edges)))
-    if sorted(order) != list(range(len(d.edges))):
+    order = strand_order if strand_order is not None else range(edges)
+    if sorted(order) != list(range(edges)):
         raise PreconditionError("strand order must enumerate every domain edge once")
 
-    position = [
-        {key: i for i, key in enumerate(row)} for row in exp.refined
-    ]
-    free: list[list[bool]] = [[True] * len(s) for s in exp.strands]
-    lanes_chosen: dict[int, int] = {}
-    discs: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(g.n)]
+    # lane l of target edge a is the global slot base[a] + l; at[0][slot] and
+    # at[1][slot] are its ports' positions in the discs of a's two ends
+    base = [0]
+    for s in exp.strands:
+        base.append(base[-1] + len(s))
+    at = ([-1] * edges, [-1] * edges)
+    for v, row in enumerate(exp.refined):
+        for i, (a, lane) in enumerate(row):
+            at[v != g.edges[a][0]][base[a] + lane] = i
+    slot_of = [-1] * edges
+    rider = [-1] * edges  # per slot: the domain edge riding it
+    discs: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
     examined = 0
-    accepted: Lift | None = None
 
-    def placements(eid: int, lane: int):
+    def candidates(eid: int):
+        """Free lanes for eid; each lane's two ports are placed while it is yielded."""
         a = phi.edge_image[eid]
-        for v in set(g.edges[a]):
-            x = _branch_end(phi, eid, v)
-            yield v, x, position[v][(a, lane)]
-
-    def descend(idx: int) -> bool:
-        nonlocal examined, accepted
-        if idx == len(order):
-            examined += 1
-            if max_lifts is not None and examined > max_lifts:
-                raise OracleBudgetExceeded(examined - 1)
-            if not prune:
-                lift = _assemble(exp, lanes_chosen)
-                if lift_crossing_check(exp, lift) is not None:
-                    return False
-                accepted = lift
-                return True
-            accepted = _assemble(exp, lanes_chosen)
-            return True
-        eid = order[idx]
-        a = phi.edge_image[eid]
-        for lane in range(len(exp.strands[a])):
-            if not free[a][lane]:
+        v, w = g.edges[a]
+        x, y = _branch_end(phi, eid, v), _branch_end(phi, eid, w)
+        stars_v, stars_w = discs[v], discs[w]
+        own_v, own_w = stars_v.setdefault(x, []), stars_w.setdefault(y, [])
+        for slot in range(base[a], base[a + 1]):
+            if rider[slot] >= 0:
                 continue
-            placed = list(placements(eid, lane))
-            if prune and any(
-                _forces_crossing(phi, discs[v], x, pos, eid) for v, x, pos in placed
-            ):
+            p, q = at[0][slot], at[1][slot]
+            if prune and (_forces_crossing(stars_v, x, p) or _forces_crossing(stars_w, y, q)):
                 continue
-            free[a][lane] = False
-            lanes_chosen[eid] = lane
-            for v, x, pos in placed:
-                discs[v].setdefault(x, []).append((pos, eid))
-            if descend(idx + 1):
-                return True
-            for v, x, pos in placed:
-                discs[v][x].remove((pos, eid))
-            del lanes_chosen[eid]
-            free[a][lane] = True
-        return False
+            own_v.append(p)
+            own_w.append(q)
+            yield slot
+            own_v.pop()
+            own_w.pop()
 
-    descend(0)
-    return OracleResult(accepted is not None, accepted, examined, total)
+    def complete() -> bool:
+        nonlocal examined
+        examined += 1
+        if max_lifts is not None and examined > max_lifts:
+            raise OracleBudgetExceeded(examined - 1)
+        return prune or lift_crossing_check(exp, _lift(base, rider)) is None
+
+    # the search stays suspended at its first accepted lift, so rider holds it
+    accepted = next(backtrack(order, candidates, complete, slot_of, rider), None)
+    lift = None if accepted is None else _lift(base, rider)
+    return OracleResult(lift is not None, lift, examined, total)
 
 
-def _assemble(exp: Expansion, lanes_chosen: dict[int, int]) -> Lift:
-    by_edge = []
-    for a, strand in enumerate(exp.strands):
-        row = [-1] * len(strand)
-        for eid in strand:
-            row[lanes_chosen[eid]] = eid
-        by_edge.append(tuple(row))
-    return Lift(tuple(by_edge))
+def _lift(base: list[int], rider: list[int]) -> Lift:
+    return Lift(tuple(tuple(rider[lo:hi]) for lo, hi in zip(base, base[1:])))
 
 
 def is_approximable_oracle(

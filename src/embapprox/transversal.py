@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc
 from .errors import PreconditionError
@@ -133,15 +132,6 @@ def _crossing(g: PlaneGraph, a: Subgraph, b: Subgraph, a_first: bool):
     if pair not in memo:
         memo[pair] = _crossing_component(g, *pair)
     return memo[pair]
-
-
-def images_cross(g: PlaneGraph, a: Subgraph, b: Subgraph) -> bool:
-    """Do two arc images cross transversally somewhere?
-
-    a and b are (vertex set, edge set) subgraphs of g, each the image of an
-    arc.  Symmetric, and false whenever the subgraphs are disjoint.
-    """
-    return _crossing(g, a, b, _sort_key(a) <= _sort_key(b)) is not None
 
 
 def _grown(image: Subgraph, v: int, e: int) -> Subgraph:
@@ -383,40 +373,3 @@ def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Cr
 def has_transversal_self_intersection(phi: SimplicialMap) -> CrossingWitness | None:
     """Witness of two vertex-disjoint domain arcs with crossing images, or None."""
     return find_crossing_pair(phi, disjoint_only=True)
-
-
-def contains_simple_triod(phi: SimplicialMap) -> bool:
-    """Does some domain vertex send three edges to three distinct target edges?"""
-    if not phi.is_nondegenerate():
-        raise PreconditionError("map has degenerate edges; normalize first")
-    for v in range(phi.domain.n):
-        imgs = {phi.edge_image[e] for e in phi.domain.incident[v]}
-        if len(imgs) >= 3:
-            return True
-    return False
-
-
-def _triods(phi: SimplicialMap) -> list[tuple[frozenset[int], frozenset[int | None]]]:
-    out = []
-    d = phi.domain
-    for v in range(d.n):
-        for trio in combinations(d.incident[v], 3):
-            imgs = {phi.edge_image[e] for e in trio}
-            if len(imgs) == 3:
-                vs = {v}
-                for e in trio:
-                    vs.add(d.other_end(e, v))
-                out.append((frozenset(vs), frozenset(imgs)))
-    return out
-
-
-def identifies_triods(phi: SimplicialMap) -> bool:
-    """Two vertex-disjoint simple triods in the domain with the same image?"""
-    if not phi.is_nondegenerate():
-        raise PreconditionError("map has degenerate edges; normalize first")
-    triods = _triods(phi)
-    for i in range(len(triods)):
-        for j in range(i + 1, len(triods)):
-            if triods[i][1] == triods[j][1] and not (triods[i][0] & triods[j][0]):
-                return True
-    return False

@@ -6,6 +6,7 @@ import gc
 import pickle
 import weakref
 from dataclasses import fields
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from embapprox.core import (
     DomainGraph,
     PlaneGraph,
     SimplicialMap,
+    backtrack,
     closed_walk,
     computed_once,
     contract_edge,
@@ -45,6 +47,7 @@ from embapprox.errors import (
     ParseError,
     PreconditionError,
 )
+from embapprox.oracle import is_approximable_oracle
 
 
 # --- graph invariants -------------------------------------------------------
@@ -349,16 +352,39 @@ def test_a_degenerate_map_keeps_its_normalization_and_a_nondegenerate_one_is_its
     with pytest.raises(PreconditionError):
         normal.normalized
     # with the cyclic collector off, dropping the last reference frees a
-    # decided map: nothing that the decide routes keep on maps and targets
-    # refers back to it
+    # decided map: nothing that the decide routes and the oracle keep on maps
+    # and targets refers back to it, and no call leaves a reference cycle
     gc.disable()
     try:
         for make in (theta_fold, lambda k: SimplicialMap(path_domain(k), theta_target(), (0,) * k)):
             phi = make(16)
-            for route in (decide_path, decide_path_via_vk):
+            for route in (decide_path, decide_path_via_vk, is_approximable_oracle):
                 route(phi)
             refs = [weakref.ref(phi), weakref.ref(normalize_nondegenerate(phi))]
             del phi
             assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_backtrack_yields_injective_assignments_in_candidate_order():
+    vmap, inverse = [-1] * 3, [-1] * 3
+    unset_on_resume = []
+
+    def candidates(key):
+        for w in range(3):
+            if inverse[w] < 0:
+                yield w
+                # callers undo their own bookkeeping here, after the value is unset
+                unset_on_resume.append(vmap[key] == inverse[w] == -1)
+
+    found = list(backtrack([0, 1, 2], candidates, lambda: True, vmap, inverse))
+    assert found == [list(p) for p in permutations(range(3))]
+    assert unset_on_resume and all(unset_on_resume)
+    assert vmap == inverse == [-1] * 3
+    assert list(backtrack([1, 0, 2], candidates, lambda: vmap[1] == 2, vmap, inverse)) == [
+        [0, 2, 1],
+        [1, 2, 0],
+    ]
+    assert list(backtrack([], candidates, lambda: True, [], [])) == [[]]
+    assert list(backtrack([], candidates, lambda: False, [], [])) == []

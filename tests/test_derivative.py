@@ -42,7 +42,6 @@ from embapprox.derivative import (
     derived_rotation,
     iterate_derivative,
     phi_components,
-    singular_set,
     winding_report,
 )
 from embapprox.errors import DerivePreconditionError, PreconditionError
@@ -124,10 +123,13 @@ def test_far_end_convention_changes_the_derived_rotation():
     # the walk meets vertex 1 from both remaining edges, so the derived
     # vertex for the first edge reads a two-entry block at its far end
     phi = SimplicialMap(path_domain(5), theta_target(), (2, 1, 0, 1, 3))
-    default = derive(phi).gprime
-    flipped = derive(phi, far_end_clockwise=True).gprime
-    assert default.edges == flipped.edges
-    assert default.rotation != flipped.rotation
+    step = derive(phi)
+    edges = step.realized_edges
+    pairs = frozenset((edges[i], edges[j]) for i, j in step.gprime.edges)
+    default = derived_rotation(phi.target, edges, pairs)
+    flipped = derived_rotation(phi.target, edges, pairs, far_end_clockwise=True)
+    assert default == step.gprime.rotation
+    assert default != flipped
 
 
 def test_edgeless_domain_derives_to_empty_over_any_target():
@@ -180,23 +182,6 @@ def test_empty_domain_is_not_a_standard_winding():
     g = small_targets()["C3"]
     phi = SimplicialMap(DomainGraph(0, (), "general"), g, ())
     assert winding_report(phi).is_standard_winding() is False
-
-
-def test_singular_set_of_an_injective_map_is_empty():
-    vs, es = singular_set(euler_cycle_map())
-    # the euler map identifies vertices (it visits some twice) but after one
-    # derivative nothing is singular
-    first = derive(euler_cycle_map()).map
-    assert singular_set(first) == (frozenset(), frozenset())
-    assert vs  # the euler walk itself does repeat vertices
-
-
-def test_singular_set_is_closed_and_tracks_doubled_edges():
-    g = small_targets()["C4"]
-    phi = SimplicialMap(path_domain(4), g, (0, 1, 2, 1))
-    vs, es = singular_set(phi)
-    assert es == frozenset({1, 2})
-    assert vs == frozenset({1, 2, 3})
 
 
 def test_winding_degrees_cover_both_orientations():

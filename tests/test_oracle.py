@@ -19,7 +19,9 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import DomainGraph, SimplicialMap
+from embapprox.core import DomainGraph, SimplicialMap, parse_instance
+from embapprox.corpus import CorpusSpec, run_agreement
+from embapprox.decide import decide_deg3_to_circle
 from embapprox.errors import OracleBudgetExceeded, PreconditionError
 from embapprox.oracle import (
     Lift,
@@ -144,3 +146,58 @@ def test_degenerate_handling_by_shape():
     degen_general = SimplicialMap(y, g, (0, 0, 1))
     with pytest.raises(PreconditionError):
         oracle_result(degen_general)
+
+
+# deg3-C3-s1-00095: a degree-3 domain into the triangle
+DEG3_C3_S1_00095 = """\
+#target
+edge v0 v1
+edge v0 v2
+edge v1 v2
+#rotation
+rot v0 : v0-v2 v0-v1
+rot v1 : v0-v1 v1-v2
+rot v2 : v1-v2 v0-v2
+#domain
+shape general
+edge 0 5
+edge 0 7
+edge 0 9
+edge 1 7
+edge 3 5
+edge 3 7
+edge 3 9
+edge 4 8
+edge 5 9
+#map
+0 -> v1
+1 -> v2
+2 -> v2
+3 -> v1
+4 -> v2
+5 -> v0
+6 -> v0
+7 -> v0
+8 -> v0
+9 -> v2
+"""
+
+
+def test_alternating_stars_cross_even_when_their_arcs_share_ends():
+    phi = parse_instance(DEG3_C3_S1_00095)
+    assert oracle_result(phi).approximable is False
+    assert decide_deg3_to_circle(phi).approximable is False
+    # the lift an oracle exempting arcs with a shared domain vertex accepted:
+    # lanes 0-5, 3-5, 0-7, 3-7 on v0-v1 alternate the stars of 0 and 3 at v1
+    old = Lift(((0, 4, 1, 5), (3, 7, 8), (2, 6)))
+    hit = lift_crossing_check(build_expansion(phi), old)
+    assert hit is not None and hit.disc == 1
+    assert {hit.arc_p.vertices, hit.arc_q.vertices} == {(7, 0, 5), (7, 3, 5)}
+
+
+def test_oracle_agrees_with_the_degree3_circle_rule():
+    for seed in (1, 2, 3):
+        spec = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=12, seed=seed, count=200)
+        rows, _ = run_agreement(spec)
+        assert [r.instance for r in rows if not r.agree] == []
+

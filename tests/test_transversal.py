@@ -15,7 +15,6 @@ from embapprox.catalog import (
     euler_cycle_map,
     euler_path_map,
     ex33_pair,
-    fiveod_target,
     path_domain,
     small_targets,
     whole_fold,
@@ -23,7 +22,6 @@ from embapprox.catalog import (
     x_cross_path,
 )
 from embapprox.core import (
-    DomainGraph,
     SimplicialMap,
     WalkArc,
     closed_walk,
@@ -34,13 +32,7 @@ from embapprox.decide import decide_path
 from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
 from embapprox.ribbon import interleaves
-from embapprox.transversal import (
-    contains_simple_triod,
-    find_crossing_pair,
-    has_transversal_self_intersection,
-    identifies_triods,
-    images_cross,
-)
+from embapprox.transversal import find_crossing_pair, has_transversal_self_intersection
 
 
 def test_x_cross_path_has_a_transversal_self_intersection():
@@ -52,7 +44,7 @@ def test_x_cross_path_has_a_transversal_self_intersection():
     # the witness images really do cross
     a = phi.arc_image(wit.arc_p)
     b = phi.arc_image(wit.arc_q)
-    assert images_cross(phi.target, a, b) is True
+    assert transversal._crossing_component(phi.target, a, b) is not None
 
 
 def test_witness_matches_predicate_alias():
@@ -97,42 +89,14 @@ def test_images_cross_is_symmetric_and_false_on_disjoint():
     wit = has_transversal_self_intersection(phi)
     a = phi.arc_image(wit.arc_p)
     b = phi.arc_image(wit.arc_q)
-    assert images_cross(phi.target, a, b) == images_cross(phi.target, b, a)
+    forward = transversal._crossing_component(phi.target, a, b)
+    backward = transversal._crossing_component(phi.target, b, a)
+    assert forward is not None and backward is not None
     g = small_targets()["C6"]
     one = (frozenset({0, 1}), frozenset({g.edge_index[(0, 1)]}))
     other = (frozenset({3, 4}), frozenset({g.edge_index[(3, 4)]}))
-    assert images_cross(g, one, other) is False
-
-
-def test_simple_triod_detection():
-    star3 = DomainGraph(4, ((0, 1), (0, 2), (0, 3)), "general")
-    g = fiveod_target()
-    center = max(range(g.n), key=g.degree)
-    leaves = [g.other_end(e, center) for e in g.incident[center]]
-    phi = SimplicialMap(star3, g, (center, leaves[0], leaves[1], leaves[2]))
-    assert contains_simple_triod(phi) is True
-    assert identifies_triods(phi) is False  # only one triod present
-    # paths never contain triods
-    assert contains_simple_triod(x_cross_path()) is False
-
-
-def test_identified_triods_need_disjoint_supports_and_equal_images():
-    g = fiveod_target()
-    center = max(range(g.n), key=g.degree)
-    leaves = [g.other_end(e, center) for e in g.incident[center]]
-    # two disjoint 3-stars with identical image stars
-    two = DomainGraph(
-        8, ((0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)), "general"
-    )
-    images = (center, leaves[0], leaves[1], leaves[2]) * 2
-    phi = SimplicialMap(two, g, images)
-    assert identifies_triods(phi) is True
-    # same image stars but sharing the branch vertex: not disjoint
-    shared = DomainGraph(7, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)), "general")
-    phi2 = SimplicialMap(
-        shared, g, (center, leaves[0], leaves[1], leaves[2], leaves[0], leaves[1], leaves[2])
-    )
-    assert identifies_triods(phi2) is False
+    assert transversal._crossing_component(g, one, other) is None
+    assert transversal._crossing_component(g, other, one) is None
 
 
 def test_crossing_results_are_memoized_on_the_target(monkeypatch):
