@@ -22,7 +22,6 @@ from .decide import Event, Verdict, decide_cycle, decide_deg3_to_circle, decide_
 from .derivative import derive, iterate_derivative, winding_report
 from .errors import (
     DanglingIdError,
-    DegenerateDrawingError,
     DerivePreconditionError,
     EmbapproxError,
     InvariantError,
@@ -61,7 +60,6 @@ __all__ = [
     "iterate_derivative",
     "winding_report",
     "DanglingIdError",
-    "DegenerateDrawingError",
     "DerivePreconditionError",
     "EmbapproxError",
     "InvariantError",

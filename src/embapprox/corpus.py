@@ -45,27 +45,31 @@ class CorpusSpec:
 
 
 def _assignments(g: PlaneGraph, k: int, closed: bool):
-    """Every vertex assignment where consecutive images are equal or adjacent."""
-    neighbors = [
-        [g.other_end(e, v) for e in g.rotation[v]] for v in range(g.n)
+    """Every vertex assignment where consecutive images are equal or adjacent.
+
+    Assignments come in lexicographic order, from an explicit stack of
+    option iterators: seq[i] is the value drawn from stack[i].
+    """
+    if k == 0:
+        yield ()
+        return
+    options = [
+        sorted({v, *(g.other_end(e, v) for e in g.rotation[v])}) for v in range(g.n)
     ]
     seq: list[int] = []
-
-    def extend(i: int):
-        if i == k:
-            if closed and k > 1:
-                last, first = seq[-1], seq[0]
-                if last != first and _pair(last, first) not in g.edge_index:
-                    return
-            yield tuple(seq)
-            return
-        options = range(g.n) if i == 0 else sorted({seq[-1], *neighbors[seq[-1]]})
-        for img in options:
-            seq.append(img)
-            yield from extend(i + 1)
+    stack = [iter(range(g.n))]
+    while stack:
+        img = next(stack[-1], None)
+        if len(seq) == len(stack):
             seq.pop()
-
-    yield from extend(0)
+        if img is None:
+            stack.pop()
+            continue
+        seq.append(img)
+        if len(seq) < k:
+            stack.append(iter(options[img]))
+        elif not closed or k == 1 or img == seq[0] or _pair(img, seq[0]) in g.edge_index:
+            yield tuple(seq)
 
 
 def generate(spec: CorpusSpec):

@@ -55,7 +55,3 @@ class OracleBudgetExceeded(EmbapproxError):
     def __init__(self, lifts_examined: int):
         super().__init__(f"inconclusive after {lifts_examined} lifts")
         self.lifts_examined = lifts_examined
-
-
-class DegenerateDrawingError(EmbapproxError):
-    """Segment configuration hit an exact degeneracy; caller re-jitters."""

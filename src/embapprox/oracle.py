@@ -7,9 +7,11 @@ no vertex disc forces a crossing.  In the disc of a target vertex, each
 domain vertex over it is a star: a centre joined to the ports of its edges.
 The centres are distinct points, so two stars cross exactly when their
 ports alternate around the disc, whether or not their edges share a domain
-vertex.  The search over all per-edge copy assignments runs on
-`core.backtrack`; it is exhaustive and therefore decides approximability
-outright, at factorial cost.
+vertex.  The disc is the one of `geometry`, which the mod-2 drawing of
+`vankampen` shares: both take their port order from `disc_ports` and
+their crossings from `proper_crossing`.  The search over all per-edge
+copy assignments runs on `core.backtrack`; it is exhaustive and
+therefore decides approximability outright, at factorial cost.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import factorial
 
 from .core import SimplicialMap, WalkArc, backtrack, normalize_nondegenerate
 from .errors import OracleBudgetExceeded, PreconditionError
+from .geometry import disc_ports, proper_crossing
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,7 @@ class Expansion:
     """The target with every edge split into one lane per domain strand.
 
     ``refined[v]`` lists the (edge, lane) ports around the disc of target
-    vertex v in rotation order, each edge slot expanded into its lane block;
-    nested copies meet the smaller endpoint in lane order and the larger
-    endpoint reversed.
+    vertex v in counterclockwise order, as `disc_ports` gives them.
     """
 
     phi: SimplicialMap
@@ -69,28 +70,14 @@ def build_expansion(phi: SimplicialMap) -> Expansion:
     strands: list[list[int]] = [[] for _ in g.edges]
     for eid, img in enumerate(phi.edge_image):
         strands[img].append(eid)
-    refined = []
-    for v in range(g.n):
-        row: list[tuple[int, int]] = []
-        for a in g.rotation[v]:
-            lanes: range | reversed = range(len(strands[a]))
-            if v != g.edges[a][0]:
-                lanes = reversed(lanes)
-            row.extend((a, c) for c in lanes)
-        refined.append(tuple(row))
-    return Expansion(phi, tuple(tuple(s) for s in strands), tuple(refined))
+    refined = disc_ports(g, {a: range(len(s)) for a, s in enumerate(strands) if s})
+    return Expansion(phi, tuple(tuple(s) for s in strands), refined)
 
 
 def _branch_end(phi: SimplicialMap, eid: int, v: int) -> int:
     """The domain endpoint of edge eid mapping to target vertex v."""
     u, w = phi.domain.edges[eid]
     return u if phi.vertex_image[u] == v else w
-
-
-def _interleaved(i: int, j: int, k: int, l: int) -> bool:
-    """Do boundary positions {i,j} and {k,l} alternate around the disc?"""
-    lo, hi = min(i, j), max(i, j)
-    return (lo < k < hi) != (lo < l < hi)
 
 
 def _arc(phi: SimplicialMap, x: int, e1: int, e2: int) -> WalkArc:
@@ -118,7 +105,7 @@ def _disc_witness(phi: SimplicialMap, v: int, entries) -> LiftCrossing | None:
             continue
         for (pa, ea), (pb, eb) in combinations(sorted(stars[x]), 2):
             for (qa, ec), (qb, ed) in combinations(sorted(stars[y]), 2):
-                if not _interleaved(pa, pb, qa, qb):
+                if not proper_crossing(pa, pb, qa, qb):
                     continue
                 key = tuple(sorted((pa, pb, qa, qb)))
                 if best is None or key < best[0]:

@@ -154,28 +154,20 @@ def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
     vimg, eimg = phi.vertex_image, phi.edge_image
     arcs: list[tuple[WalkArc, Subgraph]] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def extend(vs: list[int], es: list[int], image: Subgraph):
-        if es:
-            key = (tuple(vs), tuple(es))
-            rkey = (tuple(reversed(vs)), tuple(reversed(es)))
-            if rkey not in seen:
-                seen.add(key)
-                arcs.append((WalkArc(tuple(vs), tuple(es)), image))
-        cur = vs[-1]
-        for e in d.incident[cur]:
-            if e in es:
-                continue
-            u, v = d.edges[e]
-            if u == v:
-                continue
-            nxt = d.other_end(e, cur)
-            if nxt in vs:
-                continue
-            extend(vs + [nxt], es + [e], _grown(image, vimg[nxt], eimg[e]))
-
-    for v in range(d.n):
-        extend([v], [], (frozenset((vimg[v],)), frozenset()))
+    for start in range(d.n):
+        # every path from start is found before any path from a later start,
+        # so a path is first met from its smaller endpoint
+        stack = [((start,), (), (frozenset((vimg[start],)), frozenset()))]
+        while stack:
+            vs, es, image = stack.pop()
+            if es and (vs[::-1], es[::-1]) not in seen:
+                seen.add((vs, es))
+                arcs.append((WalkArc(vs, es), image))
+            cur = vs[-1]
+            for e in d.incident[cur]:
+                nxt = d.other_end(e, cur)  # a loop or a used edge leads back into vs
+                if nxt not in vs:
+                    stack.append((vs + (nxt,), es + (e,), _grown(image, vimg[nxt], eimg[e])))
     arcs.sort(key=lambda pair: (pair[0].vertices, pair[0].edges))
     return arcs
 

@@ -2,10 +2,11 @@
 
 The deleted product of a domain keeps only pairs of disjoint simplices; a
 pair is painted red when the images are disjoint too, since nothing can
-force those curves to meet.  Drawing the map in general position with exact
-rational coordinates gives a crossing-parity cochain on the non-red pairs,
-and the map passes the obstruction test when that cochain is a coboundary
-relative to the red part.  That is a GF(2) system with one equation per
+force those curves to meet.  Drawing the map with chords in the vertex
+discs of `geometry`, the discs the lift search reads too, gives a
+crossing-parity cochain on the non-red pairs, and the map passes the
+obstruction test when that cochain is a coboundary relative to the red
+part.  That is a GF(2) system with one equation per
 non-red 2-cell and one unknown per non-red 1-cell; over a path or cycle
 domain each 1-cell bounds at most two 2-cells, so `gf2` solves it by
 union-find.  Over a path domain the same data regroups into per-component
@@ -19,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimplicialMap, UnionFind, normalize_nondegenerate
-from .errors import DegenerateDrawingError, PreconditionError
-from .geometry import (
-    DegenerateConfiguration,
-    Point,
-    circle_point,
-    half_centroid,
-    proper_crossing,
-)
+from .errors import PreconditionError
+from .geometry import disc_ports, proper_crossing
 from .gf2 import solve_or_certify
-
-MAX_DRAWING_ATTEMPTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +37,6 @@ class DeletedProduct:
     red2: tuple[bool, ...]
     cells1: tuple[tuple[int, int], ...]  # (vertex, edge), vertex not on edge
     red1: tuple[bool, ...]
-    cells0: tuple[tuple[int, int], ...]  # (vertex, vertex), first id smaller
-    red0: tuple[bool, ...]
 
 
 def _image_ends(phi: SimplicialMap) -> list[tuple[int, int]]:
@@ -79,15 +70,7 @@ def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
             if x not in et:
                 cells1.append((x, t))
                 red1.append(fx not in images[t])
-    cells0 = []
-    red0 = []
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            cells0.append((x, y))
-            red0.append(phi.vertex_image[x] != phi.vertex_image[y])
-    return DeletedProduct(
-        tuple(cells2), tuple(red2), tuple(cells1), tuple(red1), tuple(cells0), tuple(red0)
-    )
+    return DeletedProduct(tuple(cells2), tuple(red2), tuple(cells1), tuple(red1))
 
 
 def _square_faces(d, cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
@@ -128,71 +111,30 @@ def _lanes(maps, lane_orders) -> dict[int, list[tuple[int, int]]]:
 
 
 class Drawing:
-    """Exact general-position drawing of one or two maps into the target.
+    """The chord drawing of one or two maps into the target.
 
     Every strand (a nondegenerate domain edge of either side) runs through
     the strip of its image edge in its own lane; lanes never cross inside a
-    strip, so all crossings happen inside vertex discs, between the straight
-    star branches joining strand ends to the star centers of their domain
-    vertices.  Ports sit on the unit circle in refined rotation order: each
-    edge's slot expands into that edge's lane block, read with the lanes in
-    order at the smaller endpoint and reversed at the larger one, which is
-    how nested parallel strips meet a disc.  Each star's center sits at half
-    the centroid of its own ports, so a transit star hugs the chord between
-    its two ports and an endpoint star retracts toward its single port; this
-    keeps nested parallel strands disjoint inside discs.  A star with no
-    ports falls back to a slot on an inner circle.
+    strip, so all crossings happen inside vertex discs, between the chords
+    joining strand ends to the star centres of their domain vertices.  In
+    the disc of v the i-th port of `disc_ports` sits at boundary position
+    2i + 1, and each star's centre at 2j, just before its first port j.  A
+    star's chords then fan out over its own ports only, so two stars cross
+    exactly when their ports alternate, as in the lift search.
     """
 
-    def __init__(self, maps, lane_orders=None, attempt: int = 0):
+    def __init__(self, maps, lane_orders=None):
         self.maps = tuple(maps)
-        self.target = self.maps[0].target
-        self.lanes = lanes = _lanes(self.maps, lane_orders)
-
-        self._port_point: dict[tuple[int, int, int, int], Point] = {}  # (v, side, eid, a)
-        self._center_point: dict[tuple[int, int, int], Point] = {}  # (v, side, x)
-        g = self.target
-        for v in range(g.n):
-            ports: list[tuple[int, int, int]] = []
-            for a in g.rotation[v]:
-                block = lanes.get(a, [])
-                if v != g.edges[a][0]:
-                    block = list(reversed(block))
-                ports.extend((a, side, eid) for side, eid in block)
-            star_ports: dict[tuple[int, int], list[Point]] = {}
-            for i, key in enumerate(ports):
-                a, side, eid = key
-                # t = (2i - L + 1)/2 + attempt/1009
-                t = ((2 * i - len(ports) + 1) * 1009 + 2 * attempt, 2018)
-                point = circle_point(t, (1, 1))
-                self._port_point[(v, side, eid, a)] = point
-                u, w = self.maps[side].domain.edges[eid]
-                x = u if self.maps[side].vertex_image[u] == v else w
-                star_ports.setdefault((side, x), []).append(point)
-            stars = sorted(
-                (side, x)
-                for side, m in enumerate(self.maps)
-                for x in range(m.domain.n)
-                if m.vertex_image[x] == v
-            )
-            for j, key in enumerate(stars):
-                own = star_ports.get(key)
-                if own:
-                    self._center_point[(v,) + key] = half_centroid(own)
-                else:
-                    # t = (6j - 3S + 4)/6 + attempt/997
-                    t = ((6 * j - 3 * len(stars) + 4) * 997 + 6 * attempt, 5982)
-                    self._center_point[(v,) + key] = circle_point(t, (1, 2))
-
-    def _segment(self, v: int, side: int, eid: int):
-        m = self.maps[side]
-        u, w = m.domain.edges[eid]
-        x = u if m.vertex_image[u] == v else w
-        a = m.edge_image[eid]
-        return (
-            self._center_point[(v, side, x)],
-            self._port_point[(v, side, eid, a)],
-        )
+        self._chord: dict[tuple[int, int, int], tuple[int, int]] = {}  # (v, side, eid)
+        discs = disc_ports(self.maps[0].target, _lanes(self.maps, lane_orders))
+        for v, ports in enumerate(discs):
+            centres: dict[tuple[int, int], int] = {}  # (side, star)
+            for i, (_a, (side, eid)) in enumerate(ports):
+                m = self.maps[side]
+                u, w = m.domain.edges[eid]
+                x = u if m.vertex_image[u] == v else w
+                centre = centres.setdefault((side, x), 2 * i)
+                self._chord[(v, side, eid)] = (centre, 2 * i + 1)
 
     def crossing_parity(self, s1: tuple[int, int], s2: tuple[int, int]) -> int:
         """Mod-2 crossing count between two strands' full curves."""
@@ -200,31 +142,22 @@ class Drawing:
         discs1 = {m1.vertex_image[v] for v in m1.domain.edges[s1[1]]}
         discs2 = {m2.vertex_image[v] for v in m2.domain.edges[s2[1]]}
         parity = 0
-        for v in sorted(discs1 & discs2):
-            p1, p2 = self._segment(v, *s1)
-            q1, q2 = self._segment(v, *s2)
-            if proper_crossing(p1, p2, q1, q2):
+        for v in discs1 & discs2:
+            if proper_crossing(*self._chord[(v, *s1)], *self._chord[(v, *s2)]):
                 parity ^= 1
         return parity
 
 
-def _evaluate_with_retries(maps, pairs, lane_orders):
-    """Crossing parities for the listed strand pairs, re-jittering on touches.
+def _evaluate(maps, pairs, lane_orders):
+    """Crossing parities for the listed strand pairs.
 
     With no pairs nothing is drawn, but the drawing's input checks still run.
     """
     if not pairs:
         _lanes(maps, lane_orders)
         return []
-    for attempt in range(MAX_DRAWING_ATTEMPTS):
-        drawing = Drawing(maps, lane_orders, attempt)
-        try:
-            return [drawing.crossing_parity(a, b) for a, b in pairs]
-        except DegenerateConfiguration:
-            continue
-    raise DegenerateDrawingError(
-        "no jitter attempt produced a generic drawing; this is a bug"
-    )
+    drawing = Drawing(maps, lane_orders)
+    return [drawing.crossing_parity(a, b) for a, b in pairs]
 
 
 def intersection_cochain(phi: SimplicialMap, lane_orders=None):
@@ -239,7 +172,7 @@ def intersection_cochain(phi: SimplicialMap, lane_orders=None):
         for (s, t), red in zip(complex_.cells2, complex_.red2)
         if not red
     ]
-    computed = _evaluate_with_retries((phi,), pairs, lane_orders)
+    computed = _evaluate((phi,), pairs, lane_orders)
     values = []
     it = iter(computed)
     for red in complex_.red2:
@@ -380,7 +313,7 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
             cells2.append((i, j))
             red2.append(_disjoint(ei, ej))
     pairs = [((0, i), (1, j)) for (i, j), red in zip(cells2, red2) if not red]
-    computed = _evaluate_with_retries((phi, psi), pairs, lane_orders)
+    computed = _evaluate((phi, psi), pairs, lane_orders)
     values = []
     it = iter(computed)
     for red in red2:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from embapprox import transversal
 from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
 from embapprox.core import SimplicialMap, WalkArc, _pair, closed_walk, open_walk
-from embapprox.geometry import DegenerateConfiguration
 from embapprox.transversal import CrossingWitness
 
 
@@ -154,40 +152,3 @@ def reference_scan(
                 return CrossingWitness(arcs[i], arcs[j], *tested[pair])
     return None
 
-
-# --- Fraction reference geometry -------------------------------------------
-# The drawing's predicates as plain rational arithmetic on (x, y) Fraction
-# pairs; the integer code in embapprox.geometry must agree with them exactly.
-
-
-def frac_point(p) -> tuple[Fraction, Fraction]:
-    """The (x, y) Fraction pair of a homogeneous integer triple."""
-    x, y, w = p
-    return (Fraction(x, w), Fraction(y, w))
-
-
-def frac_circle_point(t: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
-    den = 1 + t * t
-    return (radius * (1 - t * t) / den, radius * 2 * t / den)
-
-
-def frac_orient(p, q, r) -> int:
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (v > 0) - (v < 0)
-
-
-def _frac_on_segment(p, a, b) -> bool:
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
-        a[1], b[1]
-    )
-
-
-def frac_proper_crossing(p1, p2, q1, q2) -> bool:
-    o1 = frac_orient(p1, p2, q1)
-    o2 = frac_orient(p1, p2, q2)
-    o3 = frac_orient(q1, q2, p1)
-    o4 = frac_orient(q1, q2, p2)
-    for o, p, a, b in ((o1, q1, p1, p2), (o2, q2, p1, p2), (o3, p1, q1, q2), (o4, p2, q1, q2)):
-        if o == 0 and _frac_on_segment(p, a, b):
-            raise DegenerateConfiguration
-    return o1 != o2 and o3 != o4 and o1 != 0 and o3 != 0

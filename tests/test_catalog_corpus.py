@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from itertools import product
 
 import pytest
 
-from embapprox.catalog import FIXTURES, ex33_target, small_targets, winding_map
-from embapprox.core import format_instance, parse_instance
+from embapprox.catalog import FIXTURES, TARGETS, ex33_target, small_targets, winding_map
+from embapprox.core import _pair, format_instance, parse_instance
 from embapprox.corpus import (
     TSV_HEADER,
     CorpusSpec,
+    _assignments,
     evaluate_instance,
     final_derivative_state,
     generate,
@@ -66,6 +70,35 @@ def test_generated_maps_are_valid_walks():
     for _, phi in generate(CorpusSpec(shape="path", targets=("theta",), k_min=3, k_max=3)):
         assert phi.domain.shape == "path"
         assert len(phi.vertex_image) == 3
+
+
+def test_walks_are_enumerated_in_lexicographic_order():
+    # instance ids number the walks in this order
+    g = TARGETS["theta"]()
+    for closed in (False, True):
+        for k in range(5):
+            want = [
+                s
+                for s in product(range(g.n), repeat=k)
+                if all(
+                    a == b or _pair(a, b) in g.edge_index
+                    for a, b in zip(s, s[1:] + (s[:1] if closed else ()))
+                )
+            ]
+            assert list(_assignments(g, k, closed)) == want, (closed, k)
+
+
+def test_walk_enumeration_leaves_no_reference_cycle():
+    # with the collector off, only reference counting can free the target
+    gc.disable()
+    try:
+        g = TARGETS["theta"]()
+        target = weakref.ref(g)
+        assert sum(1 for _ in _assignments(g, 5, False)) > 0
+        del g
+        assert target() is None
+    finally:
+        gc.enable()
 
 
 def test_random_deg3_maps_respect_their_contract():

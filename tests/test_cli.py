@@ -345,8 +345,8 @@ def test_corpus_tsv_to_file(capsys, tmp_path):
 
 
 def test_corpus_fixture_replay_is_green(capsys):
-    code, out, _ = run(capsys, "corpus", "--fixtures")
-    assert code == 0
+    code, out, err = run(capsys, "corpus", "--fixtures")
+    assert code == 0, err
     lines = out.splitlines()
     assert "FAIL" not in out
     n_expected = len(list(FIX.glob("*.expected")))

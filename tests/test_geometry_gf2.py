@@ -1,23 +1,14 @@
-"""Exact rational geometry predicates and the GF(2) solve-or-certify kernel."""
+"""The disc's chord-crossing predicate and the GF(2) solve-or-certify kernel."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
+from itertools import permutations
 
 import numpy as np
-import pytest
 
-from conftest import frac_circle_point, frac_orient, frac_point, frac_proper_crossing
-
-from embapprox.geometry import (
-    DegenerateConfiguration,
-    circle_point,
-    half_centroid,
-    orient,
-    proper_crossing,
-)
+from embapprox.catalog import small_targets
+from embapprox.geometry import disc_ports, proper_crossing
 from embapprox import gf2
 from embapprox.gf2 import solve_or_certify, verify_certificate
 
@@ -25,139 +16,29 @@ from embapprox.gf2 import solve_or_certify, verify_certificate
 # --- geometry ---------------------------------------------------------------
 
 
-def pt(x, y) -> tuple[int, int, int]:
-    """Homogeneous integer triple of the rational point (x, y)."""
-    x, y = Fraction(x), Fraction(y)
-    w = lcm(x.denominator, y.denominator)
-    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+def _on_ccw_arc(p: int, start: int, end: int, n: int) -> bool:
+    """Is p strictly inside the counterclockwise arc from start to end?"""
+    return 0 < (p - start) % n < (end - start) % n
 
 
-def test_circle_points_are_exact_and_distinct():
-    pts = [circle_point((t, 7), (1, 1)) for t in range(7)]
-    for x, y, w in pts:
-        assert all(isinstance(c, int) for c in (x, y, w))
-        assert w > 0 and gcd(x, y, w) == 1
-        assert x * x + y * y == w * w
-    assert len(set(pts)) == 7
+def test_proper_crossing_is_alternation_on_the_circle():
+    n = 8
+    crossing = 0
+    for p1, p2, q1, q2 in permutations(range(n), 4):
+        want = _on_ccw_arc(q1, p1, p2, n) != _on_ccw_arc(q2, p1, p2, n)
+        assert proper_crossing(p1, p2, q1, q2) is want, (p1, p2, q1, q2)
+        crossing += want
+    assert crossing == 8 * 7 * 6 * 5 // 3  # one of three pairings of four ends crosses
 
 
-def test_circle_points_progress_counterclockwise():
-    a = circle_point((0, 1), (1, 1))
-    b = circle_point((1, 8), (1, 1))
-    c = circle_point((2, 8), (1, 1))
-    assert orient(a, b, c) == 1  # left turn
-
-
-def test_circle_point_and_half_centroid_match_fractions():
-    rng = random.Random(11)
-    for _ in range(200):
-        t = (rng.randint(-5000, 5000), rng.randint(1, 3000))
-        r = (rng.randint(1, 9), rng.randint(1, 9))
-        got = circle_point(t, r)
-        assert got[2] > 0 and gcd(*got) == 1
-        assert frac_point(got) == frac_circle_point(Fraction(*t), Fraction(*r))
-    for _ in range(100):
-        pts = [circle_point((rng.randint(-99, 99), rng.randint(1, 50)), (1, 1))
-               for _ in range(rng.randint(1, 3))]
-        got = half_centroid(pts)
-        assert got[2] > 0 and gcd(*got) == 1
-        want = tuple(sum(frac_point(p)[i] for p in pts) / (2 * len(pts)) for i in (0, 1))
-        assert frac_point(got) == want
-
-
-def test_orient_signs():
-    o = pt(0, 0)
-    e1 = pt(1, 0)
-    e2 = pt(0, 1)
-    assert orient(o, e1, e2) == 1
-    assert orient(o, e2, e1) == -1
-    assert orient(o, e1, pt(2, 0)) == 0
-
-
-def test_proper_crossing_basic_cases():
-    o = pt(0, 0)
-    ne = pt(1, 1)
-    nw = pt(-1, 1)
-    se = pt(1, -1)
-    sw = pt(-1, -1)
-    assert proper_crossing(sw, ne, nw, se) is True
-    assert proper_crossing(sw, se, nw, ne) is False  # parallel horizontals
-    # sharing an endpoint is not a transversal crossing: degenerate input
-    with pytest.raises(DegenerateConfiguration):
-        proper_crossing(o, ne, o, nw)
-    # touching in the interior without crossing is degenerate too
-    with pytest.raises(DegenerateConfiguration):
-        proper_crossing(sw, ne, o, se)
-
-
-def test_proper_crossing_collinear_overlap_is_degenerate():
-    a = pt(0, 0)
-    b = pt(2, 0)
-    c = pt(1, 0)
-    d = pt(3, 0)
-    with pytest.raises(DegenerateConfiguration):
-        proper_crossing(a, b, c, d)
-
-
-def _frac_outcome(p1, p2, q1, q2):
-    try:
-        return frac_proper_crossing(*map(frac_point, (p1, p2, q1, q2)))
-    except DegenerateConfiguration:
-        return "degenerate"
-
-
-def _int_outcome(p1, p2, q1, q2):
-    try:
-        return proper_crossing(p1, p2, q1, q2)
-    except DegenerateConfiguration:
-        return "degenerate"
-
-
-def test_predicates_agree_with_the_fraction_reference():
-    """Seeded random segments, including shared endpoints, touches and overlaps.
-
-    Triples are drawn unreduced on a coarse grid so that collinear and
-    coincident points are common; the predicates must not care about the
-    scale of a triple.
-    """
-    rng = random.Random(20261018)
-
-    def rand_point():
-        w, k = rng.choice((1, 2)), rng.randint(1, 3)
-        return (rng.randint(-3 * w, 3 * w) * k, rng.randint(-3 * w, 3 * w) * k, w * k)
-
-    def between(a, b):
-        # a rational point of the closed segment ab, with a fresh scale
-        s, u = rng.randint(0, 3), rng.randint(0, 3) or 1
-        fa, fb = frac_point(a), frac_point(b)
-        x, y = ((s * fa[i] + u * fb[i]) / (s + u) for i in (0, 1))
-        k = rng.randint(1, 3)
-        p = pt(x, y)
-        return (p[0] * k, p[1] * k, p[2] * k)
-
-    seen = {True: 0, False: 0, "degenerate": 0}
-    kinds = ("random", "shared", "touching", "overlap")
-    for trial in range(4000):
-        kind = kinds[trial % 4]
-        p1, p2, q1, q2 = (rand_point() for _ in range(4))
-        if kind == "shared":
-            q1 = p1 if rng.random() < 0.5 else p2
-        elif kind == "touching":
-            q1 = between(p1, p2)
-        elif kind == "overlap":
-            q1, q2 = between(p1, p2), between(p1, p2)
-            if rng.random() < 0.5:
-                # 2 q2 - p2: still on the line, possibly beyond the segment
-                q2 = (2 * q2[0] * p2[2] - p2[0] * q2[2], 2 * q2[1] * p2[2] - p2[1] * q2[2],
-                      q2[2] * p2[2])
-        segments = [(p1, p2, q1, q2), (q2, q1, p2, p1)]
-        for seg in segments:
-            want = _frac_outcome(*seg)
-            assert _int_outcome(*seg) == want, (kind, seg)
-            seen[want] += 1
-        for a, b, c in ((p1, p2, q1), (q1, q2, p2), (p1, q1, q2)):
-            assert orient(a, b, c) == frac_orient(*map(frac_point, (a, b, c)))
-    assert min(seen.values()) >= 200, seen
+def test_disc_ports_read_lane_blocks_in_order_at_the_smaller_end():
+    g = small_targets()["C3"]
+    a, b = g.edge_index[(0, 1)], g.edge_index[(0, 2)]
+    discs = disc_ports(g, {a: ["x", "y"], b: ["z"]})
+    assert sorted(discs[0]) == [(a, "x"), (a, "y"), (b, "z")]
+    assert [s for e, s in discs[0] if e == a] == ["x", "y"]
+    assert discs[1] == ((a, "y"), (a, "x"))
+    assert discs[2] == ((b, "z"),)
 
 
 # --- GF(2) ------------------------------------------------------------------

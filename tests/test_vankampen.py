@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
-    frac_circle_point,
-    frac_point,
-    frac_proper_crossing,
     random_lane_orders,
     sample_corpus,
     theta_fold,
@@ -33,9 +29,8 @@ from embapprox.core import PlaneGraph, SimplicialMap, mirrored_map, normalize_no
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path_via_vk
 from embapprox.errors import PreconditionError
-from embapprox.geometry import DegenerateConfiguration
+from embapprox.oracle import oracle_result
 from embapprox.vankampen import (
-    MAX_DRAWING_ATTEMPTS,
     build_deleted_product,
     intersection_cochain,
     obstruction_report,
@@ -53,8 +48,6 @@ def test_deleted_product_of_a_short_path():
     # an embedding keeps all disjoint pairs image-disjoint: everything is red
     assert all(dp.red2)
     assert all(dp.red1)
-    # 0-cells pair up all distinct vertices
-    assert len(dp.cells0) == 10
 
 
 def test_red_flags_track_image_intersections():
@@ -247,113 +240,24 @@ def test_pair_values_are_binary_and_zero_on_red_cells():
             assert v == 0
 
 
-# --- the drawing against a Fraction reference ------------------------------
+# --- the drawing against the lift search ---------------------------------
 
 
-def _reference_points(phi: SimplicialMap, attempt: int):
-    """Port and star-center points of one map's canonical drawing, in Fractions.
-
-    Ports at t = (2i - L + 1)/2 + attempt/1009 on the unit circle, in refined
-    rotation order; a star with ports at half their centroid, one without on
-    the circle of radius 1/2 at t = (6j - 3S + 4)/6 + attempt/997.
-    """
-    g, d = phi.target, phi.domain
-    lanes: dict[int, list[int]] = {}
-    for eid, img in enumerate(phi.edge_image):
-        lanes.setdefault(img, []).append(eid)
-    ports, centers = {}, {}
-    for v in range(g.n):
-        order = []
-        for a in g.rotation[v]:
-            block = lanes.get(a, [])
-            order += block if v == g.edges[a][0] else block[::-1]
-        own: dict[int, list] = {}
-        for i, eid in enumerate(order):
-            t = Fraction(2 * i - len(order) + 1, 2) + Fraction(attempt, 1009)
-            ports[(v, eid)] = frac_circle_point(t, Fraction(1))
-            x = next(u for u in d.edges[eid] if phi.vertex_image[u] == v)
-            own.setdefault(x, []).append(ports[(v, eid)])
-        stars = [x for x in range(d.n) if phi.vertex_image[x] == v]
-        for j, x in enumerate(stars):
-            if x in own:
-                pts = own[x]
-                centers[(v, x)] = tuple(sum(p[c] for p in pts) / (2 * len(pts)) for c in (0, 1))
-            else:
-                t = Fraction(6 * j - 3 * len(stars) + 4, 6) + Fraction(attempt, 997)
-                centers[(v, x)] = frac_circle_point(t, Fraction(1, 2))
-    return ports, centers
-
-
-def _reference_cochain(phi: SimplicialMap):
-    """(attempt, parity per 2-cell, points) of the first generic reference drawing."""
-    dp = build_deleted_product(phi)
-    d, vimg = phi.domain, phi.vertex_image
-    for attempt in range(MAX_DRAWING_ATTEMPTS):
-        ports, centers = _reference_points(phi, attempt)
-
-        def segment(v, eid):
-            x = next(u for u in d.edges[eid] if vimg[u] == v)
-            return centers[(v, x)], ports[(v, eid)]
-
-        try:
-            values = []
-            for (s, t), red in zip(dp.cells2, dp.red2):
-                discs = {vimg[x] for x in d.edges[s]} & {vimg[x] for x in d.edges[t]}
-                parity = 0
-                for v in () if red else discs:
-                    parity ^= frac_proper_crossing(*segment(v, s), *segment(v, t))
-                values.append(parity)
-        except DegenerateConfiguration:
+def test_every_accepted_lift_draws_a_zero_cochain():
+    """The drawing's discs are the oracle's: a lift it accepts crosses nowhere."""
+    maps = list(generate(CorpusSpec("deg3", ("C3",), k_max=8, seed=1, count=100)))
+    for shape in ("path", "cycle"):
+        maps += generate(CorpusSpec(shape, ("theta", "W4"), k_min=1, k_max=5))
+    accepted = 0
+    for iid, phi in maps:
+        result = oracle_result(phi)
+        if not result.approximable:
             continue
-        return attempt, tuple(values), (ports, centers)
-    raise AssertionError("reference drawing never generic")
-
-
-def _drawn(phi: SimplicialMap, monkeypatch):
-    """(attempt, values, drawing) of intersection_cochain, recording its drawings."""
-    drawings = []
-
-    class Recorded(vankampen.Drawing):
-        def __init__(self, maps, lane_orders=None, attempt=0):
-            super().__init__(maps, lane_orders, attempt)
-            self.attempt = attempt
-            drawings.append(self)
-
-    monkeypatch.setattr(vankampen, "Drawing", Recorded)
-    _, values = intersection_cochain(phi)
-    return drawings[-1].attempt, values, drawings[-1]
-
-
-def _assert_matches_reference(phi: SimplicialMap, monkeypatch) -> int:
-    attempt, values, drawing = _drawn(phi, monkeypatch)
-    want_attempt, want_values, (ports, centers) = _reference_cochain(phi)
-    assert (attempt, values) == (want_attempt, want_values), phi.vertex_image
-    for (v, _side, eid, _a), p in drawing._port_point.items():
-        assert frac_point(p) == ports[(v, eid)]
-    for (v, _side, x), p in drawing._center_point.items():
-        assert frac_point(p) == centers[(v, x)]
-    return attempt
-
-
-def test_drawing_matches_the_fraction_reference_on_small_corpora(monkeypatch):
-    checked = 0
-    for shape, seed in (("path", 31), ("cycle", 32)):
-        for _, phi in sample_corpus(shape, 300, seed, k_max=5):
-            psi = normalize_nondegenerate(phi)
-            if any(not red for red in build_deleted_product(psi).red2):
-                assert _assert_matches_reference(psi, monkeypatch) == 0
-                checked += 1
-    assert checked >= 100
-
-
-def test_drawing_retries_match_the_fraction_reference(monkeypatch):
-    # the only instances of this corpus whose first drawing is degenerate
-    want = {"deg3-C4-s1-00184", "deg3-C5-s1-00067"}
-    spec = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=12, seed=1, count=200)
-    maps = {iid: phi for iid, phi in generate(spec) if iid in want}
-    assert set(maps) == want
-    for phi in maps.values():
-        assert _assert_matches_reference(phi, monkeypatch) == 1
+        lanes = {a: tuple((0, e) for e in row) for a, row in enumerate(result.lift.by_edge)}
+        _, values = intersection_cochain(normalize_nondegenerate(phi), lanes)
+        assert not any(values), iid
+        accepted += 1
+    assert accepted > 1000
 
 
 def test_long_theta_fold_obstruction_is_quick():
