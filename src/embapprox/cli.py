@@ -38,24 +38,54 @@ def _load(path: str):
     return parse_instance(text)
 
 
-def _dot(phi, title: str) -> str:
+def _dot(phi, title: str, domain_names, target_names) -> str:
     g, d = phi.target, phi.domain
+    edge_names = [f"{target_names[u]}-{target_names[v]}" for u, v in g.edges]
     lines = [f'graph "{title}" {{']
     lines.append("  // counterclockwise rotations of the target:")
     for v in range(g.n):
-        rot = " ".join(g.edge_name(e) for e in g.rotation[v])
-        lines.append(f"  // rot {g.name_of(v)} : {rot}")
+        rot = " ".join(edge_names[e] for e in g.rotation[v])
+        lines.append(f"  // rot {target_names[v]} : {rot}")
     lines.append("  node [shape=circle];")
     for x in range(d.n):
         lines.append(
-            f'  k{x} [label="{d.name_of(x)}->{g.name_of(phi.vertex_image[x])}"];'
+            f'  k{x} [label="{domain_names[x]}->{target_names[phi.vertex_image[x]]}"];'
         )
     for eid, (u, v) in enumerate(d.edges):
         img = phi.edge_image[eid]
-        lbl = g.edge_name(img) if img is not None else "degenerate"
+        lbl = edge_names[img] if img is not None else "degenerate"
         lines.append(f'  k{u} -- k{v} [label="{lbl}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_files(result) -> list[str]:
+    """One DOT text per map of an iteration, naming derived vertices by provenance.
+
+    Derived stages carry no names, so they are made here from the first
+    map's: a G' vertex is named after its target edge `u-v`, and the j-th
+    K' vertex over one target edge `<edge>#j` (K' numbers its vertices by
+    target edge first).
+    """
+    phi = result.maps[0]
+    domain_names = [phi.domain.name_of(x) for x in range(phi.domain.n)]
+    target_names = [phi.target.name_of(v) for v in range(phi.target.n)]
+    texts = []
+    for i, m in enumerate(result.maps):
+        texts.append(_dot(m, f"step{i}", domain_names, target_names))
+        if i < len(result.steps):
+            step = result.steps[i]
+            edges = m.target.edges
+            target_names = [
+                f"{target_names[edges[a][0]]}-{target_names[edges[a][1]]}"
+                for a in step.realized_edges
+            ]
+            seen: dict[int, int] = {}
+            domain_names = []
+            for r in step.map.vertex_image:
+                seen[r] = seen.get(r, -1) + 1
+                domain_names.append(f"{target_names[r]}#{seen[r]}")
+    return texts
 
 
 def _cmd_check(args) -> int:
@@ -96,8 +126,8 @@ def _cmd_derive(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.mkdir(parents=True, exist_ok=True)
-        for i, m in enumerate(result.maps):
-            (out / f"step{i}.dot").write_text(_dot(m, f"step{i}"), encoding="utf-8")
+        for i, text in enumerate(_dot_files(result)):
+            (out / f"step{i}.dot").write_text(text, encoding="utf-8")
         print(f"wrote {len(result.maps)} dot files to {out}")
     return 0
 

@@ -175,10 +175,14 @@ class PlaneGraph(FieldState):
 
     @computed_once
     def crossing_memo(self) -> dict:
-        """Crossing test results of transversal, keyed by an ordered pair of image subgraphs.
+        """Crossing test results of transversal, per interned image subgraph.
 
-        It lives on the graph so that every map into one target shares it
-        and it goes away with the graph; it is not part of equality.
+        Each distinct image subgraph maps to (id, sort key, row): a small int
+        given once, the key that orders the engine's two arguments, and a
+        dict from the larger id of a tested pair to its result, kept in the
+        row of the pair's smaller id.  It lives on the graph so that every
+        map into one target shares it and it goes away with the graph; it is
+        not part of equality.
         """
         return {}
 
@@ -330,13 +334,24 @@ class DomainGraph(FieldState):
 
     @classmethod
     def _built(
-        cls, n: int, edges: tuple[tuple[int, int], ...], shape: str, vertex_names: tuple[str, ...]
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        shape: str,
+        vertex_names: tuple[str, ...],
+        walk: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     ) -> "DomainGraph":
-        """A domain whose construction already fixes its structure and shape; nothing is checked."""
+        """A domain whose construction already fixes its structure and shape; nothing is checked.
+
+        A caller that already knows the domain's `walk` passes it, and it is
+        stored instead of being recomputed.
+        """
         graph = object.__new__(cls)
         fields = (("n", n), ("edges", edges), ("shape", shape), ("vertex_names", vertex_names))
         for name, value in fields:
             object.__setattr__(graph, name, value)
+        if walk is not None:
+            object.__setattr__(graph, "walk", walk)
         return graph
 
     @computed_once

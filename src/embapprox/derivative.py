@@ -13,8 +13,13 @@ the strips to edges through y in counterclockwise order after a at y.
 On a path or cycle domain the phi-components are the maximal runs of one
 edge image along the domain's walk, and two components touch exactly when
 their runs are consecutive, so such a stage is built in one pass over the
-walk.  Other domains group the preimage of every target edge with one
-union-find (`phi_components`).
+walk, and the runs in walk order are K''s own walk.  Such a stage builds
+only what the next one reads: K' with its walk, G' and phi'.  Every stage
+builds its components only when `DerivativeStep.components` is read.
+Other domains group the preimage of every target edge with one union-find
+(`phi_components`).  Derived domains and targets carry no vertex names, so
+nothing grows from stage to stage; `cli derive --dot` names their vertices
+after the target edges they come from.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .core import (
     UnionFind,
     _pair,
     closed_walk,
+    computed_once,
     normalize_nondegenerate,
 )
 from .errors import DerivePreconditionError, PreconditionError
@@ -48,12 +54,20 @@ class PhiComponent:
 @dataclass(frozen=True)
 class DerivativeStep:
     source: SimplicialMap
-    components: tuple[PhiComponent, ...]
     kprime: DomainGraph
     gprime: PlaneGraph
     map: SimplicialMap
     terminal_approximable: bool
     realized_edges: tuple[int, ...]  # target edge id per gprime vertex
+
+    @computed_once
+    def components(self) -> tuple[PhiComponent, ...]:
+        """The phi-components of the source, one per kprime vertex, in order.
+
+        Nothing on the way from one stage to the next reads them, so they
+        are built only when read.
+        """
+        return phi_components(self.source)
 
 
 def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
@@ -176,8 +190,8 @@ def derive(phi: SimplicialMap) -> DerivativeStep:
         and d.is_circle()
         and len(comps[0].vertices & comps[1].vertices) == 2
     )
-    kprime = DomainGraph.from_structure(m, tuple(shared), _component_names(phi.target, comps))
-    return _stage(phi, comps, shared, kprime, terminal)
+    kprime = DomainGraph.from_structure(m, tuple(shared))
+    return _stage(phi, [c.target_edge for c in comps], shared, kprime, terminal)
 
 
 def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
@@ -188,7 +202,8 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
     image all round is one component.  Touching components are consecutive
     runs, so K' is a path, or a cycle when a cycle domain has three runs or
     more; a cycle domain with exactly two runs is the terminal case.  A
-    single vertex has no runs and an empty derivative.
+    single vertex has no runs and an empty derivative.  The runs in walk
+    order are K''s own walk, so K' stores it (`DomainGraph.walk`).
     """
     vertices, edges = phi.domain.walk
     if not edges:
@@ -216,52 +231,57 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
             images.append(a)
     bounds.append(length)
     runs = len(images)
-    comps = [
-        PhiComponent(a, frozenset(vertices[lo : hi + 1]), frozenset(edges[lo:hi]))
-        for a, lo, hi in zip(images, bounds, bounds[1:])
-    ]
-    order = sorted(range(runs), key=lambda i: (images[i], min(comps[i].vertices)))
+    # K' numbers the components by (target edge, smallest domain vertex)
+    order = sorted(
+        range(runs), key=lambda i: (images[i], min(vertices[bounds[i] : bounds[i + 1] + 1]))
+    )
     rank = [0] * runs
     for r, i in enumerate(order):
         rank[i] = r
-    pairs = {_pair(rank[i], rank[i + 1]) for i in range(runs - 1)}
-    if closed and runs >= 3:
-        pairs.add(_pair(rank[-1], rank[0]))
-    shared = sorted(pairs)
-    sorted_comps = tuple(comps[i] for i in order)
-    shape = "cycle" if closed and runs >= 3 else "path"
+    cyclic = closed and runs >= 3
+    steps = [_pair(rank[i], rank[i + 1]) for i in range(runs - 1)]
+    if cyclic:
+        steps.append(_pair(rank[-1], rank[0]))
+    shared = sorted(steps)
+    edge_id = {pair: i for i, pair in enumerate(shared)}
+    walk_edges = [edge_id[pair] for pair in steps]
+    if cyclic:
+        # DomainGraph.walk's convention: from vertex 0 towards its smaller neighbour
+        p = order[0]
+        walk_vertices = rank[p:] + rank[:p]
+        walk_edges = walk_edges[p:] + walk_edges[:p]
+        if walk_vertices[-1] < walk_vertices[1]:
+            walk_vertices = walk_vertices[:1] + walk_vertices[:0:-1]
+            walk_edges.reverse()
+    else:
+        # a path's walk starts at its smaller end
+        walk_vertices = rank
+        if rank[0] > rank[-1]:
+            walk_vertices = rank[::-1]
+            walk_edges.reverse()
     kprime = DomainGraph._built(
-        runs, tuple(shared), shape, _component_names(phi.target, sorted_comps)
+        runs,
+        tuple(shared),
+        "cycle" if cyclic else "path",
+        (),
+        (tuple(walk_vertices), tuple(walk_edges)),
     )
     terminal = closed and runs == 2
-    return _stage(phi, sorted_comps, shared, kprime, terminal)
+    return _stage(phi, [images[i] for i in order], shared, kprime, terminal)
 
 
-def _component_names(g: PlaneGraph, comps) -> tuple[str, ...]:
-    """`<edge name>#<j>` for the j-th component over each target edge."""
-    per_edge_counter: dict[int, int] = {}
-    names = []
-    for c in comps:
-        j = per_edge_counter.get(c.target_edge, 0)
-        per_edge_counter[c.target_edge] = j + 1
-        names.append(f"{g.edge_name(c.target_edge)}#{j}")
-    return tuple(names)
-
-
-def _stage(phi, comps, shared, kprime, terminal) -> DerivativeStep:
-    """G', its rotation and phi' from the components and the pairs that touch.
+def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
+    """G', its rotation and phi' from each K' vertex's target edge and the pairs that touch.
 
     G' depends only on the target and the realized edges and pairs, so it
     is built once per key and kept in the target's `derived_memo`: all maps
     into one target share their derived targets, and with them those
-    targets' own memos.
+    targets' own memos.  Derived domains and targets carry no names.
     """
     g = phi.target
-    realized_edges = tuple(sorted({c.target_edge for c in comps}))
+    realized_edges = tuple(sorted(set(edge_of)))
     vertex_of = {a: i for i, a in enumerate(realized_edges)}
-    realized_pairs = frozenset(
-        _pair(comps[i].target_edge, comps[j].target_edge) for i, j in shared
-    )
+    realized_pairs = frozenset(_pair(edge_of[i], edge_of[j]) for i, j in shared)
     key = (realized_edges, realized_pairs)
     gprime = g.derived_memo.get(key)
     if gprime is None:
@@ -269,16 +289,9 @@ def _stage(phi, comps, shared, kprime, terminal) -> DerivativeStep:
         # derived_rotation numbers edges by sorted realized pair; vertex_of is
         # increasing, so that is also the sorted order of the G' edges
         gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
-        gprime = g.derived_memo[key] = PlaneGraph(
-            len(realized_edges),
-            gp_edges,
-            rotation,
-            tuple(g.edge_name(a) for a in realized_edges),
-        )
-    phiprime = SimplicialMap(
-        kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps)
-    )
-    return DerivativeStep(phi, tuple(comps), kprime, gprime, phiprime, terminal, realized_edges)
+        gprime = g.derived_memo[key] = PlaneGraph(len(realized_edges), gp_edges, rotation)
+    phiprime = SimplicialMap(kprime, gprime, tuple(vertex_of[a] for a in edge_of))
+    return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 
 
 def _target_is_circle(g: PlaneGraph) -> bool:

@@ -9,9 +9,11 @@ if sigma contains a cycle and both arcs thread every boundary circle of it.
 
 That test reads nothing but the two image subgraphs.  The search over arc
 pairs therefore groups arcs by image and tests each pair of distinct images
-once; results are memoized on the target graph (`PlaneGraph.crossing_memo`),
-so maps into one target share them and no cache outlives the target.  The
-first witnesses of a map are memoized on the map itself.
+once.  The target graph (`PlaneGraph.crossing_memo`) gives each distinct
+image a small int id once, with its sort key, and keeps the results by id
+pair, so a scan maps each image to its id once and then looks pairs up by
+int; maps into one target share the results and no cache outlives the
+target.  The first witnesses of a map are memoized on the map itself.
 
 On a path or cycle domain, moving an arc's end away from its start only
 grows its image, so the arcs from one start fall into a few runs of one
@@ -121,17 +123,35 @@ def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (tuple(sorted(image[0])), tuple(sorted(image[1])))
 
 
-def _crossing(g: PlaneGraph, a: Subgraph, b: Subgraph, a_first: bool):
-    """The engine on (a, b), or on (b, a) unless a_first, memoized on g.
-
-    Callers pass a_first = sort key of a <= sort key of b, so each unordered
-    image pair is tested in one orientation and its witness ports are fixed.
-    """
-    pair = (a, b) if a_first else (b, a)
+def _interned(g: PlaneGraph, images: list[Subgraph]) -> list[tuple[int, tuple, dict]]:
+    """The (id, sort key, row) entry of each image in g's crossing_memo, made on first sight."""
     memo = g.crossing_memo
-    if pair not in memo:
-        memo[pair] = _crossing_component(g, *pair)
-    return memo[pair]
+    entries = []
+    for image in images:
+        entry = memo.get(image)
+        if entry is None:
+            entry = memo[image] = (len(memo), _sort_key(image), {})
+        entries.append(entry)
+    return entries
+
+
+_UNTESTED = object()
+
+
+def _crossing(g: PlaneGraph, images: list[Subgraph], entries, a: int, b: int):
+    """The engine on images a and b, memoized in g's crossing_memo.
+
+    The image with the smaller sort key goes first, so each unordered image
+    pair is tested in one orientation and its witness ports are fixed; the
+    result is kept in the row of the smaller interned id.
+    """
+    (ia, ka, row_a), (ib, kb, row_b) = entries[a], entries[b]
+    row, other = (row_a, ib) if ia < ib else (row_b, ia)
+    result = row.get(other, _UNTESTED)
+    if result is _UNTESTED:
+        pair = (images[a], images[b]) if ka <= kb else (images[b], images[a])
+        result = row[other] = _crossing_component(g, *pair)
+    return result
 
 
 def _grown(image: Subgraph, v: int, e: int) -> Subgraph:
@@ -244,17 +264,17 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     return memo[disjoint_only]
 
 
-def _partners(g: PlaneGraph, images: list[Subgraph], keys, a: int) -> tuple[int, ...]:
-    """Ids of the images that cross image a, each pair tested through the target's memo."""
+def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[int, ...]:
+    """Ids of the images that cross image a; an image never crosses itself."""
     return tuple(
         b for b in range(len(images))
-        if _crossing(g, images[a], images[b], keys[a] <= keys[b]) is not None
+        if b != a and _crossing(g, images, entries, a, b) is not None
     )
 
 
-def _witness(g: PlaneGraph, images, keys, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
+def _witness(g: PlaneGraph, images, entries, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
     """The witness for arcs arc_p and arc_q, whose images are images[a] and images[b]."""
-    svs, ses, kind, ports = _crossing(g, images[a], images[b], keys[a] <= keys[b])
+    svs, ses, kind, ports = _crossing(g, images, entries, a, b)
     return CrossingWitness(arc_p, arc_q, svs, ses, kind, ports)
 
 
@@ -287,12 +307,12 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     ids: dict[Subgraph, int] = {}
     image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
     images = list(ids)
-    keys = [_sort_key(image) for image in images]
+    entries = _interned(g, images)
     crossers: dict[int, tuple[int, ...]] = {}
     first = None
     for i, a in enumerate(image_id):
         if a not in crossers:
-            crossers[a] = _partners(g, images, keys, a)
+            crossers[a] = _partners(g, images, entries, a)
         partners = crossers[a]
         if not partners:
             continue
@@ -304,7 +324,7 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
             disjoint = vi.isdisjoint(arcs[j][0].vertices)
             if first is not None and not disjoint:
                 continue
-            witness = _witness(g, images, keys, arcs[i][0], a, arcs[j][0], b)
+            witness = _witness(g, images, entries, arcs[i][0], a, arcs[j][0], b)
             if first is None:
                 first = witness
             if disjoint:
@@ -322,7 +342,7 @@ def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Cr
         for s, lo, image in _runs(phi, vertices, edges, m, closed)
     ]
     images = list(ids)
-    keys = [_sort_key(image) for image in images]
+    entries = _interned(g, images)
     # the positions of each image's runs, and their starts
     at: list[list[int]] = [[] for _ in images]
     for r, run in enumerate(runs):
@@ -344,7 +364,7 @@ def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Cr
     first = None
     for i, (s, lo, a) in enumerate(runs):
         if a not in crossers:
-            crossers[a] = _partners(g, images, keys, a)
+            crossers[a] = _partners(g, images, entries, a)
         partners = crossers[a]
         if not partners:
             continue
@@ -353,12 +373,12 @@ def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Cr
             if not later:
                 continue
             j = min(later)
-            first = _witness(g, images, keys, arc(i), a, arc(j), runs[j][2])
+            first = _witness(g, images, entries, arc(i), a, arc(j), runs[j][2])
         bound = s + m - 1 if closed else m - 1
         disjoint = [j for b in partners if (j := next_disjoint(b, lo, bound)) is not None]
         if disjoint:
             j = min(disjoint)
-            return first, _witness(g, images, keys, arc(i), a, arc(j), runs[j][2])
+            return first, _witness(g, images, entries, arc(i), a, arc(j), runs[j][2])
     return first, None
 
 

@@ -14,6 +14,7 @@ from embapprox.core import parse_instance
 from embapprox.oracle import oracle_result
 
 FIX = Path(__file__).resolve().parents[1] / "src" / "embapprox" / "fixtures"
+EXPECTED_DOT = Path(__file__).resolve().parent / "expected_dot"
 
 
 def run(capsys, *argv):
@@ -201,18 +202,20 @@ def test_derive_records_precondition_failure(capsys):
 
 
 def test_derive_writes_dot_files(capsys, tmp_path):
-    out_dir = tmp_path / "dots"
-    code, out, _ = run(
-        capsys, "derive", "--dot", out_dir, FIX / "euler-path.inst"
-    )
-    assert code == 0
-    files = sorted(out_dir.glob("step*.dot"))
-    n_steps = sum(1 for line in out.splitlines() if line.startswith("step "))
-    assert len(files) == n_steps > 0
-    assert f"wrote {len(files)} dot files to {out_dir}" in out
-    text = files[0].read_text(encoding="utf-8")
-    assert text.startswith('graph "step0"')
-    assert "--" in text  # at least one domain edge rendered
+    # derived stages carry no names; the writer names their vertices after
+    # the target edges they come from, byte for byte as pinned here
+    for fixture in ("euler-path", "whole-fold", "winding2"):
+        out_dir = tmp_path / fixture
+        code, out, _ = run(capsys, "derive", "--dot", out_dir, FIX / f"{fixture}.inst")
+        assert code == 0
+        files = sorted(p.name for p in out_dir.glob("step*.dot"))
+        n_steps = sum(1 for line in out.splitlines() if line.startswith("step "))
+        assert len(files) == n_steps > 1
+        assert f"wrote {len(files)} dot files to {out_dir}" in out
+        expected = EXPECTED_DOT / fixture
+        assert files == sorted(p.name for p in expected.glob("step*.dot"))
+        for name in files:
+            assert (out_dir / name).read_bytes() == (expected / name).read_bytes(), (fixture, name)
 
 
 # ------------------------------------------------------------------- vk

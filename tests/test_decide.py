@@ -141,6 +141,50 @@ def test_theta_fold_memory_does_not_grow_with_the_arc_count():
     assert peak < 10 * 2**20
 
 
+def _decide_path_peak(phi: SimplicialMap):
+    """decide_path(phi) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        v = decide_path(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return v, peak
+
+
+def _identity_path(k: int) -> SimplicialMap:
+    return SimplicialMap(path_domain(k), cycle_target(k), tuple(range(k)))
+
+
+def test_derived_targets_carry_no_names():
+    # each derived vertex was named after the target edge it came from, so
+    # the names doubled at every stage: the identity path onto C20 left a
+    # name of 1,835,007 characters in its tower of derived targets
+    phi = _identity_path(20)
+    assert decide_path(phi).approximable is True
+    stack, targets = [phi.target], 0
+    while stack:
+        t = stack.pop()
+        targets += 1
+        assert all(len(t.name_of(v)) <= 3 for v in range(t.n))
+        stack.extend(t.derived_memo.values())
+    assert targets == 21  # C20, then one derived target per stage down to the empty one
+
+
+def test_identity_path_onto_c200_stays_small():
+    v, peak = _decide_path_peak(_identity_path(200))
+    assert v.approximable is True
+    assert peak < 40 * 2**20
+
+
+def test_winding_path_at_k256_stays_small():
+    # the winding path i % 5 into C5 took 216 MB at k=24 while names doubled
+    phi = SimplicialMap(path_domain(256), cycle_target(5), tuple(i % 5 for i in range(256)))
+    v, peak = _decide_path_peak(phi)
+    assert v.approximable is True
+    assert peak < 20 * 2**20
+
+
 def test_closed_theta_fold_at_k2048_is_decided_quickly():
     phi = theta_fold(2048, closed=True)
     start = time.perf_counter()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_walk_map, reference_scan, subwalks, theta_fold, walk_maps
 
@@ -22,6 +23,7 @@ from embapprox.catalog import (
     x_cross_path,
 )
 from embapprox.core import (
+    PlaneGraph,
     SimplicialMap,
     WalkArc,
     closed_walk,
@@ -31,7 +33,7 @@ from embapprox.corpus import CorpusSpec, generate
 from embapprox.decide import decide_path
 from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
-from embapprox.ribbon import interleaves
+from embapprox.ribbon import Port, interleaves
 from embapprox.transversal import find_crossing_pair, has_transversal_self_intersection
 
 
@@ -248,6 +250,67 @@ def test_run_scan_matches_reference_on_the_first_derivative_stages(phi):
         if step.terminal_approximable:
             return
         cur = step.map
+
+
+# one target object per catalog target, shared by every example of the
+# property below, so that its crossing_memo fills across many maps
+_SHARED_TARGETS = {name: TARGETS[name]() for name in ("theta", "W4", "ex33")}
+
+
+_VERIFIED: dict[int, set] = {}  # id of a shared target or derived target -> id pairs checked
+
+
+def _assert_table_matches_the_engine(g: PlaneGraph) -> None:
+    """Each stored result sits in the row of the smaller id and is the engine's on the pair."""
+    memo = g.crossing_memo
+    by_id = {entry[0]: (image, entry[1]) for image, entry in memo.items()}
+    verified = _VERIFIED.setdefault(id(g), set())
+    for image, (x, key, row) in memo.items():
+        for y, result in row.items():
+            if (x, y) in verified:
+                continue
+            assert x < y
+            other, other_key = by_id[y]
+            pair = (image, other) if key <= other_key else (other, image)
+            assert result == transversal._crossing_component(g, *pair)
+            verified.add((x, y))
+
+
+def _plain(value) -> bool:
+    """Whether value is built from ints, strings, ports and None by tuples, frozensets and dicts."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return all(_plain(k) and _plain(v) for k, v in value.items())
+    return value is None or isinstance(value, (int, str, Port))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_interned_crossing_results_match_a_fresh_target(rng):
+    # random walks (k <= 24), unlike walk_maps' small draws, cross often
+    # enough to fill the table with witnesses as well as None results
+    for _ in range(6):
+        g = _SHARED_TARGETS[rng.choice(sorted(_SHARED_TARGETS))]
+        k = rng.randint(2, 24)
+        cur = normalize_nondegenerate(random_walk_map(rng, g, k, k >= 3 and rng.random() < 0.5))
+        for _ in range(3):
+            if not cur.domain.edges:
+                break
+            t = cur.target
+            fresh = SimplicialMap(
+                cur.domain, PlaneGraph(t.n, t.edges, t.rotation, t.vertex_names), cur.vertex_image
+            )
+            for flag in (False, True):
+                assert find_crossing_pair(cur, flag) == find_crossing_pair(fresh, flag)
+            assert _plain(t.crossing_memo)
+            _assert_table_matches_the_engine(t)
+            ids = sorted(entry[0] for entry in t.crossing_memo.values())
+            assert ids == list(range(len(ids)))
+            try:
+                cur = derive(cur).map
+            except DerivePreconditionError:
+                break
 
 
 def test_run_scan_matches_reference_on_every_small_w4_and_ex33_walk():
