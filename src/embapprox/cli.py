@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
 
-from .core import parse_instance
+from .core import normalize_nondegenerate, parse_instance
 from .corpus import TSV_HEADER, CorpusSpec, run_agreement
 from .decide import decide_cycle, decide_deg3_to_circle, decide_path
 from .derivative import iterate_derivative, winding_report
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .oracle import oracle_result
-from .vankampen import obstruction_report, pair_report, path_cut_components
+from .vankampen import cut_components, obstruction_report, pair_report
 
 
 def _load(path: str):
@@ -149,7 +149,8 @@ def _cmd_vk(args) -> int:
     else:
         print(f"certificate: {len(report.certificate_cells)} cells")
     if phi.domain.shape == "path":
-        vec = path_cut_components(phi)
+        d = normalize_nondegenerate(phi).domain
+        vec = cut_components(d, report.complex, report.values)
         print("cut-components: " + (" ".join(str(b) for b in vec) if vec else "-"))
     print("cell2\tred\tparity")
     for cell, red, val in zip(

@@ -1,51 +1,64 @@
 """GF(2) linear algebra with solvability certificates.
 
-A system whose columns each have at most two ones is a graph: equations are
-nodes, a weight-2 column is an edge between its two equations and a weight-1
-column is an edge to a virtual ground node.  Such systems (every mod-2
-obstruction over a path or cycle domain) are decided by union-find in
-near-linear time; any other system is eliminated densely.  Both branches
-return the same solution and the same certificate, bit for bit.
+A system a @ w = b comes in as `Columns`: the rows where each column has a
+one.  A system whose columns each have at most two ones is a graph:
+equations are nodes, a weight-2 column is an edge between its two
+equations and a weight-1 column is an edge to a virtual ground node.  Such
+systems (every mod-2 obstruction over a path or cycle domain) are decided
+by union-find on plain int lists in near-linear time and never allocate a
+matrix; numpy is used only when some column is heavier, to eliminate the
+dense matrix.  Both branches return the same solution and the same
+certificate, bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .core import UnionFind
+
+@dataclass(frozen=True)
+class Columns:
+    """A 0/1 matrix as the rows of each column's ones, increasing in each column."""
+
+    nrows: int
+    rows: list[list[int]]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, len(self.rows))
+
+    def dense(self) -> np.ndarray:
+        a = np.zeros(self.shape, dtype=np.uint8)
+        for col, rs in enumerate(self.rows):
+            a[rs, col] = 1
+        return a
 
 
-def solve_or_certify(a: np.ndarray, b: np.ndarray):
-    """Solve a @ w = b over GF(2).
+def solve_or_certify(a: Columns, b):
+    """Solve a @ w = b over GF(2); b is read mod 2.
 
     Returns (solution, None) when consistent, else (None, certificate) where
-    the certificate y is a 0/1 vector over equations with y @ a = 0 and
+    the certificate y is a 0/1 list over equations with y @ a = 0 and
     y @ b = 1: an odd-looking combination proving unsolvability.  The
     solution sets every free variable to 0; the certificate is the first
     inconsistent row left by column-order Gauss-Jordan elimination.
     """
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8) % 2
-    ne, nv = a.shape
-    if b.shape != (ne,):
+    b = [int(x) % 2 for x in b]
+    if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
-    ends: list[list[int]] = [[] for _ in range(nv)]
-    if a.size:
-        if a.max() > 1:
-            a = a % 2
-        # scanning the 0/1 matrix flat, as bools, is much faster than np.nonzero
-        for i in np.flatnonzero(a.view(np.bool_)).tolist():
-            r, c = divmod(i, nv)
-            ends[c].append(r)
-    if any(len(e) > 2 for e in ends):
-        return _solve_dense(a, b)
-    return _solve_graphic(ends, b)
+    if any(len(rs) > 2 for rs in a.rows):
+        return _solve_dense(a.dense(), b)
+    return _solve_graphic(a.rows, b)
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray):
+def _solve_dense(a: np.ndarray, b):
     """Gauss-Jordan elimination of [a | b | I], pivoting column by column."""
     ne, nv = a.shape
-    m = np.concatenate([a, b.reshape(-1, 1), np.eye(ne, dtype=np.uint8)], axis=1)
+    m = np.concatenate(
+        [a, np.array(b, dtype=np.uint8).reshape(-1, 1), np.eye(ne, dtype=np.uint8)], axis=1
+    )
     row = 0
     pivots: list[tuple[int, int]] = []
     for col in range(nv):
@@ -64,14 +77,14 @@ def _solve_dense(a: np.ndarray, b: np.ndarray):
             break
     for r in range(row, ne):
         if m[r, nv]:
-            return None, m[r, nv + 1 :].copy()
-    sol = np.zeros(nv, dtype=np.uint8)
+            return None, m[r, nv + 1 :].tolist()
+    sol = [0] * nv
     for r, c in pivots:
-        sol[c] = m[r, nv]
+        sol[c] = int(m[r, nv])
     return sol, None
 
 
-def _solve_graphic(ends: list[list[int]], b: np.ndarray):
+def _solve_graphic(ends: list[list[int]], b: list[int]):
     """The dense elimination's result for columns of weight <= 2, by union-find.
 
     `ends[col]` lists the rows where column col has a one, in row order.
@@ -87,8 +100,8 @@ def _solve_graphic(ends: list[list[int]], b: np.ndarray):
     """
     ne, nv = len(b), len(ends)
     ground = ne
-    parity = b.tolist()
-    sets = UnionFind()
+    parity = b + [0]
+    parent = list(range(ne + 1))  # the clusters, by path-halving union-find
     at = list(range(ne))  # at[pos]: cluster root whose row sits at pos >= row
     pos = list(range(ne))  # pos[root]: position of an ungrounded cluster's row
     grounded = [False] * ne + [True]
@@ -99,30 +112,38 @@ def _solve_graphic(ends: list[list[int]], b: np.ndarray):
             continue
         p = hit[0]
         q = hit[1] if len(hit) == 2 else ground
-        rp, rq = sets.find(p), sets.find(q)
+        rp = p
+        while parent[rp] != rp:
+            parent[rp] = rp = parent[parent[rp]]
+        rq = q
+        while parent[rq] != rq:
+            parent[rq] = rq = parent[parent[rq]]
         if rp == rq:
             continue
-        live = sorted((r for r in (rp, rq) if not grounded[r]), key=pos.__getitem__)
-        if not live:
-            continue
-        pivot = live[0]
+        # the pivot cluster joins the other one, whose root stays
+        if grounded[rp]:
+            if grounded[rq]:
+                continue
+            pivot, other = rq, rp
+        elif grounded[rq] or pos[rp] < pos[rq]:
+            pivot, other = rp, rq
+        else:
+            pivot, other = rq, rp
         moved = at[row]
         at[pos[pivot]] = moved
         pos[moved] = pos[pivot]
         row += 1
         forest.append((col, p, q))
-        sets.union(rp, rq)
-        root = sets.find(p)
-        if len(live) == 2:
-            other = live[1]
-            at[pos[other]] = root
-            pos[root] = pos[other]
-            parity[root] = parity[rp] ^ parity[rq]
-        else:
-            grounded[root] = True
+        parent[pivot] = other
+        parity[other] ^= parity[pivot]
     for r in at[row:]:
         if parity[r]:
-            cert = np.fromiter((sets.find(e) == r for e in range(ne)), np.uint8, ne)
+            cert = []
+            for e in range(ne):
+                root = e
+                while parent[root] != root:
+                    parent[root] = root = parent[parent[root]]
+                cert.append(1 if root == r else 0)
             return None, cert
 
     # peel the forest from its leaves; a node's remaining edge is the xor of
@@ -130,10 +151,11 @@ def _solve_graphic(ends: list[list[int]], b: np.ndarray):
     degree = [0] * (ne + 1)
     edge_xor = [0] * (ne + 1)
     for k, (_col, p, q) in enumerate(forest):
-        for v in (p, q):
-            degree[v] += 1
-            edge_xor[v] ^= k
-    residual = b.tolist() + [0]
+        degree[p] += 1
+        edge_xor[p] ^= k
+        degree[q] += 1
+        edge_xor[q] ^= k
+    residual = b + [0]
     sol = [0] * nv
     leaves = [v for v in range(ne) if degree[v] == 1]
     while leaves:
@@ -150,11 +172,12 @@ def _solve_graphic(ends: list[list[int]], b: np.ndarray):
         edge_xor[u] ^= k
         if degree[u] == 1 and u != ground:
             leaves.append(u)
-    return np.array(sol, dtype=np.uint8), None
+    return sol, None
 
 
-def verify_certificate(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> bool:
-    a = np.asarray(a, dtype=np.uint8) % 2
-    b = np.asarray(b, dtype=np.uint8) % 2
-    y = np.asarray(y, dtype=np.uint8) % 2
-    return not (y @ a % 2).any() and int(y @ b % 2) == 1
+def verify_certificate(a: Columns, b, y) -> bool:
+    """Is y a certificate for a @ w = b: y @ a = 0 and y @ b = 1 over GF(2)?"""
+    y = [int(x) % 2 for x in y]
+    if any(sum(y[r] for r in rs) % 2 for rs in a.rows):
+        return False
+    return sum(yi & int(bi) for yi, bi in zip(y, b)) % 2 == 1

@@ -7,9 +7,11 @@ discs of `geometry`, the discs the lift search reads too, gives a
 crossing-parity cochain on the non-red pairs, and the map passes the
 obstruction test when that cochain is a coboundary relative to the red
 part.  That is a GF(2) system with one equation per
-non-red 2-cell and one unknown per non-red 1-cell; over a path or cycle
-domain each 1-cell bounds at most two 2-cells, so `gf2` solves it by
-union-find.  Over a path domain the same data regroups into per-component
+non-red 2-cell and one unknown per non-red 1-cell, handed to `gf2` as the
+equations of each unknown (`gf2.Columns`).  Over a path or cycle domain
+each 1-cell bounds at most two 2-cells, so `gf2` solves it by union-find
+and no matrix is ever allocated; only degree-3 domains reach its dense
+elimination.  Over a path domain the same data regroups into per-component
 parities split along the red cells.
 """
 
@@ -17,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import SimplicialMap, UnionFind, normalize_nondegenerate
 from .errors import PreconditionError
 from .geometry import disc_ports, proper_crossing
-from .gf2 import solve_or_certify
+from .gf2 import Columns, solve_or_certify
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +54,27 @@ def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     d = phi.domain
+    edges = d.edges
     images = _image_ends(phi)
     cells2 = []
     red2 = []
-    for s, es in enumerate(d.edges):
-        for t in range(s + 1, len(d.edges)):
-            if _disjoint(es, d.edges[t]):
+    for s, (x, y) in enumerate(edges):
+        a, b = images[s]
+        for t in range(s + 1, len(edges)):
+            z, w = edges[t]
+            if z != x and z != y and w != x and w != y:
                 cells2.append((s, t))
-                red2.append(_disjoint(images[s], images[t]))
+                c, e = images[t]
+                red2.append(c != a and c != b and e != a and e != b)
     cells1 = []
     red1 = []
     for x in range(d.n):
         fx = phi.vertex_image[x]
-        for t, et in enumerate(d.edges):
-            if x not in et:
+        for t, (z, w) in enumerate(edges):
+            if z != x and w != x:
                 cells1.append((x, t))
-                red1.append(fx not in images[t])
+                c, e = images[t]
+                red1.append(c != fx and e != fx)
     return DeletedProduct(tuple(cells2), tuple(red2), tuple(cells1), tuple(red1))
 
 
@@ -125,7 +130,10 @@ class Drawing:
 
     def __init__(self, maps, lane_orders=None):
         self.maps = tuple(maps)
-        self._chord: dict[tuple[int, int, int], tuple[int, int]] = {}  # (v, side, eid)
+        # per side and domain edge: the strand's chord in each disc it enters
+        self._chords: list[list[dict[int, tuple[int, int]]]] = [
+            [{} for _ in m.domain.edges] for m in self.maps
+        ]
         discs = disc_ports(self.maps[0].target, _lanes(self.maps, lane_orders))
         for v, ports in enumerate(discs):
             centres: dict[tuple[int, int], int] = {}  # (side, star)
@@ -134,16 +142,15 @@ class Drawing:
                 u, w = m.domain.edges[eid]
                 x = u if m.vertex_image[u] == v else w
                 centre = centres.setdefault((side, x), 2 * i)
-                self._chord[(v, side, eid)] = (centre, 2 * i + 1)
+                self._chords[side][eid][v] = (centre, 2 * i + 1)
 
     def crossing_parity(self, s1: tuple[int, int], s2: tuple[int, int]) -> int:
         """Mod-2 crossing count between two strands' full curves."""
-        m1, m2 = self.maps[s1[0]], self.maps[s2[0]]
-        discs1 = {m1.vertex_image[v] for v in m1.domain.edges[s1[1]]}
-        discs2 = {m2.vertex_image[v] for v in m2.domain.edges[s2[1]]}
+        chords2 = self._chords[s2[0]][s2[1]]
         parity = 0
-        for v in discs1 & discs2:
-            if proper_crossing(*self._chord[(v, *s1)], *self._chord[(v, *s2)]):
+        for v, chord in self._chords[s1[0]][s1[1]].items():
+            other = chords2.get(v)
+            if other is not None and proper_crossing(*chord, *other):
                 parity ^= 1
         return parity
 
@@ -187,22 +194,18 @@ def intersection_cochain(phi: SimplicialMap, lane_orders=None):
 def _relative_solve(equations, rhs, variables):
     """GF(2) solve of face sums = rhs over the non-red 1-cells.
 
-    Each equation lists distinct faces, so its entries are set, not summed.
+    Each variable's column lists the equations whose faces contain it.  The
+    equations are read in order and each lists distinct faces, so every
+    column comes out increasing with no row twice.
     """
     var_index = {c: i for i, c in enumerate(variables)}
-    rows = []
-    cols = []
+    columns: list[list[int]] = [[] for _ in variables]
     for r, faces in enumerate(equations):
         for f in faces:
             j = var_index.get(f)
             if j is not None:
-                rows.append(r)
-                cols.append(j)
-    a = np.zeros((len(equations), len(variables)), dtype=np.uint8)
-    if rows:
-        a[rows, cols] = 1
-    b = np.array(rhs, dtype=np.uint8)
-    return solve_or_certify(a, b)
+                columns[j].append(r)
+    return solve_or_certify(Columns(len(equations), columns), rhs)
 
 
 @dataclass(frozen=True)
@@ -224,9 +227,9 @@ def obstruction_report(phi: SimplicialMap, lane_orders=None) -> ObstructionRepor
     equations = [_square_faces(d, c) for c in eq_cells]
     sol, cert = _relative_solve(equations, rhs, variables)
     if sol is not None:
-        solving = tuple(c for c, bit in zip(variables, sol.tolist()) if bit)
+        solving = tuple(c for c, bit in zip(variables, sol) if bit)
         return ObstructionReport(complex_, values, True, solving, None)
-    certificate = tuple(c for c, bit in zip(eq_cells, cert.tolist()) if bit)
+    certificate = tuple(c for c, bit in zip(eq_cells, cert) if bit)
     return ObstructionReport(complex_, values, False, None, certificate)
 
 
@@ -254,27 +257,41 @@ def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]
         raise PreconditionError("cut components are defined for path domains")
     phi = normalize_nondegenerate(phi)
     complex_, values = intersection_cochain(phi, lane_orders)
-    d = phi.domain
-    ncells = len(complex_.cells2)
-    red1 = dict(zip(complex_.cells1, complex_.red1))
-    cofaces: dict[tuple[int, int], list[int]] = {}
-    for idx, cell in enumerate(complex_.cells2):
-        for f in _square_faces(d, cell):
-            cofaces.setdefault(f, []).append(idx)
+    return cut_components(phi.domain, complex_, values)
 
+
+def cut_components(d, complex_: DeletedProduct, values) -> tuple[int, ...]:
+    """`path_cut_components` of a cochain already drawn on the path d's complex.
+
+    The 1-cell (x, t) is numbered x * |E| + t.  On a path each 1-cell bounds
+    at most two 2-cells, which are glued when it is not red.
+    """
+    width = len(d.edges)
+    red1 = [True] * (d.n * width)
+    for (x, t), red in zip(complex_.cells1, complex_.red1):
+        red1[x * width + t] = red
+    owners = [0] * len(red1)  # 2-cells bounded by each 1-cell
+    first = [0] * len(red1)  # the first of them
+    faces = []
     sets = UnionFind()
-    for f, owners in cofaces.items():
-        if len(owners) == 2 and not red1[f]:
-            sets.union(owners[0], owners[1])
+    for idx, cell in enumerate(complex_.cells2):
+        four = tuple(x * width + t for x, t in _square_faces(d, cell))
+        faces.append(four)
+        for f in four:
+            owners[f] += 1
+            if owners[f] == 1:
+                first[f] = idx
+            elif not red1[f]:
+                sets.union(first[f], idx)
 
     vector = []
-    for members in sets.classes(range(ncells)):
+    for members in sets.classes(range(len(faces))):
         qualified = True
         parity = 0
         for idx in members:
             parity ^= values[idx]
-            for f in _square_faces(d, complex_.cells2[idx]):
-                if len(cofaces[f]) == 1 and not red1[f]:
+            for f in faces[idx]:
+                if owners[f] == 1 and not red1[f]:
                     qualified = False
         if qualified:
             vector.append(parity)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from embapprox import cli
+from embapprox import cli, vankampen
 from embapprox.core import parse_instance
 from embapprox.oracle import oracle_result
 
@@ -239,6 +239,31 @@ def test_vk_nonvanishing_exit_1_with_certificate(capsys):
     table = [line for line in lines if "\t" in line][1:]
     assert all(line.split("\t")[1] in ("yes", "no") for line in table)
     assert all(line.split("\t")[2] in ("0", "1") for line in table)
+
+
+def test_vk_draws_once_and_prints_the_cut_components(capsys, monkeypatch):
+    cochain = vankampen.intersection_cochain
+    paths = 0
+    for inst in sorted(FIX.glob("*.inst")):
+        phi = parse_instance(inst.read_text())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cochain(*args, **kwargs)
+
+        monkeypatch.setattr(vankampen, "intersection_cochain", counted)
+        _, out, _ = run(capsys, "vk", inst)
+        monkeypatch.setattr(vankampen, "intersection_cochain", cochain)
+        assert len(calls) == 1, inst.name
+        cut = [line for line in out.splitlines() if line.startswith("cut-components:")]
+        if phi.domain.shape == "path":
+            vec = vankampen.path_cut_components(phi)
+            assert cut == ["cut-components: " + (" ".join(map(str, vec)) if vec else "-")]
+            paths += 1
+        else:
+            assert cut == []
+    assert paths >= 4
 
 
 def test_vk_pair_report(capsys):

@@ -6,6 +6,7 @@ import random
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from embapprox.catalog import small_targets
 from embapprox.geometry import disc_ports, proper_crossing
@@ -44,38 +45,60 @@ def test_disc_ports_read_lane_blocks_in_order_at_the_smaller_end():
 # --- GF(2) ------------------------------------------------------------------
 
 
+def _columns(a) -> gf2.Columns:
+    """The sparse form of a dense 0/1 matrix, entries read mod 2."""
+    a = np.asarray(a) % 2
+    return gf2.Columns(a.shape[0], [np.flatnonzero(a[:, c]).tolist() for c in range(a.shape[1])])
+
+
+def _product(a, x) -> list[int]:
+    return ((np.asarray(a, dtype=np.int64) @ np.asarray(x, dtype=np.int64)) % 2).tolist()
+
+
+def test_columns_shape_and_dense_round_trip():
+    a = np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=np.uint8)
+    cols = _columns(a)
+    assert cols.rows == [[0, 2], [], [0, 1]]
+    assert cols.shape == (3, 3)
+    assert np.array_equal(cols.dense(), a) and cols.dense().dtype == np.uint8
+    assert gf2.Columns(0, [[], []]).dense().shape == (0, 2)
+
+
 def test_solve_returns_checking_solution():
     a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    b = np.array([1, 0], dtype=np.uint8)
-    x, cert = solve_or_certify(a, b)
+    b = [1, 0]
+    x, cert = solve_or_certify(_columns(a), b)
     assert cert is None
-    assert np.array_equal((a @ x) % 2, b)
+    assert _product(a, x) == b
 
 
 def test_unsolvable_returns_verifying_certificate():
     # rows sum to an inconsistent equation: x0 = 0 and x0 = 1
     a = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-    b = np.array([0, 1], dtype=np.uint8)
-    x, cert = solve_or_certify(a, b)
+    b = [0, 1]
+    x, cert = solve_or_certify(_columns(a), b)
     assert x is None
-    assert verify_certificate(a, b, cert)
-    assert (cert @ a % 2 == 0).all()
-    assert cert @ b % 2 == 1
+    assert verify_certificate(_columns(a), b, cert)
+    assert _product(a.T, cert) == [0, 0]
+    assert sum(c * v for c, v in zip(cert, b)) % 2 == 1
 
 
 def test_empty_system_is_solvable():
-    a = np.zeros((0, 4), dtype=np.uint8)
-    b = np.zeros((0,), dtype=np.uint8)
-    x, cert = solve_or_certify(a, b)
-    assert cert is None and x.shape == (4,)
+    x, cert = solve_or_certify(gf2.Columns(0, [[], [], [], []]), [])
+    assert cert is None and x == [0, 0, 0, 0]
 
 
 def test_zero_columns_system():
-    a = np.zeros((2, 0), dtype=np.uint8)
-    x, cert = solve_or_certify(a, np.array([0, 0], dtype=np.uint8))
-    assert cert is None and x.shape == (0,)
-    x, cert = solve_or_certify(a, np.array([0, 1], dtype=np.uint8))
-    assert x is None and verify_certificate(a, np.array([0, 1], dtype=np.uint8), cert)
+    a = gf2.Columns(2, [])
+    x, cert = solve_or_certify(a, [0, 0])
+    assert cert is None and x == []
+    x, cert = solve_or_certify(a, [0, 1])
+    assert x is None and verify_certificate(a, [0, 1], cert)
+
+
+def test_rhs_length_must_match_the_rows():
+    with pytest.raises(ValueError):
+        solve_or_certify(gf2.Columns(2, [[0]]), [1])
 
 
 def test_solve_or_certify_random_systems_always_decided():
@@ -86,13 +109,13 @@ def test_solve_or_certify_random_systems_always_decided():
         a = np.array(
             [[rng.randrange(2) for _ in range(n)] for _ in range(m)], dtype=np.uint8
         ).reshape(m, n)
-        b = np.array([rng.randrange(2) for _ in range(m)], dtype=np.uint8)
-        x, cert = solve_or_certify(a, b)
+        b = [rng.randrange(2) for _ in range(m)]
+        x, cert = solve_or_certify(_columns(a), b)
         if x is not None:
             assert cert is None
-            assert np.array_equal((a @ x) % 2, b % 2), trial
+            assert _product(a, x) == b, trial
         else:
-            assert verify_certificate(a, b, cert), trial
+            assert verify_certificate(_columns(a), b, cert), trial
 
 
 def test_solvable_systems_never_certified():
@@ -102,10 +125,10 @@ def test_solvable_systems_never_certified():
         a = np.array(
             [[rng.randrange(2) for _ in range(n)] for _ in range(m)], dtype=np.uint8
         )
-        x0 = np.array([rng.randrange(2) for _ in range(n)], dtype=np.uint8)
-        b = (a @ x0) % 2  # solvable by construction
-        x, cert = solve_or_certify(a, b)
-        assert cert is None and np.array_equal((a @ x) % 2, b), trial
+        x0 = [rng.randrange(2) for _ in range(n)]
+        b = _product(a, x0)  # solvable by construction
+        x, cert = solve_or_certify(_columns(a), b)
+        assert cert is None and _product(a, x) == b, trial
 
 
 def _graphic_system(rng: random.Random, ne: int, nv: int):
@@ -115,13 +138,15 @@ def _graphic_system(rng: random.Random, ne: int, nv: int):
         weight = min(rng.choice((0, 1, 2, 2, 2)), ne)
         for r in rng.sample(range(ne), weight):
             a[r, col] = 1
-    b = np.array([rng.randrange(2) for _ in range(ne)], dtype=np.uint8)
+    b = [rng.randrange(2) for _ in range(ne)]
     return a, b
 
 
 def _same_result(got, want) -> bool:
+    """Equal bits, and every returned vector a plain list of ints."""
     return all(
-        (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+        (g is None and w is None)
+        or (type(g) is list and all(type(v) is int for v in g) and g == w)
         for g, w in zip(got, want)
     )
 
@@ -132,9 +157,11 @@ def test_graphic_systems_match_dense_elimination_bit_for_bit():
     for trial in range(3000):
         a, b = _graphic_system(rng, rng.randrange(0, 13), rng.randrange(0, 15))
         want = gf2._solve_dense(a, b)
-        assert _same_result(solve_or_certify(a, b), want), trial
-        # entries are read mod 2
-        assert _same_result(solve_or_certify(a + 2 * (a ^ 1), b + 2), want), trial
+        cols = _columns(a)
+        assert _same_result(solve_or_certify(cols, b), want), trial
+        assert _same_result(gf2._solve_graphic(cols.rows, b), want), trial
+        # the rhs is read mod 2
+        assert _same_result(solve_or_certify(cols, [v + 2 for v in b]), want), trial
         certified += want[1] is not None
     assert 1000 < certified < 2000
 
@@ -144,28 +171,50 @@ def test_graphic_certificate_is_the_first_odd_component_left_by_elimination():
     # grounds equation 2 and swaps equation 1's row into row 2, so the odd
     # component {1} precedes the odd component {0, 3}
     a = np.array([[1, 0], [0, 0], [0, 1], [1, 0]], dtype=np.uint8)
-    b = np.array([1, 1, 1, 0], dtype=np.uint8)
-    x, cert = solve_or_certify(a, b)
-    assert x is None and cert.tolist() == [0, 1, 0, 0]
+    b = [1, 1, 1, 0]
+    x, cert = solve_or_certify(_columns(a), b)
+    assert x is None and cert == [0, 1, 0, 0]
     assert _same_result((x, cert), gf2._solve_dense(a, b))
 
 
 def test_graphic_branch_handles_edge_shapes():
     for ne, nv in ((0, 0), (0, 3), (3, 0), (1, 1)):
         for bits in range(2 ** ne):
-            b = np.array([(bits >> i) & 1 for i in range(ne)], dtype=np.uint8)
+            b = [(bits >> i) & 1 for i in range(ne)]
             for fill in (0, 1):
                 a = np.full((ne, nv), fill, dtype=np.uint8)
-                assert _same_result(solve_or_certify(a, b), gf2._solve_dense(a, b))
+                assert _same_result(solve_or_certify(_columns(a), b), gf2._solve_dense(a, b))
 
 
 def test_heavy_columns_use_dense_elimination(monkeypatch):
-    a = np.array([[1, 0], [1, 1], [1, 0]], dtype=np.uint8)
-    b = np.array([1, 0, 1], dtype=np.uint8)
-    want = gf2._solve_dense(a, b)
+    dense = gf2._solve_dense
+    reached = []
+
+    def counted(a, b):
+        reached.append(a.shape)
+        return dense(a, b)
 
     def no_graphic(*args):
         raise AssertionError("a weight-3 column must be eliminated densely")
 
+    monkeypatch.setattr(gf2, "_solve_dense", counted)
     monkeypatch.setattr(gf2, "_solve_graphic", no_graphic)
-    assert _same_result(solve_or_certify(a, b), want)
+    a = np.array([[1, 0], [1, 1], [1, 0]], dtype=np.uint8)
+    b = [1, 0, 1]
+    assert _same_result(solve_or_certify(_columns(a), b), dense(a, b))
+    assert reached == [(3, 2)]
+    rng = random.Random(11)
+    for trial in range(300):
+        ne, nv = rng.randrange(3, 10), rng.randrange(1, 10)
+        rows = [sorted(rng.sample(range(ne), rng.choice((0, 1, 2, 3)))) for _ in range(nv)]
+        rows[rng.randrange(nv)] = sorted(rng.sample(range(ne), 3))
+        cols = gf2.Columns(ne, rows)
+        b = [rng.randrange(2) for _ in range(ne)]
+        got = solve_or_certify(cols, b)
+        assert reached.pop() == (ne, nv), trial
+        assert _same_result(got, dense(cols.dense(), b)), trial
+        x, cert = got
+        if x is None:
+            assert verify_certificate(cols, b, cert), trial
+        else:
+            assert _product(cols.dense(), x) == b, trial

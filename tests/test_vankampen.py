@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,52 @@ def test_long_theta_fold_obstruction_is_quick():
     elapsed = time.perf_counter() - start
     assert verdict.approximable is True
     assert elapsed < 2.0
+
+
+def test_long_theta_fold_obstruction_stays_small():
+    tracemalloc.start()
+    try:
+        verdict = decide_path_via_vk(theta_fold(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.approximable is True
+    assert peak < 64 * 2**20
+
+
+def test_vankampen_does_not_import_numpy():
+    assert not any(getattr(v, "__name__", "") == "numpy" for v in vars(vankampen).values())
+
+
+def test_obstruction_systems_list_each_row_once_per_column(monkeypatch):
+    solve = vankampen.solve_or_certify
+    systems = []
+
+    def checked(a, b):
+        assert isinstance(a, gf2.Columns) and a.shape == (len(b), len(a.rows))
+        for rows in a.rows:
+            assert all(r < s for r, s in zip(rows, rows[1:])), rows
+            assert all(0 <= r < a.nrows for r in rows), rows
+        systems.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(vankampen, "solve_or_certify", checked)
+    rng = random.Random(8)
+    maps = [phi for _, phi in sample_corpus("path", 150, seed=9)]
+    maps += [phi for _, phi in sample_corpus("cycle", 150, seed=9)]
+    maps += [random_deg3_map(small_targets()["C4"], rng) for _ in range(40)]
+    maps += [winding_map(3), x_cross_path(), theta_fold(32)]
+    for phi in maps:
+        obstruction_report(phi)
+    pairs = [ex33_pair()]
+    by_target: dict = {}
+    for _, phi in sample_corpus("path", 200, seed=10):
+        by_target.setdefault(phi.target, []).append(phi)
+    for group in by_target.values():
+        pairs += zip(group, group[1:])
+    for phi, psi in pairs:
+        pair_report(phi, psi)
+    assert len(systems) == len(maps) + len(pairs)
 
 
 def test_path_and_cycle_systems_never_reach_dense_elimination(monkeypatch):
