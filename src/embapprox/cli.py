@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
 
-from .core import normalize_nondegenerate, parse_instance
+from .core import parse_instance
 from .corpus import TSV_HEADER, CorpusSpec, run_agreement
 from .decide import decide_cycle, decide_deg3_to_circle, decide_path
 from .derivative import iterate_derivative, winding_report
@@ -149,13 +149,11 @@ def _cmd_vk(args) -> int:
     else:
         print(f"certificate: {len(report.certificate_cells)} cells")
     if phi.domain.shape == "path":
-        d = normalize_nondegenerate(phi).domain
-        vec = cut_components(d, report.complex, report.values)
+        vec = cut_components(report.system)
         print("cut-components: " + (" ".join(str(b) for b in vec) if vec else "-"))
     print("cell2\tred\tparity")
-    for cell, red, val in zip(
-        report.complex.cells2, report.complex.red2, report.values
-    ):
+    complex_, values = report.system.cochain()
+    for cell, red, val in zip(complex_.cells2, complex_.red2, values):
         print(f"{cell[0]},{cell[1]}\t{'yes' if red else 'no'}\t{val}")
     return 0 if report.vanishes else 1
 

@@ -6,16 +6,14 @@ equations are nodes, a weight-2 column is an edge between its two
 equations and a weight-1 column is an edge to a virtual ground node.  Such
 systems (every mod-2 obstruction over a path or cycle domain) are decided
 by union-find on plain int lists in near-linear time and never allocate a
-matrix; numpy is used only when some column is heavier, to eliminate the
-dense matrix.  Both branches return the same solution and the same
-certificate, bit for bit.
+matrix.  A heavier column sends the system to Gauss-Jordan elimination on
+one Python int per row, holding that row of [a | b | I].  Both branches
+return the same solution and the same certificate, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,12 +26,6 @@ class Columns:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, len(self.rows))
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros(self.shape, dtype=np.uint8)
-        for col, rs in enumerate(self.rows):
-            a[rs, col] = 1
-        return a
 
 
 def solve_or_certify(a: Columns, b):
@@ -48,39 +40,44 @@ def solve_or_certify(a: Columns, b):
     b = [int(x) % 2 for x in b]
     if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
-    if any(len(rs) > 2 for rs in a.rows):
-        return _solve_dense(a.dense(), b)
+    if max(map(len, a.rows), default=0) > 2:
+        return _solve_dense(a, b)
     return _solve_graphic(a.rows, b)
 
 
-def _solve_dense(a: np.ndarray, b):
-    """Gauss-Jordan elimination of [a | b | I], pivoting column by column."""
+def _solve_dense(a: Columns, b: list[int]):
+    """Gauss-Jordan elimination of [a | b | I], pivoting column by column.
+
+    Row r of the workspace is one int: bit c < nv is a[r, c], bit nv is
+    b[r], and bit nv + 1 + e records that equation e is summed into it.
+    """
     ne, nv = a.shape
-    m = np.concatenate(
-        [a, np.array(b, dtype=np.uint8).reshape(-1, 1), np.eye(ne, dtype=np.uint8)], axis=1
-    )
+    m = [(b[r] << nv) | (1 << (nv + 1 + r)) for r in range(ne)]
+    for col, rs in enumerate(a.rows):
+        for r in rs:
+            m[r] |= 1 << col
     row = 0
     pivots: list[tuple[int, int]] = []
     for col in range(nv):
-        hits = np.nonzero(m[row:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = row + int(hits[0])
-        if piv != row:
-            m[[row, piv]] = m[[piv, row]]
-        mask = m[:, col].astype(bool)
-        mask[row] = False
-        m[mask] ^= m[row]
-        pivots.append((row, col))
-        row += 1
         if row == ne:
             break
+        bit = 1 << col
+        piv = next((r for r in range(row, ne) if m[r] & bit), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        pivot = m[row]
+        for r in range(ne):
+            if r != row and m[r] & bit:
+                m[r] ^= pivot
+        pivots.append((row, col))
+        row += 1
     for r in range(row, ne):
-        if m[r, nv]:
-            return None, m[r, nv + 1 :].tolist()
+        if m[r] >> nv & 1:
+            return None, [m[r] >> (nv + 1 + e) & 1 for e in range(ne)]
     sol = [0] * nv
     for r, c in pivots:
-        sol[c] = int(m[r, nv])
+        sol[c] = m[r] >> nv & 1
     return sol, None
 
 

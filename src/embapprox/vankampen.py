@@ -6,20 +6,27 @@ force those curves to meet.  Drawing the map with chords in the vertex
 discs of `geometry`, the discs the lift search reads too, gives a
 crossing-parity cochain on the non-red pairs, and the map passes the
 obstruction test when that cochain is a coboundary relative to the red
-part.  That is a GF(2) system with one equation per
-non-red 2-cell and one unknown per non-red 1-cell, handed to `gf2` as the
-equations of each unknown (`gf2.Columns`).  Over a path or cycle domain
-each 1-cell bounds at most two 2-cells, so `gf2` solves it by union-find
-and no matrix is ever allocated; only degree-3 domains reach its dense
-elimination.  Over a path domain the same data regroups into per-component
-parities split along the red cells.
+part.  That is a GF(2) system with one equation per non-red 2-cell and one
+unknown per non-red 1-cell.
+
+`ObstructionSystem` numbers the cells by ints: the 1-cell (x, t) is
+x * |E| + t and the 2-cell (s, t), s < t, is s * |E| + t.  One pass over
+the domain keeps only the non-red cells and appends each equation to the
+columns of its faces' unknowns, which go to `gf2` as `gf2.Columns`.  Over a
+path or cycle domain each 1-cell bounds at most two 2-cells, so `gf2`
+solves the system by union-find and no matrix is ever allocated; only
+degree-3 domains reach its elimination.  Over a path domain the same
+columns regroup into per-component parities split along the red cells.
+The tuple-celled `DeletedProduct` with its red cells, and the cochain on
+all of them, are expanded from the same numbering only where a caller
+reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SimplicialMap, UnionFind, normalize_nondegenerate
+from .core import DomainGraph, SimplicialMap, UnionFind, normalize_nondegenerate
 from .errors import PreconditionError
 from .geometry import disc_ports, proper_crossing
 from .gf2 import Columns, solve_or_certify
@@ -49,40 +56,108 @@ def _disjoint(e: tuple[int, int], f: tuple[int, int]) -> bool:
     return e[0] not in f and e[1] not in f
 
 
-def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
-    """All disjoint simplex pairs of the domain with the red mask."""
+@dataclass(frozen=True)
+class ObstructionSystem:
+    """The relative-coboundary system of one nondegenerate map, numbered by ints.
+
+    `cells` lists the unknowns' (non-red) 1-cells and `rows` the equations'
+    (non-red) 2-cells, both increasing; `columns[j]` lists the equations
+    whose faces contain unknown j, increasing.  `rhs` holds each equation's
+    crossing parity, None until the map is drawn.
+    """
+
+    domain: DomainGraph
+    cells: list[int]
+    rows: list[int]
+    columns: list[list[int]]
+    rhs: list[int] | None = None
+
+    def deleted_product(self) -> DeletedProduct:
+        """All cells as tuples, in numbering order, red where the system keeps none."""
+        edges = self.domain.edges
+        width = len(edges)
+        kept2, kept1 = set(self.rows), set(self.cells)
+        cells2 = [
+            (s, t)
+            for s in range(width)
+            for t in range(s + 1, width)
+            if _disjoint(edges[s], edges[t])
+        ]
+        cells1 = [(x, t) for x in range(self.domain.n) for t, e in enumerate(edges) if x not in e]
+        return DeletedProduct(
+            tuple(cells2),
+            tuple(s * width + t not in kept2 for s, t in cells2),
+            tuple(cells1),
+            tuple(x * width + t not in kept1 for x, t in cells1),
+        )
+
+    def cochain(self) -> tuple[DeletedProduct, tuple[int, ...]]:
+        """(complex, parity per 2-cell), red cells carrying 0."""
+        complex_ = self.deleted_product()
+        drawn = iter(self.rhs)
+        return complex_, tuple(0 if red else next(drawn) for red in complex_.red2)
+
+
+def _number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
+    """`ObstructionSystem`'s (cells, rows, columns), from non-red cells only.
+
+    `var[x * |E| + t]` is the unknown of the 1-cell (x, t), or -1 when that
+    cell is red or no cell (x on t).
+    """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     d = phi.domain
     edges = d.edges
-    images = _image_ends(phi)
-    cells2 = []
-    red2 = []
-    for s, (x, y) in enumerate(edges):
-        a, b = images[s]
-        for t in range(s + 1, len(edges)):
+    width = len(edges)
+    target_edges = phi.target.edges
+    over: list[list[int]] = [[] for _ in range(phi.target.n)]  # edges by image end
+    masks = []  # each edge's image ends as a bit set
+    for t, img in enumerate(phi.edge_image):
+        c, e = target_edges[img]
+        over[c].append(t)
+        over[e].append(t)
+        masks.append(1 << c | 1 << e)
+    var = [-1] * (d.n * width)
+    cells = []
+    for x, fx in enumerate(phi.vertex_image):
+        base = x * width
+        for t in over[fx]:
             z, w = edges[t]
-            if z != x and z != y and w != x and w != y:
-                cells2.append((s, t))
-                c, e = images[t]
-                red2.append(c != a and c != b and e != a and e != b)
-    cells1 = []
-    red1 = []
-    for x in range(d.n):
-        fx = phi.vertex_image[x]
-        for t, (z, w) in enumerate(edges):
             if z != x and w != x:
-                cells1.append((x, t))
-                c, e = images[t]
-                red1.append(c != fx and e != fx)
-    return DeletedProduct(tuple(cells2), tuple(red2), tuple(cells1), tuple(red1))
+                var[base + t] = len(cells)
+                cells.append(base + t)
+    columns: list[list[int]] = [[] for _ in cells]
+    rows = []
+    for s, (x, y) in enumerate(edges):
+        ms = masks[s]
+        xs, ys, ss = x * width, y * width, s * width
+        for t in range(s + 1, width):
+            if not ms & masks[t]:
+                continue
+            z, w = edges[t]
+            if z == x or z == y or w == x or w == y:
+                continue
+            r = len(rows)
+            rows.append(ss + t)
+            # the faces (x, t), (y, t), (z, s) and (w, s), unknowns only
+            j = var[xs + t]
+            if j >= 0:
+                columns[j].append(r)
+            j = var[ys + t]
+            if j >= 0:
+                columns[j].append(r)
+            j = var[z * width + s]
+            if j >= 0:
+                columns[j].append(r)
+            j = var[w * width + s]
+            if j >= 0:
+                columns[j].append(r)
+    return cells, rows, columns
 
 
-def _square_faces(d, cell: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    s, t = cell
-    x, y = d.edges[s]
-    z, w = d.edges[t]
-    return ((x, t), (y, t), (z, s), (w, s))
+def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
+    """All disjoint simplex pairs of the domain with the red mask."""
+    return ObstructionSystem(phi.domain, *_number(phi)).deleted_product()
 
 
 # ---------------------------------------------------------------------------
@@ -126,111 +201,105 @@ class Drawing:
     2i + 1, and each star's centre at 2j, just before its first port j.  A
     star's chords then fan out over its own ports only, so two stars cross
     exactly when their ports alternate, as in the lift search.
+
+    Strands are numbered side after side (side 0's domain edges, then side
+    1's), and the pair of strands a < b is a * `strands` + b.  One sweep over
+    each disc's chords XORs every crossing into its pair's slot, so `odd`
+    holds the pairs whose curves cross an odd number of times.
     """
 
     def __init__(self, maps, lane_orders=None):
         self.maps = tuple(maps)
-        # per side and domain edge: the strand's chord in each disc it enters
-        self._chords: list[list[dict[int, tuple[int, int]]]] = [
-            [{} for _ in m.domain.edges] for m in self.maps
-        ]
+        sides = []  # per side: its first strand number, domain edges and vertex image
+        total = 0
+        for m in self.maps:
+            sides.append((total, m.domain.edges, m.vertex_image))
+            total += len(m.domain.edges)
+        self.strands = total
+        odd = self.odd = set()
         discs = disc_ports(self.maps[0].target, _lanes(self.maps, lane_orders))
         for v, ports in enumerate(discs):
-            centres: dict[tuple[int, int], int] = {}  # (side, star)
+            starts: dict[tuple[int, int], int] = {}  # (side, star): its first port
+            first = []
+            strand = []
             for i, (_a, (side, eid)) in enumerate(ports):
-                m = self.maps[side]
-                u, w = m.domain.edges[eid]
-                x = u if m.vertex_image[u] == v else w
-                centre = centres.setdefault((side, x), 2 * i)
-                self._chords[side][eid][v] = (centre, 2 * i + 1)
+                off, edges, image = sides[side]
+                u, w = edges[eid]
+                first.append(starts.setdefault((side, u if image[u] == v else w), i))
+                strand.append(off + eid)
+            # the chord of port i runs from 2 * first[i] to 2i + 1, so a
+            # chord i < j ends below chord j's centre unless first[j] <= i
+            for j, fj in enumerate(first):
+                if fj < j:
+                    b = strand[j]
+                    for i in range(fj, j):
+                        if proper_crossing(2 * first[i], 2 * i + 1, 2 * fj, 2 * j + 1):
+                            a = strand[i]
+                            odd ^= {a * total + b if a < b else b * total + a}
 
-    def crossing_parity(self, s1: tuple[int, int], s2: tuple[int, int]) -> int:
-        """Mod-2 crossing count between two strands' full curves."""
-        chords2 = self._chords[s2[0]][s2[1]]
-        parity = 0
-        for v, chord in self._chords[s1[0]][s1[1]].items():
-            other = chords2.get(v)
-            if other is not None and proper_crossing(*chord, *other):
-                parity ^= 1
-        return parity
+    def parities(self, pairs) -> list[int]:
+        """Mod-2 crossing count of each numbered strand pair's full curves."""
+        odd = self.odd
+        return [1 if pair in odd else 0 for pair in pairs]
 
 
-def _evaluate(maps, pairs, lane_orders):
-    """Crossing parities for the listed strand pairs.
+def _parities(maps, pairs, lane_orders) -> list[int]:
+    """Crossing parities for the numbered strand pairs.
 
     With no pairs nothing is drawn, but the drawing's input checks still run.
     """
     if not pairs:
         _lanes(maps, lane_orders)
         return []
-    drawing = Drawing(maps, lane_orders)
-    return [drawing.crossing_parity(a, b) for a, b in pairs]
+    return Drawing(maps, lane_orders).parities(pairs)
+
+
+def obstruction_system(phi: SimplicialMap, lane_orders=None) -> ObstructionSystem:
+    """The system of a nondegenerate map with its crossing parities drawn.
+
+    A single map's strand pair (s, t) is numbered s * |E| + t, like its
+    2-cell, so the rows are the pairs to draw.  Red cells are never drawn:
+    their curves live in disjoint neighborhoods by construction.
+    """
+    cells, rows, columns = _number(phi)
+    return ObstructionSystem(phi.domain, cells, rows, columns, _parities((phi,), rows, lane_orders))
 
 
 def intersection_cochain(phi: SimplicialMap, lane_orders=None):
-    """(complex, parity per 2-cell) for the canonical drawing of one map.
-
-    Red cells carry 0 without evaluation: their curves live in disjoint
-    neighborhoods by construction.
-    """
-    complex_ = build_deleted_product(phi)
-    pairs = [
-        ((0, s), (0, t))
-        for (s, t), red in zip(complex_.cells2, complex_.red2)
-        if not red
-    ]
-    computed = _evaluate((phi,), pairs, lane_orders)
-    values = []
-    it = iter(computed)
-    for red in complex_.red2:
-        values.append(0 if red else next(it))
-    return complex_, tuple(values)
+    """(complex, parity per 2-cell) for the canonical drawing of one map."""
+    return obstruction_system(phi, lane_orders).cochain()
 
 
 # ---------------------------------------------------------------------------
 # relative coboundary solve
 
 
-def _relative_solve(equations, rhs, variables):
-    """GF(2) solve of face sums = rhs over the non-red 1-cells.
-
-    Each variable's column lists the equations whose faces contain it.  The
-    equations are read in order and each lists distinct faces, so every
-    column comes out increasing with no row twice.
-    """
-    var_index = {c: i for i, c in enumerate(variables)}
-    columns: list[list[int]] = [[] for _ in variables]
-    for r, faces in enumerate(equations):
-        for f in faces:
-            j = var_index.get(f)
-            if j is not None:
-                columns[j].append(r)
-    return solve_or_certify(Columns(len(equations), columns), rhs)
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
-    complex: DeletedProduct
-    values: tuple[int, ...]
+    system: ObstructionSystem
     vanishes: bool
     solving_cells: tuple[tuple[int, int], ...] | None
     certificate_cells: tuple[tuple[int, int], ...] | None
 
+    @property
+    def complex(self) -> DeletedProduct:
+        return self.system.deleted_product()
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return self.system.cochain()[1]
+
 
 def obstruction_report(phi: SimplicialMap, lane_orders=None) -> ObstructionReport:
     phi = normalize_nondegenerate(phi)
-    complex_, values = intersection_cochain(phi, lane_orders)
-    d = phi.domain
-    eq_cells = [c for c, red in zip(complex_.cells2, complex_.red2) if not red]
-    rhs = [v for v, red in zip(values, complex_.red2) if not red]
-    variables = [c for c, red in zip(complex_.cells1, complex_.red1) if not red]
-    equations = [_square_faces(d, c) for c in eq_cells]
-    sol, cert = _relative_solve(equations, rhs, variables)
+    system = obstruction_system(phi, lane_orders)
+    width = len(phi.domain.edges)
+    sol, cert = solve_or_certify(Columns(len(system.rows), system.columns), system.rhs)
     if sol is not None:
-        solving = tuple(c for c, bit in zip(variables, sol) if bit)
-        return ObstructionReport(complex_, values, True, solving, None)
-    certificate = tuple(c for c, bit in zip(eq_cells, cert) if bit)
-    return ObstructionReport(complex_, values, False, None, certificate)
+        solving = tuple(divmod(system.cells[j], width) for j, bit in enumerate(sol) if bit)
+        return ObstructionReport(system, True, solving, None)
+    certificate = tuple(divmod(system.rows[r], width) for r, bit in enumerate(cert) if bit)
+    return ObstructionReport(system, False, None, certificate)
 
 
 def obstruction_vanishes(phi: SimplicialMap, lane_orders=None):
@@ -256,45 +325,42 @@ def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]
     if phi.domain.shape != "path":
         raise PreconditionError("cut components are defined for path domains")
     phi = normalize_nondegenerate(phi)
-    complex_, values = intersection_cochain(phi, lane_orders)
-    return cut_components(phi.domain, complex_, values)
+    return cut_components(obstruction_system(phi, lane_orders))
 
 
-def cut_components(d, complex_: DeletedProduct, values) -> tuple[int, ...]:
-    """`path_cut_components` of a cochain already drawn on the path d's complex.
+def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
+    """`path_cut_components` of a path's already drawn system.
 
-    The 1-cell (x, t) is numbered x * |E| + t.  On a path each 1-cell bounds
-    at most two 2-cells, which are glued when it is not red.
+    On a path each 1-cell bounds at most two 2-cells.  Two equations that
+    share an unknown are glued, and one that holds an unknown alone exposes
+    it.  Every face of a red 2-cell is red, so each red 2-cell is a
+    component of its own, of parity 0; components are listed in the order
+    of their first 2-cells.
     """
-    width = len(d.edges)
-    red1 = [True] * (d.n * width)
-    for (x, t), red in zip(complex_.cells1, complex_.red1):
-        red1[x * width + t] = red
-    owners = [0] * len(red1)  # 2-cells bounded by each 1-cell
-    first = [0] * len(red1)  # the first of them
-    faces = []
+    rows, rhs = system.rows, system.rhs
+    exposed = [False] * len(rows)
     sets = UnionFind()
-    for idx, cell in enumerate(complex_.cells2):
-        four = tuple(x * width + t for x, t in _square_faces(d, cell))
-        faces.append(four)
-        for f in four:
-            owners[f] += 1
-            if owners[f] == 1:
-                first[f] = idx
-            elif not red1[f]:
-                sets.union(first[f], idx)
-
+    for col in system.columns:
+        if len(col) == 1:
+            exposed[col[0]] = True
+        for r in col[1:]:
+            sets.union(col[0], r)
+    parity_at: dict[int, int] = {}  # first equation of each qualifying component
+    for members in sets.classes(range(len(rows))):
+        if not any(exposed[r] for r in members):
+            parity = 0
+            for r in members:
+                parity ^= rhs[r]
+            parity_at[members[0]] = parity
     vector = []
-    for members in sets.classes(range(len(faces))):
-        qualified = True
-        parity = 0
-        for idx in members:
-            parity ^= values[idx]
-            for f in faces[idx]:
-                if owners[f] == 1 and not red1[f]:
-                    qualified = False
-        if qualified:
-            vector.append(parity)
+    kept = 0
+    for red in system.deleted_product().red2:
+        if red:
+            vector.append(0)
+        else:
+            if kept in parity_at:
+                vector.append(parity_at[kept])
+            kept += 1
     return tuple(vector)
 
 
@@ -315,7 +381,8 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
 
     Cells are all K-edge x L-edge pairs (the domains are already disjoint),
     red when the images share nothing; the 1-cochain space is spanned by
-    vertex x edge and edge x vertex cells.
+    vertex x edge and edge x vertex cells, numbered x * |E(L)| + j and then
+    |V(K)| * |E(L)| + i * |V(L)| + y.
     """
     if phi.target != psi.target:
         raise PreconditionError("maps must share one target")
@@ -323,45 +390,42 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
     psi = normalize_nondegenerate(psi)
     phi_images = _image_ends(phi)
     psi_images = _image_ends(psi)
-    cells2 = []
+    n_psi, e_phi, e_psi = psi.domain.n, len(phi_images), len(psi_images)
+    ev = phi.domain.n * e_psi  # the first edge x vertex cell
+    var = [-1] * (ev + e_phi * n_psi)
+    nvars = 0
+    for x, fx in enumerate(phi.vertex_image):
+        for j, ends in enumerate(psi_images):
+            if fx in ends:
+                var[x * e_psi + j] = nvars
+                nvars += 1
+    for i, ends in enumerate(phi_images):
+        for y, fy in enumerate(psi.vertex_image):
+            if fy in ends:
+                var[ev + i * n_psi + y] = nvars
+                nvars += 1
+    columns: list[list[int]] = [[] for _ in range(nvars)]
+    strands = e_phi + e_psi
     red2 = []
-    for i, ei in enumerate(phi_images):
-        for j, ej in enumerate(psi_images):
-            cells2.append((i, j))
-            red2.append(_disjoint(ei, ej))
-    pairs = [((0, i), (1, j)) for (i, j), red in zip(cells2, red2) if not red]
-    computed = _evaluate((phi, psi), pairs, lane_orders)
-    values = []
-    it = iter(computed)
-    for red in red2:
-        values.append(0 if red else next(it))
-
-    def red_ve(x: int, j: int) -> bool:
-        return phi.vertex_image[x] not in psi_images[j]
-
-    def red_ev(i: int, y: int) -> bool:
-        return psi.vertex_image[y] not in phi_images[i]
-
-    variables: list[tuple] = []
-    for x in range(phi.domain.n):
-        for j in range(len(psi.domain.edges)):
-            if not red_ve(x, j):
-                variables.append(("ve", x, j))
-    for i in range(len(phi.domain.edges)):
-        for y in range(psi.domain.n):
-            if not red_ev(i, y):
-                variables.append(("ev", i, y))
-    equations = []
-    rhs = []
-    for (i, j), red, val in zip(cells2, red2, values):
-        if red:
-            continue
-        x, y = phi.domain.edges[i]
-        z, w = psi.domain.edges[j]
-        equations.append((("ve", x, j), ("ve", y, j), ("ev", i, z), ("ev", i, w)))
-        rhs.append(val)
-    sol, _cert = _relative_solve(equations, rhs, variables)
-    return PairReport(tuple(cells2), tuple(red2), tuple(values), sol is not None)
+    pairs = []  # strand pair of each non-red cell, as the drawing numbers it
+    for i, (x, y) in enumerate(phi.domain.edges):
+        for j, (z, w) in enumerate(psi.domain.edges):
+            red = _disjoint(phi_images[i], psi_images[j])
+            red2.append(red)
+            if red:
+                continue
+            r = len(pairs)
+            pairs.append(i * strands + e_phi + j)
+            for f in (x * e_psi + j, y * e_psi + j, ev + i * n_psi + z, ev + i * n_psi + w):
+                k = var[f]
+                if k >= 0:
+                    columns[k].append(r)
+    rhs = _parities((phi, psi), pairs, lane_orders)
+    drawn = iter(rhs)
+    values = tuple(0 if red else next(drawn) for red in red2)
+    sol, _cert = solve_or_certify(Columns(len(pairs), columns), rhs)
+    cells2 = tuple((i, j) for i in range(e_phi) for j in range(e_psi))
+    return PairReport(cells2, tuple(red2), values, sol is not None)
 
 
 def pair_obstruction(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> bool:

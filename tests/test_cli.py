@@ -242,7 +242,7 @@ def test_vk_nonvanishing_exit_1_with_certificate(capsys):
 
 
 def test_vk_draws_once_and_prints_the_cut_components(capsys, monkeypatch):
-    cochain = vankampen.intersection_cochain
+    system = vankampen.obstruction_system
     paths = 0
     for inst in sorted(FIX.glob("*.inst")):
         phi = parse_instance(inst.read_text())
@@ -250,11 +250,11 @@ def test_vk_draws_once_and_prints_the_cut_components(capsys, monkeypatch):
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return cochain(*args, **kwargs)
+            return system(*args, **kwargs)
 
-        monkeypatch.setattr(vankampen, "intersection_cochain", counted)
+        monkeypatch.setattr(vankampen, "obstruction_system", counted)
         _, out, _ = run(capsys, "vk", inst)
-        monkeypatch.setattr(vankampen, "intersection_cochain", cochain)
+        monkeypatch.setattr(vankampen, "obstruction_system", system)
         assert len(calls) == 1, inst.name
         cut = [line for line in out.splitlines() if line.startswith("cut-components:")]
         if phi.domain.shape == "path":

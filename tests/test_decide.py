@@ -398,13 +398,13 @@ def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch
     # the maps of one corpus share each target and so its obstruction_memo;
     # each map on its own copy of the target draws its cochain itself
     drawn = []
-    cochain = vankampen.intersection_cochain
+    system = vankampen.obstruction_system
 
     def counted(phi, lane_orders=None):
         drawn.append(phi)
-        return cochain(phi, lane_orders)
+        return system(phi, lane_orders)
 
-    monkeypatch.setattr(vankampen, "intersection_cochain", counted)
+    monkeypatch.setattr(vankampen, "obstruction_system", counted)
     routes = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]
     deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
     routes += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]

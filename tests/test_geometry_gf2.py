@@ -51,6 +51,47 @@ def _columns(a) -> gf2.Columns:
     return gf2.Columns(a.shape[0], [np.flatnonzero(a[:, c]).tolist() for c in range(a.shape[1])])
 
 
+def _dense(cols: gf2.Columns) -> np.ndarray:
+    a = np.zeros(cols.shape, dtype=np.uint8)
+    for col, rs in enumerate(cols.rows):
+        a[rs, col] = 1
+    return a
+
+
+def _dense_reference(a: np.ndarray, b):
+    """Gauss-Jordan elimination of the uint8 matrix [a | b | I], column by column.
+
+    The reference that both of gf2's branches must match bit for bit.
+    """
+    ne, nv = a.shape
+    m = np.concatenate(
+        [a, np.array(b, dtype=np.uint8).reshape(-1, 1), np.eye(ne, dtype=np.uint8)], axis=1
+    )
+    row = 0
+    pivots: list[tuple[int, int]] = []
+    for col in range(nv):
+        hits = np.nonzero(m[row:, col])[0]
+        if hits.size == 0:
+            continue
+        piv = row + int(hits[0])
+        if piv != row:
+            m[[row, piv]] = m[[piv, row]]
+        mask = m[:, col].astype(bool)
+        mask[row] = False
+        m[mask] ^= m[row]
+        pivots.append((row, col))
+        row += 1
+        if row == ne:
+            break
+    for r in range(row, ne):
+        if m[r, nv]:
+            return None, m[r, nv + 1 :].tolist()
+    sol = [0] * nv
+    for r, c in pivots:
+        sol[c] = int(m[r, nv])
+    return sol, None
+
+
 def _product(a, x) -> list[int]:
     return ((np.asarray(a, dtype=np.int64) @ np.asarray(x, dtype=np.int64)) % 2).tolist()
 
@@ -60,8 +101,8 @@ def test_columns_shape_and_dense_round_trip():
     cols = _columns(a)
     assert cols.rows == [[0, 2], [], [0, 1]]
     assert cols.shape == (3, 3)
-    assert np.array_equal(cols.dense(), a) and cols.dense().dtype == np.uint8
-    assert gf2.Columns(0, [[], []]).dense().shape == (0, 2)
+    assert np.array_equal(_dense(cols), a)
+    assert _dense(gf2.Columns(0, [[], []])).shape == (0, 2)
 
 
 def test_solve_returns_checking_solution():
@@ -156,10 +197,11 @@ def test_graphic_systems_match_dense_elimination_bit_for_bit():
     certified = 0
     for trial in range(3000):
         a, b = _graphic_system(rng, rng.randrange(0, 13), rng.randrange(0, 15))
-        want = gf2._solve_dense(a, b)
+        want = _dense_reference(a, b)
         cols = _columns(a)
         assert _same_result(solve_or_certify(cols, b), want), trial
         assert _same_result(gf2._solve_graphic(cols.rows, b), want), trial
+        assert _same_result(gf2._solve_dense(cols, b), want), trial
         # the rhs is read mod 2
         assert _same_result(solve_or_certify(cols, [v + 2 for v in b]), want), trial
         certified += want[1] is not None
@@ -174,7 +216,7 @@ def test_graphic_certificate_is_the_first_odd_component_left_by_elimination():
     b = [1, 1, 1, 0]
     x, cert = solve_or_certify(_columns(a), b)
     assert x is None and cert == [0, 1, 0, 0]
-    assert _same_result((x, cert), gf2._solve_dense(a, b))
+    assert _same_result((x, cert), _dense_reference(a, b))
 
 
 def test_graphic_branch_handles_edge_shapes():
@@ -183,7 +225,8 @@ def test_graphic_branch_handles_edge_shapes():
             b = [(bits >> i) & 1 for i in range(ne)]
             for fill in (0, 1):
                 a = np.full((ne, nv), fill, dtype=np.uint8)
-                assert _same_result(solve_or_certify(_columns(a), b), gf2._solve_dense(a, b))
+                assert _same_result(solve_or_certify(_columns(a), b), _dense_reference(a, b))
+                assert _same_result(gf2._solve_dense(_columns(a), b), _dense_reference(a, b))
 
 
 def test_heavy_columns_use_dense_elimination(monkeypatch):
@@ -201,7 +244,7 @@ def test_heavy_columns_use_dense_elimination(monkeypatch):
     monkeypatch.setattr(gf2, "_solve_graphic", no_graphic)
     a = np.array([[1, 0], [1, 1], [1, 0]], dtype=np.uint8)
     b = [1, 0, 1]
-    assert _same_result(solve_or_certify(_columns(a), b), dense(a, b))
+    assert _same_result(solve_or_certify(_columns(a), b), _dense_reference(a, b))
     assert reached == [(3, 2)]
     rng = random.Random(11)
     for trial in range(300):
@@ -212,9 +255,24 @@ def test_heavy_columns_use_dense_elimination(monkeypatch):
         b = [rng.randrange(2) for _ in range(ne)]
         got = solve_or_certify(cols, b)
         assert reached.pop() == (ne, nv), trial
-        assert _same_result(got, dense(cols.dense(), b)), trial
+        assert _same_result(got, _dense_reference(_dense(cols), b)), trial
         x, cert = got
         if x is None:
             assert verify_certificate(cols, b, cert), trial
         else:
-            assert _product(cols.dense(), x) == b, trial
+            assert _product(_dense(cols), x) == b, trial
+
+
+def test_int_row_elimination_matches_the_numpy_reference_bit_for_bit():
+    rng = random.Random(13)
+    certified = 0
+    for trial in range(3000):
+        ne, nv = rng.randrange(0, 41), rng.randrange(0, 41)
+        density = rng.random()
+        rows = [[r for r in range(ne) if rng.random() < density] for _ in range(nv)]
+        cols = gf2.Columns(ne, rows)
+        b = [rng.randrange(2) for _ in range(ne)]
+        want = _dense_reference(_dense(cols), b)
+        assert _same_result(gf2._solve_dense(cols, b), want), trial
+        certified += want[1] is not None
+    assert 300 < certified < 2700
