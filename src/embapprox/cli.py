@@ -152,8 +152,7 @@ def _cmd_vk(args) -> int:
         vec = cut_components(report.system)
         print("cut-components: " + (" ".join(str(b) for b in vec) if vec else "-"))
     print("cell2\tred\tparity")
-    complex_, values = report.system.cochain()
-    for cell, red, val in zip(complex_.cells2, complex_.red2, values):
+    for cell, red, val in zip(*report.system.layout, report.values):
         print(f"{cell[0]},{cell[1]}\t{'yes' if red else 'no'}\t{val}")
     return 0 if report.vanishes else 1
 
@@ -254,15 +253,19 @@ def _cmd_corpus(args) -> int:
     if not args.shape or not args.target:
         print("error: --shape and --target are required (or --fixtures)", file=sys.stderr)
         return 2
-    spec = CorpusSpec(
-        shape=args.shape,
-        targets=tuple(args.target),
-        k_min=args.k_min,
-        k_max=args.k_max,
-        seed=args.seed,
-        count=args.count,
-        max_lifts=args.max_lifts,
-    )
+    try:
+        spec = CorpusSpec(
+            shape=args.shape,
+            targets=tuple(args.target),
+            k_min=args.k_min,
+            k_max=args.k_max,
+            seed=args.seed,
+            count=args.count,
+            max_lifts=args.max_lifts,
+        )
+    except ValueError as err:  # an unknown catalog target
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     rows, bad = run_agreement(spec, jobs=args.jobs)
     out_lines = [TSV_HEADER] + [r.tsv() for r in rows]
     payload = "\n".join(out_lines) + "\n"

@@ -201,12 +201,11 @@ class PlaneGraph(FieldState):
     def decide_memo(self) -> dict:
         """What `decide` concluded from each stage map into this graph onward.
 
-        Keyed by the checks asked for (windings, stabilization) and the
-        stage map's domain shape, domain edges and vertex image; no names,
-        since no verdict reads one.  Values hold counts and event tuples,
-        never maps or graphs.  Like crossing_memo it grows with the distinct
-        stages decided into this graph, goes away with the graph and is not
-        part of equality.
+        Keyed by the stage map's domain shape, domain edges and vertex
+        image; no names, since no verdict reads one.  Values hold counts
+        and event tuples, never maps or graphs.  Like crossing_memo it grows
+        with the distinct stages decided into this graph, goes away with the
+        graph and is not part of equality.
         """
         return {}
 
@@ -625,6 +624,8 @@ def parse_instance(text: str) -> SimplicialMap:
                 dv = int(toks[0])
             except ValueError:
                 raise ParseError("domain vertex ids must be integers", lineno)
+            if dv < 0:
+                raise ParseError("domain vertex ids must be non-negative", lineno)
             if toks[2] not in t_names:
                 raise DanglingIdError(f"map targets unknown vertex {toks[2]!r}", lineno)
             if dv in vmap:

@@ -1,20 +1,21 @@
 """Decision procedures for approximability by embeddings.
 
 Paths and cycles are decided by iterating the derivative and checking each
-stage for transversal self-intersections (cycles additionally for windings
-of degree outside {-1, 0, 1}).  What a stage map concludes from there on is
-kept in its target's `PlaneGraph.decide_memo`, keyed by the checks asked for
-and the map's domain shape, domain edges and vertex image (names play no
-part in a verdict), so a stage met again under one target, by the same map
-or another, is decided once.  The memo grows with the distinct stages
-decided into the target and lives as long as the target, like its
-`crossing_memo`.  Degree-3 domains over a cycle combine the mod-2
-obstruction with a winding-parity check on the last derivative.  A second,
-independent route for paths uses the obstruction alone.  Both routes keep
-the obstruction's verdict in the target's `PlaneGraph.obstruction_memo`,
-keyed by the normalized map's domain edges and vertex image, so each
-distinct normalized map into one target is drawn and solved once.  Every
-verdict carries a trace of per-step events.
+stage for transversal self-intersections (cycle stages additionally for
+windings of degree outside {-1, 0, 1}) until a stage concludes or its
+derivative repeats it up to isomorphism; every run ends within n derives.
+What a stage map concludes from there on is kept in its target's
+`PlaneGraph.decide_memo`, keyed by the map's domain shape, domain edges and
+vertex image (names play no part in a verdict), so a stage met again under
+one target, by the same map or another, is decided once.  The memo grows
+with the distinct stages decided into the target and lives as long as the
+target, like its `crossing_memo`.  Degree-3 domains over a cycle combine
+the mod-2 obstruction with a winding-parity check on the last derivative.
+A second, independent route for paths uses the obstruction alone.  Both
+routes keep the obstruction's verdict in the target's
+`PlaneGraph.obstruction_memo`, keyed by the normalized map's domain edges
+and vertex image, so each distinct normalized map into one target is drawn
+and solved once.  Every verdict carries a trace of per-step events.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .derivative import (
     iterate_derivative,
     winding_report,
 )
-from .errors import DerivePreconditionError, PreconditionError
+from .errors import DerivePreconditionError, InvariantError, PreconditionError
 from .iso import maps_isomorphic
 from .oracle import is_approximable_oracle
 from .transversal import find_crossing_pair
@@ -83,101 +84,85 @@ class Verdict:
 _CLEAN_PASS = Event("clean-pass")
 
 
-def _escalate(cur: SimplicialMap, err) -> tuple:
-    """Derive refused with a non-disjoint crossing: let the oracle decide.
+def _decide_stage(cur: SimplicialMap) -> tuple:
+    """(outcome, None) when the run ends at the stage map `cur`, else (None, its derivative).
 
-    Returns the final events, placed relative to the refused stage's end,
-    the verdict and the review flag.
+    An outcome is (derives from this stage, final events, approximable,
+    flagged for review); a final event at stage s of a run whose clean
+    passes end before stage `end` is kept as (s - end, event).
     """
-    ok, _ = is_approximable_oracle(cur)
-    if ok:
-        return (), True, True
-    return ((-1, Event("transversal-self-intersection", err.witness)),), False, True
+    d = cur.domain
+    if d.n == 0:
+        return (0, ((0, Event("empty-domain")),), True, False), None
+    witness = find_crossing_pair(cur, disjoint_only=True)
+    if witness is not None:
+        return (0, ((0, Event("transversal-self-intersection", witness)),), False, False), None
+    if d.shape != "path":  # a path never winds
+        for comp in winding_report(cur).components:
+            if comp.is_winding and abs(comp.degree) >= 2:
+                return (0, ((0, Event("forbidden-winding", comp.degree)),), False, False), None
+    try:
+        step = derive(cur)
+    except DerivePreconditionError as err:
+        # refused on a non-disjoint crossing: the oracle decides, flagged
+        ok, _ = is_approximable_oracle(cur)
+        final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
+        return (1, final, ok, True), None
+    if step.terminal_approximable:
+        return (1, ((0, Event("terminal-approximable")),), True, False), None
+    if step.map.domain.n > 0 and maps_isomorphic(cur, step.map):
+        return (1, (), True, False), None
+    return None, step.map
 
 
-def _outcome(cur: SimplicialMap, budget: int, check_windings: bool, stabilize: bool, ran: list):
-    """How the stages from the normalized map `cur` onward end.
+def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
+    """Check and derive each stage of phi until one concludes.
 
-    Returns (end, final, approximable, flagged): stages 0 .. end - 1 are
-    clean passes, each followed by a derive, and `final` holds the events
-    after them as (index - end, event).  Returns None when the budget runs
-    out.  Every stage decided here, not found in a memo, is appended to
-    `ran` as (memo, key).
-    """
-    for i in range(budget + 1):
-        d = cur.domain
-        memo = cur.target.decide_memo
-        key = (check_windings, stabilize, d.shape, d.edges, cur.vertex_image)
-        known = memo.get(key)
-        # a known suffix fits when its last derive, at stage i + derives - 1, is below the budget
-        if known is not None and i + known[0] <= budget:
-            derives, final, approximable, flagged = known
-            return i + derives, final, approximable, flagged
-        ran.append((memo, key))
-        if d.n == 0:
-            return i, ((0, Event("empty-domain")),), True, False
-        witness = find_crossing_pair(cur, disjoint_only=True)
-        if witness is not None:
-            return i, ((0, Event("transversal-self-intersection", witness)),), False, False
-        if check_windings:
-            for comp in winding_report(cur).components:
-                if comp.is_winding and abs(comp.degree) >= 2:
-                    return i, ((0, Event("forbidden-winding", comp.degree)),), False, False
-        if i == budget:
-            break
-        try:
-            step = derive(cur)
-        except DerivePreconditionError as err:
-            return (i + 1, *_escalate(cur, err))
-        if step.terminal_approximable:
-            return i + 1, ((0, Event("terminal-approximable")),), True, False
-        if stabilize and step.map.domain.n > 0 and maps_isomorphic(cur, step.map):
-            return i + 1, (), True, False
-        cur = step.map
-    return None
-
-
-def _decide_by_iteration(
-    phi: SimplicialMap, criterion: str, check_windings: bool, stabilize: bool
-) -> Verdict:
-    """Check every derivative stage, at most phi's vertex count of derives.
-
-    What a stage map concludes from there on is kept in its target's
-    `decide_memo`, so a stage met again under the same target, by this map
-    or another, is not decided twice.  A suffix whose derives do not fit
-    the remaining budget is run again, and one that ends because the budget
-    ran out is not kept.
+    Every run ends within n derives, n the vertex count of phi: a path
+    stage loses a vertex per derive, and on a cycle stage Phi = L -
+    |V(image)| (L the domain length) drops by at least one per derive until
+    the stage is a winding, which the winding check rejects (|d| >= 2) or
+    the next derive stabilizes (|d| = 1), so a cycle run takes at most
+    Phi_0 + 2 <= n derives.  A run that would take more raises
+    `InvariantError` instead of answering.  What a stage map concludes is
+    kept in its target's `decide_memo`, so a stage met again under the same
+    target, by this map or another, is not decided twice.
     """
     budget = phi.domain.n
-    ran: list = []
-    outcome = _outcome(normalize_nondegenerate(phi), budget, check_windings, stabilize, ran)
-    if outcome is None:  # budget + 1 clean passes; not kept, since the budget cut it short
-        end, final, approximable, flagged = budget + 1, (), True, False
-    else:
-        end, final, approximable, flagged = outcome
-        for i, (memo, key) in enumerate(ran):
-            memo[key] = (end - i, final, approximable, flagged)
-    trace = [(i, _CLEAN_PASS) for i in range(end)]
+    cur = normalize_nondegenerate(phi)
+    ran = []  # (memo, key) of each stage decided here, not found in a memo
+    for i in range(budget + 1):
+        memo = cur.target.decide_memo
+        key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
+        outcome = memo.get(key)
+        if outcome is None:
+            ran.append((memo, key))
+            outcome, cur = _decide_stage(cur)
+        if outcome is not None:
+            break
+    if outcome is None or i + outcome[0] > budget:
+        raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
+    derives, final, approximable, flagged = outcome
+    end = i + derives  # stages 0 .. end - 1 are clean passes, each followed by a derive
+    for j, (memo, key) in enumerate(ran):
+        memo[key] = (end - j, final, approximable, flagged)
+    trace = [(j, _CLEAN_PASS) for j in range(end)]
     trace.extend((end + t, event) for t, event in final)
     return Verdict(approximable, criterion, tuple(trace), flagged)
 
 
-def decide_path(phi: SimplicialMap, stabilize: bool = True) -> Verdict:
-    """A path map embeds approximably iff every derivative stage is crossing-free.
-
-    ``stabilize`` exits once a derivative repeats up to isomorphism; it is an
-    optimization that never changes the verdict, only shortens the trace.
-    """
+def decide_path(phi: SimplicialMap) -> Verdict:
+    """A path map embeds approximably iff every derivative stage is crossing-free."""
     if phi.domain.shape != "path":
         raise PreconditionError("domain shape must be path")
-    return _decide_by_iteration(phi, "path-derivatives", False, stabilize)
+    return _decide_by_iteration(phi, "path-derivatives")
 
 
-def decide_cycle(phi: SimplicialMap, stabilize: bool = True) -> Verdict:
+def decide_cycle(phi: SimplicialMap) -> Verdict:
     """A cycle map additionally fails on any winding of degree outside {-1,0,1}."""
     if phi.domain.shape != "cycle":
         raise PreconditionError("domain shape must be cycle")
-    return _decide_by_iteration(phi, "cycle-derivatives", True, stabilize)
+    return _decide_by_iteration(phi, "cycle-derivatives")
 
 
 def _obstruction(phi: SimplicialMap) -> tuple:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainGraph, SimplicialMap, UnionFind, normalize_nondegenerate
+from .core import DomainGraph, SimplicialMap, UnionFind, computed_once, normalize_nondegenerate
 from .errors import PreconditionError
 from .geometry import disc_ports, proper_crossing
 from .gf2 import Columns, solve_or_certify
@@ -72,30 +72,37 @@ class ObstructionSystem:
     columns: list[list[int]]
     rhs: list[int] | None = None
 
-    def deleted_product(self) -> DeletedProduct:
-        """All cells as tuples, in numbering order, red where the system keeps none."""
+    @computed_once
+    def layout(self) -> tuple[tuple[tuple[int, int], ...], tuple[bool, ...]]:
+        """Every 2-cell (s, t) in numbering order with its red flag, built once, no 1-cells."""
         edges = self.domain.edges
         width = len(edges)
-        kept2, kept1 = set(self.rows), set(self.cells)
-        cells2 = [
+        kept = set(self.rows)
+        cells2 = tuple(
             (s, t)
             for s in range(width)
             for t in range(s + 1, width)
             if _disjoint(edges[s], edges[t])
-        ]
+        )
+        return cells2, tuple(s * width + t not in kept for s, t in cells2)
+
+    @computed_once
+    def values(self) -> tuple[int, ...]:
+        """The crossing parity of every 2-cell in `layout` order, red ones 0."""
+        drawn = iter(self.rhs)
+        return tuple(0 if red else next(drawn) for red in self.layout[1])
+
+    def deleted_product(self) -> DeletedProduct:
+        """All cells as tuples, in numbering order, red where the system keeps none."""
+        edges = self.domain.edges
+        width = len(edges)
+        kept = set(self.cells)
         cells1 = [(x, t) for x in range(self.domain.n) for t, e in enumerate(edges) if x not in e]
         return DeletedProduct(
-            tuple(cells2),
-            tuple(s * width + t not in kept2 for s, t in cells2),
+            *self.layout,
             tuple(cells1),
-            tuple(x * width + t not in kept1 for x, t in cells1),
+            tuple(x * width + t not in kept for x, t in cells1),
         )
-
-    def cochain(self) -> tuple[DeletedProduct, tuple[int, ...]]:
-        """(complex, parity per 2-cell), red cells carrying 0."""
-        complex_ = self.deleted_product()
-        drawn = iter(self.rhs)
-        return complex_, tuple(0 if red else next(drawn) for red in complex_.red2)
 
 
 def _number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
@@ -267,7 +274,8 @@ def obstruction_system(phi: SimplicialMap, lane_orders=None) -> ObstructionSyste
 
 def intersection_cochain(phi: SimplicialMap, lane_orders=None):
     """(complex, parity per 2-cell) for the canonical drawing of one map."""
-    return obstruction_system(phi, lane_orders).cochain()
+    system = obstruction_system(phi, lane_orders)
+    return system.deleted_product(), system.values
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ class ObstructionReport:
 
     @property
     def values(self) -> tuple[int, ...]:
-        return self.system.cochain()[1]
+        return self.system.values
 
 
 def obstruction_report(phi: SimplicialMap, lane_orders=None) -> ObstructionReport:
@@ -354,7 +362,7 @@ def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
             parity_at[members[0]] = parity
     vector = []
     kept = 0
-    for red in system.deleted_product().red2:
+    for red in system.layout[1]:
         if red:
             vector.append(0)
         else:

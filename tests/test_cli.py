@@ -339,6 +339,13 @@ def test_corpus_requires_shape_and_target(capsys):
     assert err.startswith("error:")
 
 
+def test_corpus_unknown_target_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "corpus", "--shape", "path", "--target", "XX")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown target 'XX'\n"
+
+
 def test_corpus_tsv_to_stdout(capsys):
     code, out, err = run(
         capsys, "corpus", "--shape", "path", "--target", "C3", "--k-max", "2"

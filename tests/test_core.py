@@ -161,6 +161,16 @@ def test_parse_rejects_unknown_section_and_bad_lines():
         parse_instance("#target\nedge a b\n#domain\nshape path\nedge 0 one\n")
 
 
+def test_parse_rejects_a_negative_domain_vertex_on_a_map_line():
+    # like an edge line's; it was dropped and the rest decided without it
+    text = (
+        "#target\nedge a b\n#rotation\nrot a : a-b\nrot b : a-b\n"
+        "#domain\nshape path\nedge 0 1\n#map\n0 -> a\n1 -> b\n-1 -> a\n"
+    )
+    with pytest.raises(ParseError, match="line 12, col 1: domain vertex ids must be non-negative"):
+        parse_instance(text)
+
+
 def test_parse_rejects_dangling_names():
     base = (
         "#target\nedge a b\n#rotation\nrot a : a-b\nrot b : a-b\n"

@@ -8,6 +8,8 @@ import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_walk_map, theta_fold
 
@@ -35,7 +37,8 @@ from embapprox.decide import (
     decide_path,
     decide_path_via_vk,
 )
-from embapprox.errors import PreconditionError
+from embapprox.derivative import derive, winding_report
+from embapprox.errors import InvariantError, PreconditionError
 from embapprox.oracle import is_approximable_oracle
 
 
@@ -210,7 +213,7 @@ def test_w4_path_min_decide_path_agrees_with_the_oracle():
     assert decide_path(phi).approximable == oracle_verdict
 
 
-def test_stabilization_is_a_pure_optimization():
+def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypatch):
     rng = random.Random(21)
     targets = small_targets()
     pool = [winding_map(d) for d in (-2, -1, 0, 1, 2)]
@@ -219,12 +222,87 @@ def test_stabilization_is_a_pure_optimization():
         closed = rng.random() < 0.5
         k = rng.randrange(3, 8)
         pool.append(random_walk_map(rng, targets[name], k, closed=closed))
+    judged = []
     for phi in pool:
         judge = decide_cycle if phi.domain.shape == "cycle" else decide_path
-        lazy = judge(phi, stabilize=True)
-        eager = judge(phi, stabilize=False)
+        judged.append((judge, phi, judge(phi)))
+    # without the stabilization exit a run reaches the same verdict with a
+    # trace no shorter, or, where stabilization ended it, no verdict at all
+    monkeypatch.setattr(decide, "maps_isomorphic", lambda phi, psi: False)
+    unending = 0
+    for judge, phi, lazy in judged:
+        try:
+            eager = judge(_on_fresh_target(phi))
+        except InvariantError:
+            assert lazy.trace[-1][1] == Event("clean-pass") and not lazy.flagged_for_review
+            unending += 1
+            continue
         assert lazy.approximable == eager.approximable, phi.vertex_image
         assert len(lazy.trace) <= len(eager.trace)
+    assert unending
+
+
+def test_a_run_that_never_stabilizes_raises_instead_of_answering(monkeypatch):
+    # the identity cycle onto C5 derives to itself; with no stabilization
+    # exit nothing ends its run, which used to answer approximable once its
+    # budget ran out
+    monkeypatch.setattr(decide, "maps_isomorphic", lambda phi, psi: False)
+    phi = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
+    with pytest.raises(InvariantError, match="derive-bound"):
+        decide_cycle(phi)
+    assert not phi.target.decide_memo
+
+
+def _way_back(g: PlaneGraph, u: int, v: int) -> list[int]:
+    """The inner vertices of a shortest walk from u to v in g."""
+    prev = {u: None}
+    queue = [u]
+    for x in queue:
+        for e in g.incident[x]:
+            y = g.other_end(e, x)
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    inner = []
+    x = v if v == u else prev[v]
+    while x != u:
+        inner.append(x)
+        x = prev[x]
+    return inner[::-1]
+
+
+@st.composite
+def closed_walks(draw, k_max: int):
+    """Closed walks of 3 to k_max vertices into theta, W4, ex33 or C3-C6.
+
+    A step may stay put.  A random walk closes by a shortest way back to
+    its start, and one of fewer than three vertices stays put until it has
+    three.
+    """
+    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33", "C3", "C4", "C5", "C6")))]()
+    images = [draw(st.integers(0, g.n - 1))]
+    for _ in range(draw(st.integers(0, k_max - g.n))):
+        v = images[-1]
+        choice = draw(st.integers(0, len(g.incident[v])))
+        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+    images += _way_back(g, images[-1], images[0])
+    images += images[-1:] * (3 - len(images))
+    return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(closed_walks(k_max=64))
+def test_cycle_runs_end_within_n_derives_and_stabilize_on_unit_windings(phi):
+    v = decide_cycle(phi)
+    assert sum(e.kind == "clean-pass" for _, e in v.trace) <= phi.domain.n
+    if v.trace[-1][1].kind == "clean-pass" and not v.flagged_for_review:
+        # a stabilization exit: the last clean stage derived to itself
+        stage = normalize_nondegenerate(phi)
+        for _ in range(len(v.trace) - 1):
+            stage = derive(stage).map
+        (comp,) = winding_report(stage).components
+        assert comp.is_winding and abs(comp.degree) == 1
+        assert comp.image_edges == frozenset(range(len(stage.target.edges)))
 
 
 def test_independent_path_routes_agree():
@@ -336,16 +414,10 @@ def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
         spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
         maps += [(judge, phi) for _, phi in generate(spec)]
-    shared = [repr(judge(phi, stabilize=lazy)) for judge, phi in maps for lazy in (True, False)]
+    shared = [repr(judge(phi)) for judge, phi in maps]
     shared_stages = len(checked)
     del checked[:]
-    alone = []
-    for judge, phi in maps:
-        own = _on_fresh_target(phi)
-        # without stabilization first, so that no entry made with it can
-        # stand in for one made without it
-        eager = judge(own, stabilize=False)
-        alone += [repr(judge(own, stabilize=True)), repr(eager)]
+    alone = [repr(judge(_on_fresh_target(phi))) for judge, phi in maps]
     assert alone == shared
     assert shared_stages < len(checked) // 2
     targets = {id(phi.target): phi.target for _, phi in maps}.values()
@@ -354,10 +426,10 @@ def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     assert not any(_holds_a_graph_or_map(entry) for entry in entries)
 
 
-def test_decide_memo_never_lends_a_suffix_beyond_the_budget(monkeypatch):
-    # both maps normalize to the identity cycle onto C5, but the second has
-    # a budget of 7 derives against 5: without stabilization neither reaches
-    # a verdict, so each must run to its own budget
+def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
+    # both maps normalize to the identity cycle onto C5, one with a budget
+    # of 5 derives and one of 7; in either order each gets the verdict it
+    # gets on a fresh target
     identity = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     stationary = SimplicialMap(cycle_domain(7), cycle_target(5), (0, 1, 1, 2, 3, 3, 4))
     a, b = (normalize_nondegenerate(m) for m in (identity, stationary))
@@ -365,16 +437,11 @@ def test_decide_memo_never_lends_a_suffix_beyond_the_budget(monkeypatch):
     assert a.vertex_image == b.vertex_image
     for first, second in ((identity, stationary), (stationary, identity)):
         g = first.target
-        # with stabilization first, so that an entry made with it could
-        # stand in for one made without it
-        for stabilize in (True, False):
-            for phi in (first, SimplicialMap(second.domain, g, second.vertex_image)):
-                assert decide_cycle(phi, stabilize=stabilize) == decide_cycle(
-                    _on_fresh_target(phi), stabilize=stabilize
-                )
+        for phi in (first, SimplicialMap(second.domain, g, second.vertex_image)):
+            assert decide_cycle(phi) == decide_cycle(_on_fresh_target(phi))
         assert not any(_holds_a_graph_or_map(entry) for entry in _memo_entries(g))
-    # a verdict reached within the budget is lent to later maps, also one
-    # whose derives use up the whole budget, as on the identity path onto C5
+    # a verdict is lent to later maps, also one whose derives use up the
+    # whole budget, as on the identity path onto C5
     checked = _counting_stages(monkeypatch)
     g = cycle_target(5)
     lent = [decide_cycle(SimplicialMap(m.domain, g, m.vertex_image)) for m in (identity, stationary)]
