@@ -253,6 +253,9 @@ def _cmd_corpus(args) -> int:
     if not args.shape or not args.target:
         print("error: --shape and --target are required (or --fixtures)", file=sys.stderr)
         return 2
+    if args.k_min > args.k_max:
+        print(f"error: --k-min {args.k_min} exceeds --k-max {args.k_max}", file=sys.stderr)
+        return 2
     try:
         spec = CorpusSpec(
             shape=args.shape,
@@ -277,6 +280,19 @@ def _cmd_corpus(args) -> int:
     return 1 if bad else 0
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message names it
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embapprox",
@@ -291,7 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="iterate the derivative")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, default=None, help="iteration budget (default: vertex count)")
+    p.add_argument(
+        "--steps", type=_at_least(0), default=None, help="iteration budget (default: vertex count)"
+    )
     p.add_argument("--dot", metavar="DIR", help="write one DOT file per step")
     p.set_defaults(func=_cmd_derive)
 
@@ -302,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force lift search")
     p.add_argument("file")
-    p.add_argument("--max-lifts", type=int, default=None)
+    p.add_argument("--max-lifts", type=_at_least(0), default=None)
     p.add_argument("--witness", action="store_true", help="print the accepted lift's lane orders")
     p.set_defaults(func=_cmd_oracle)
 
@@ -313,12 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="agreement suites and fixture replay")
     p.add_argument("--shape", choices=("path", "cycle", "deg3"))
     p.add_argument("--target", action="append", help="catalog target (repeatable)")
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=_at_least(1), default=1)
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=500)
-    p.add_argument("--max-lifts", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--count", type=_at_least(0), default=500)
+    p.add_argument("--max-lifts", type=_at_least(0), default=None)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--fixtures", action="store_true", help="replay shipped fixtures")
     p.set_defaults(func=_cmd_corpus)

@@ -151,11 +151,12 @@ def derive(phi: SimplicialMap) -> DerivativeStep:
 
     Requires a nondegenerate map whose arc images never cross pairwise, a
     condition checked over all vertex-aligned arc pairs for path and cycle
-    domains and vacuous when the target has maximum degree 2 (arcs and
-    circles leave no room for two images to alternate around any vertex);
-    other general-domain inputs are refused since no in-scope construction
-    covers them.  Iterated derivatives of maps into a circle stay inside
-    this class: realized images are unions of arcs and circles.
+    domains and vacuous when no vertex has degree 3 or more in the map's
+    image (arcs cross only at such a vertex; see `transversal`).  A general
+    domain is taken only into a target of maximum degree 2, where no image
+    branches; other general-domain inputs are refused since no in-scope
+    construction covers them.  Iterated derivatives of maps into a circle
+    stay inside this class: realized images are unions of arcs and circles.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")

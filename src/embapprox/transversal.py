@@ -15,6 +15,19 @@ pair, so a scan maps each image to its id once and then looks pairs up by
 int; maps into one target share the results and no cache outlives the
 target.  The first witnesses of a map are memoized on the map itself.
 
+Arcs can cross only at a branch vertex of the map: a vertex of degree 3
+or more in its image subgraph U, the edge images and their ends.  Every
+component sigma of two arc images lies in U.  If sigma holds no branch
+vertex, it is a path or a cycle of U, so at most two edges of U leave it,
+and none when it is a cycle.  An edge of both images that meets sigma lies
+in sigma, so each image leaves sigma through its own edges, and an edge
+with both ends on sigma takes up both exits.  When both images leave sigma
+at all, each therefore leaves through one port: two ports cannot
+alternate, and a cycle, the only sigma the annulus test accepts, has no
+exits to thread.  So a crossing component holds a branch vertex, which
+then lies in both images.  A map with no branch vertex is not scanned, and
+the scans test only images that contain one.
+
 On a path or cycle domain, moving an arc's end away from its start only
 grows its image, so the arcs from one start fall into a few runs of one
 image.  The search scans those runs and builds only the two arcs of each
@@ -123,11 +136,27 @@ def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (tuple(sorted(image[0])), tuple(sorted(image[1])))
 
 
-def _interned(g: PlaneGraph, images: list[Subgraph]) -> list[tuple[int, tuple, dict]]:
-    """The (id, sort key, row) entry of each image in g's crossing_memo, made on first sight."""
+def _branch_vertices(phi: SimplicialMap) -> frozenset[int]:
+    """Vertices of degree 3 or more in phi's image subgraph; arcs cross only at one."""
+    ends = phi.target.edges
+    degree = Counter(v for e in set(phi.edge_image) for v in ends[e])
+    return frozenset(v for v, d in degree.items() if d >= 3)
+
+
+def _interned(
+    g: PlaneGraph, images: list[Subgraph], branch: frozenset[int]
+) -> list[tuple[int, tuple, dict] | None]:
+    """The (id, sort key, row) entry of each image in g's crossing_memo, made on first sight.
+
+    An image that holds none of the branch vertices in branch crosses
+    nothing; it gets None and no entry.
+    """
     memo = g.crossing_memo
     entries = []
     for image in images:
+        if branch.isdisjoint(image[0]):
+            entries.append(None)
+            continue
         entry = memo.get(image)
         if entry is None:
             entry = memo[image] = (len(memo), _sort_key(image), {})
@@ -252,11 +281,15 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     predicate; without it, the stronger any-two-arcs condition that guards
     the derivative construction.  One scan answers both and is memoized on
     the map (`SimplicialMap.witness_memo`), so a derivative stage that asks
-    both questions scans its domain once.
+    both questions scans its domain once.  Both are None, with no scan,
+    when no vertex has degree 3 or more in the map's image subgraph; a
+    target of maximum degree 2 has no such vertex, so it is not even looked
+    for there.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     if phi.target.max_degree <= 2:
+        # no image can branch; answering here keeps no memo on the map
         return None
     memo = phi.witness_memo
     if not memo:
@@ -265,10 +298,16 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
 
 
 def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[int, ...]:
-    """Ids of the images that cross image a; an image never crosses itself."""
+    """Ids of the images that cross image a; an image never crosses itself.
+
+    An image without a branch vertex (entry None) crosses nothing and is
+    never tested.
+    """
+    if entries[a] is None:
+        return ()
     return tuple(
-        b for b in range(len(images))
-        if b != a and _crossing(g, images, entries, a, b) is not None
+        b for b, entry in enumerate(entries)
+        if entry is not None and b != a and _crossing(g, images, entries, a, b) is not None
     )
 
 
@@ -285,7 +324,8 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     distinct images is tested once, through the memo on the target that
     instances sharing it also reuse.  An image never crosses itself.  A
     disjoint crossing pair is a crossing pair, so the disjoint witness never
-    comes before the other.
+    comes before the other.  A map whose image has no branch vertex has
+    neither, and its arcs are not listed.
 
     Path and cycle domains are scanned by runs (`_runs`) and never list
     their O(k^2) arcs.  The first arc (s, lo) of a run comes before the
@@ -300,14 +340,17 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     General domains list their arcs and scan the later arcs of each arc that
     crosses.
     """
+    branch = _branch_vertices(phi)
+    if not branch:
+        return None, None
     if phi.domain.shape in ("path", "cycle"):
-        return _first_run_crossings(phi)
+        return _first_run_crossings(phi, branch)
     g = phi.target
     arcs = _domain_arcs(phi)
     ids: dict[Subgraph, int] = {}
     image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
     images = list(ids)
-    entries = _interned(g, images)
+    entries = _interned(g, images, branch)
     crossers: dict[int, tuple[int, ...]] = {}
     first = None
     for i, a in enumerate(image_id):
@@ -332,8 +375,13 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     return first, None
 
 
-def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, CrossingWitness | None]:
-    """`_first_crossings` of a path or cycle map, from the first arcs of its runs."""
+def _first_run_crossings(
+    phi: SimplicialMap, branch: frozenset[int]
+) -> tuple[CrossingWitness | None, CrossingWitness | None]:
+    """`_first_crossings` of a path or cycle map, from the first arcs of its runs.
+
+    branch holds the branch vertices of phi's image.
+    """
     g = phi.target
     vertices, edges, m, closed = _walk(phi)
     ids: dict[Subgraph, int] = {}
@@ -342,7 +390,7 @@ def _first_run_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Cr
         for s, lo, image in _runs(phi, vertices, edges, m, closed)
     ]
     images = list(ids)
-    entries = _interned(g, images)
+    entries = _interned(g, images, branch)
     # the positions of each image's runs, and their starts
     at: list[list[int]] = [[] for _ in images]
     for r, run in enumerate(runs):

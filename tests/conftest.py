@@ -96,6 +96,16 @@ def theta_fold(k: int, closed: bool = False) -> SimplicialMap:
     return SimplicialMap(domain, g, tuple(index[period[i % 8]] for i in range(k)))
 
 
+def back_and_forth(k: int) -> SimplicialMap:
+    """The path u a u a ... of k - 1 vertices on theta, then one step to v.
+
+    Its image is the path a u v (or u a v), with no vertex of degree 3.
+    """
+    g = theta_target()
+    u, v, a = (g.vertex_names.index(name) for name in ("u", "v", "a"))
+    return SimplicialMap(path_domain(k), g, tuple(a if i % 2 else u for i in range(k - 1)) + (v,))
+
+
 # --- reference crossing scan -----------------------------------------------
 # Every arc pair in enumeration order, with arcs listed from open_walk and
 # closed_walk, independently of the run scan and of DomainGraph.walk.

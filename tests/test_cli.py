@@ -171,6 +171,36 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle", FIX / "x-cross.inst", "--max-lifts", "-1"], "--max-lifts"),
+        (["derive", FIX / "euler-path.inst", "--steps", "-2"], "--steps"),
+        (["corpus", "--shape", "path", "--target", "C3", "--max-lifts", "-1"], "--max-lifts"),
+        (["corpus", "--shape", "path", "--target", "C3", "--jobs", "-3"], "--jobs"),
+        (["corpus", "--shape", "path", "--target", "C3", "--jobs", "0"], "--jobs"),
+        (["corpus", "--shape", "deg3", "--target", "C3", "--count", "-1"], "--count"),
+        (["corpus", "--shape", "path", "--target", "C3", "--k-min", "0"], "--k-min"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+
+
+def test_corpus_k_min_above_k_max_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "corpus", "--shape", "path", "--target", "C3", "--k-min", "4", "--k-max", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --k-min 4 exceeds --k-max 3\n"
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -327,6 +327,10 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
     phi = _theta_fold_with_a_stay()
     verdict = decide_path(phi)
     vk_verdict = decide_path_via_vk(phi)
+    # the fold's image never branches, so its stages test no image pair; the
+    # path a v b u v b u into the same target fills crossing_memo
+    branched = SimplicialMap(path_domain(7), phi.target, (2, 1, 3, 0, 1, 3, 0))
+    assert decide_path(branched).approximable
     objects = {PlaneGraph: phi.target, DomainGraph: phi.domain, SimplicialMap: phi}
     for cls, names in COMPUTED_ONCE.items():
         assert not set(names) & {f.name for f in fields(cls)}

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_map, reference_scan, subwalks, theta_fold, walk_maps
+from conftest import (
+    back_and_forth,
+    random_walk_map,
+    reference_scan,
+    subwalks,
+    theta_fold,
+    walk_maps,
+)
 
 from embapprox import transversal
 from embapprox.catalog import (
@@ -29,7 +37,7 @@ from embapprox.core import (
     closed_walk,
     normalize_nondegenerate,
 )
-from embapprox.corpus import CorpusSpec, generate
+from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path
 from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
@@ -125,13 +133,17 @@ def test_crossing_results_are_memoized_on_the_target(monkeypatch):
     assert len(calls) == 2 * n
 
 
+def _branched_path() -> SimplicialMap:
+    """The approximable path a v b u v b u on theta; three of its stages branch."""
+    g = TARGETS["theta"]()
+    index = {name: v for v, name in enumerate(g.vertex_names)}
+    return SimplicialMap(path_domain(7), g, tuple(index[name] for name in "avbuvbu"))
+
+
 def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
-    phi = theta_fold(32)
-    # the search scans the runs of a stage only if its target has a vertex
-    # of degree 3 or more; arcs in a target of maximum degree 2 cannot cross
-    # (computed on a copy: the stage maps keep their witnesses memoized)
-    stages = iterate_derivative(theta_fold(32), max_steps=phi.domain.n).maps
-    branching = [m for m in stages if m.target.max_degree > 2]
+    # the search scans the runs of a stage only if its image has a branch
+    # vertex, of degree 3 or more in the image; every stage of the theta
+    # fold has a 4-cycle image, so none of them is scanned
     scan_runs = transversal._runs
     scanned = []
 
@@ -139,13 +151,19 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
         scanned.append(phi)
         return scan_runs(phi, *walk)
 
-    monkeypatch.setattr(transversal, "_runs", counted)
-    verdict = decide_path(phi)
-    assert verdict.approximable is True
-    assert [e.kind for _, e in verdict.trace] == ["clean-pass"] * 5 + ["empty-domain"]
-    # each of those stages asks for the disjoint and then the any-pair witness
-    assert len(stages) == 6 and len(branching) >= 1
-    assert [m.target for m in scanned] == [m.target for m in branching]
+    for make, passes, scans in ((lambda: theta_fold(32), 5, 0), (_branched_path, 7, 3)):
+        # computed on a copy: the stage maps keep their witnesses memoized
+        stages = iterate_derivative(make(), max_steps=make().domain.n).maps
+        branching = [m for m in stages if transversal._branch_vertices(m)]
+        scanned.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(transversal, "_runs", counted)
+            verdict = decide_path(make())
+        assert verdict.approximable is True
+        assert [e.kind for _, e in verdict.trace] == ["clean-pass"] * passes + ["empty-domain"]
+        assert len(stages) == passes + 1 and len(branching) == scans
+        # each of those stages asks for the disjoint and then the any-pair witness
+        assert [m.target for m in scanned] == [m.target for m in branching]
 
 
 def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
@@ -311,6 +329,64 @@ def test_interned_crossing_results_match_a_fresh_target(rng):
                 cur = derive(cur).map
             except DerivePreconditionError:
                 break
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(walk_maps(k_max=16))
+def test_images_cross_only_at_a_vertex_of_degree_three_in_their_union(phi):
+    psi = normalize_nondegenerate(phi)
+    g = psi.target
+    images = list(dict.fromkeys(psi.arc_image(arc) for arc in subwalks(psi)))
+    for i, a in enumerate(images):
+        for b in images[i + 1 :]:
+            degree = Counter(v for e in a[1] | b[1] for v in g.edges[e])
+            branch = {v for v, d in degree.items() if d >= 3}
+            for pair in ((a, b), (b, a)):
+                result = transversal._crossing_component(g, *pair)
+                if not branch:
+                    assert result is None
+                elif result is not None:
+                    assert result[0] & branch
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(walk_maps(k_max=64))
+def test_pruned_search_matches_reference_on_walks_up_to_64_vertices(phi):
+    psi = normalize_nondegenerate(phi)
+    if psi.domain.edges:
+        _assert_both_witnesses_match_reference(psi)
+
+
+def test_pruned_search_matches_reference_on_general_domains():
+    rng = random.Random(3)
+    seen = Counter()
+    for name in ("theta", "W4", "ex33"):
+        for _ in range(120):
+            phi = random_deg3_map(TARGETS[name](), rng, max_vertices=10)
+            if phi.domain.edges:
+                _assert_both_witnesses_match_reference(phi)
+                branches = bool(transversal._branch_vertices(phi))
+                seen[branches, find_crossing_pair(phi, False) is not None] += 1
+    assert seen[False, False] > 100 and seen[True, False] > 20 and seen[True, True] > 2
+
+
+def test_maps_whose_image_never_branches_are_not_scanned(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(transversal, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("_runs", "_crossing_component"):
+        monkeypatch.setattr(transversal, name, counted(name))
+    for phi in (theta_fold(256), back_and_forth(4096)):
+        assert decide_path(phi).approximable is True
+    assert not calls
 
 
 def test_run_scan_matches_reference_on_every_small_w4_and_ex33_walk():
