@@ -220,6 +220,31 @@ class PlaneGraph(FieldState):
         """
         return {}
 
+    @computed_once
+    def instance_sections(self) -> str:
+        """The #target and #rotation sections of an instance file, with no final newline.
+
+        Target edges are written in edge-id order.  The parser numbers
+        target vertices by first appearance, so where an edge line would
+        name a vertex ahead of a smaller unnamed one, `vertex` lines name
+        the smaller ones first; vertices without edges are named at the end.
+        """
+        names = self.vertex_names or tuple(map(str, range(self.n)))
+        out = ["#target"]
+        named = 0  # vertices 0 .. named - 1 have appeared
+        for u, v in self.edges:  # u < v
+            if v >= named:
+                if v > named and (u, v) != (named, named + 1):
+                    out.extend(f"vertex {names[x]}" for x in range(named, v))
+                named = v + 1
+            out.append(f"edge {names[u]} {names[v]}")
+        out.extend(f"vertex {names[x]}" for x in range(named, self.n))
+        out.append("#rotation")
+        edge_names = [f"{names[u]}-{names[v]}" for u, v in self.edges]
+        for v in range(self.n):
+            out.append(f"rot {names[v]} : " + " ".join(edge_names[e] for e in self.rotation[v]))
+        return "\n".join(out)
+
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
@@ -255,41 +280,40 @@ def _shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
             two degree-1 ends with all other degrees 2;
     cycle = connected simple cycle on >= 3 vertices;
     everything else is general.
+
+    A path has n - 1 edges and a cycle n, and both have degrees at most 2,
+    so each vertex keeps at most two neighbours; a loop, a third neighbour
+    or a repeated one makes the graph general.  Then one walk decides: from
+    a vertex of degree below 2 on n - 1 edges (an end, or an isolated
+    vertex), or from vertex 0 on n edges (where every degree is 2), the
+    graph is connected exactly when the walk reaches all n vertices.
     """
-    if n == 0:
+    m = len(edges)
+    if n == 0 or (m != n - 1 and m != n):
         return "general"
-    deg = [0] * n
-    seen = set()
-    simple = True
+    first = [-1] * n
+    second = [-1] * n
     for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        if u == v or _pair(u, v) in seen:
-            simple = False
-        seen.add(_pair(u, v))
-    # connectivity over vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack, reached = [0], {0}
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    if len(reached) != n:
+        if u == v:
+            return "general"
+        for a, b in ((u, v), (v, u)):
+            if first[a] < 0:
+                first[a] = b
+            elif second[a] < 0 and first[a] != b:
+                second[a] = b
+            else:
+                return "general"
+    start = second.index(-1) if m < n else 0
+    prev, cur, reached = -1, start, 1
+    while True:
+        nxt = first[cur] if first[cur] != prev else second[cur]
+        if nxt < 0 or nxt == start:
+            break
+        prev, cur = cur, nxt
+        reached += 1
+    if reached != n:
         return "general"
-    if not simple:
-        return "general"
-    if n == 1 and not edges:
-        return "path"
-    if sorted(deg) == [1, 1] + [2] * (n - 2) and len(edges) == n - 1:
-        return "path"
-    if n >= 3 and all(d == 2 for d in deg) and len(edges) == n:
-        return "cycle"
-    return "general"
+    return "path" if m < n else "cycle"
 
 
 @dataclass(frozen=True)
@@ -462,7 +486,7 @@ class SimplicialMap(FieldState):
     target: PlaneGraph
     vertex_image: tuple[int, ...]
     # target edge id per domain edge, or None when degenerate; set while
-    # the edges are checked
+    # the edges are checked, or given by `_built`
     edge_image: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -486,6 +510,31 @@ class SimplicialMap(FieldState):
                 f"domain edge {eid} ({u},{v}) maps to non-adjacent pair ({a},{b})",
             ) from None
         object.__setattr__(self, "edge_image", tuple(out))
+
+    @classmethod
+    def _built(
+        cls,
+        domain: DomainGraph,
+        target: PlaneGraph,
+        vertex_image: tuple[int, ...],
+        edge_image: tuple[int | None, ...],
+    ) -> "SimplicialMap":
+        """A map whose construction already proves it simplicial; nothing is checked.
+
+        Use it only where the caller's construction gives one image per
+        domain vertex, in the target's range, and reads each edge's image
+        from the target itself: `target.edge_index` of the edge's image
+        pair, or None where both ends share an image.  Maps from outside
+        the program (parsed text, a caller's tuples) go through
+        `SimplicialMap(...)`, which checks all of this.
+        """
+        phi = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(phi, "domain", domain)
+        set_field(phi, "target", target)
+        set_field(phi, "vertex_image", vertex_image)
+        set_field(phi, "edge_image", edge_image)
+        return phi
 
     @computed_once
     def witness_memo(self) -> dict:
@@ -557,38 +606,77 @@ def parse_instance(text: str) -> SimplicialMap:
     section = None
     t_edges: list[tuple[int, int]] = []
     t_edge_lines: list[int] = []
-    rot_lines: dict[int, tuple[int, ...]] = {}
     d_edges: list[tuple[int, int]] = []
     shape: str | None = None
     vmap: dict[int, int] = {}
     t_names: dict[str, int] = {}
     d_max = -1
 
-    def t_vertex(tok: str) -> int:
-        if tok not in t_names:
-            t_names[tok] = len(t_names)
-        return t_names[tok]
-
     pending_rot: list[tuple[int, int, list[str]]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "%" in raw:
-            raw = raw.split("%", 1)[0]
+    lines = text.splitlines()
+    if "%" in text:
+        lines = [raw.split("%", 1)[0] for raw in lines]
+    # sections are tested by how many lines they usually hold: a map line
+    # per domain vertex, a domain line per edge, then the target's lines
+    for lineno, raw in enumerate(lines, start=1):
         toks = raw.split()
         if not toks:
             continue
-        if toks[0].startswith("#"):
+        if toks[0][0] == "#":
             section = raw.strip()[1:].strip()
             if section not in ("target", "rotation", "domain", "map"):
                 raise ParseError(f"unknown section {section!r}", lineno)
             continue
-        if section == "target":
+        if section == "map":
+            if len(toks) != 3 or toks[1] != "->":
+                raise ParseError("expected 'dv -> tv'", lineno)
+            try:
+                dv = int(toks[0])
+            except ValueError:
+                raise ParseError("domain vertex ids must be integers", lineno)
+            if dv < 0:
+                raise ParseError("domain vertex ids must be non-negative", lineno)
+            tv = t_names.get(toks[2])
+            if tv is None:
+                raise DanglingIdError(f"map targets unknown vertex {toks[2]!r}", lineno)
+            if dv in vmap:
+                raise ParseError(f"duplicate map line for vertex {dv}", lineno)
+            vmap[dv] = tv
+            if dv > d_max:
+                d_max = dv
+        elif section == "domain":
+            if toks[0] == "edge":
+                if len(toks) != 3:
+                    raise ParseError("expected 'edge u v'", lineno)
+                try:
+                    u, v = int(toks[1]), int(toks[2])
+                except ValueError:
+                    raise ParseError("domain vertex ids must be integers", lineno)
+                if u < 0 or v < 0:
+                    raise ParseError("domain vertex ids must be non-negative", lineno)
+                if u > v:
+                    u, v = v, u
+                d_edges.append((u, v))
+                if v > d_max:
+                    d_max = v
+            elif toks[0] == "shape":
+                if len(toks) != 2 or toks[1] not in SHAPES:
+                    raise ParseError("expected 'shape path|cycle|general'", lineno)
+                if shape is not None:
+                    raise ParseError("duplicate 'shape' line in #domain", lineno)
+                shape = toks[1]
+            else:
+                raise ParseError("expected 'shape ...' or 'edge u v'", lineno)
+        elif section == "target":
             if len(toks) == 2 and toks[0] == "vertex":
-                t_vertex(toks[1])
+                t_names.setdefault(toks[1], len(t_names))
                 continue
             if len(toks) != 3 or toks[0] != "edge":
                 raise ParseError("expected 'edge u v' or 'vertex v'", lineno)
-            u, v = t_vertex(toks[1]), t_vertex(toks[2])
+            # a vertex is numbered by its first appearance
+            u = t_names.setdefault(toks[1], len(t_names))
+            v = t_names.setdefault(toks[2], len(t_names))
             if u == v:
                 raise InvariantError("simple-target", f"line {lineno}: loop at {toks[1]}")
             t_edges.append(_pair(u, v))
@@ -599,44 +687,11 @@ def parse_instance(text: str) -> SimplicialMap:
             if toks[1] not in t_names:
                 raise DanglingIdError(f"rotation for unknown vertex {toks[1]!r}", lineno)
             pending_rot.append((lineno, t_names[toks[1]], toks[3:]))
-        elif section == "domain":
-            if toks[0] == "shape":
-                if len(toks) != 2 or toks[1] not in SHAPES:
-                    raise ParseError("expected 'shape path|cycle|general'", lineno)
-                shape = toks[1]
-            elif toks[0] == "edge":
-                if len(toks) != 3:
-                    raise ParseError("expected 'edge u v'", lineno)
-                try:
-                    u, v = int(toks[1]), int(toks[2])
-                except ValueError:
-                    raise ParseError("domain vertex ids must be integers", lineno)
-                if u < 0 or v < 0:
-                    raise ParseError("domain vertex ids must be non-negative", lineno)
-                d_edges.append(_pair(u, v))
-                d_max = max(d_max, u, v)
-            else:
-                raise ParseError("expected 'shape ...' or 'edge u v'", lineno)
-        elif section == "map":
-            if len(toks) != 3 or toks[1] != "->":
-                raise ParseError("expected 'dv -> tv'", lineno)
-            try:
-                dv = int(toks[0])
-            except ValueError:
-                raise ParseError("domain vertex ids must be integers", lineno)
-            if dv < 0:
-                raise ParseError("domain vertex ids must be non-negative", lineno)
-            if toks[2] not in t_names:
-                raise DanglingIdError(f"map targets unknown vertex {toks[2]!r}", lineno)
-            if dv in vmap:
-                raise ParseError(f"duplicate map line for vertex {dv}", lineno)
-            vmap[dv] = t_names[toks[2]]
-            d_max = max(d_max, dv)
         else:
             raise ParseError("content before any section header", lineno)
 
     if shape is None:
-        raise ParseError("missing 'shape' line in #domain", len(text.splitlines()) or 1)
+        raise ParseError("missing 'shape' line in #domain", len(lines) or 1)
     n_t = len(t_names)
     edge_ids = {}
     for i, e in enumerate(t_edges):
@@ -670,38 +725,23 @@ def parse_instance(text: str) -> SimplicialMap:
         if v not in vmap:
             raise DanglingIdError(f"domain vertex {v} has no map line", 1)
         images.append(vmap[v])
-    domain = DomainGraph(k, tuple(d_edges), shape, tuple(str(v) for v in range(k)))
+    domain = DomainGraph(k, tuple(d_edges), shape, tuple(map(str, range(k))))
     return SimplicialMap(domain, target, tuple(images))
 
 
 def format_instance(phi: SimplicialMap) -> str:
     """Inverse of parse_instance for fixture generation.
 
-    Target edges are written in edge-id order.  The parser numbers target
-    vertices by first appearance, so where an edge line would name a vertex
-    ahead of a smaller unnamed one, `vertex` lines name the smaller ones
-    first; vertices without edges are named at the end.
+    The #target and #rotation sections are the target's own
+    (`PlaneGraph.instance_sections`), written once per target; each call
+    writes the #domain and #map sections.
     """
     g, d = phi.target, phi.domain
-    names = g.vertex_names or tuple(str(v) for v in range(g.n))
-    out = ["#target"]
-    named = 0  # vertices 0 .. named - 1 have appeared
-    for u, v in g.edges:  # u < v
-        if v >= named:
-            if v > named and (u, v) != (named, named + 1):
-                out.extend(f"vertex {names[x]}" for x in range(named, v))
-            named = v + 1
-        out.append(f"edge {names[u]} {names[v]}")
-    out.extend(f"vertex {names[x]}" for x in range(named, g.n))
-    out.append("#rotation")
-    edge_names = [f"{names[u]}-{names[v]}" for u, v in g.edges]
-    for v in range(g.n):
-        out.append(f"rot {names[v]} : " + " ".join(edge_names[e] for e in g.rotation[v]))
-    out.append("#domain")
-    out.append(f"shape {d.shape}")
-    out.extend(f"edge {u} {v}" for u, v in d.edges)
+    names = g.vertex_names or tuple(map(str, range(g.n)))
+    out = [g.instance_sections, "#domain", f"shape {d.shape}"]
+    out += [f"edge {u} {v}" for u, v in d.edges]
     out.append("#map")
-    out.extend(f"{v} -> {names[img]}" for v, img in enumerate(phi.vertex_image))
+    out += [f"{v} -> {names[img]}" for v, img in enumerate(phi.vertex_image)]
     return "\n".join(out) + "\n"
 
 
@@ -768,7 +808,10 @@ def _quotient(
         new_domain = DomainGraph.from_structure(count, new_edges, names)
     else:
         new_domain = DomainGraph._built(count, new_edges, shape, names)
-    return SimplicialMap(new_domain, phi.target, tuple(images))
+    # a class is joined through degenerate edges, so its vertices share one
+    # image, and each surviving edge keeps its target edge
+    edge_image = tuple(a for a in phi.edge_image if a is not None)
+    return SimplicialMap._built(new_domain, phi.target, tuple(images), edge_image)
 
 
 def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
@@ -45,35 +46,56 @@ class CorpusSpec:
 
 
 def _assignments(g: PlaneGraph, k: int, closed: bool):
-    """Every vertex assignment where consecutive images are equal or adjacent.
+    """Every walk of k vertices where consecutive images are equal or adjacent.
 
-    Assignments come in lexicographic order, from an explicit stack of
-    option iterators: seq[i] is the value drawn from stack[i].
+    Yields (vertex images, edge images) in lexicographic order of the
+    vertex images, from an explicit stack of option iterators: seq[i] is
+    the value drawn from stack[i], and steps[i] the target edge of the step
+    into it (None when it stays put, and for the first vertex).  The edge
+    images are in the edge order of `path_domain(k)`, or of
+    `cycle_domain(k)` when closed, whose edge 1 is the closing edge
+    (k - 1, 0).
     """
     if k == 0:
-        yield ()
+        yield (), ()
         return
     options = [
-        sorted({v, *(g.other_end(e, v) for e in g.rotation[v])}) for v in range(g.n)
+        sorted(
+            [(v, None), *((g.other_end(e, v), e) for e in g.rotation[v])],
+            key=itemgetter(0),
+        )
+        for v in range(g.n)
     ]
+    edge_index = g.edge_index
     seq: list[int] = []
-    stack = [iter(range(g.n))]
+    steps: list[int | None] = []
+    stack = [iter([(v, None) for v in range(g.n)])]
     while stack:
-        img = next(stack[-1], None)
+        img, step = next(stack[-1], (None, None))
         if len(seq) == len(stack):
             seq.pop()
+            steps.pop()
         if img is None:
             stack.pop()
             continue
         seq.append(img)
+        steps.append(step)
         if len(seq) < k:
             stack.append(iter(options[img]))
-        elif not closed or k == 1 or img == seq[0] or _pair(img, seq[0]) in g.edge_index:
-            yield tuple(seq)
+        elif not closed:
+            yield tuple(seq), tuple(steps[1:])
+        else:
+            closing = None if img == seq[0] else edge_index.get(_pair(img, seq[0]), -1)
+            if closing != -1:
+                yield tuple(seq), (*steps[1:2], closing, *steps[2:])
 
 
 def generate(spec: CorpusSpec):
-    """Yield (instance id, map) deterministically."""
+    """Yield (instance id, map) deterministically.
+
+    A walk's vertex and edge images both come from the target, so its map
+    is built as it is (`SimplicialMap._built`), not checked again.
+    """
     for tname in spec.targets:
         g = TARGETS[tname]()
         if spec.shape == "deg3":
@@ -89,9 +111,9 @@ def generate(spec: CorpusSpec):
         for k in range(k_lo, spec.k_max + 1):
             domain = cycle_domain(k) if closed else path_domain(k)
             idx = 0
-            for images in _assignments(g, k, closed):
-                yield f"{spec.shape}-{tname}-k{k}-{idx:06d}", SimplicialMap(
-                    domain, g, images
+            for images, edge_images in _assignments(g, k, closed):
+                yield f"{spec.shape}-{tname}-k{k}-{idx:06d}", SimplicialMap._built(
+                    domain, g, images, edge_images
                 )
                 idx += 1
 

@@ -291,7 +291,11 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
         # increasing, so that is also the sorted order of the G' edges
         gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
         gprime = g.derived_memo[key] = PlaneGraph(len(realized_edges), gp_edges, rotation)
-    phiprime = SimplicialMap(kprime, gprime, tuple(vertex_of[a] for a in edge_of))
+    # two touching K' vertices realize their pair of target edges, which is a G' edge
+    image = tuple(vertex_of[a] for a in edge_of)
+    idx = gprime.edge_index
+    edge_image = tuple(idx[_pair(image[i], image[j])] for i, j in shared)
+    phiprime = SimplicialMap._built(kprime, gprime, image, edge_image)
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 
 

@@ -9,8 +9,16 @@ from itertools import product
 
 import pytest
 
-from embapprox.catalog import FIXTURES, TARGETS, ex33_target, small_targets, winding_map
-from embapprox.core import _pair, format_instance, parse_instance
+from embapprox.catalog import (
+    FIXTURES,
+    TARGETS,
+    cycle_domain,
+    ex33_target,
+    path_domain,
+    small_targets,
+    winding_map,
+)
+from embapprox.core import SimplicialMap, _pair, format_instance, parse_instance
 from embapprox.corpus import (
     TSV_HEADER,
     CorpusSpec,
@@ -85,7 +93,27 @@ def test_walks_are_enumerated_in_lexicographic_order():
                     for a, b in zip(s, s[1:] + (s[:1] if closed else ()))
                 )
             ]
-            assert list(_assignments(g, k, closed)) == want, (closed, k)
+            got = [images for images, _ in _assignments(g, k, closed)]
+            assert got == want, (closed, k)
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_built_walk_maps_equal_validated_ones(name):
+    # generate and _assignments build their maps unchecked; the validating
+    # constructor must give the same maps, edge images and text
+    g = TARGETS[name]()
+    for closed in (False, True):
+        for k in range(1, 7):
+            domain = cycle_domain(k) if closed else path_domain(k)
+            for images, edge_images in _assignments(g, k, closed):
+                assert SimplicialMap(domain, g, images).edge_image == edge_images
+        spec = CorpusSpec("cycle" if closed else "path", (name,), k_max=6)
+        for iid, phi in generate(spec):
+            checked = SimplicialMap(phi.domain, g, phi.vertex_image)
+            assert phi == checked, iid
+            assert phi.vertex_image == checked.vertex_image, iid
+            assert phi.edge_image == checked.edge_image, iid
+            assert format_instance(phi) == format_instance(checked), iid
 
 
 def test_walk_enumeration_leaves_no_reference_cycle():

@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import theta_fold, walk_maps
 
@@ -27,6 +28,8 @@ from embapprox.core import (
     DomainGraph,
     PlaneGraph,
     SimplicialMap,
+    _pair,
+    _shape_of,
     backtrack,
     closed_walk,
     computed_once,
@@ -43,6 +46,7 @@ from embapprox.decide import decide_path, decide_path_via_vk
 from embapprox.derivative import iterate_derivative
 from embapprox.errors import (
     DanglingIdError,
+    EmbapproxError,
     InvariantError,
     ParseError,
     PreconditionError,
@@ -185,6 +189,141 @@ def test_parse_rejects_loops_in_target():
         parse_instance("#target\nedge a a\n")
 
 
+_TARGET = "#target\nedge a b\nedge b c\nedge a c\n"  # lines 1-4
+_ROTATION = "#rotation\nrot a : a-b a-c\nrot b : a-b b-c\nrot c : a-c b-c\n"  # lines 5-8
+_DOMAIN = "#domain\nshape path\nedge 0 1\nedge 1 2\n"  # lines 9-12
+_MAP = "#map\n0 -> a\n1 -> b\n2 -> c\n"  # lines 13-16
+_VALID = _TARGET + _ROTATION + _DOMAIN + _MAP
+
+# (text, exception type, message, line) for every raise site reachable
+# from parse_instance; line is None where the error carries none
+PARSE_ERRORS = [
+    ("#nonsense\n", ParseError, "unknown section 'nonsense'", 1),
+    ("edge a b\n", ParseError, "content before any section header", 1),
+    ("#target\nedge v0\n", ParseError, "expected 'edge u v' or 'vertex v'", 2),
+    ("#target\nvertex\n", ParseError, "expected 'edge u v' or 'vertex v'", 2),
+    ("#target\nedge a a\n", InvariantError, "simple-target: line 2: loop at a", None),
+    (_TARGET + "#rotation\nrot a a-b\n", ParseError, "expected 'rot v : e1 e2 ...'", 6),
+    (_TARGET + "#rotation\nrot z : a-b\n", DanglingIdError, "rotation for unknown vertex 'z'", 6),
+    ("#domain\nshape blob\n", ParseError, "expected 'shape path|cycle|general'", 2),
+    ("#domain\nshape\n", ParseError, "expected 'shape path|cycle|general'", 2),
+    ("#domain\nedge 0\n", ParseError, "expected 'edge u v'", 2),
+    ("#domain\nedge 0 one\n", ParseError, "domain vertex ids must be integers", 2),
+    ("#domain\nedge 0 -1\n", ParseError, "domain vertex ids must be non-negative", 2),
+    ("#domain\nvertex 0\n", ParseError, "expected 'shape ...' or 'edge u v'", 2),
+    (_TARGET + "#map\n0 a\n", ParseError, "expected 'dv -> tv'", 6),
+    (_TARGET + "#map\nx -> a\n", ParseError, "domain vertex ids must be integers", 6),
+    (_TARGET + "#map\n-1 -> a\n", ParseError, "domain vertex ids must be non-negative", 6),
+    (_TARGET + "#map\n0 -> z\n", DanglingIdError, "map targets unknown vertex 'z'", 6),
+    (_TARGET + "#map\n0 -> a\n0 -> b\n", ParseError, "duplicate map line for vertex 0", 7),
+    (
+        _TARGET + _ROTATION + "#domain\nedge 0 1\nedge 1 2\n" + _MAP,
+        ParseError,
+        "missing 'shape' line in #domain",
+        15,
+    ),
+    (
+        "#target\nedge a b\nedge b a\n" + _DOMAIN,
+        InvariantError,
+        "simple-target: line 3: parallel edge",
+        None,
+    ),
+    (
+        _VALID.replace("rot a : a-b a-c", "rot a : ab a-c"),
+        ParseError,
+        "edge name 'ab' is not of the form u-v",
+        6,
+    ),
+    (
+        _VALID.replace("rot a : a-b a-c", "rot a : a-b a-z"),
+        DanglingIdError,
+        "edge name 'a-z' references unknown vertex z",
+        6,
+    ),
+    (
+        _VALID.replace("rot a : a-b a-c", "rot a : b-a a-c"),
+        ParseError,
+        "edge name 'b-a' must list the smaller vertex first",
+        6,
+    ),
+    (
+        _VALID.replace("edge a c\n", "").replace("rot c : a-c b-c", "rot c : b-c"),
+        DanglingIdError,
+        "rotation references unknown edge 'a-c'",
+        5,
+    ),
+    (
+        _VALID.replace("rot b : a-b b-c", "rot a : a-b a-c"),
+        ParseError,
+        "duplicate rotation for vertex 0",
+        7,
+    ),
+    (
+        _VALID.replace("rot c : a-c b-c\n", ""),
+        ParseError,
+        "missing rotation line for target vertex 2",
+        1,
+    ),
+    (_TARGET + _ROTATION + "#domain\nshape path\n", ParseError, "empty domain", 1),
+    (
+        _VALID.replace("1 -> b\n", ""),
+        DanglingIdError,
+        "domain vertex 1 has no map line",
+        1,
+    ),
+    (
+        _VALID.replace("rot a : a-b a-c", "rot a : a-b"),
+        InvariantError,
+        "rotation-cover: rotation at vertex 0 must list each incident edge exactly once",
+        None,
+    ),
+    (
+        _VALID.replace("shape path", "shape cycle"),
+        InvariantError,
+        "shape: structure is not a simple cycle",
+        None,
+    ),
+    (
+        _VALID.replace("edge a c\n", "")
+        .replace("rot a : a-b a-c", "rot a : a-b")
+        .replace("rot c : a-c b-c", "rot c : b-c")
+        .replace("1 -> b", "1 -> c"),
+        InvariantError,
+        "simplicial: domain edge 0 (0,1) maps to non-adjacent pair (0,2)",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line", PARSE_ERRORS)
+def test_parse_errors_keep_their_type_message_and_line(text, kind, message, line):
+    with pytest.raises(EmbapproxError) as caught:
+        parse_instance(text)
+    exc = caught.value
+    assert type(exc) is kind
+    if line is None:
+        assert str(exc) == message
+    else:
+        assert str(exc) == f"line {line}, col 1: {message}"
+        assert exc.line == line
+
+
+def test_parse_rejects_a_second_shape_line():
+    # a second shape line used to override the first, so this parsed as a path
+    text = _VALID.replace("shape path\n", "shape cycle\nshape path\n")
+    with pytest.raises(ParseError) as caught:
+        parse_instance(text)
+    assert type(caught.value) is ParseError
+    assert str(caught.value) == "line 11, col 1: duplicate 'shape' line in #domain"
+    assert caught.value.line == 11
+
+
+def test_parse_error_table_is_anchored_on_a_valid_instance():
+    phi = parse_instance(_VALID)
+    assert phi.vertex_image == (0, 1, 2)
+    assert parse_instance("% header\n" + _VALID.replace("\n", " % note\n")) == phi
+
+
 def test_parse_ignores_comments_and_blank_lines():
     phi = winding_map(1)
     text = format_instance(phi)
@@ -297,6 +436,80 @@ def test_walk_is_only_defined_on_paths_and_cycles():
         DomainGraph(2, ((0, 1), (0, 1)), "general").walk
 
 
+def test_quotients_and_stage_maps_equal_validated_ones():
+    # _quotient and derivative stages build their maps unchecked
+    built = 0
+    for shape in ("path", "cycle"):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            maps = [zero_components(phi)[0], *iterate_derivative(phi, phi.domain.n + 1).maps]
+            for m in maps:
+                checked = SimplicialMap(m.domain, m.target, m.vertex_image)
+                assert m == checked and m.edge_image == checked.edge_image
+                built += 1
+    assert built > 30000
+
+
+def _reference_shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
+    """The shape tag computed with sets, a sort and a DFS, as core._shape_of once was."""
+    if n == 0:
+        return "general"
+    deg = [0] * n
+    seen = set()
+    simple = True
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        if u == v or _pair(u, v) in seen:
+            simple = False
+        seen.add(_pair(u, v))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    stack, reached = [0], {0}
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    if len(reached) != n or not simple:
+        return "general"
+    if n == 1 and not edges:
+        return "path"
+    if sorted(deg) == [1, 1] + [2] * (n - 2) and len(edges) == n - 1:
+        return "path"
+    if n >= 3 and all(d == 2 for d in deg) and len(edges) == n:
+        return "cycle"
+    return "general"
+
+
+@st.composite
+def _multigraphs(draw):
+    """Up to 9 vertices: a path, a cycle or nothing on a random order, then
+    extra edges (loops and parallel edges included), shuffled, minus a few."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return 0, ()
+    order = draw(st.permutations(range(n)))
+    base = draw(st.sampled_from(("path", "cycle", "none")))
+    edges = []
+    if base != "none":
+        edges = list(zip(order, order[1:] + (order[:1] if base == "cycle" else [])))
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = draw(st.permutations(edges))
+    edges = edges[draw(st.integers(0, min(2, len(edges)))) :]
+    return n, tuple(_pair(u, v) for u, v in edges)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_multigraphs())
+def test_shape_of_matches_the_reference(graph):
+    n, edges = graph
+    assert _shape_of(n, edges) == _reference_shape_of(n, edges)
+
+
 def test_cycle_target_and_catalog_targets_are_valid():
     for name, g in small_targets().items():
         assert isinstance(g, PlaneGraph)
@@ -310,7 +523,7 @@ def test_cycle_target_and_catalog_targets_are_valid():
 COMPUTED_ONCE = {
     PlaneGraph: (
         "edge_index", "incident", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
-        "obstruction_memo",
+        "obstruction_memo", "instance_sections",
     ),
     DomainGraph: ("incident", "walk"),
     SimplicialMap: ("degenerate_edges", "witness_memo", "normalized"),
