@@ -555,7 +555,7 @@ class SimplicialMap(FieldState):
         """
         if self.is_nondegenerate():
             raise PreconditionError("a nondegenerate map is its own normalization")
-        return _contract_degenerate(self)
+        return zero_components(self)[0]
 
     @computed_once
     def degenerate_edges(self) -> tuple[int, ...]:
@@ -819,18 +819,38 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
 
     Each class of domain vertices connected through degenerate edges collapses
     to one vertex; every nondegenerate edge survives, so parallel edges are
-    kept.  Returns the quotient map and, per original vertex, its class id.
+    kept.  Classes are numbered by their smallest vertex.  A path's quotient
+    is a path and a cycle's is a cycle when three or more classes remain;
+    any other shape is computed.  Returns the quotient map and, per original
+    vertex, its class id.
     """
     d = phi.domain
-    sets = UnionFind()
-    for eid in phi.degenerate_edges:
-        sets.union(*d.edges[eid])
-    classes = sets.classes(range(d.n))
-    member_of = [0] * d.n
-    for i, xs in enumerate(classes):
-        for x in xs:
-            member_of[x] = i
-    return _quotient(phi, member_of, len(classes), None), tuple(member_of)
+    # union-find on an int array: every vertex points to a smaller one or to
+    # itself, so each class is rooted at its smallest vertex
+    parent = list(range(d.n))
+    for (u, v), a in zip(d.edges, phi.edge_image):
+        if a is None:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    member = [0] * d.n
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            member[x] = count
+            count += 1
+        else:
+            member[x] = member[p]
+    if d.shape == "path":
+        shape = "path"
+    else:
+        shape = "cycle" if d.shape == "cycle" and count >= 3 else None
+    return _quotient(phi, member, count, shape), tuple(member)
 
 
 def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
@@ -842,45 +862,6 @@ def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     route deciding one map shares one normalized map.
     """
     return phi if phi.is_nondegenerate() else phi.normalized
-
-
-def _contract_degenerate(phi: SimplicialMap) -> SimplicialMap:
-    """The quotient of a degenerate map by the components of its degenerate part.
-
-    On a path or cycle domain the classes are the runs of one vertex image
-    along the walk (on a cycle the last run joins the first when the edge
-    between them is degenerate); they and their numbering are those of
-    `zero_components`.
-    """
-    d = phi.domain
-    if d.shape not in ("path", "cycle"):
-        return zero_components(phi)[0]
-    vertices, edges = d.walk
-    eimg = phi.edge_image
-    run_of = [0] * d.n
-    r = 0
-    for p in range(1, len(vertices)):
-        if eimg[edges[p - 1]] is not None:
-            r += 1
-        run_of[vertices[p]] = r
-    # on a cycle the last run joins the first across a degenerate last edge
-    wrap = d.shape == "cycle" and eimg[edges[-1]] is None
-    label = [-1] * (r + 1)
-    member = [0] * d.n
-    count = 0
-    for x in range(d.n):
-        q = run_of[x]
-        if wrap and q == r:
-            q = 0
-        if label[q] < 0:
-            label[q] = count
-            count += 1
-        member[x] = label[q]
-    if d.shape == "path":
-        shape = "path"
-    else:
-        shape = "cycle" if count >= 3 else None
-    return _quotient(phi, member, count, shape)
 
 
 def mirrored_map(phi: SimplicialMap) -> SimplicialMap:

@@ -18,7 +18,6 @@ from operator import itemgetter
 from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
 from .decide import decide_cycle, decide_deg3_to_circle, decide_path, decide_path_via_vk
-from .derivative import iterate_derivative
 from .errors import OracleBudgetExceeded
 from .oracle import is_approximable_oracle
 
@@ -255,8 +254,3 @@ def run_agreement(spec: CorpusSpec, jobs: int = 1):
     bad = sum(1 for r in rows if not r.agree)
     return rows, bad
 
-
-def final_derivative_state(phi: SimplicialMap) -> tuple[str, SimplicialMap]:
-    """Status and last map of the full derivative iteration (budget = k)."""
-    result = iterate_derivative(phi, max_steps=phi.domain.n)
-    return result.status, result.maps[-1]

@@ -22,13 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SimplicialMap, normalize_nondegenerate
-from .derivative import (
-    _target_is_circle,
-    derive,
-    iterate_derivative,
-    winding_report,
-)
+from .core import SimplicialMap, _shape_of, normalize_nondegenerate
+from .derivative import derive, iterate_derivative, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
 from .iso import maps_isomorphic
 from .oracle import is_approximable_oracle
@@ -206,7 +201,8 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
             raise PreconditionError(
                 f"vertex {v} has degree {d.degree(v)} > 3"
             )
-    if not _target_is_circle(phi.target):
+    g = phi.target
+    if _shape_of(g.n, g.edges) != "cycle":
         raise PreconditionError("target is not a cycle")
     if not phi.is_nondegenerate():
         raise PreconditionError("map must be nondegenerate")

@@ -299,18 +299,6 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 
 
-def _target_is_circle(g: PlaneGraph) -> bool:
-    if g.n < 3 or len(g.edges) != g.n:
-        return False
-    if any(g.degree(v) != 2 for v in range(g.n)):
-        return False
-    try:
-        closed_walk(g, frozenset(range(g.n)), frozenset(range(len(g.edges))))
-    except PreconditionError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class IterationResult:
     steps: tuple[DerivativeStep, ...]

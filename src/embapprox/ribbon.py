@@ -42,9 +42,6 @@ class BoundaryCircle:
     corners: tuple[tuple[int, int], ...]
     ports: tuple[Port, ...]
 
-    def port_count(self) -> int:
-        return len(self.ports)
-
 
 def _min_rotation(seq: tuple) -> int:
     best = 0
@@ -133,36 +130,31 @@ def boundary_walks(
     return tuple(circles)
 
 
-def interleaves(
-    circle: BoundaryCircle,
-    a_ports: frozenset[Port],
-    b_ports: frozenset[Port],
-) -> bool:
-    """True when the A marks and B marks alternate somewhere along the circle.
+def alternating_ports(circle: BoundaryCircle, a_edges: frozenset[int], b_edges: frozenset[int]):
+    """Four ports in cyclic order A, B, A, B along the circle, or None.
 
-    Ports not marked A or B are ignored; the marked ones form a cyclic binary
-    word, and alternation means at least four maximal blocks.  A port marked
-    both ways is a caller bug.
+    A port is marked A when its edge is in a_edges, else B when it is in
+    b_edges; unmarked ports are ignored.  The marks alternate when the
+    cyclic word of marks has at least four maximal blocks: the picks start
+    at the first A that follows a B and take the next B, A and B.
     """
-    if a_ports & b_ports:
-        raise PreconditionError("a port cannot carry both marks")
-    marks = []
-    for p in circle.ports:
-        if p in a_ports:
-            marks.append(0)
-        elif p in b_ports:
-            marks.append(1)
-    if len(marks) < 4:
-        return False
-    transitions = sum(1 for i in range(len(marks)) if marks[i] != marks[(i + 1) % len(marks)])
-    return transitions >= 4
-
-
-def circle_touches_both(
-    circle: BoundaryCircle,
-    a_ports: frozenset[Port],
-    b_ports: frozenset[Port],
-) -> bool:
-    has_a = any(p in a_ports for p in circle.ports)
-    has_b = any(p in b_ports for p in circle.ports)
-    return has_a and has_b
+    marked = [(p, p.edge in a_edges) for p in circle.ports if p.edge in a_edges or p.edge in b_edges]
+    if len(marked) < 4:
+        return None
+    start = None
+    for i, (_, is_a) in enumerate(marked):
+        if is_a and not marked[i - 1][1]:
+            start = i
+            break
+    if start is None:
+        return None
+    seq = marked[start:] + marked[:start]
+    picks = []
+    want_a = True
+    for p, is_a in seq:
+        if is_a == want_a:
+            picks.append(p)
+            want_a = not want_a
+            if len(picks) == 4:
+                return tuple(picks)
+    return None

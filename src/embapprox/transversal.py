@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc
 from .errors import PreconditionError
-from .ribbon import Port, boundary_walks, circle_touches_both
+from .ribbon import Port, alternating_ports, boundary_walks
 
 Subgraph = tuple[frozenset[int], frozenset[int]]
 
@@ -76,30 +76,6 @@ def _intersection_components(g: PlaneGraph, a: Subgraph, b: Subgraph) -> list[Su
     return out
 
 
-def _alternating_ports(circle, a_edges: frozenset[int], b_edges: frozenset[int]):
-    """Four ports in cyclic order A, B, A, B, or None."""
-    marked = [(p, p.edge in a_edges) for p in circle.ports if p.edge in a_edges or p.edge in b_edges]
-    if len(marked) < 4:
-        return None
-    start = None
-    for i, (_, is_a) in enumerate(marked):
-        if is_a and not marked[i - 1][1]:
-            start = i
-            break
-    if start is None:
-        return None
-    seq = marked[start:] + marked[:start]
-    picks = []
-    want_a = True
-    for p, is_a in seq:
-        if is_a == want_a:
-            picks.append(p)
-            want_a = not want_a
-            if len(picks) == 4:
-                return tuple(picks)
-    return None
-
-
 def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
     """Shared engine behind the crossing tests; returns (sigma, kind, ports) or None.
 
@@ -117,17 +93,18 @@ def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
             continue
         circles = boundary_walks(g, sigma_vs, sigma_es)
         for c in circles:
-            picks = _alternating_ports(c, a_stubs, b_stubs)
+            picks = alternating_ports(c, a_stubs, b_stubs)
             if picks is not None:
                 return (sigma_vs, sigma_es, "interleaved", picks)
         if len(sigma_es) >= len(sigma_vs) and len(circles) >= 2:
-            a_ports = frozenset(p for c in circles for p in c.ports if p.edge in a_stubs)
-            b_ports = frozenset(p for c in circles for p in c.ports if p.edge in b_stubs)
-            if all(circle_touches_both(c, a_ports, b_ports) for c in circles):
-                picks = []
-                for c in circles:
-                    picks.append(next(p for p in c.ports if p in a_ports))
-                    picks.append(next(p for p in c.ports if p in b_ports))
+            picks = []
+            for c in circles:
+                a_port = next((p for p in c.ports if p.edge in a_stubs), None)
+                b_port = next((p for p in c.ports if p.edge in b_stubs), None)
+                if a_port is None or b_port is None:
+                    break
+                picks += (a_port, b_port)
+            else:
                 return (sigma_vs, sigma_es, "annulus", tuple(picks))
     return None
 

@@ -24,11 +24,11 @@ from embapprox.corpus import (
     CorpusSpec,
     _assignments,
     evaluate_instance,
-    final_derivative_state,
     generate,
     random_deg3_map,
     run_agreement,
 )
+from embapprox.derivative import iterate_derivative
 from embapprox.ribbon import boundary_walks
 
 
@@ -185,15 +185,19 @@ def test_run_agreement_in_worker_processes_gives_the_same_rows():
     assert run_agreement(spec, jobs=2) == run_agreement(spec, jobs=1)
 
 
-def test_final_derivative_state_statuses():
-    status, last = final_derivative_state(winding_map(2))
+def test_full_derivative_iteration_statuses():
+    def final_state(phi):
+        result = iterate_derivative(phi, max_steps=phi.domain.n)
+        return result.status, result.maps[-1]
+
+    status, last = final_state(winding_map(2))
     assert status == "stabilized" and last.domain.n == 6
 
-    status, last = final_derivative_state(FIXTURES["whole-fold"]())
+    status, last = final_state(FIXTURES["whole-fold"]())
     assert status == "empty-domain" and last.domain.n == 0
 
-    status, _ = final_derivative_state(FIXTURES["terminal-flower"]())
+    status, _ = final_state(FIXTURES["terminal-flower"]())
     assert status == "terminal"
 
-    status, _ = final_derivative_state(FIXTURES["ex33-psi"]())
+    status, _ = final_state(FIXTURES["ex33-psi"]())
     assert status == "precondition-failed"

@@ -449,6 +449,95 @@ def test_quotients_and_stage_maps_equal_validated_ones():
     assert built > 30000
 
 
+def _assert_quotient_pinned(phi: SimplicialMap) -> str:
+    """The quotient of a degenerate phi has its structure's shape and classes by smallest vertex.
+
+    The classes come from a DFS over the degenerate edges, started at each
+    vertex in increasing order, so each class is numbered by its smallest
+    vertex; a quotient vertex is named by its class's names joined by `+`.
+    Returns the quotient's shape.
+    """
+    d = phi.domain
+    adjacent: list[list[int]] = [[] for _ in range(d.n)]
+    for eid in phi.degenerate_edges:
+        u, v = d.edges[eid]
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    root = [-1] * d.n
+    for s in range(d.n):
+        if root[s] < 0:
+            root[s], stack = s, [s]
+            while stack:
+                for y in adjacent[stack.pop()]:
+                    if root[y] < 0:
+                        root[y] = s
+                        stack.append(y)
+    names = d.vertex_names or tuple(str(x) for x in range(d.n))
+    classes: dict[int, list[str]] = {}
+    for x in range(d.n):
+        classes.setdefault(root[x], []).append(names[x])
+    q = normalize_nondegenerate(phi)
+    assert q.domain.vertex_names == tuple("+".join(c) for c in classes.values())
+    assert q.vertex_image == tuple(phi.vertex_image[r] for r in classes)
+    assert q.domain.shape == _shape_of(q.domain.n, q.domain.edges)
+    return q.domain.shape
+
+
+def test_quotient_shapes_and_numbering_over_the_k6_corpora():
+    # a cycle tagged "general" would pass validation, so the tag is compared
+    # with the structure's shape directly
+    shapes: dict[tuple[str, str], int] = {}
+    for shape in ("path", "cycle"):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=6)):
+            if not phi.is_nondegenerate():
+                key = (shape, _assert_quotient_pinned(phi))
+                shapes[key] = shapes.get(key, 0) + 1
+    # a constant closed walk collapses to a point, which is a path
+    assert set(shapes) == {
+        ("path", "path"), ("cycle", "cycle"), ("cycle", "general"), ("cycle", "path")
+    }
+    assert min(shapes.values()) > 100
+
+
+@st.composite
+def _run_walks(draw):
+    """Walks of k <= 64 vertices into a catalog target, made of runs of one image.
+
+    One or two runs collapse the walk to one or two classes.  A closed walk
+    is rotated by a random shift, so it may start and end inside one run:
+    then its first and last steps both stay put and its last class wraps
+    into its first.
+    """
+    g = TARGETS[draw(st.sampled_from(sorted(TARGETS)))]()
+    k = draw(st.integers(1, 64))
+    runs = draw(st.sampled_from(("any", "one", "two")))
+    if runs == "any":
+        moves = [draw(st.booleans()) for _ in range(k - 1)]
+    else:
+        cut = draw(st.integers(1, k - 1)) if runs == "two" and k > 1 else 0
+        moves = [i + 1 == cut for i in range(k - 1)]
+    images = [draw(st.integers(0, g.n - 1))]
+    for move in moves:
+        v = images[-1]
+        if move:
+            at = g.incident[v]
+            v = g.other_end(at[draw(st.integers(0, len(at) - 1))], v)
+        images.append(v)
+    u, v = images[-1], images[0]
+    closed = k >= 3 and draw(st.integers(0, 3)) > 0
+    if closed and (u == v or _pair(u, v) in g.edge_index):
+        shift = draw(st.integers(0, k - 1))
+        return SimplicialMap(cycle_domain(k), g, tuple(images[shift:] + images[:shift]))
+    return SimplicialMap(path_domain(k), g, tuple(images))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_run_walks())
+def test_quotient_shapes_and_numbering_on_random_run_walks(phi):
+    if not phi.is_nondegenerate():
+        _assert_quotient_pinned(phi)
+
+
 def _reference_shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
     """The shape tag computed with sets, a sort and a DFS, as core._shape_of once was."""
     if n == 0:

@@ -343,6 +343,17 @@ def test_degree_three_decider_scope():
     theta_phi = SimplicialMap(path_domain(3), small_targets()["theta"], (0, 1, 2))
     with pytest.raises(PreconditionError, match="not a cycle"):
         decide_deg3_to_circle(theta_phi)
+    # two disjoint triangles: six edges, every vertex of degree 2, disconnected
+    triangles = PlaneGraph(
+        6,
+        ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)),
+        ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)),
+    )
+    with pytest.raises(PreconditionError, match="not a cycle"):
+        decide_deg3_to_circle(SimplicialMap(path_domain(2), triangles, (0, 1)))
+    for k in (3, 4, 5, 6):
+        edge = SimplicialMap(path_domain(2), cycle_target(k), (0, 1))
+        assert decide_deg3_to_circle(edge).approximable
     degen = SimplicialMap(path_domain(3), g, (0, 0, 1))
     with pytest.raises(PreconditionError, match="nondegenerate"):
         decide_deg3_to_circle(degen)

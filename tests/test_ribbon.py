@@ -1,4 +1,4 @@
-"""Boundary circles of thickened subgraphs and the port-interleaving test."""
+"""Boundary circles of thickened subgraphs and the port-alternation test."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import pytest
 
 from embapprox.catalog import small_targets, theta_target
 from embapprox.errors import PreconditionError
-from embapprox.ribbon import (
-    BoundaryCircle,
-    Port,
-    boundary_walks,
-    circle_touches_both,
-    interleaves,
-)
+from embapprox.ribbon import BoundaryCircle, Port, alternating_ports, boundary_walks
 
 
 def _circle_count(g, vs, es):
@@ -23,7 +17,7 @@ def test_whole_cycle_bounds_an_annulus():
     g = small_targets()["C4"]
     circles = boundary_walks(g, frozenset(range(4)), frozenset(range(4)))
     assert len(circles) == 2
-    assert all(c.port_count() == 0 for c in circles)
+    assert all(len(c.ports) == 0 for c in circles)
 
 
 def test_whole_theta_has_three_boundary_circles():
@@ -77,32 +71,31 @@ def test_subgraph_must_contain_edge_endpoints():
         boundary_walks(g, frozenset({0}), frozenset({0}))
 
 
-def test_interleaves_detects_alternation():
+def test_alternating_ports_detects_alternation():
     circle = BoundaryCircle(
         corners=((0, 0),) * 4,
         ports=(Port(1, 0), Port(2, 0), Port(3, 0), Port(4, 0)),
     )
-    a = frozenset({Port(1, 0), Port(3, 0)})
-    b = frozenset({Port(2, 0), Port(4, 0)})
-    assert interleaves(circle, a, b) is True
-    nested_a = frozenset({Port(1, 0), Port(2, 0)})
-    nested_b = frozenset({Port(3, 0), Port(4, 0)})
-    assert interleaves(circle, nested_a, nested_b) is False
-    assert circle_touches_both(circle, a, b) is True
-    assert circle_touches_both(circle, a, frozenset()) is False
-    with pytest.raises(PreconditionError):
-        interleaves(circle, a, a)
+    picks = (Port(1, 0), Port(2, 0), Port(3, 0), Port(4, 0))
+    assert alternating_ports(circle, frozenset({1, 3}), frozenset({2, 4})) == picks
+    # the picks start at the first A port that follows a B port
+    rotated = (Port(2, 0), Port(3, 0), Port(4, 0), Port(1, 0))
+    assert alternating_ports(circle, frozenset({2, 4}), frozenset({1, 3})) == rotated
+    assert alternating_ports(circle, frozenset({1, 2}), frozenset({3, 4})) is None
+    assert alternating_ports(circle, frozenset({1, 3}), frozenset()) is None
 
 
-def test_interleaves_ignores_unmarked_ports():
+def test_alternating_ports_ignores_unmarked_ports_and_skips_repeated_marks():
     circle = BoundaryCircle(
         corners=((0, 0),) * 6,
         ports=tuple(Port(e, 0) for e in range(6)),
     )
-    a = frozenset({Port(0, 0), Port(3, 0)})
-    b = frozenset({Port(2, 0), Port(5, 0)})
     # marked subword around the circle is a b a b: interleaved
-    assert interleaves(circle, a, b) is True
+    picks = (Port(0, 0), Port(2, 0), Port(3, 0), Port(5, 0))
+    assert alternating_ports(circle, frozenset({0, 3}), frozenset({2, 5})) == picks
+    # a a b a b b: the second a and the last b are passed over
+    picks = (Port(0, 0), Port(2, 0), Port(3, 0), Port(4, 0))
+    assert alternating_ports(circle, frozenset({0, 1, 3}), frozenset({2, 4, 5})) == picks
 
 
 def test_boundary_circle_count_tracks_euler_formula():

@@ -41,7 +41,8 @@ from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path
 from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
-from embapprox.ribbon import Port, interleaves
+from embapprox import ribbon
+from embapprox.ribbon import Port
 from embapprox.transversal import find_crossing_pair, has_transversal_self_intersection
 
 
@@ -415,19 +416,30 @@ def test_w4_path_min_witness_is_the_reference_witness():
     assert wit.kind == "interleaved"
 
 
+def _interleaves(circle, a_edges: frozenset[int], b_edges: frozenset[int]) -> bool:
+    """The marks alternate: the cyclic word of A and B ports has at least four blocks."""
+    marks = [p.edge in a_edges for p in circle.ports if p.edge in a_edges or p.edge in b_edges]
+    blocks = sum(1 for i in range(len(marks)) if marks[i] != marks[i - 1])
+    return len(marks) >= 4 and blocks >= 4
+
+
 def test_alternating_ports_agrees_with_interleaves(monkeypatch):
-    engine = transversal._alternating_ports
+    engine = ribbon.alternating_ports
     outcomes = set()
 
     def checked(circle, a_edges, b_edges):
         picks = engine(circle, a_edges, b_edges)
-        a_ports = frozenset(p for p in circle.ports if p.edge in a_edges)
-        b_ports = frozenset(p for p in circle.ports if p.edge in b_edges)
-        assert (picks is not None) == interleaves(circle, a_ports, b_ports)
+        assert (picks is not None) == _interleaves(circle, a_edges, b_edges)
+        if picks is not None:
+            # A, B, A, B in cyclic order along the circle
+            assert [p.edge in a_edges for p in picks] == [True, False, True, False]
+            assert all(p.edge in a_edges or p.edge in b_edges for p in picks)
+            at = [circle.ports.index(p) for p in picks]
+            assert sum(1 for i in range(4) if at[i - 1] > at[i]) == 1
         outcomes.add(picks is not None)
         return picks
 
-    monkeypatch.setattr(transversal, "_alternating_ports", checked)
+    monkeypatch.setattr(transversal, "alternating_ports", checked)
     # the k <= 5 corpora reach no alternating circle on these targets; the
     # seeded walks do
     maps = _witness_maps()
