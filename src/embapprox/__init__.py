@@ -30,12 +30,11 @@ from .errors import (
     PreconditionError,
 )
 from .oracle import is_approximable_oracle, oracle_result
-from .transversal import find_crossing_pair, has_transversal_self_intersection
+from .transversal import find_crossing_pair
 from .vankampen import (
     build_deleted_product,
     intersection_cochain,
     obstruction_vanishes,
-    pair_obstruction,
     path_cut_components,
 )
 
@@ -69,11 +68,9 @@ __all__ = [
     "is_approximable_oracle",
     "oracle_result",
     "find_crossing_pair",
-    "has_transversal_self_intersection",
     "build_deleted_product",
     "intersection_cochain",
     "obstruction_vanishes",
-    "pair_obstruction",
     "path_cut_components",
 ]
 

@@ -1,21 +1,24 @@
 """Decision procedures for approximability by embeddings.
 
-Paths and cycles are decided by iterating the derivative and checking each
-stage for transversal self-intersections (cycle stages additionally for
-windings of degree outside {-1, 0, 1}) until a stage concludes or its
-derivative repeats it up to isomorphism; every run ends within n derives.
-What a stage map concludes from there on is kept in its target's
+Paths and cycles are decided on the stages of `derivative_stages`, which
+derives each stage on demand and ends on the tower's exits (empty domain,
+terminal, stabilized): each stage is checked for transversal
+self-intersections (cycle stages also for windings of degree outside
+{-1, 0, 1}) until one concludes, and every run ends within n derives.
+When `derive` refuses a stage, the oracle decides and the verdict is
+flagged for review.  What a stage map concludes from there on is kept in its target's
 `PlaneGraph.decide_memo`, keyed by the map's domain shape, domain edges and
 vertex image (names play no part in a verdict), so a stage met again under
 one target, by the same map or another, is decided once.  The memo grows
 with the distinct stages decided into the target and lives as long as the
 target, like its `crossing_memo`.  Degree-3 domains over a cycle combine
-the mod-2 obstruction with a winding-parity check on the last derivative.
-A second, independent route for paths uses the obstruction alone.  Both
-routes keep the obstruction's verdict in the target's
-`PlaneGraph.obstruction_memo`, keyed by the normalized map's domain edges
-and vertex image, so each distinct normalized map into one target is drawn
-and solved once.  Every verdict carries a trace of per-step events.
+the mod-2 obstruction with a winding-parity check on the last stage of
+`iterate_derivative`, the tower collected whole.  A second, independent
+route for paths uses the obstruction alone.  Both routes keep the
+obstruction's verdict in the target's `PlaneGraph.obstruction_memo`, keyed
+by the normalized map's domain edges and vertex image, so each distinct
+normalized map into one target is drawn and solved once.  Every verdict
+carries a trace of per-step events.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import SimplicialMap, _shape_of, normalize_nondegenerate
-from .derivative import derive, iterate_derivative, winding_report
+from .derivative import derivative_stages, iterate_derivative, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
-from .iso import maps_isomorphic
 from .oracle import is_approximable_oracle
 from .transversal import find_crossing_pair
 from .vankampen import obstruction_vanishes
@@ -79,39 +81,20 @@ class Verdict:
 _CLEAN_PASS = Event("clean-pass")
 
 
-def _decide_stage(cur: SimplicialMap) -> tuple:
-    """(outcome, None) when the run ends at the stage map `cur`, else (None, its derivative).
-
-    An outcome is (derives from this stage, final events, approximable,
-    flagged for review); a final event at stage s of a run whose clean
-    passes end before stage `end` is kept as (s - end, event).
-    """
-    d = cur.domain
-    if d.n == 0:
-        return (0, ((0, Event("empty-domain")),), True, False), None
+def _rejection(cur: SimplicialMap) -> Event | None:
+    """The event that rejects the stage map cur, or None when it passes clean."""
     witness = find_crossing_pair(cur, disjoint_only=True)
     if witness is not None:
-        return (0, ((0, Event("transversal-self-intersection", witness)),), False, False), None
-    if d.shape != "path":  # a path never winds
+        return Event("transversal-self-intersection", witness)
+    if cur.domain.shape != "path":  # a path never winds
         for comp in winding_report(cur).components:
             if comp.is_winding and abs(comp.degree) >= 2:
-                return (0, ((0, Event("forbidden-winding", comp.degree)),), False, False), None
-    try:
-        step = derive(cur)
-    except DerivePreconditionError as err:
-        # refused on a non-disjoint crossing: the oracle decides, flagged
-        ok, _ = is_approximable_oracle(cur)
-        final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
-        return (1, final, ok, True), None
-    if step.terminal_approximable:
-        return (1, ((0, Event("terminal-approximable")),), True, False), None
-    if step.map.domain.n > 0 and maps_isomorphic(cur, step.map):
-        return (1, (), True, False), None
-    return None, step.map
+                return Event("forbidden-winding", comp.degree)
+    return None
 
 
 def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
-    """Check and derive each stage of phi until one concludes.
+    """Check each stage of `derivative_stages(phi, n)` until one concludes.
 
     Every run ends within n derives, n the vertex count of phi: a path
     stage loses a vertex per derive, and on a cycle stage Phi = L -
@@ -119,22 +102,42 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     the stage is a winding, which the winding check rejects (|d| >= 2) or
     the next derive stabilizes (|d| = 1), so a cycle run takes at most
     Phi_0 + 2 <= n derives.  A run that would take more raises
-    `InvariantError` instead of answering.  What a stage map concludes is
-    kept in its target's `decide_memo`, so a stage met again under the same
-    target, by this map or another, is not decided twice.
+    `InvariantError` instead of answering.  A stage whose own derive ends
+    the run (terminal or stabilized) is not checked.  What a stage map
+    concludes is kept in its target's `decide_memo` as (derives from this
+    stage, final events, approximable, flagged for review), a final event
+    at stage s of a run whose clean passes end before stage `end` kept as
+    (s - end, event); so a stage met again under the same target, by this
+    map or another, is not decided twice.
     """
     budget = phi.domain.n
-    cur = normalize_nondegenerate(phi)
     ran = []  # (memo, key) of each stage decided here, not found in a memo
-    for i in range(budget + 1):
-        memo = cur.target.decide_memo
-        key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
-        outcome = memo.get(key)
-        if outcome is None:
+    try:
+        for i, (cur, _, status) in enumerate(derivative_stages(phi, budget)):
+            if status == "terminal":
+                outcome = (0, ((0, Event("terminal-approximable")),), True, False)
+                break
+            if status == "stabilized":
+                outcome = (0, (), True, False)
+                break
+            memo = cur.target.decide_memo
+            key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
+            outcome = memo.get(key)
+            if outcome is not None:
+                break
             ran.append((memo, key))
-            outcome, cur = _decide_stage(cur)
-        if outcome is not None:
-            break
+            if status == "empty-domain":
+                outcome = (0, ((0, Event("empty-domain")),), True, False)
+                break
+            event = _rejection(cur)
+            if event is not None:
+                outcome = (0, ((0, event),), False, False)
+                break
+    except DerivePreconditionError as err:
+        # refused on a non-disjoint crossing: the oracle decides, flagged
+        ok, _ = is_approximable_oracle(cur)
+        final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
+        outcome = (1, final, ok, True)
     if outcome is None or i + outcome[0] > budget:
         raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
     derives, final, approximable, flagged = outcome

@@ -118,15 +118,12 @@ def derived_rotation(
     g: PlaneGraph,
     realized_edges: tuple[int, ...],
     realized_pairs: frozenset[tuple[int, int]],
-    far_end_clockwise: bool = False,
 ) -> tuple[tuple[int, ...], ...]:
     """Rotation system of the derived target.
 
     realized_edges lists the target edge ids that become vertices, in order;
     realized_pairs holds the adjacencies {a, b} (as sorted target-edge-id
-    pairs) that become edges.  The far_end_clockwise switch flips the second
-    endpoint's block to the mirrored reading; it is a negative control that
-    no stage uses, kept so a test can show the reading changes the rotation.
+    pairs) that become edges.  Both endpoint blocks read counterclockwise.
     """
     pair_ids = {p: i for i, p in enumerate(sorted(realized_pairs))}
 
@@ -140,8 +137,6 @@ def derived_rotation(
         x, y = g.edges[a]
         at_x = [b for b in ccw_after(x, a) if _pair(a, b) in pair_ids]
         at_y = [c for c in ccw_after(y, a) if _pair(a, c) in pair_ids]
-        if far_end_clockwise:
-            at_y = list(reversed(at_y))
         rotation.append(tuple(pair_ids[_pair(a, b)] for b in at_x + at_y))
     return tuple(rotation)
 
@@ -299,6 +294,37 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 
 
+def derivative_stages(phi: SimplicialMap, max_steps: int):
+    """Yield (stage map, step, end) for phi^(0), phi^(1), ..., each derived when asked for.
+
+    Stage 0 is the normalized phi, with step None; every later stage comes
+    with the `DerivativeStep` that made it.  `end` is None until the last
+    stage, where it names the exit: "empty-domain", "terminal" or
+    "stabilized" (the derive that made the stage is the terminal
+    configuration, or repeats its source up to isomorphism), or
+    "budget-exhausted" after max_steps derives.  A refused derive raises
+    `DerivePreconditionError` out of the generator.
+    """
+    stage = normalize_nondegenerate(phi)
+    step = None
+    for i in range(max_steps + 1):
+        if step is not None and step.terminal_approximable:
+            end = "terminal"
+        elif step is not None and stage.domain.n and maps_isomorphic(step.source, stage):
+            end = "stabilized"
+        elif not stage.domain.n:
+            end = "empty-domain"
+        elif i == max_steps:
+            end = "budget-exhausted"
+        else:
+            end = None
+        yield stage, step, end
+        if end:
+            return
+        step = derive(stage)
+        stage = step.map
+
+
 @dataclass(frozen=True)
 class IterationResult:
     steps: tuple[DerivativeStep, ...]
@@ -309,41 +335,20 @@ class IterationResult:
 
 
 def iterate_derivative(phi: SimplicialMap, max_steps: int) -> IterationResult:
-    """Derivative sequence phi^(0), phi^(1), ... with early exits.
+    """Every stage of `derivative_stages(phi, max_steps)`, with the exit it ends on.
 
-    Stops after max_steps derivations, or earlier on an empty domain, the
-    terminal-approximable configuration, a derive precondition failure
-    (recorded, not raised), or stabilization up to labeled isomorphism.
+    A refused derive is recorded, not raised: the status is then
+    "precondition-failed" and failure_step the stage it refused.
     """
-    current = normalize_nondegenerate(phi)
-    maps = [current]
-    steps: list[DerivativeStep] = []
-    status = "budget-exhausted"
-    failure = None
-    failure_step = None
-    for i in range(max_steps):
-        if current.domain.n == 0:
-            status = "empty-domain"
-            break
-        try:
-            step = derive(current)
-        except DerivePreconditionError as exc:
-            status = "precondition-failed"
-            failure = exc.witness
-            failure_step = i
-            break
-        steps.append(step)
-        maps.append(step.map)
-        if step.terminal_approximable:
-            status = "terminal"
-            break
-        if maps_isomorphic(current, step.map):
-            status = "stabilized"
-            break
-        current = step.map
-    else:
-        if current.domain.n == 0:
-            status = "empty-domain"
+    maps, steps = [], []
+    failure = failure_step = None
+    try:
+        for stage, step, status in derivative_stages(phi, max_steps):
+            maps.append(stage)
+            if step is not None:
+                steps.append(step)
+    except DerivePreconditionError as exc:
+        status, failure, failure_step = "precondition-failed", exc.witness, len(steps)
     return IterationResult(tuple(steps), status, failure, failure_step, tuple(maps))
 
 

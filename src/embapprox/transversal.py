@@ -405,8 +405,3 @@ def _first_run_crossings(
             j = min(disjoint)
             return first, _witness(g, images, entries, arc(i), a, arc(j), runs[j][2])
     return first, None
-
-
-def has_transversal_self_intersection(phi: SimplicialMap) -> CrossingWitness | None:
-    """Witness of two vertex-disjoint domain arcs with crossing images, or None."""
-    return find_crossing_pair(phi, disjoint_only=True)

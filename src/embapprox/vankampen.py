@@ -434,8 +434,3 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
     sol, _cert = solve_or_certify(Columns(len(pairs), columns), rhs)
     cells2 = tuple((i, j) for i in range(e_phi) for j in range(e_psi))
     return PairReport(cells2, tuple(red2), values, sol is not None)
-
-
-def pair_obstruction(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> bool:
-    """Can the two maps' drawings be made to cross evenly everywhere?"""
-    return pair_report(phi, psi, lane_orders).vanishes

@@ -22,7 +22,6 @@ from embapprox.errors import DerivePreconditionError
 from embapprox.oracle import is_approximable_oracle
 from embapprox.vankampen import (
     obstruction_vanishes,
-    pair_obstruction,
     pair_report,
     path_cut_components,
 )
@@ -112,7 +111,6 @@ def test_criterion_7_disjoint_pair_example_has_all_even_parities():
     report = pair_report(phi, psi)
     assert report.vanishes is True
     assert all(v == 0 for v in report.values)
-    assert pair_obstruction(phi, psi) is True
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -145,7 +143,7 @@ def test_criterion_8_verdicts_invariant_under_presentation_changes():
         assert decide_cycle(phi).approximable == decide_cycle(mir).approximable, iid
         assert is_approximable_oracle(phi)[0] == is_approximable_oracle(mir)[0], iid
     pair = ex33_pair()
-    assert pair_obstruction(mirrored_map(pair[0]), mirrored_map(pair[1])) is True
+    assert pair_report(mirrored_map(pair[0]), mirrored_map(pair[1])).vanishes is True
 
     # (c) contracting a degenerate edge never changes the verdict
     targets = small_targets()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import random_walk_map, theta_fold
 
-from embapprox import decide, vankampen
+from embapprox import decide, derivative, vankampen
 from embapprox.catalog import (
     TARGETS,
     cycle_domain,
@@ -37,7 +38,7 @@ from embapprox.decide import (
     decide_path,
     decide_path_via_vk,
 )
-from embapprox.derivative import derive, winding_report
+from embapprox.derivative import derive, iterate_derivative, winding_report
 from embapprox.errors import InvariantError, PreconditionError
 from embapprox.oracle import is_approximable_oracle
 
@@ -228,7 +229,7 @@ def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypa
         judged.append((judge, phi, judge(phi)))
     # without the stabilization exit a run reaches the same verdict with a
     # trace no shorter, or, where stabilization ended it, no verdict at all
-    monkeypatch.setattr(decide, "maps_isomorphic", lambda phi, psi: False)
+    monkeypatch.setattr(derivative, "maps_isomorphic", lambda phi, psi: False)
     unending = 0
     for judge, phi, lazy in judged:
         try:
@@ -246,11 +247,46 @@ def test_a_run_that_never_stabilizes_raises_instead_of_answering(monkeypatch):
     # the identity cycle onto C5 derives to itself; with no stabilization
     # exit nothing ends its run, which used to answer approximable once its
     # budget ran out
-    monkeypatch.setattr(decide, "maps_isomorphic", lambda phi, psi: False)
+    monkeypatch.setattr(derivative, "maps_isomorphic", lambda phi, psi: False)
     phi = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     with pytest.raises(InvariantError, match="derive-bound"):
         decide_cycle(phi)
     assert not phi.target.decide_memo
+
+
+# the iterate_derivative status of a run that decide ends on a tower exit
+_EXIT_STATUS = {"terminal-approximable": "terminal", "empty-domain": "empty-domain"}
+
+
+def test_decide_and_iterate_derivative_walk_one_tower():
+    # both read derivative_stages: where decide ends a run on one of its
+    # exits or on a refused derive, iterate_derivative ends at that stage
+    # too; a forbidden winding has no fixed relation, since its tower may
+    # go on for several stages
+    seen = Counter()
+    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
+        for _, phi in generate(CorpusSpec(shape, ("C3", "theta", "ex33"), k_max=6)):
+            v = judge(phi)
+            s, last = v.trace[-1]
+            if last.kind == "forbidden-winding":
+                continue
+            r = iterate_derivative(phi, phi.domain.n)
+            seen[last.kind, v.flagged_for_review] += 1
+            if v.flagged_for_review:
+                assert r.status == "precondition-failed", phi.vertex_image
+            if last.kind == "transversal-self-intersection":
+                assert (r.status, r.failure_step) == ("precondition-failed", s), phi.vertex_image
+            elif v.flagged_for_review:
+                continue
+            elif last.kind == "clean-pass":
+                assert (r.status, len(r.steps)) == ("stabilized", len(v.trace)), phi.vertex_image
+            else:
+                assert (r.status, len(r.steps)) == (_EXIT_STATUS[last.kind], s), phi.vertex_image
+    assert set(seen) == {
+        (kind, flagged)
+        for kind in ("clean-pass", "transversal-self-intersection")
+        for flagged in (False, True)
+    } | {("terminal-approximable", False), ("empty-domain", False)}
 
 
 def _way_back(g: PlaneGraph, u: int, v: int) -> list[int]:

@@ -119,17 +119,23 @@ def test_zero_budget_is_budget_exhausted():
     assert len(res.maps) == 1
 
 
-def test_far_end_convention_changes_the_derived_rotation():
-    # the walk meets vertex 1 from both remaining edges, so the derived
-    # vertex for the first edge reads a two-entry block at its far end
+def test_far_end_block_reads_counterclockwise():
+    # the walk a v u v b meets v from both remaining edges, so the derived
+    # vertex for the direct edge u-v reads a two-entry block at its far end
+    # v; theta's rotation at v is (v-a, u-v, v-b), so counterclockwise after
+    # u-v come v-b and then v-a
     phi = SimplicialMap(path_domain(5), theta_target(), (2, 1, 0, 1, 3))
     step = derive(phi)
+    assert step.realized_edges == (0, 3, 4)  # u-v, v-a, v-b
+    # G' edge 0 joins u-v to v-a and G' edge 1 joins u-v to v-b
+    assert step.gprime.edges == ((0, 1), (0, 2))
     edges = step.realized_edges
     pairs = frozenset((edges[i], edges[j]) for i, j in step.gprime.edges)
-    default = derived_rotation(phi.target, edges, pairs)
-    flipped = derived_rotation(phi.target, edges, pairs, far_end_clockwise=True)
-    assert default == step.gprime.rotation
-    assert default != flipped
+    rotation = derived_rotation(phi.target, edges, pairs)
+    # nothing is realized at u, so u-v's block at v is all it reads; the
+    # mirrored far-end reading would give (0, 1)
+    assert rotation == ((1, 0), (0,), (1,))
+    assert rotation == step.gprime.rotation
 
 
 def test_edgeless_domain_derives_to_empty_over_any_target():

@@ -43,12 +43,12 @@ from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
 from embapprox import ribbon
 from embapprox.ribbon import Port
-from embapprox.transversal import find_crossing_pair, has_transversal_self_intersection
+from embapprox.transversal import find_crossing_pair
 
 
 def test_x_cross_path_has_a_transversal_self_intersection():
     phi = x_cross_path()
-    wit = has_transversal_self_intersection(phi)
+    wit = find_crossing_pair(phi, disjoint_only=True)
     assert wit is not None
     assert wit.kind == "interleaved"
     assert set(wit.arc_p.vertices).isdisjoint(wit.arc_q.vertices)
@@ -56,13 +56,6 @@ def test_x_cross_path_has_a_transversal_self_intersection():
     a = phi.arc_image(wit.arc_p)
     b = phi.arc_image(wit.arc_q)
     assert transversal._crossing_component(phi.target, a, b) is not None
-
-
-def test_witness_matches_predicate_alias():
-    phi = x_cross_path()
-    assert has_transversal_self_intersection(phi) == find_crossing_pair(
-        phi, disjoint_only=True
-    )
 
 
 def test_clean_catalog_maps_have_no_crossing():
@@ -97,7 +90,7 @@ def test_degenerate_maps_are_refused():
 
 def test_images_cross_is_symmetric_and_false_on_disjoint():
     phi = x_cross_path()
-    wit = has_transversal_self_intersection(phi)
+    wit = find_crossing_pair(phi, disjoint_only=True)
     a = phi.arc_image(wit.arc_p)
     b = phi.arc_image(wit.arc_q)
     forward = transversal._crossing_component(phi.target, a, b)

@@ -40,7 +40,6 @@ from embapprox.vankampen import (
     intersection_cochain,
     obstruction_report,
     obstruction_vanishes,
-    pair_obstruction,
     pair_report,
     path_cut_components,
 )
@@ -181,7 +180,6 @@ def test_pair_obstruction_detects_forced_linking():
     b = SimplicialMap(path_domain(5), g, (6, 2, 0, 4, 8))
     report = pair_report(a, b)
     assert report.vanishes is False
-    assert pair_obstruction(a, b) is False
     assert sum(report.values) % 2 == 1
 
 
@@ -192,7 +190,6 @@ def test_pair_obstruction_clears_nested_arcs():
     report = pair_report(a, b)
     assert report.vanishes is True
     assert all(v == 0 for v in report.values)
-    assert pair_obstruction(a, b) is True
 
 
 def test_pair_requires_a_common_target():
