@@ -11,9 +11,7 @@ from .core import (
     PlaneGraph,
     SimplicialMap,
     WalkArc,
-    contract_edge,
     format_instance,
-    mirrored_map,
     normalize_nondegenerate,
     parse_instance,
     zero_components,
@@ -43,9 +41,7 @@ __all__ = [
     "PlaneGraph",
     "SimplicialMap",
     "WalkArc",
-    "contract_edge",
     "format_instance",
-    "mirrored_map",
     "normalize_nondegenerate",
     "parse_instance",
     "zero_components",

@@ -32,6 +32,13 @@ class computed_once:
     may both compute; every value here is pure or an empty memo, so either
     serves).  It is not a dataclass field, so the value stays out of
     equality, hashing and repr.
+
+    CPython 3.11 keeps an instance's attributes inline only while its
+    class's shared key table has room, and once a class has many instances
+    that room is one name beyond those already stored: for `SimplicialMap`,
+    five names with its four fields.  An instance that stores a second
+    computed value gets a dict of its own (about 270 bytes), so a class
+    whose instances are many should store at most one.
     """
 
     def __init__(self, compute):
@@ -262,6 +269,27 @@ class PlaneGraph(FieldState):
     def edge_name(self, eid: int) -> str:
         u, v = self.edges[eid]
         return f"{self.name_of(u)}-{self.name_of(v)}"
+
+    @classmethod
+    def _built(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        rotation: tuple[tuple[int, ...], ...],
+    ) -> "PlaneGraph":
+        """A graph whose construction already proves it a valid plane graph; nothing is checked.
+
+        Use it only where the caller's construction gives sorted, distinct,
+        loop-free edges on vertices below n, and a rotation that lists each
+        vertex's incident edges once, as `derivative` does for every derived
+        target.  Graphs from outside the program go through
+        `PlaneGraph(...)`, which checks all of this.
+        """
+        graph = object.__new__(cls)
+        fields = (("n", n), ("edges", edges), ("rotation", rotation), ("vertex_names", ()))
+        for name, value in fields:
+            object.__setattr__(graph, name, value)
+        return graph
 
     def mirrored(self) -> "PlaneGraph":
         """Reverse every rotation: the mirror-image embedding."""
@@ -557,12 +585,17 @@ class SimplicialMap(FieldState):
             raise PreconditionError("a nondegenerate map is its own normalization")
         return zero_components(self)[0]
 
-    @computed_once
+    @property
     def degenerate_edges(self) -> tuple[int, ...]:
+        """Ids of the domain edges that collapse to a target vertex.
+
+        Not stored: a map keeps at most one computed value inline (see
+        `computed_once`), and `normalized` or `witness_memo` is that one.
+        """
         return tuple(i for i, e in enumerate(self.edge_image) if e is None)
 
     def is_nondegenerate(self) -> bool:
-        return not self.degenerate_edges
+        return None not in self.edge_image
 
     def is_injective(self) -> bool:
         """Embedding test: injective on vertices and edges."""
@@ -746,40 +779,7 @@ def format_instance(phi: SimplicialMap) -> str:
 
 
 # ---------------------------------------------------------------------------
-# contraction and quotients
-
-
-def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
-    """Contract one degenerate domain edge.
-
-    A loop is simply removed; otherwise the endpoints merge into the smaller
-    id and the remaining edges are re-targeted, keeping any multiplicity.
-    """
-    d = phi.domain
-    if not (0 <= eid < len(d.edges)):
-        raise PreconditionError(f"no such edge {eid}")
-    if phi.edge_image[eid] is not None:
-        raise PreconditionError(f"edge {eid} is not degenerate")
-    u, v = d.edges[eid]
-    if u == v:
-        relabel = list(range(d.n))
-        new_n = d.n
-    else:
-        relabel = [x if x < v else (u if x == v else x - 1) for x in range(d.n)]
-        new_n = d.n - 1
-    new_edges = tuple(
-        _pair(relabel[a], relabel[b]) for i, (a, b) in enumerate(d.edges) if i != eid
-    )
-    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
-    names = [""] * new_n
-    for x in range(d.n):
-        y = relabel[x]
-        names[y] = old_names[x] if not names[y] else f"{names[y]}+{old_names[x]}"
-    images = [0] * new_n
-    for x in range(d.n):
-        images[relabel[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
-    return SimplicialMap(new_domain, phi.target, tuple(images))
+# quotients
 
 
 def _quotient(
@@ -789,7 +789,10 @@ def _quotient(
 
     Names are the `+`-joined names of a class's vertices, and the
     nondegenerate edges keep their order.  The shape is `shape` when the
-    caller's construction determines it, else it is computed.
+    caller's construction determines it, else it is computed.  A path whose
+    edge i joins classes i and i + 1, as every quotient of a
+    `catalog.path_domain` does, is stored with its walk, the classes in
+    order.
     """
     d = phi.domain
     old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
@@ -807,7 +810,10 @@ def _quotient(
     if shape is None:
         new_domain = DomainGraph.from_structure(count, new_edges, names)
     else:
-        new_domain = DomainGraph._built(count, new_edges, shape, names)
+        walk = None
+        if shape == "path" and new_edges == tuple(zip(range(count - 1), range(1, count))):
+            walk = (tuple(range(count)), tuple(range(count - 1)))
+        new_domain = DomainGraph._built(count, new_edges, shape, names, walk)
     # a class is joined through degenerate edges, so its vertices share one
     # image, and each surviving edge keeps its target edge
     edge_image = tuple(a for a in phi.edge_image if a is not None)
@@ -862,11 +868,6 @@ def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     route deciding one map shares one normalized map.
     """
     return phi if phi.is_nondegenerate() else phi.normalized
-
-
-def mirrored_map(phi: SimplicialMap) -> SimplicialMap:
-    """Same map into the mirror-image embedding of the target."""
-    return SimplicialMap(phi.domain, phi.target.mirrored(), phi.vertex_image)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ derives each stage on demand and ends on the tower's exits (empty domain,
 terminal, stabilized): each stage is checked for transversal
 self-intersections (cycle stages also for windings of degree outside
 {-1, 0, 1}) until one concludes, and every run ends within n derives.
+A winding of degree d covers its image circle |d| times, and a circle has
+as many vertices as edges, so a cycle-shaped stage is scanned for windings
+only when its walk is at least twice as long as its image has edges and
+its image has as many vertices as edges: no other cycle stage holds a
+winding of degree |d| >= 2.  A general-shaped stage is scanned component
+by component, and a path stage never winds.
 When `derive` refuses a stage, the oracle decides and the verdict is
 flagged for review.  What a stage map concludes from there on is kept in its target's
 `PlaneGraph.decide_memo`, keyed by the map's domain shape, domain edges and
@@ -79,6 +85,10 @@ class Verdict:
 
 
 _CLEAN_PASS = Event("clean-pass")
+# the outcomes every run ending on one of these exits shares (see _decide_by_iteration)
+_TERMINAL = (0, ((0, Event("terminal-approximable")),), True, False)
+_STABILIZED = (0, (), True, False)
+_EMPTY_DOMAIN = (0, ((0, Event("empty-domain")),), True, False)
 
 
 def _rejection(cur: SimplicialMap) -> Event | None:
@@ -86,7 +96,14 @@ def _rejection(cur: SimplicialMap) -> Event | None:
     witness = find_crossing_pair(cur, disjoint_only=True)
     if witness is not None:
         return Event("transversal-self-intersection", witness)
-    if cur.domain.shape != "path":  # a path never winds
+    shape = cur.domain.shape
+    if shape == "cycle":
+        # no winding of degree |d| >= 2 fits unless both hold (module docstring)
+        eimg = cur.edge_image
+        covered = len(set(eimg))
+        if len(eimg) < 2 * covered or covered != len(set(cur.vertex_image)):
+            return None
+    if shape != "path":  # a path never winds
         for comp in winding_report(cur).components:
             if comp.is_winding and abs(comp.degree) >= 2:
                 return Event("forbidden-winding", comp.degree)
@@ -115,10 +132,10 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     try:
         for i, (cur, _, status) in enumerate(derivative_stages(phi, budget)):
             if status == "terminal":
-                outcome = (0, ((0, Event("terminal-approximable")),), True, False)
+                outcome = _TERMINAL
                 break
             if status == "stabilized":
-                outcome = (0, (), True, False)
+                outcome = _STABILIZED
                 break
             memo = cur.target.decide_memo
             key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
@@ -127,7 +144,7 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
                 break
             ran.append((memo, key))
             if status == "empty-domain":
-                outcome = (0, ((0, Event("empty-domain")),), True, False)
+                outcome = _EMPTY_DOMAIN
                 break
             event = _rejection(cur)
             if event is not None:

@@ -272,7 +272,11 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     G' depends only on the target and the realized edges and pairs, so it
     is built once per key and kept in the target's `derived_memo`: all maps
     into one target share their derived targets, and with them those
-    targets' own memos.  Derived domains and targets carry no names.
+    targets' own memos.  G' is built unchecked (`PlaneGraph._built`): its
+    vertices are the distinct realized edges, its edges the sorted distinct
+    realized pairs between them, and `derived_rotation` lists at each vertex
+    exactly the pairs that hold it.  Derived domains and targets carry no
+    names.
     """
     g = phi.target
     realized_edges = tuple(sorted(set(edge_of)))
@@ -285,7 +289,7 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
         # derived_rotation numbers edges by sorted realized pair; vertex_of is
         # increasing, so that is also the sorted order of the G' edges
         gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
-        gprime = g.derived_memo[key] = PlaneGraph(len(realized_edges), gp_edges, rotation)
+        gprime = g.derived_memo[key] = PlaneGraph._built(len(realized_edges), gp_edges, rotation)
     # two touching K' vertices realize their pair of target edges, which is a G' edge
     image = tuple(vertex_of[a] for a in edge_of)
     idx = gprime.edge_index

@@ -115,9 +115,16 @@ def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _branch_vertices(phi: SimplicialMap) -> frozenset[int]:
     """Vertices of degree 3 or more in phi's image subgraph; arcs cross only at one."""
-    ends = phi.target.edges
-    degree = Counter(v for e in set(phi.edge_image) for v in ends[e])
-    return frozenset(v for v, d in degree.items() if d >= 3)
+    g = phi.target
+    ends = g.edges
+    degree = [0] * g.n
+    branch = []
+    for e in set(phi.edge_image):
+        for v in ends[e]:
+            degree[v] += 1
+            if degree[v] == 3:
+                branch.append(v)
+    return frozenset(branch)
 
 
 def _interned(

@@ -9,8 +9,49 @@ from hypothesis import strategies as st
 
 from embapprox import transversal
 from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import SimplicialMap, WalkArc, _pair, closed_walk, open_walk
-from embapprox.transversal import CrossingWitness
+from embapprox.core import DomainGraph, SimplicialMap, WalkArc, _pair, closed_walk, open_walk
+from embapprox.decide import Event
+from embapprox.derivative import winding_report
+from embapprox.errors import PreconditionError
+from embapprox.transversal import CrossingWitness, find_crossing_pair
+
+
+def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
+    """Contract one degenerate domain edge.
+
+    A loop is simply removed; otherwise the endpoints merge into the smaller
+    id and the remaining edges are re-targeted, keeping any multiplicity.
+    """
+    d = phi.domain
+    if not (0 <= eid < len(d.edges)):
+        raise PreconditionError(f"no such edge {eid}")
+    if phi.edge_image[eid] is not None:
+        raise PreconditionError(f"edge {eid} is not degenerate")
+    u, v = d.edges[eid]
+    if u == v:
+        relabel = list(range(d.n))
+        new_n = d.n
+    else:
+        relabel = [x if x < v else (u if x == v else x - 1) for x in range(d.n)]
+        new_n = d.n - 1
+    new_edges = tuple(
+        _pair(relabel[a], relabel[b]) for i, (a, b) in enumerate(d.edges) if i != eid
+    )
+    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
+    names = [""] * new_n
+    for x in range(d.n):
+        y = relabel[x]
+        names[y] = old_names[x] if not names[y] else f"{names[y]}+{old_names[x]}"
+    images = [0] * new_n
+    for x in range(d.n):
+        images[relabel[x]] = phi.vertex_image[x]
+    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
+    return SimplicialMap(new_domain, phi.target, tuple(images))
+
+
+def mirrored_map(phi: SimplicialMap) -> SimplicialMap:
+    """Same map into the mirror-image embedding of the target."""
+    return SimplicialMap(phi.domain, phi.target.mirrored(), phi.vertex_image)
 
 
 def random_lane_orders(phi: SimplicialMap, rng: random.Random, side: int = 0):
@@ -162,3 +203,22 @@ def reference_scan(
                 return CrossingWitness(arcs[i], arcs[j], *tested[pair])
     return None
 
+
+
+# --- reference stage check ---------------------------------------------------
+
+
+def reference_rejection(phi: SimplicialMap) -> Event | None:
+    """The stage check of `decide` with no winding gate.
+
+    The disjoint crossing scan, then, on any domain but a path, the whole
+    `winding_report`: the first winding of degree |d| >= 2 rejects.
+    """
+    witness = find_crossing_pair(phi, disjoint_only=True)
+    if witness is not None:
+        return Event("transversal-self-intersection", witness)
+    if phi.domain.shape != "path":
+        for comp in winding_report(phi).components:
+            if comp.is_winding and abs(comp.degree) >= 2:
+                return Event("forbidden-winding", comp.degree)
+    return None

@@ -11,10 +11,16 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import random_lane_orders, random_walk_map, sample_corpus
+from conftest import (
+    contract_edge,
+    mirrored_map,
+    random_lane_orders,
+    random_walk_map,
+    sample_corpus,
+)
 
 from embapprox.catalog import euler_cycle_map, ex33_pair, small_targets, winding_map
-from embapprox.core import contract_edge, mirrored_map, normalize_nondegenerate
+from embapprox.core import normalize_nondegenerate
 from embapprox.corpus import CorpusSpec, generate, run_agreement
 from embapprox.decide import decide_cycle, decide_path
 from embapprox.derivative import derive, winding_report

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import random
 import weakref
 from dataclasses import fields
 from itertools import permutations
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import theta_fold, walk_maps
+from conftest import contract_edge, mirrored_map, theta_fold, walk_maps
 
 from embapprox.catalog import (
     FIXTURES,
@@ -33,15 +34,13 @@ from embapprox.core import (
     backtrack,
     closed_walk,
     computed_once,
-    contract_edge,
     format_instance,
-    mirrored_map,
     normalize_nondegenerate,
     open_walk,
     parse_instance,
     zero_components,
 )
-from embapprox.corpus import CorpusSpec, generate
+from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path, decide_path_via_vk
 from embapprox.derivative import iterate_derivative
 from embapprox.errors import (
@@ -117,6 +116,24 @@ def test_edge_image_and_degenerate_edges():
     assert winding_map(2).is_nondegenerate()
     assert winding_map(1).is_injective()
     assert not winding_map(2).is_injective()
+
+
+def test_is_nondegenerate_exactly_when_no_edge_is_degenerate():
+    # is_nondegenerate reads the edge images; degenerate_edges lists them
+    # again on every read and is stored nowhere
+    assert isinstance(vars(SimplicialMap)["degenerate_edges"], property)
+    seen = {True: 0, False: 0}
+    for shape in ("path", "cycle"):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            assert phi.is_nondegenerate() == (phi.degenerate_edges == ())
+            seen[phi.is_nondegenerate()] += 1
+    rng = random.Random(7)
+    names = sorted(TARGETS)
+    for i in range(300):
+        phi = random_deg3_map(TARGETS[names[i % len(names)]](), rng)
+        assert phi.is_nondegenerate() == (phi.degenerate_edges == ())
+        seen[phi.is_nondegenerate()] += 1
+    assert min(seen.values()) > 1000
 
 
 # --- parse / format ---------------------------------------------------------
@@ -615,7 +632,7 @@ COMPUTED_ONCE = {
         "obstruction_memo", "instance_sections",
     ),
     DomainGraph: ("incident", "walk"),
-    SimplicialMap: ("degenerate_edges", "witness_memo", "normalized"),
+    SimplicialMap: ("witness_memo", "normalized"),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_map, theta_fold
+from conftest import random_walk_map, reference_rejection, theta_fold
 
 from embapprox import decide, derivative, vankampen
 from embapprox.catalog import (
@@ -339,6 +339,70 @@ def test_cycle_runs_end_within_n_derives_and_stabilize_on_unit_windings(phi):
         (comp,) = winding_report(stage).components
         assert comp.is_winding and abs(comp.degree) == 1
         assert comp.image_edges == frozenset(range(len(stage.target.edges)))
+
+
+def _gate_matches_the_ungated_scan(phi: SimplicialMap) -> int:
+    """`decide._rejection` equals the reference on every stage of phi; returns the forbidden windings."""
+    forbidden = 0
+    for stage in iterate_derivative(phi, phi.domain.n).maps:
+        event = decide._rejection(stage)
+        assert event == reference_rejection(stage), (stage.domain.edges, stage.vertex_image)
+        forbidden += event is not None and event.kind == "forbidden-winding"
+    return forbidden
+
+
+def test_winding_gate_rejects_what_the_ungated_scan_rejects():
+    # a cycle stage skips the winding scan where no winding of degree |d| >= 2
+    # fits; walks that normalize alike have the same stages, so each such
+    # class is checked once
+    forbidden = 0
+    seen = set()
+    for iid, phi in generate(CorpusSpec("cycle", tuple(TARGETS), k_max=6)):
+        q = normalize_nondegenerate(phi)
+        key = (iid.split("-")[1], q.domain.shape, q.domain.edges, q.vertex_image)
+        if key not in seen:
+            seen.add(key)
+            forbidden += _gate_matches_the_ungated_scan(phi)
+    assert len(seen) > 6000 and forbidden > 100
+    for d in (2, 3, 4):
+        assert _gate_matches_the_ungated_scan(winding_map(d)) >= 1
+
+
+@st.composite
+def onward_walks(draw, k_max: int):
+    """Closed walks of 3 to k_max vertices into C3-C6 or theta, often going on as they came.
+
+    A step stays put, moves to any neighbour, or, as often as not, goes on to
+    the first neighbour in rotation order that it did not come from, so
+    walks that wind several times round a circle are common.  The walk then
+    closes by a shortest way back to its start, and one of fewer than three
+    vertices stays put until it has three.
+    """
+    g = TARGETS[draw(st.sampled_from(("C3", "C4", "C5", "C6", "theta")))]()
+    images = [draw(st.integers(0, g.n - 1))]
+    came_from = None
+    for _ in range(draw(st.integers(0, k_max - g.n))):
+        v = images[-1]
+        onward = [g.other_end(e, v) for e in g.incident[v]]
+        choice = draw(st.integers(0, 2 * len(onward) + 1))
+        if choice == 0:
+            images.append(v)
+            continue
+        if choice <= len(onward):
+            w = onward[choice - 1]
+        else:
+            w = next((x for x in onward if x != came_from), onward[0])
+        images.append(w)
+        came_from = v
+    images += _way_back(g, images[-1], images[0])
+    images += images[-1:] * (3 - len(images))
+    return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(onward_walks(k_max=64))
+def test_winding_gate_rejects_what_the_ungated_scan_rejects_on_long_walks(phi):
+    _gate_matches_the_ungated_scan(phi)
 
 
 def test_independent_path_routes_agree():

@@ -421,6 +421,29 @@ def test_maps_into_one_target_share_each_derived_target(monkeypatch):
             assert getattr(gprime, f.name) == getattr(want, f.name), f.name
 
 
+def test_every_unchecked_derived_target_is_a_valid_plane_graph():
+    # each G' is built with PlaneGraph._built; the checking constructor must
+    # accept it unchanged, at every depth of every target's derived tower
+    targets = {}
+    for shape, decide in (("path", decide_path), ("cycle", decide_cycle)):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            decide(phi)
+            targets[id(phi.target)] = phi.target
+    pending = list(targets.values())
+    rebuilt = deepest = 0
+    depth = {id(g): 0 for g in pending}
+    while pending:
+        g = pending.pop()
+        for gprime in g.derived_memo.values():
+            assert PlaneGraph(gprime.n, gprime.edges, gprime.rotation) == gprime
+            depth[id(gprime)] = depth[id(g)] + 1
+            deepest = max(deepest, depth[id(gprime)])
+            rebuilt += 1
+            pending.append(gprime)
+    assert len(targets) == 2 * len(TARGETS)  # one copy of each per corpus
+    assert rebuilt > 1000 and deepest >= 4
+
+
 # --- linear-time guards ------------------------------------------------------
 
 

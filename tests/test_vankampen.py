@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    mirrored_map,
     random_lane_orders,
     sample_corpus,
     theta_fold,
@@ -30,7 +31,7 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import PlaneGraph, SimplicialMap, mirrored_map, normalize_nondegenerate
+from embapprox.core import PlaneGraph, SimplicialMap, normalize_nondegenerate
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
 from embapprox.decide import decide_path_via_vk
 from embapprox.errors import PreconditionError
