@@ -568,8 +568,10 @@ class SimplicialMap(FieldState):
     def witness_memo(self) -> dict:
         """First crossing witnesses of transversal, keyed by its disjoint_only flag.
 
-        One scan of the arcs fills both entries; like the target's
-        crossing_memo it goes away with the map and is not part of equality.
+        One scan of the arcs fills both entries; the branch vertices of the
+        image, which the scan reads first, are kept under "branch".  Like
+        the target's crossing_memo it goes away with the map and is not part
+        of equality.
         """
         return {}
 

@@ -11,6 +11,12 @@ only when its walk is at least twice as long as its image has edges and
 its image has as many vertices as edges: no other cycle stage holds a
 winding of degree |d| >= 2.  A general-shaped stage is scanned component
 by component, and a path stage never winds.
+A path stage whose image has no branch vertex (no vertex of degree 3 or
+more) is the last stage built: nothing on the rest of its tower can
+reject it, and the number of derives to its empty domain is counted from
+the turns of its walk in O(n) (`_derives_to_empty`), so deciding the
+identity path onto C900 builds no derived target at all.
+`iterate_derivative` and `derive` still build every stage.
 When `derive` refuses a stage, the oracle decides and the verdict is
 flagged for review.  What a stage map concludes from there on is kept in its target's
 `PlaneGraph.decide_memo`, keyed by the map's domain shape, domain edges and
@@ -35,7 +41,7 @@ from .core import SimplicialMap, _shape_of, normalize_nondegenerate
 from .derivative import derivative_stages, iterate_derivative, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
 from .oracle import is_approximable_oracle
-from .transversal import find_crossing_pair
+from .transversal import branch_vertices, find_crossing_pair
 from .vankampen import obstruction_vanishes
 
 EVENT_KINDS = frozenset(
@@ -110,9 +116,68 @@ def _rejection(cur: SimplicialMap) -> Event | None:
     return None
 
 
+def _derives_to_empty(cur: SimplicialMap) -> int:
+    """How many derives take the path stage cur, whose image never branches, to no vertex.
+
+    Nothing on the rest of the tower can reject cur or end its run early:
+    - no crossing occurs: arcs cross only at a branch vertex of the image
+      (`transversal`), so neither crossing scan finds a pair and no derive
+      is refused;
+    - the derivative stays defined and branch-free: a G' vertex a = xy has
+      at most one realized neighbour through x, the one other image edge
+      at x, and one through y, so G' has maximum degree 2;
+    - a path stage never stabilizes and is never terminal: K' has one
+      vertex per run of the walk, fewer than the stage has vertices, and
+      only a cycle domain derives to the terminal configuration; so every
+      later stage is a clean path stage too, and the run ends on the empty
+      domain.
+    The image is a path or a cycle, along which the walk x_0 .. x_k steps
+    one way or the other.  A turn is a position j with x_(j-1) = x_(j+1);
+    the turns cut the k edges into segments of alternating direction, of
+    lengths l_1 .. l_m.  The segment rule is exactly the run collapse of
+    `derive`: the edges at a turn are equal and fall into one run, while
+    inside a segment consecutive edges differ, so a segment of length l
+    keeps l - 1 steps of the derived walk, in its own direction.  One
+    derive thus lowers every length by 1, drops those that reach 0 and
+    merges neighbouring survivors that run the same way, which they do
+    when an odd number of segments was dropped between them.  The count is
+    the rounds until no segment is left, plus the derive of the one vertex
+    then left (a one-vertex stage needs 1).  No segment drops before the
+    shortest reaches 0, so rounds are taken that many at a time; each pass
+    costs O(m) and removes at least m from the total length, so all of
+    them cost O(k).
+    """
+    vimg = cur.vertex_image
+    x = [vimg[v] for v in cur.domain.walk[0]]
+    turns = (j for j, (a, b) in enumerate(zip(x, x[2:]), 1) if a == b)
+    cuts = [0, *turns, len(x) - 1]
+    lengths = [b - a for a, b in zip(cuts, cuts[1:])]  # one vertex: one segment of length 0
+    derives = 1
+    while lengths:
+        low = min(lengths)
+        derives += low
+        merged = []
+        odd = False  # an odd number of segments dropped since the last survivor
+        for length in lengths:
+            length -= low
+            if not length:
+                odd = not odd
+                continue
+            if merged and odd:
+                merged[-1] += length
+            else:
+                merged.append(length)
+            odd = False
+        lengths = merged
+    return derives
+
+
 def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     """Check each stage of `derivative_stages(phi, n)` until one concludes.
 
+    A path stage whose image has no branch vertex concludes once it passes
+    its check: the run then ends on the empty domain after the derives
+    that `_derives_to_empty` counts in O(n), and no later stage is built.
     Every run ends within n derives, n the vertex count of phi: a path
     stage loses a vertex per derive, and on a cycle stage Phi = L -
     |V(image)| (L the domain length) drops by at least one per derive until
@@ -149,6 +214,9 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
             event = _rejection(cur)
             if event is not None:
                 outcome = (0, ((0, event),), False, False)
+                break
+            if cur.domain.shape == "path" and not branch_vertices(cur):
+                outcome = (_derives_to_empty(cur),) + _EMPTY_DOMAIN[1:]
                 break
     except DerivePreconditionError as err:
         # refused on a non-disjoint crossing: the oracle decides, flagged

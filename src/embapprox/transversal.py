@@ -113,18 +113,30 @@ def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (tuple(sorted(image[0])), tuple(sorted(image[1])))
 
 
-def _branch_vertices(phi: SimplicialMap) -> frozenset[int]:
-    """Vertices of degree 3 or more in phi's image subgraph; arcs cross only at one."""
+def branch_vertices(phi: SimplicialMap) -> frozenset[int]:
+    """Vertices of degree 3 or more in phi's image subgraph; arcs cross only at one.
+
+    Found once per map and kept in its `witness_memo` beside the witnesses
+    of `find_crossing_pair`, whose scan reads them first; a target of
+    maximum degree 2 has none, and they are not looked for there.
+    Requires a nondegenerate map.
+    """
     g = phi.target
-    ends = g.edges
-    degree = [0] * g.n
-    branch = []
-    for e in set(phi.edge_image):
-        for v in ends[e]:
-            degree[v] += 1
-            if degree[v] == 3:
-                branch.append(v)
-    return frozenset(branch)
+    if g.max_degree <= 2:
+        return frozenset()
+    memo = phi.witness_memo
+    branch = memo.get("branch")
+    if branch is None:
+        ends = g.edges
+        degree = [0] * g.n
+        found = []
+        for e in set(phi.edge_image):
+            for v in ends[e]:
+                degree[v] += 1
+                if degree[v] == 3:
+                    found.append(v)
+        branch = memo["branch"] = frozenset(found)
+    return branch
 
 
 def _interned(
@@ -276,7 +288,7 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
         # no image can branch; answering here keeps no memo on the map
         return None
     memo = phi.witness_memo
-    if not memo:
+    if disjoint_only not in memo:
         memo[False], memo[True] = _first_crossings(phi)
     return memo[disjoint_only]
 
@@ -324,7 +336,7 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     General domains list their arcs and scan the later arcs of each arc that
     crosses.
     """
-    branch = _branch_vertices(phi)
+    branch = branch_vertices(phi)
     if not branch:
         return None, None
     if phi.domain.shape in ("path", "cycle"):

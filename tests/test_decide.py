@@ -163,9 +163,11 @@ def _identity_path(k: int) -> SimplicialMap:
 def test_derived_targets_carry_no_names():
     # each derived vertex was named after the target edge it came from, so
     # the names doubled at every stage: the identity path onto C20 left a
-    # name of 1,835,007 characters in its tower of derived targets
+    # name of 1,835,007 characters in its tower of derived targets.  decide
+    # settles that branch-free path without deriving it, so the tower is
+    # built whole by iterate_derivative
     phi = _identity_path(20)
-    assert decide_path(phi).approximable is True
+    assert iterate_derivative(phi, phi.domain.n).status == "empty-domain"
     stack, targets = [phi.target], 0
     while stack:
         t = stack.pop()
@@ -187,6 +189,91 @@ def test_winding_path_at_k256_stays_small():
     v, peak = _decide_path_peak(phi)
     assert v.approximable is True
     assert peak < 20 * 2**20
+
+
+def test_branch_free_paths_at_k4096_derive_nothing(monkeypatch):
+    # a path stage whose image never branches is settled in closed form, so
+    # no derivative stage is built; deriving the identity path onto C900
+    # stage by stage took about 4 s and 193 MB
+    def refused(phi):
+        raise AssertionError("a branch-free path stage was derived")
+
+    monkeypatch.setattr(derivative, "derive", refused)
+    winding = SimplicialMap(path_domain(4096), cycle_target(5), tuple(i % 5 for i in range(4096)))
+    for phi in (_identity_path(4096), winding, theta_fold(4096)):
+        v, peak = _decide_path_peak(phi)
+        assert v.approximable is True and v.trace[-1][1] == Event("empty-domain")
+        assert peak < 20 * 2**20
+
+
+def _segment_walk(lengths: list[int], size: int = 12) -> SimplicialMap:
+    """The path into C_size that goes lengths[0] steps up, then lengths[1] down, and so on."""
+    images, direction = [0], 1
+    for length in lengths:
+        for _ in range(length):
+            images.append((images[-1] + direction) % size)
+        direction = -direction
+    return SimplicialMap(path_domain(len(images)), cycle_target(size), tuple(images))
+
+
+def _tower_trace(phi: SimplicialMap) -> tuple:
+    """The trace of a run that passes every stage of phi's tower and ends on its empty domain."""
+    tower = iterate_derivative(phi, phi.domain.n)
+    assert tower.status == "empty-domain"
+    end = len(tower.steps)
+    return tuple((j, Event("clean-pass")) for j in range(end)) + ((end, Event("empty-domain")),)
+
+
+@pytest.mark.parametrize(
+    "lengths, derives",
+    [
+        ([], 1),  # one vertex
+        ([1], 2),
+        ([4], 5),
+        ([3, 1, 3], 6),  # [2, 0, 2] merges across the dropped segment into [4]
+        ([3, 1, 1, 3], 4),  # [2, 0, 0, 2] keeps two segments that run opposite ways
+        ([2, 1, 1, 1, 2], 4),  # an odd number dropped between: [1, 0, 0, 0, 1] merges into [2]
+        ([1, 4], 5),  # the length-1 end segment drops, then [3] runs out
+        ([2, 3, 2], 4),  # [1, 2, 1], then [0, 1, 0] leaves [1]
+        ([5, 2, 2, 1, 6], 11),  # [4, 1, 1, 0, 5] is [4, 1, 6]; [3, 0, 5] merges into [8]
+    ],
+)
+def test_branch_free_path_settles_after_the_counted_derives(lengths, derives):
+    phi = _segment_walk(lengths)
+    trace = _tower_trace(phi)
+    assert trace[-1] == (derives, Event("empty-domain"))
+    assert decide._derives_to_empty(phi) == derives
+    assert decide_path(phi).trace == trace
+
+
+@st.composite
+def branch_free_paths(draw, k_max: int):
+    """Paths of 1 to k_max vertices whose image never branches.
+
+    A walk into C3-C6 or round theta's outer cycle u a v b, each step
+    staying put or moving either way, or the identity path onto C_k.
+    """
+    kind = draw(st.sampled_from(("cycle", "theta", "identity")))
+    if kind == "identity":
+        return _identity_path(draw(st.integers(3, k_max)))
+    steps = draw(st.lists(st.sampled_from((-1, 0, 1)), max_size=k_max - 1))
+    positions = [draw(st.integers(0, 5))]
+    for step in steps:
+        positions.append(positions[-1] + step)
+    if kind == "theta":
+        g = TARGETS["theta"]()
+        ring = [g.vertex_names.index(name) for name in "uavb"]
+        images = tuple(ring[p % 4] for p in positions)
+    else:
+        g = cycle_target(draw(st.integers(3, 6)))
+        images = tuple(p % g.n for p in positions)
+    return SimplicialMap(path_domain(len(images)), g, images)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(branch_free_paths(k_max=256))
+def test_branch_free_path_verdicts_match_the_whole_tower(phi):
+    assert decide_path(phi).trace == _tower_trace(phi)
 
 
 def test_closed_theta_fold_at_k2048_is_decided_quickly():
@@ -552,15 +639,16 @@ def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
             assert decide_cycle(phi) == decide_cycle(_on_fresh_target(phi))
         assert not any(_holds_a_graph_or_map(entry) for entry in _memo_entries(g))
     # a verdict is lent to later maps, also one whose derives use up the
-    # whole budget, as on the identity path onto C5
+    # whole budget, as on the identity path onto C5, whose branch-free first
+    # stage is the only one checked
     checked = _counting_stages(monkeypatch)
     g = cycle_target(5)
     lent = [decide_cycle(SimplicialMap(m.domain, g, m.vertex_image)) for m in (identity, stationary)]
     assert lent[0] == lent[1] and len(checked) == 1
     path = SimplicialMap(path_domain(5), g, (0, 1, 2, 3, 4))
     first = decide_path(path)
-    assert first.trace[-1] == (5, Event("empty-domain")) and len(checked) == 1 + 5
-    assert decide_path(path) == first and len(checked) == 1 + 5
+    assert first.trace[-1] == (5, Event("empty-domain")) and len(checked) == 1 + 1
+    assert decide_path(path) == first and len(checked) == 1 + 1
 
 
 # --- obstruction_memo ------------------------------------------------------------

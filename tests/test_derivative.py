@@ -423,11 +423,14 @@ def test_maps_into_one_target_share_each_derived_target(monkeypatch):
 
 def test_every_unchecked_derived_target_is_a_valid_plane_graph():
     # each G' is built with PlaneGraph._built; the checking constructor must
-    # accept it unchanged, at every depth of every target's derived tower
+    # accept it unchanged, at every depth of every target's derived tower.
+    # decide settles a branch-free path stage without deriving it, so the
+    # path maps build their towers through iterate_derivative
     targets = {}
-    for shape, decide in (("path", decide_path), ("cycle", decide_cycle)):
+    builds = (("path", lambda phi: iterate_derivative(phi, phi.domain.n)), ("cycle", decide_cycle))
+    for shape, build in builds:
         for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
-            decide(phi)
+            build(phi)
             targets[id(phi.target)] = phi.target
     pending = list(targets.values())
     rebuilt = deepest = 0

@@ -148,7 +148,7 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
     for make, passes, scans in ((lambda: theta_fold(32), 5, 0), (_branched_path, 7, 3)):
         # computed on a copy: the stage maps keep their witnesses memoized
         stages = iterate_derivative(make(), max_steps=make().domain.n).maps
-        branching = [m for m in stages if transversal._branch_vertices(m)]
+        branching = [m for m in stages if transversal.branch_vertices(m)]
         scanned.clear()
         with monkeypatch.context() as patch:
             patch.setattr(transversal, "_runs", counted)
@@ -359,7 +359,7 @@ def test_pruned_search_matches_reference_on_general_domains():
             phi = random_deg3_map(TARGETS[name](), rng, max_vertices=10)
             if phi.domain.edges:
                 _assert_both_witnesses_match_reference(phi)
-                branches = bool(transversal._branch_vertices(phi))
+                branches = bool(transversal.branch_vertices(phi))
                 seen[branches, find_crossing_pair(phi, False) is not None] += 1
     assert seen[False, False] > 100 and seen[True, False] > 20 and seen[True, True] > 2
 
