@@ -239,13 +239,15 @@ def _evaluate_target(spec: CorpusSpec) -> list[AgreementRow]:
 def run_agreement(spec: CorpusSpec, jobs: int = 1):
     """Evaluate the whole corpus; returns (rows sorted by id, disagreements).
 
-    The work is split by target.  With jobs > 1 a worker process generates
-    and decides all maps of one target, so they share one copy of the
-    target and the memos kept on it, as they do in a single process.
+    The work is split by target.  With jobs > 1 and more than one target a
+    worker process generates and decides all maps of one target, so they
+    share one copy of the target and the memos kept on it, as they do in a
+    single process; no more workers start than there are targets.
     """
     per_target = [replace(spec, targets=(name,)) for name in spec.targets]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(per_target))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_evaluate_target, per_target))
     else:
         batches = [_evaluate_target(s) for s in per_target]

@@ -2,7 +2,9 @@
 
 Paths and cycles are decided on the stages of `derivative_stages`, which
 derives each stage on demand and ends on the tower's exits (empty domain,
-terminal, stabilized): each stage is checked for transversal
+terminal, stabilized).  A path stage never stabilizes, and a cycle stage
+does exactly when it winds round a cycle target, which counts on the stage
+settle with no isomorphism search.  Each stage is checked for transversal
 self-intersections (cycle stages also for windings of degree outside
 {-1, 0, 1}) until one concludes, and every run ends within n derives.
 A winding of degree d covers its image circle |d| times, and a circle has

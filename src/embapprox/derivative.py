@@ -20,6 +20,10 @@ Other domains group the preimage of every target edge with one union-find
 (`phi_components`).  Derived domains and targets carry no vertex names, so
 nothing grows from stage to stage; `cli derive --dot` names their vertices
 after the target edges they come from.
+
+`derivative_stages` iterates the derivative.  Whether a stage repeats its
+source is read off counts for a path or cycle (`_stabilized`: only a
+winding of a cycle target does); other domains ask `iso.maps_isomorphic`.
 """
 
 from __future__ import annotations
@@ -298,6 +302,42 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 
 
+def _stabilized(step: DerivativeStep) -> bool:
+    """Whether step's map is its source up to isomorphism.
+
+    A path stage never stabilizes: K' has a vertex per run of its n - 1
+    edges, fewer than n.  A cycle stage is decided by counts, in O(1): it
+    stabilizes exactly when every edge is its own run
+    (|K'| = |K|), its target G has maximum degree 2 and |V(G)| = |E(G)|,
+    and every edge of G is covered (|V(G')| = |E(G)|), which makes it a
+    winding of a cycle target.  Proof: every stage after the first maps
+    onto its whole target (G' is the realized edges and pairs), so an
+    isomorphism to it forces |K'| = |K|, which is no backtrack, and a
+    source onto G with |V(G)| = |V(G')| = |E(G)|.  A closed walk that never
+    backtracks leaves each vertex by another edge than it came in on, so
+    every vertex of G has degree at least 2, with |V| = |E| exactly 2, and
+    the walk's connected image makes G one cycle.  Conversely, under the
+    counts G has no path component (maximum degree 2, |V| = |E|), so the
+    connected image that covers every edge is all of G, one cycle, and the
+    walk winds round it without backtracking; a winding of degree d onto
+    an m-cycle derives to a winding of degree d onto G', again an m-cycle.
+    Other domains (the degree-3 route, closed walks that normalize to a
+    doubled edge) ask `maps_isomorphic`.
+    """
+    source = step.source
+    shape = source.domain.shape
+    if shape == "path":
+        return False
+    if shape == "cycle":
+        g = source.target
+        return (
+            step.kprime.n == source.domain.n
+            and g.max_degree <= 2
+            and g.n == len(g.edges) == step.gprime.n
+        )
+    return maps_isomorphic(source, step.map)
+
+
 def derivative_stages(phi: SimplicialMap, max_steps: int):
     """Yield (stage map, step, end) for phi^(0), phi^(1), ..., each derived when asked for.
 
@@ -305,8 +345,8 @@ def derivative_stages(phi: SimplicialMap, max_steps: int):
     with the `DerivativeStep` that made it.  `end` is None until the last
     stage, where it names the exit: "empty-domain", "terminal" or
     "stabilized" (the derive that made the stage is the terminal
-    configuration, or repeats its source up to isomorphism), or
-    "budget-exhausted" after max_steps derives.  A refused derive raises
+    configuration, or repeats its source up to isomorphism, `_stabilized`),
+    or "budget-exhausted" after max_steps derives.  A refused derive raises
     `DerivePreconditionError` out of the generator.
     """
     stage = normalize_nondegenerate(phi)
@@ -314,7 +354,7 @@ def derivative_stages(phi: SimplicialMap, max_steps: int):
     for i in range(max_steps + 1):
         if step is not None and step.terminal_approximable:
             end = "terminal"
-        elif step is not None and stage.domain.n and maps_isomorphic(step.source, stage):
+        elif step is not None and _stabilized(step):
             end = "stabilized"
         elif not stage.domain.n:
             end = "empty-domain"

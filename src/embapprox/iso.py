@@ -3,8 +3,11 @@
 Two maps are isomorphic when there are vertex bijections of the domains and
 of the targets that carry edges to edges (with multiplicity), preserve every
 target rotation as a cyclic sequence (same orientation), and commute with the
-maps.  Used for stabilization detection during derivative iteration and for
-order-independence tests, so it deliberately ignores provenance names.
+maps.  It ignores provenance names.  Derivative iteration asks it whether
+a stage of a general domain (the degree-3 route, or a closed walk that
+normalizes to a doubled edge) repeats its source; path and cycle stages
+settle that by counts (`derivative._stabilized`), and the tests compare
+those counts with this search.
 """
 
 from __future__ import annotations
@@ -80,33 +83,9 @@ def _edge_multiset(d: DomainGraph, vmap: list[int]) -> list[tuple[int, int]]:
     return sorted(_pair(vmap[u], vmap[v]) for u, v in d.edges)
 
 
-def _walk_alignments(d1: DomainGraph, d2: DomainGraph):
-    """Yield the isomorphisms between two paths or two cycles of one length.
-
-    They carry one walk onto the other: forwards or backwards, and on a
-    cycle from any starting position, so a path with an edge has 2 and a
-    cycle of n vertices has 2n.
-    """
-    w1, w2 = d1.walk[0], d2.walk[0]
-    n = len(w1)
-    position = [0] * n
-    for i, x in enumerate(w1):
-        position[x] = i
-    if d1.shape == "path":
-        aligned = (w2,) if n == 1 else (w2, w2[::-1])
-    else:
-        back = w2[::-1]
-        aligned = (w[s:] + w[:s] for w in (w2, back) for s in range(n))
-    for seq in aligned:
-        yield [seq[i] for i in position]
-
-
 def _domain_isos(d1: DomainGraph, d2: DomainGraph):
     """Yield multigraph isomorphisms d1 -> d2 as vertex lists."""
     if d1.n != d2.n or len(d1.edges) != len(d2.edges):
-        return
-    if d1.shape == d2.shape and d1.shape in ("path", "cycle"):
-        yield from _walk_alignments(d1, d2)
         return
     deg1 = [d1.degree(v) for v in range(d1.n)]
     deg2 = [d2.degree(v) for v in range(d2.n)]

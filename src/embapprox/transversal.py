@@ -28,11 +28,15 @@ exits to thread.  So a crossing component holds a branch vertex, which
 then lies in both images.  A map with no branch vertex is not scanned, and
 the scans test only images that contain one.
 
-On a path or cycle domain, moving an arc's end away from its start only
-grows its image, so the arcs from one start fall into a few runs of one
-image.  The search scans those runs and builds only the two arcs of each
-witness; it never lists the O(k^2) arcs.  General domains list their
-simple paths.
+The search scans walks: path and cycle domains.  Moving an arc's end away
+from its start only grows its image, so the arcs from one start fall into
+a few runs of one image.  The search scans those runs and builds only the
+two arcs of each witness; it never lists the O(k^2) arcs.  No route needs
+a general domain scanned: `derive` takes general domains only into
+targets of maximum degree 2, where no image branches, and the one general
+stage `decide` meets, a closed walk normalized to a doubled edge, has no
+branch vertex.  So a general domain is answered only when its image
+cannot branch, and refused otherwise.
 """
 
 from __future__ import annotations
@@ -82,9 +86,6 @@ def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
     Ports of a come first in an "interleaved" witness, so swapping a and b
     can change the ports but never the answer.
     """
-    if g.max_degree <= 2:
-        # every intersection component has at most two ports: nothing can alternate
-        return None
     a_es, b_es = a[1], b[1]
     for sigma_vs, sigma_es in _intersection_components(g, a, b):
         a_stubs = frozenset(e for e in a_es - sigma_es if sigma_vs & set(g.edges[e]))
@@ -179,44 +180,6 @@ def _crossing(g: PlaneGraph, images: list[Subgraph], entries, a: int, b: int):
     return result
 
 
-def _grown(image: Subgraph, v: int, e: int) -> Subgraph:
-    """image plus target vertex v and target edge e; image itself when it has both."""
-    vs, es = image
-    if v in vs and e in es:
-        return image
-    return (vs | {v}, es | {e})
-
-
-def _domain_arcs(phi: SimplicialMap) -> list[tuple[WalkArc, Subgraph]]:
-    """Simple paths of a general domain with at least one edge, in stable order.
-
-    Each path is taken once, smaller endpoint first, and comes with its image
-    subgraph, grown one step at a time from the path's start; a step that
-    adds no new target vertex or edge reuses the previous image object.
-    Requires a nondegenerate map.
-    """
-    d = phi.domain
-    vimg, eimg = phi.vertex_image, phi.edge_image
-    arcs: list[tuple[WalkArc, Subgraph]] = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for start in range(d.n):
-        # every path from start is found before any path from a later start,
-        # so a path is first met from its smaller endpoint
-        stack = [((start,), (), (frozenset((vimg[start],)), frozenset()))]
-        while stack:
-            vs, es, image = stack.pop()
-            if es and (vs[::-1], es[::-1]) not in seen:
-                seen.add((vs, es))
-                arcs.append((WalkArc(vs, es), image))
-            cur = vs[-1]
-            for e in d.incident[cur]:
-                nxt = d.other_end(e, cur)  # a loop or a used edge leads back into vs
-                if nxt not in vs:
-                    stack.append((vs + (nxt,), es + (e,), _grown(image, vimg[nxt], eimg[e])))
-    arcs.sort(key=lambda pair: (pair[0].vertices, pair[0].edges))
-    return arcs
-
-
 def _walk(phi: SimplicialMap) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
     """A path or cycle domain as one walk: (vertices, edges, m, closed).
 
@@ -280,7 +243,8 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     both questions scans its domain once.  Both are None, with no scan,
     when no vertex has degree 3 or more in the map's image subgraph; a
     target of maximum degree 2 has no such vertex, so it is not even looked
-    for there.
+    for there.  Any other map needs a path or cycle domain: a general
+    domain raises `PreconditionError`.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
@@ -321,63 +285,25 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     instances sharing it also reuse.  An image never crosses itself.  A
     disjoint crossing pair is a crossing pair, so the disjoint witness never
     comes before the other.  A map whose image has no branch vertex has
-    neither, and its arcs are not listed.
+    neither, and its arcs are not listed; any other map must have a path or
+    cycle domain, and a general domain raises `PreconditionError`.
 
-    Path and cycle domains are scanned by runs (`_runs`) and never list
-    their O(k^2) arcs.  The first arc (s, lo) of a run comes before the
-    run's other arcs, has every later partner they have, and is contained in
-    each of them, so it has their vertex-disjoint partners too.  Hence both
-    witnesses pair the first arcs of two runs, and only those two arcs are
-    built.  A later run's first arc (t, e) is disjoint from (s, lo) iff
-    t > lo, and on a cycle of length m also e <= s + m - 1.  The first ends
-    of one image's runs never decrease as their starts grow (if t < t' and
-    e' < e, the arc (t, e') would reach that image before e), so the first
-    run of a partner image that starts after lo is the only one to test.
-    General domains list their arcs and scan the later arcs of each arc that
-    crosses.
+    The walk is scanned by runs (`_runs`) and never lists its O(k^2) arcs.
+    The first arc (s, lo) of a run comes before the run's other arcs, has
+    every later partner they have, and is contained in each of them, so it
+    has their vertex-disjoint partners too.  Hence both witnesses pair the
+    first arcs of two runs, and only those two arcs are built.  A later
+    run's first arc (t, e) is disjoint from (s, lo) iff t > lo, and on a
+    cycle of length m also e <= s + m - 1.  The first ends of one image's
+    runs never decrease as their starts grow (if t < t' and e' < e, the arc
+    (t, e') would reach that image before e), so the first run of a partner
+    image that starts after lo is the only one to test.
     """
     branch = branch_vertices(phi)
     if not branch:
         return None, None
-    if phi.domain.shape in ("path", "cycle"):
-        return _first_run_crossings(phi, branch)
-    g = phi.target
-    arcs = _domain_arcs(phi)
-    ids: dict[Subgraph, int] = {}
-    image_id = [ids.setdefault(image, len(ids)) for _, image in arcs]
-    images = list(ids)
-    entries = _interned(g, images, branch)
-    crossers: dict[int, tuple[int, ...]] = {}
-    first = None
-    for i, a in enumerate(image_id):
-        if a not in crossers:
-            crossers[a] = _partners(g, images, entries, a)
-        partners = crossers[a]
-        if not partners:
-            continue
-        vi = set(arcs[i][0].vertices)
-        for j in range(i + 1, len(arcs)):
-            b = image_id[j]
-            if b not in partners:
-                continue
-            disjoint = vi.isdisjoint(arcs[j][0].vertices)
-            if first is not None and not disjoint:
-                continue
-            witness = _witness(g, images, entries, arcs[i][0], a, arcs[j][0], b)
-            if first is None:
-                first = witness
-            if disjoint:
-                return first, witness
-    return first, None
-
-
-def _first_run_crossings(
-    phi: SimplicialMap, branch: frozenset[int]
-) -> tuple[CrossingWitness | None, CrossingWitness | None]:
-    """`_first_crossings` of a path or cycle map, from the first arcs of its runs.
-
-    branch holds the branch vertices of phi's image.
-    """
+    if phi.domain.shape not in ("path", "cycle"):
+        raise PreconditionError("crossing scan of a branching map needs a path or cycle domain")
     g = phi.target
     vertices, edges, m, closed = _walk(phi)
     ids: dict[Subgraph, int] = {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from embapprox import transversal
 from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import DomainGraph, SimplicialMap, WalkArc, _pair, closed_walk, open_walk
+from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair, closed_walk, open_walk
 from embapprox.decide import Event
 from embapprox.derivative import winding_report
 from embapprox.errors import PreconditionError
@@ -89,6 +89,24 @@ def random_walk_map(
         return SimplicialMap(domain, target, tuple(images))
 
 
+def way_back(g: PlaneGraph, u: int, v: int) -> list[int]:
+    """The inner vertices of a shortest walk from u to v in g."""
+    prev = {u: None}
+    queue = [u]
+    for x in queue:
+        for e in g.incident[x]:
+            y = g.other_end(e, x)
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    inner = []
+    x = v if v == u else prev[v]
+    while x != u:
+        inner.append(x)
+        x = prev[x]
+    return inner[::-1]
+
+
 @st.composite
 def walk_maps(draw, k_max: int, k_min: int = 1, closed: bool = True):
     """Walks into theta, W4 or ex33; a step may stay put.
@@ -153,10 +171,11 @@ def back_and_forth(k: int) -> SimplicialMap:
 
 
 def subwalks(phi: SimplicialMap) -> list[WalkArc]:
-    """Every arc in enumeration order.
+    """Every arc of a path or cycle domain in enumeration order.
 
-    Path and cycle domains give their contiguous subwalks, listed here
-    independently of the run scan; general domains give their simple paths.
+    These are the domain's contiguous subwalks, listed here independently of
+    the run scan.  The crossing scan covers walks only, so a general domain
+    is refused.
     """
     d = phi.domain
     every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
@@ -174,7 +193,7 @@ def subwalks(phi: SimplicialMap) -> list[WalkArc]:
         return [
             WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
         ]
-    return [arc for arc, _ in transversal._domain_arcs(phi)]
+    raise PreconditionError(f"arcs of a {d.shape} domain are not scanned")
 
 
 def reference_scan(

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from embapprox import corpus
 from embapprox.catalog import (
     FIXTURES,
     TARGETS,
@@ -183,6 +184,24 @@ def test_run_agreement_in_worker_processes_gives_the_same_rows():
     # each worker process generates and decides the maps of one target
     spec = CorpusSpec(shape="path", targets=("C3", "theta"), k_min=1, k_max=4)
     assert run_agreement(spec, jobs=2) == run_agreement(spec, jobs=1)
+
+
+def test_run_agreement_starts_no_more_workers_than_targets(monkeypatch):
+    pools = []
+    pool_class = corpus.ProcessPoolExecutor
+
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", recorded)
+    two = CorpusSpec(shape="path", targets=("C3", "theta"), k_min=1, k_max=4)
+    assert run_agreement(two, jobs=4) == run_agreement(two, jobs=1)
+    assert pools == [2]
+    # a one-target corpus runs in this process
+    one = CorpusSpec(shape="path", targets=("theta",), k_min=1, k_max=4)
+    assert run_agreement(one, jobs=4) == run_agreement(one, jobs=1)
+    assert pools == [2]
 
 
 def test_full_derivative_iteration_statuses():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_map, reference_rejection, theta_fold
+from conftest import random_walk_map, reference_rejection, theta_fold, way_back
 
 from embapprox import decide, derivative, vankampen
 from embapprox.catalog import (
@@ -316,7 +316,7 @@ def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypa
         judged.append((judge, phi, judge(phi)))
     # without the stabilization exit a run reaches the same verdict with a
     # trace no shorter, or, where stabilization ended it, no verdict at all
-    monkeypatch.setattr(derivative, "maps_isomorphic", lambda phi, psi: False)
+    monkeypatch.setattr(derivative, "_stabilized", lambda step: False)
     unending = 0
     for judge, phi, lazy in judged:
         try:
@@ -334,7 +334,7 @@ def test_a_run_that_never_stabilizes_raises_instead_of_answering(monkeypatch):
     # the identity cycle onto C5 derives to itself; with no stabilization
     # exit nothing ends its run, which used to answer approximable once its
     # budget ran out
-    monkeypatch.setattr(derivative, "maps_isomorphic", lambda phi, psi: False)
+    monkeypatch.setattr(derivative, "_stabilized", lambda step: False)
     phi = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     with pytest.raises(InvariantError, match="derive-bound"):
         decide_cycle(phi)
@@ -376,24 +376,6 @@ def test_decide_and_iterate_derivative_walk_one_tower():
     } | {("terminal-approximable", False), ("empty-domain", False)}
 
 
-def _way_back(g: PlaneGraph, u: int, v: int) -> list[int]:
-    """The inner vertices of a shortest walk from u to v in g."""
-    prev = {u: None}
-    queue = [u]
-    for x in queue:
-        for e in g.incident[x]:
-            y = g.other_end(e, x)
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    inner = []
-    x = v if v == u else prev[v]
-    while x != u:
-        inner.append(x)
-        x = prev[x]
-    return inner[::-1]
-
-
 @st.composite
 def closed_walks(draw, k_max: int):
     """Closed walks of 3 to k_max vertices into theta, W4, ex33 or C3-C6.
@@ -408,7 +390,7 @@ def closed_walks(draw, k_max: int):
         v = images[-1]
         choice = draw(st.integers(0, len(g.incident[v])))
         images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
-    images += _way_back(g, images[-1], images[0])
+    images += way_back(g, images[-1], images[0])
     images += images[-1:] * (3 - len(images))
     return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
 
@@ -481,7 +463,7 @@ def onward_walks(draw, k_max: int):
             w = next((x for x in onward if x != came_from), onward[0])
         images.append(w)
         came_from = v
-    images += _way_back(g, images[-1], images[0])
+    images += way_back(g, images[-1], images[0])
     images += images[-1:] * (3 - len(images))
     return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import fields
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_walk_map, reference_scan, walk_maps
+from conftest import random_walk_map, reference_scan, walk_maps, way_back
 
 from embapprox import derivative
 from embapprox.catalog import (
@@ -447,6 +449,119 @@ def test_every_unchecked_derived_target_is_a_valid_plane_graph():
     assert rebuilt > 1000 and deepest >= 4
 
 
+# --- stabilization by counts -------------------------------------------------
+# derivative_stages decides whether a walk stage repeats its source from
+# counts on the DerivativeStep (`derivative._stabilized`); maps_isomorphic
+# stays the reference.
+
+
+@st.composite
+def catalog_walks(draw, k_max: int):
+    """A path, or a walk closed by a shortest way back, into any catalog target.
+
+    A step may stay put, and both kinds have at most k_max vertices.
+    """
+    g = TARGETS[draw(st.sampled_from(sorted(TARGETS)))]()
+    closed = draw(st.booleans())
+    images = [draw(st.integers(0, g.n - 1))]
+    for _ in range(draw(st.integers(0, k_max - (g.n if closed else 1)))):
+        v = images[-1]
+        choice = draw(st.integers(0, len(g.incident[v])))
+        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+    if not closed:
+        return SimplicialMap(path_domain(len(images)), g, tuple(images))
+    images += way_back(g, images[-1], images[0])
+    images += images[-1:] * (3 - len(images))
+    return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
+
+
+def _assert_counts_decide_stabilization(phi: SimplicialMap) -> int:
+    """Compare the count rule with maps_isomorphic at every derive; returns how many stabilized."""
+    cur = normalize_nondegenerate(phi)
+    for _ in range(cur.domain.n + 1):
+        if not cur.domain.n:
+            return 0
+        try:
+            step = derive(cur)
+        except DerivePreconditionError:
+            return 0
+        if step.terminal_approximable:
+            return 0
+        stabilized = derivative._stabilized(step)
+        assert stabilized == maps_isomorphic(step.source, step.map), phi.vertex_image
+        if stabilized:
+            return 1
+        cur = step.map
+    raise AssertionError("no exit within n + 1 derives")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        catalog_walks(k_max=64),
+        st.builds(winding_map, st.integers(-4, 4), st.integers(3, 12)).filter(
+            lambda phi: phi.domain.n <= 64
+        ),
+    )
+)
+def test_count_rule_agrees_with_isomorphism_at_every_derive(phi):
+    _assert_counts_decide_stabilization(phi)
+
+
+def test_count_rule_stabilizes_windings_of_every_degree():
+    stabilized = sum(
+        _assert_counts_decide_stabilization(winding_map(d, length))
+        for d in (-3, -2, -1, 1, 2, 3)
+        for length in (3, 4, 7)
+    )
+    assert stabilized == 18
+
+
+def test_a_walk_with_no_backtrack_stabilizes_only_when_it_winds_a_cycle_target():
+    # theta plus an isolated vertex has as many vertices as edges (5), and
+    # the closed walk u a v u b v covers every edge with no backtrack: every
+    # count holds but the maximum degree, and the stage is no winding.  The
+    # crossing check refuses the derive, so the stage is built directly
+    theta = theta_target()
+    g = PlaneGraph(5, theta.edges, theta.rotation + ((),))
+    phi = SimplicialMap(cycle_domain(6), g, (0, 2, 1, 0, 3, 1))
+    step = derivative._derive_runs(phi)
+    assert step.kprime.n == phi.domain.n and g.n == len(g.edges) == step.gprime.n == 5
+    assert g.max_degree == 3
+    assert not maps_isomorphic(step.source, step.map)
+    assert not derivative._stabilized(step)
+    # a winding of a triangle beside a second triangle leaves edges
+    # uncovered, and beside an isolated vertex has |V| > |E|
+    triangle = ((0, 1), (0, 2), (1, 2))
+    two = PlaneGraph(6, triangle + ((3, 4), (3, 5), (4, 5)), triangle + ((3, 4), (3, 5), (4, 5)))
+    lone = PlaneGraph(4, triangle, triangle + ((),))
+    for g in (two, lone):
+        step = derive(SimplicialMap(cycle_domain(3), g, (0, 1, 2)))
+        assert step.kprime.n == 3 and step.gprime.n == 3 and g.max_degree == 2
+        assert not maps_isomorphic(step.source, step.map)
+        assert not derivative._stabilized(step)
+
+
+def test_no_walk_stage_reaches_the_isomorphism_search(monkeypatch):
+    # only a closed walk that normalizes to a doubled edge, a general
+    # domain, may still ask the search
+    general = Counter()
+
+    def general_only(phi, psi):
+        assert phi.domain.shape == "general", phi.domain.shape
+        general[phi.domain.n, len(phi.domain.edges)] += 1
+        return maps_isomorphic(phi, psi)
+
+    monkeypatch.setattr(derivative, "maps_isomorphic", general_only)
+    seen = Counter()
+    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            judge(phi)
+            seen[iterate_derivative(phi, phi.domain.n).status] += 1
+    assert {"stabilized", "empty-domain", "terminal", "precondition-failed"} <= set(seen)
+    assert set(general) == {(2, 2)}
+
+
 # --- linear-time guards ------------------------------------------------------
 
 
@@ -544,7 +659,7 @@ def test_domain_isomorphisms_match_the_permutation_reference():
         d = random_deg3_map(TARGETS["C4"](), rng, max_vertices=6).domain
         deg3 += any(d.degree(v) == 3 for v in range(d.n))
         domains.append(d)
-    # a path tagged general takes the search, not the walk alignments
+    # a path tagged general
     domains.append(DomainGraph(4, ((0, 1), (1, 2), (2, 3)), "general"))
     shapes: dict[str, int] = {}
     for d in domains:

@@ -21,6 +21,7 @@ from conftest import (
 from embapprox import transversal
 from embapprox.catalog import (
     TARGETS,
+    cycle_domain,
     euler_cycle_map,
     euler_path_map,
     ex33_pair,
@@ -329,6 +330,8 @@ def test_interned_crossing_results_match_a_fresh_target(rng):
 @given(walk_maps(k_max=16))
 def test_images_cross_only_at_a_vertex_of_degree_three_in_their_union(phi):
     psi = normalize_nondegenerate(phi)
+    if psi.domain.shape not in ("path", "cycle"):
+        return  # a doubled edge: both its arcs have one image, so no pair to test
     g = psi.target
     images = list(dict.fromkeys(psi.arc_image(arc) for arc in subwalks(psi)))
     for i, a in enumerate(images):
@@ -351,17 +354,30 @@ def test_pruned_search_matches_reference_on_walks_up_to_64_vertices(phi):
         _assert_both_witnesses_match_reference(psi)
 
 
-def test_pruned_search_matches_reference_on_general_domains():
+def test_general_domains_are_scanned_only_where_the_image_cannot_branch():
+    # the scan covers walks: a general domain whose image can branch is
+    # refused, one whose image cannot is answered with no scan
     rng = random.Random(3)
     seen = Counter()
     for name in ("theta", "W4", "ex33"):
         for _ in range(120):
             phi = random_deg3_map(TARGETS[name](), rng, max_vertices=10)
-            if phi.domain.edges:
-                _assert_both_witnesses_match_reference(phi)
-                branches = bool(transversal.branch_vertices(phi))
-                seen[branches, find_crossing_pair(phi, False) is not None] += 1
-    assert seen[False, False] > 100 and seen[True, False] > 20 and seen[True, True] > 2
+            if phi.domain.shape != "general":
+                continue
+            branches = bool(transversal.branch_vertices(phi))
+            seen[branches] += 1
+            for disjoint_only in (True, False):
+                if branches:
+                    with pytest.raises(PreconditionError):
+                        find_crossing_pair(phi, disjoint_only)
+                else:
+                    assert find_crossing_pair(phi, disjoint_only) is None
+    assert seen[False] > 100 and seen[True] > 20
+    # so is a closed walk that normalizes to a doubled edge, the one general
+    # stage decide_cycle meets
+    doubled = normalize_nondegenerate(SimplicialMap(cycle_domain(3), TARGETS["theta"](), (0, 2, 2)))
+    assert doubled.domain.shape == "general" and len(doubled.domain.edges) == 2
+    assert transversal._first_crossings(doubled) == (None, None)
 
 
 def test_maps_whose_image_never_branches_are_not_scanned(monkeypatch):
@@ -389,9 +405,13 @@ def test_run_scan_matches_reference_on_every_small_w4_and_ex33_walk():
         spec = CorpusSpec(shape, ("W4", "ex33"), k_min=3 if shape == "cycle" else 1, k_max=5)
         for _, phi in generate(spec):
             psi = normalize_nondegenerate(phi)
-            if psi.domain.edges:
+            if not psi.domain.edges:
+                continue
+            if psi.domain.shape == "general":  # a doubled edge: its image cannot branch
+                assert transversal._first_crossings(psi) == (None, None)
+            else:
                 _assert_both_witnesses_match_reference(psi)
-                checked += 1
+            checked += 1
     assert checked > 6000
 
 
