@@ -791,10 +791,7 @@ def _quotient(
 
     Names are the `+`-joined names of a class's vertices, and the
     nondegenerate edges keep their order.  The shape is `shape` when the
-    caller's construction determines it, else it is computed.  A path whose
-    edge i joins classes i and i + 1, as every quotient of a
-    `catalog.path_domain` does, is stored with its walk, the classes in
-    order.
+    caller's construction determines it, else it is computed.
     """
     d = phi.domain
     old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
@@ -804,22 +801,55 @@ def _quotient(
         groups[member[x]].append(old_names[x])
         images[member[x]] = phi.vertex_image[x]
     names = tuple("+".join(g) for g in groups)
-    new_edges = tuple(
-        _pair(member[u], member[v])
-        for (u, v), a in zip(d.edges, phi.edge_image)
-        if a is not None
-    )
+    new_edges = _surviving_edges(phi, member)
     if shape is None:
         new_domain = DomainGraph.from_structure(count, new_edges, names)
     else:
-        walk = None
-        if shape == "path" and new_edges == tuple(zip(range(count - 1), range(1, count))):
-            walk = (tuple(range(count)), tuple(range(count - 1)))
-        new_domain = DomainGraph._built(count, new_edges, shape, names, walk)
+        new_domain = DomainGraph._built(count, new_edges, shape, names)
     # a class is joined through degenerate edges, so its vertices share one
     # image, and each surviving edge keeps its target edge
-    edge_image = tuple(a for a in phi.edge_image if a is not None)
+    edge_image = tuple([a for a in phi.edge_image if a is not None])
     return SimplicialMap._built(new_domain, phi.target, tuple(images), edge_image)
+
+
+def _surviving_edges(phi: SimplicialMap, member: list[int]) -> tuple[tuple[int, int], ...]:
+    """The nondegenerate edges of phi in their order, as sorted pairs of classes."""
+    edges = []
+    for (u, v), a in zip(phi.domain.edges, phi.edge_image):
+        if a is not None:
+            u, v = member[u], member[v]
+            edges.append((u, v) if u < v else (v, u))
+    return tuple(edges)
+
+
+def _run_classes(phi: SimplicialMap) -> tuple[list[int], int]:
+    """Per vertex of a path or cycle domain, its run of degenerate edges along the walk.
+
+    Runs are numbered by their smallest vertex; on a cycle the last run
+    wraps into the first.  Returns the run of each vertex and the count.
+    """
+    vertices, order = phi.domain.walk
+    eimg = phi.edge_image
+    run_of = [0] * len(vertices)  # per walk position
+    lows = [vertices[0]]
+    for p in range(1, len(vertices)):
+        x = vertices[p]
+        if eimg[order[p - 1]] is not None:
+            lows.append(x)
+        elif x < lows[-1]:
+            lows[-1] = x
+        run_of[p] = len(lows) - 1
+    if phi.domain.shape == "cycle" and len(lows) > 1 and eimg[order[-1]] is None:
+        last = len(lows) - 1
+        lows[0] = min(lows[0], lows.pop())
+        run_of = [0 if r == last else r for r in run_of]
+    rank = [0] * len(lows)
+    for r, i in enumerate(sorted(range(len(lows)), key=lows.__getitem__)):
+        rank[i] = r
+    member = [0] * len(vertices)
+    for x, r in zip(vertices, run_of):
+        member[x] = rank[r]
+    return member, len(lows)
 
 
 def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
@@ -831,34 +861,91 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     is a path and a cycle's is a cycle when three or more classes remain;
     any other shape is computed.  Returns the quotient map and, per original
     vertex, its class id.
+
+    On a path or cycle a class is a maximal run of degenerate edges along
+    `DomainGraph.walk`, and on a cycle the last run wraps into the first.
+    Where the walk visits the vertices in id order, as on every
+    `catalog.path_domain` and `catalog.cycle_domain`, the runs come in the
+    order of their smallest vertices, so one pass along the walk numbers
+    the classes, appends each class's name and reads its image; a path
+    whose edge ids also follow the walk gets the edges (i, i + 1) and its
+    walk.  A walk in another order is numbered by sorting its runs
+    (`_run_classes`), and general domains join their classes with a
+    union-find.
     """
     d = phi.domain
-    # union-find on an int array: every vertex points to a smaller one or to
-    # itself, so each class is rooted at its smallest vertex
-    parent = list(range(d.n))
-    for (u, v), a in zip(d.edges, phi.edge_image):
-        if a is None:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u < v:
-                parent[v] = u
-            elif v < u:
-                parent[u] = v
-    member = [0] * d.n
-    count = 0
-    for x, p in enumerate(parent):
-        if p == x:
-            member[x] = count
-            count += 1
+    n = d.n
+    if d.shape == "general":
+        # union-find on an int array: every vertex points to a smaller one or
+        # to itself, so each class is rooted at its smallest vertex
+        parent = list(range(n))
+        for (u, v), a in zip(d.edges, phi.edge_image):
+            if a is None:
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u < v:
+                    parent[v] = u
+                elif v < u:
+                    parent[u] = v
+        member = [0] * n
+        count = 0
+        for x, p in enumerate(parent):
+            if p == x:
+                member[x] = count
+                count += 1
+            else:
+                member[x] = member[p]
+        return _quotient(phi, member, count, None), tuple(member)
+    closed = d.shape == "cycle"
+    vertices, order = d.walk
+    ids = tuple(range(n))
+    if vertices != ids:
+        member, count = _run_classes(phi)
+        shape = ("cycle" if count >= 3 else None) if closed else "path"
+        return _quotient(phi, member, count, shape), tuple(member)
+    eimg, vimg = phi.edge_image, phi.vertex_image
+    old_names = d.vertex_names or tuple(map(str, ids))
+    member = [0] * n
+    names: list[str] = []
+    images = [vimg[0]]
+    name = old_names[0]
+    c = 0  # the class of vertex x
+    for x in range(1, n):
+        if eimg[order[x - 1]] is None:
+            name += "+" + old_names[x]
         else:
-            member[x] = member[p]
-    if d.shape == "path":
-        shape = "path"
+            names.append(name)
+            name = old_names[x]
+            images.append(vimg[x])
+            c += 1
+        member[x] = c
+    names.append(name)
+    count = c + 1
+    if closed and c and eimg[order[-1]] is None:
+        # the last run wraps into the first, which holds vertex 0
+        names[0] += "+" + names.pop()
+        images.pop()
+        count = c
+        x = n - 1
+        while member[x] == c:
+            member[x] = 0
+            x -= 1
+    edge_image = tuple([a for a in eimg if a is not None])
+    walk = None
+    if not closed and order == ids[:-1]:
+        edges = tuple(zip(range(count - 1), range(1, count)))
+        walk = (ids[:count], ids[: count - 1])
     else:
-        shape = "cycle" if d.shape == "cycle" and count >= 3 else None
-    return _quotient(phi, member, count, shape), tuple(member)
+        edges = _surviving_edges(phi, member)
+    if not closed:
+        domain = DomainGraph._built(count, edges, "path", tuple(names), walk)
+    elif count >= 3:
+        domain = DomainGraph._built(count, edges, "cycle", tuple(names))
+    else:
+        domain = DomainGraph.from_structure(count, edges, tuple(names))
+    return SimplicialMap._built(domain, phi.target, tuple(images), edge_image), tuple(member)
 
 
 def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:

@@ -36,7 +36,6 @@ from .core import (
     PlaneGraph,
     SimplicialMap,
     UnionFind,
-    _pair,
     closed_walk,
     computed_once,
     normalize_nondegenerate,
@@ -129,19 +128,18 @@ def derived_rotation(
     realized_pairs holds the adjacencies {a, b} (as sorted target-edge-id
     pairs) that become edges.  Both endpoint blocks read counterclockwise.
     """
-    pair_ids = {p: i for i, p in enumerate(sorted(realized_pairs))}
-
-    def ccw_after(v: int, a: int) -> list[int]:
-        rot = g.rotation[v]
-        i = rot.index(a)
-        return [rot[(i + t) % len(rot)] for t in range(1, len(rot))]
-
+    pair_id = {p: i for i, p in enumerate(sorted(realized_pairs))}.get
     rotation: list[tuple[int, ...]] = []
     for a in realized_edges:
-        x, y = g.edges[a]
-        at_x = [b for b in ccw_after(x, a) if _pair(a, b) in pair_ids]
-        at_y = [c for c in ccw_after(y, a) if _pair(a, c) in pair_ids]
-        rotation.append(tuple(pair_ids[_pair(a, b)] for b in at_x + at_y))
+        ids = []
+        for v in g.edges[a]:  # x, then y
+            rot = g.rotation[v]
+            i = rot.index(a)
+            for b in rot[i + 1 :] + rot[:i]:  # counterclockwise after a
+                pid = pair_id((a, b) if a < b else (b, a))
+                if pid is not None:
+                    ids.append(pid)
+        rotation.append(tuple(ids))
     return tuple(rotation)
 
 
@@ -222,26 +220,32 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
             vertices = vertices[offset:] + vertices[:offset]
             edges = edges[offset:] + edges[:offset]
         vertices += vertices[:1]
-    bounds = [0]
+    # each run's target edge and smallest vertex; the vertex between edges
+    # p - 1 and p lies on both their runs
     images = [eimg[edges[0]]]
-    for p in range(1, length):
-        a = eimg[edges[p]]
+    lows = []
+    low = vertices[0]
+    for x, e in zip(vertices[1:length], edges[1:]):
+        if x < low:
+            low = x
+        a = eimg[e]
         if a != images[-1]:
-            bounds.append(p)
             images.append(a)
-    bounds.append(length)
+            lows.append(low)
+            low = x
+    x = vertices[length]
+    lows.append(x if x < low else low)
     runs = len(images)
     # K' numbers the components by (target edge, smallest domain vertex)
-    order = sorted(
-        range(runs), key=lambda i: (images[i], min(vertices[bounds[i] : bounds[i + 1] + 1]))
-    )
+    order = [i for _, _, i in sorted(zip(images, lows, range(runs)))]
     rank = [0] * runs
     for r, i in enumerate(order):
         rank[i] = r
     cyclic = closed and runs >= 3
-    steps = [_pair(rank[i], rank[i + 1]) for i in range(runs - 1)]
+    steps = [(a, b) if a < b else (b, a) for a, b in zip(rank, rank[1:])]
     if cyclic:
-        steps.append(_pair(rank[-1], rank[0]))
+        a, b = rank[-1], rank[0]
+        steps.append((a, b) if a < b else (b, a))
     shared = sorted(steps)
     edge_id = {pair: i for i, pair in enumerate(shared)}
     walk_edges = [edge_id[pair] for pair in steps]
@@ -285,7 +289,12 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     g = phi.target
     realized_edges = tuple(sorted(set(edge_of)))
     vertex_of = {a: i for i, a in enumerate(realized_edges)}
-    realized_pairs = frozenset(_pair(edge_of[i], edge_of[j]) for i, j in shared)
+    # the realized pair of each K' edge, in K' edge order
+    pairs = []
+    for i, j in shared:
+        a, b = edge_of[i], edge_of[j]
+        pairs.append((a, b) if a < b else (b, a))
+    realized_pairs = frozenset(pairs)
     key = (realized_edges, realized_pairs)
     gprime = g.derived_memo.get(key)
     if gprime is None:
@@ -294,10 +303,11 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
         # increasing, so that is also the sorted order of the G' edges
         gp_edges = tuple((vertex_of[a], vertex_of[b]) for a, b in sorted(realized_pairs))
         gprime = g.derived_memo[key] = PlaneGraph._built(len(realized_edges), gp_edges, rotation)
-    # two touching K' vertices realize their pair of target edges, which is a G' edge
+    # two touching K' vertices realize their pair of target edges, which is a
+    # G' edge; vertex_of is increasing, so it keeps each pair sorted
     image = tuple(vertex_of[a] for a in edge_of)
     idx = gprime.edge_index
-    edge_image = tuple(idx[_pair(image[i], image[j])] for i, j in shared)
+    edge_image = tuple([idx[vertex_of[a], vertex_of[b]] for a, b in pairs])
     phiprime = SimplicialMap._built(kprime, gprime, image, edge_image)
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 

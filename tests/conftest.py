@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from embapprox import transversal
 from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair, closed_walk, open_walk
+from embapprox.core import (
+    DomainGraph,
+    PlaneGraph,
+    SimplicialMap,
+    UnionFind,
+    WalkArc,
+    _pair,
+    closed_walk,
+    open_walk,
+)
 from embapprox.decide import Event
 from embapprox.derivative import winding_report
 from embapprox.errors import PreconditionError
@@ -241,3 +250,55 @@ def reference_rejection(phi: SimplicialMap) -> Event | None:
             if comp.is_winding and abs(comp.degree) >= 2:
                 return Event("forbidden-winding", comp.degree)
     return None
+
+
+# --- reference quotient --------------------------------------------------------
+
+
+def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
+    """`core.zero_components` by a union-find over the degenerate edges, blind to the walk.
+
+    Classes are numbered by their smallest vertex and named by their
+    vertices' names in increasing id order, joined by `+`.  Every
+    nondegenerate edge survives in its order, and the quotient is built and
+    checked from scratch, its shape computed from its structure.
+    """
+    d = phi.domain
+    sets = UnionFind()
+    for eid in phi.degenerate_edges:
+        sets.union(*d.edges[eid])
+    classes = sets.classes(range(d.n))  # by smallest vertex, each in id order
+    member = [0] * d.n
+    for c, xs in enumerate(classes):
+        for x in xs:
+            member[x] = c
+    names = d.vertex_names or tuple(str(x) for x in range(d.n))
+    edges = tuple(
+        _pair(member[u], member[v]) for (u, v), a in zip(d.edges, phi.edge_image) if a is not None
+    )
+    domain = DomainGraph.from_structure(
+        len(classes), edges, tuple("+".join(names[x] for x in xs) for xs in classes)
+    )
+    images = tuple(phi.vertex_image[xs[0]] for xs in classes)
+    return SimplicialMap(domain, phi.target, images), tuple(member)
+
+
+def relabelled(phi: SimplicialMap, vertex_ids, edge_order, names: bool = True) -> SimplicialMap:
+    """phi with domain vertex x renamed vertex_ids[x] and its edges listed as edge_order says.
+
+    New edge i is old edge edge_order[i].  With names, new vertex
+    vertex_ids[x] is named after x, so a quotient's names show the order in
+    which a class lists its vertices.
+    """
+    d = phi.domain
+    image = [0] * d.n
+    for x, y in enumerate(vertex_ids):
+        image[y] = phi.vertex_image[x]
+    edges = tuple(_pair(vertex_ids[u], vertex_ids[v]) for u, v in (d.edges[e] for e in edge_order))
+    vertex_names = ()
+    if names:
+        label = [""] * d.n
+        for x, y in enumerate(vertex_ids):
+            label[y] = f"w{x}"
+        vertex_names = tuple(label)
+    return SimplicialMap(DomainGraph(d.n, edges, d.shape, vertex_names), phi.target, tuple(image))

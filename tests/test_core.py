@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contract_edge, mirrored_map, theta_fold, walk_maps
+from conftest import (
+    contract_edge,
+    mirrored_map,
+    reference_zero_components,
+    relabelled,
+    theta_fold,
+    walk_maps,
+)
 
 from embapprox.catalog import (
     FIXTURES,
@@ -553,6 +560,77 @@ def _run_walks(draw):
 def test_quotient_shapes_and_numbering_on_random_run_walks(phi):
     if not phi.is_nondegenerate():
         _assert_quotient_pinned(phi)
+
+
+def _quotient_fields(q: SimplicialMap, member: tuple[int, ...]) -> tuple:
+    d = q.domain
+    walk = d.walk if d.shape != "general" else None
+    return (d.n, d.edges, d.shape, d.vertex_names, walk, q.vertex_image, q.edge_image, member)
+
+
+def _assert_collapse_is_the_reference(phi: SimplicialMap) -> tuple:
+    got = _quotient_fields(*zero_components(phi))
+    assert got == _quotient_fields(*reference_zero_components(phi)), phi
+    return got
+
+
+@st.composite
+def _relabelled_run_walks(draw):
+    """`_run_walks` with its vertex ids and its edge ids each permuted at random."""
+    phi = draw(_run_walks())
+    d = phi.domain
+    vertex_ids = draw(st.permutations(range(d.n)))
+    edge_order = draw(st.permutations(range(len(d.edges))))
+    return relabelled(phi, vertex_ids, edge_order, names=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_relabelled_run_walks())
+def test_walk_collapse_is_the_union_find_quotient_on_relabelled_walks(phi):
+    # the walk visits the ids in no particular order, so classes are runs of
+    # the walk numbered by smallest vertex, and names list ids in order
+    _assert_collapse_is_the_reference(phi)
+
+
+def test_walk_collapse_is_the_union_find_quotient_on_hand_cases():
+    c3 = small_targets()["C3"]
+    # every edge degenerate: one class, a point
+    point = SimplicialMap(cycle_domain(4), c3, (1, 1, 1, 1))
+    assert _assert_collapse_is_the_reference(point) == (
+        1, (), "path", ("0+1+2+3",), ((0,), ()), (1,), (), (0, 0, 0, 0)
+    )
+    # two classes joined by two edges: a doubled edge, shape general
+    doubled = SimplicialMap(cycle_domain(4), c3, (0, 0, 1, 1))
+    got = _assert_collapse_is_the_reference(doubled)
+    assert got[:4] == (2, ((0, 1), (0, 1)), "general", ("0+1", "2+3")) and got[-1] == (0, 0, 1, 1)
+    # the last run wraps past vertex 0 into the first class
+    wrap = SimplicialMap(cycle_domain(5), c3, (0, 1, 2, 0, 0))
+    got = _assert_collapse_is_the_reference(wrap)
+    assert got[:4] == (3, ((0, 1), (1, 2), (0, 2)), "cycle", ("0+3+4", "1", "2"))
+    assert got[-1] == (0, 1, 2, 0, 0)
+    # the same cycle walked from inside the wrapping run, its ids reversed
+    backwards = relabelled(wrap, (4, 3, 2, 1, 0), range(5))
+    got = _assert_collapse_is_the_reference(backwards)
+    assert got[3] == ("w4+w3+w0", "w2", "w1") and got[-1] == (0, 0, 1, 2, 0)
+    # one vertex and a nondegenerate map: every vertex is its own class
+    one = SimplicialMap(path_domain(1), c3, (2,))
+    assert _assert_collapse_is_the_reference(one) == (1, (), "path", ("0",), ((0,), ()), (2,), (), (0,))
+    plain = FIXTURES["x-cross"]()
+    got = _assert_collapse_is_the_reference(plain)
+    assert got[1] == plain.domain.edges and got[-1] == tuple(range(plain.domain.n))
+
+
+def test_walk_collapse_is_the_union_find_quotient_up_to_k5():
+    rng = random.Random(25)
+    checked = 0
+    for shape in ("path", "cycle"):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            n, m = phi.domain.n, len(phi.domain.edges)
+            vertex_ids = rng.sample(range(n), n)
+            for psi in (phi, relabelled(phi, vertex_ids, rng.sample(range(m), m))):
+                _assert_collapse_is_the_reference(psi)
+                checked += 1
+    assert checked > 19000
 
 
 def _reference_shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:

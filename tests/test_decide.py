@@ -606,6 +606,31 @@ def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     assert not any(_holds_a_graph_or_map(entry) for entry in entries)
 
 
+def test_a_warm_stage_zero_gives_the_cold_verdict_and_derives_nothing(monkeypatch):
+    # each map is decided cold on its own copy of its target, then again on
+    # that copy, as the same map and as a new one: stage 0 is then found in
+    # the memo before any stage is derived
+    derived = []
+    derive_stage = derivative.derive
+
+    def counted(phi):
+        derived.append(phi)
+        return derive_stage(phi)
+
+    monkeypatch.setattr(derivative, "derive", counted)
+    warm = 0
+    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
+        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
+            own = _on_fresh_target(phi)
+            cold = judge(own)
+            before = len(derived)
+            again = SimplicialMap(own.domain, own.target, own.vertex_image)
+            assert judge(own) == cold and judge(again) == cold
+            assert len(derived) == before
+            warm += 2
+    assert warm > 18000 and len(derived) > 1000
+
+
 def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
     # both maps normalize to the identity cycle onto C5, one with a budget
     # of 5 derives and one of 7; in either order each gets the verdict it
