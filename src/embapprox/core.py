@@ -822,36 +822,6 @@ def _surviving_edges(phi: SimplicialMap, member: list[int]) -> tuple[tuple[int, 
     return tuple(edges)
 
 
-def _run_classes(phi: SimplicialMap) -> tuple[list[int], int]:
-    """Per vertex of a path or cycle domain, its run of degenerate edges along the walk.
-
-    Runs are numbered by their smallest vertex; on a cycle the last run
-    wraps into the first.  Returns the run of each vertex and the count.
-    """
-    vertices, order = phi.domain.walk
-    eimg = phi.edge_image
-    run_of = [0] * len(vertices)  # per walk position
-    lows = [vertices[0]]
-    for p in range(1, len(vertices)):
-        x = vertices[p]
-        if eimg[order[p - 1]] is not None:
-            lows.append(x)
-        elif x < lows[-1]:
-            lows[-1] = x
-        run_of[p] = len(lows) - 1
-    if phi.domain.shape == "cycle" and len(lows) > 1 and eimg[order[-1]] is None:
-        last = len(lows) - 1
-        lows[0] = min(lows[0], lows.pop())
-        run_of = [0 if r == last else r for r in run_of]
-    rank = [0] * len(lows)
-    for r, i in enumerate(sorted(range(len(lows)), key=lows.__getitem__)):
-        rank[i] = r
-    member = [0] * len(vertices)
-    for x, r in zip(vertices, run_of):
-        member[x] = rank[r]
-    return member, len(lows)
-
-
 def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
     """Quotient the domain by the components of the degenerate part.
 
@@ -869,13 +839,14 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     order of their smallest vertices, so one pass along the walk numbers
     the classes, appends each class's name and reads its image; a path
     whose edge ids also follow the walk gets the edges (i, i + 1) and its
-    walk.  A walk in another order is numbered by sorting its runs
-    (`_run_classes`), and general domains join their classes with a
-    union-find.
+    walk.  General domains, and walks in another order (a parsed domain),
+    join their classes with a union-find.
     """
     d = phi.domain
     n = d.n
-    if d.shape == "general":
+    closed = d.shape == "cycle"
+    ids = tuple(range(n))
+    if d.shape == "general" or d.walk[0] != ids:
         # union-find on an int array: every vertex points to a smaller one or
         # to itself, so each class is rooted at its smallest vertex
         parent = list(range(n))
@@ -897,14 +868,12 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
                 count += 1
             else:
                 member[x] = member[p]
-        return _quotient(phi, member, count, None), tuple(member)
-    closed = d.shape == "cycle"
-    vertices, order = d.walk
-    ids = tuple(range(n))
-    if vertices != ids:
-        member, count = _run_classes(phi)
-        shape = ("cycle" if count >= 3 else None) if closed else "path"
+        if d.shape == "path":
+            shape = "path"
+        else:
+            shape = "cycle" if closed and count >= 3 else None
         return _quotient(phi, member, count, shape), tuple(member)
+    order = d.walk[1]
     eimg, vimg = phi.edge_image, phi.vertex_image
     old_names = d.vertex_names or tuple(map(str, ids))
     member = [0] * n

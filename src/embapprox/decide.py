@@ -193,50 +193,40 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     at stage s of a run whose clean passes end before stage `end` kept as
     (s - end, event); so a stage met again under the same target, by this
     map or another, is not decided twice.  Stage 0, the normalized phi, is
-    looked up once before `derivative_stages` starts: a stored stage 0
-    gives the verdict with no stage iterator, and a missing one enters the
-    loop with its key already built.  The lookup follows the quotient,
-    which the key reads; the other routes read the same `phi.normalized`,
-    so building it here costs them nothing.
+    looked up before any derive; its key reads the quotient, which the
+    other routes share as `phi.normalized`.
     """
     budget = phi.domain.n
-    stage = normalize_nondegenerate(phi)
-    memo = stage.target.decide_memo
-    key = (stage.domain.shape, stage.domain.edges, stage.vertex_image)
-    outcome = memo.get(key)
-    i = 0
     ran = []  # (memo, key) of each stage decided here, not found in a memo
-    if outcome is None:
-        try:
-            for i, (cur, _, status) in enumerate(derivative_stages(stage, budget)):
-                if i:  # stage 0 was looked up above, and no derive made it
-                    if status == "terminal":
-                        outcome = _TERMINAL
-                        break
-                    if status == "stabilized":
-                        outcome = _STABILIZED
-                        break
-                    memo = cur.target.decide_memo
-                    key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
-                    outcome = memo.get(key)
-                    if outcome is not None:
-                        break
-                ran.append((memo, key))
-                if status == "empty-domain":
-                    outcome = _EMPTY_DOMAIN
-                    break
-                event = _rejection(cur)
-                if event is not None:
-                    outcome = (0, ((0, event),), False, False)
-                    break
-                if cur.domain.shape == "path" and not branch_vertices(cur):
-                    outcome = (_derives_to_empty(cur),) + _EMPTY_DOMAIN[1:]
-                    break
-        except DerivePreconditionError as err:
-            # refused on a non-disjoint crossing: the oracle decides, flagged
-            ok, _ = is_approximable_oracle(cur)
-            final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
-            outcome = (1, final, ok, True)
+    try:
+        for i, (cur, _, status) in enumerate(derivative_stages(phi, budget)):
+            if status == "terminal":
+                outcome = _TERMINAL
+                break
+            if status == "stabilized":
+                outcome = _STABILIZED
+                break
+            memo = cur.target.decide_memo
+            key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
+            outcome = memo.get(key)
+            if outcome is not None:
+                break
+            ran.append((memo, key))
+            if status == "empty-domain":
+                outcome = _EMPTY_DOMAIN
+                break
+            event = _rejection(cur)
+            if event is not None:
+                outcome = (0, ((0, event),), False, False)
+                break
+            if cur.domain.shape == "path" and not branch_vertices(cur):
+                outcome = (_derives_to_empty(cur),) + _EMPTY_DOMAIN[1:]
+                break
+    except DerivePreconditionError as err:
+        # refused on a non-disjoint crossing: the oracle decides, flagged
+        ok, _ = is_approximable_oracle(cur)
+        final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
+        outcome = (1, final, ok, True)
     if outcome is None or i + outcome[0] > budget:
         raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
     derives, final, approximable, flagged = outcome

@@ -588,8 +588,17 @@ def _counting_stages(monkeypatch) -> list:
 
 def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     # the maps of one corpus share each target and so its decide_memo; each
-    # map on its own copy of the target decides its stages from scratch
+    # map on its own copy of the target decides its stages from scratch; a
+    # second pass finds every stage 0 in the shared memo and derives nothing
     checked = _counting_stages(monkeypatch)
+    derived = []
+    derive_stage = derivative.derive
+
+    def counted(phi):
+        derived.append(phi)
+        return derive_stage(phi)
+
+    monkeypatch.setattr(derivative, "derive", counted)
     maps = []
     for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
         spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
@@ -600,35 +609,13 @@ def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     alone = [repr(judge(_on_fresh_target(phi))) for judge, phi in maps]
     assert alone == shared
     assert shared_stages < len(checked) // 2
+    cold_derives = len(derived)
+    assert [repr(judge(phi)) for judge, phi in maps] == shared
+    assert len(derived) == cold_derives > 1000
     targets = {id(phi.target): phi.target for _, phi in maps}.values()
     entries = [entry for g in targets for entry in _memo_entries(g)]
     assert any(flagged for _, (_, _, _, flagged) in entries)
     assert not any(_holds_a_graph_or_map(entry) for entry in entries)
-
-
-def test_a_warm_stage_zero_gives_the_cold_verdict_and_derives_nothing(monkeypatch):
-    # each map is decided cold on its own copy of its target, then again on
-    # that copy, as the same map and as a new one: stage 0 is then found in
-    # the memo before any stage is derived
-    derived = []
-    derive_stage = derivative.derive
-
-    def counted(phi):
-        derived.append(phi)
-        return derive_stage(phi)
-
-    monkeypatch.setattr(derivative, "derive", counted)
-    warm = 0
-    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
-        for _, phi in generate(CorpusSpec(shape, tuple(TARGETS), k_max=5)):
-            own = _on_fresh_target(phi)
-            cold = judge(own)
-            before = len(derived)
-            again = SimplicialMap(own.domain, own.target, own.vertex_image)
-            assert judge(own) == cold and judge(again) == cold
-            assert len(derived) == before
-            warm += 2
-    assert warm > 18000 and len(derived) > 1000
 
 
 def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
