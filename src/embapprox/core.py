@@ -71,32 +71,32 @@ class FieldState:
             object.__setattr__(self, name, value)
 
 
-class UnionFind:
-    """Disjoint sets over hashable keys; a key is a singleton until first joined."""
+def classes(n: int, pairs) -> tuple[list[int], int]:
+    """Group 0 .. n - 1 by the pairs that join them: (class of each, class count).
 
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while (up := parent.get(root, root)) != root:
-            root = up
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def classes(self, keys) -> list[list]:
-        """The given keys grouped by set, in key order, sets ordered by first key."""
-        groups: dict = {}
-        for k in keys:
-            groups.setdefault(self.find(k), []).append(k)
-        return list(groups.values())
+    A union-find on an int array with path halving: every element points to
+    a smaller one or to itself, so each class is rooted at its smallest
+    member, and one pass numbers the classes by their smallest members.
+    """
+    parent = list(range(n))
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    member = [0] * n
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            member[x] = count
+            count += 1
+        else:
+            member[x] = member[p]
+    return member, count
 
 
 def backtrack(order, candidates, complete, vmap: list[int], inverse: list[int]):
@@ -470,25 +470,21 @@ class DomainGraph(FieldState):
 
     def components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """Connected components as (vertex set, edge set) pairs, by smallest vertex."""
-        sets = UnionFind()
-        for u, v in self.edges:
-            sets.union(u, v)
-        classes = sets.classes(range(self.n))
-        class_of = [0] * self.n
-        for i, vs in enumerate(classes):
-            for v in vs:
-                class_of[v] = i
-        edges: list[list[int]] = [[] for _ in classes]
+        member, count = classes(self.n, self.edges)
+        vertices: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(member):
+            vertices[c].append(v)
+        edges: list[list[int]] = [[] for _ in range(count)]
         for eid, (u, _) in enumerate(self.edges):
-            edges[class_of[u]].append(eid)
-        return [(frozenset(vs), frozenset(es)) for vs, es in zip(classes, edges)]
+            edges[member[u]].append(eid)
+        return [(frozenset(vs), frozenset(es)) for vs, es in zip(vertices, edges)]
 
     def is_circle(self) -> bool:
         """Homeomorphic to a circle: connected, every vertex of degree 2."""
         return (
             self.n >= 1
             and len(self.edges) >= 1
-            and len(self.components()) == 1
+            and classes(self.n, self.edges)[1] == 1
             and all(self.degree(v) == 2 for v in range(self.n))
         )
 
@@ -840,34 +836,15 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     the classes, appends each class's name and reads its image; a path
     whose edge ids also follow the walk gets the edges (i, i + 1) and its
     walk.  General domains, and walks in another order (a parsed domain),
-    join their classes with a union-find.
+    group their vertices by the degenerate edges with `classes`, which
+    numbers the classes the same way.
     """
     d = phi.domain
     n = d.n
     closed = d.shape == "cycle"
     ids = tuple(range(n))
     if d.shape == "general" or d.walk[0] != ids:
-        # union-find on an int array: every vertex points to a smaller one or
-        # to itself, so each class is rooted at its smallest vertex
-        parent = list(range(n))
-        for (u, v), a in zip(d.edges, phi.edge_image):
-            if a is None:
-                while parent[u] != u:
-                    parent[u] = u = parent[parent[u]]
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                if u < v:
-                    parent[v] = u
-                elif v < u:
-                    parent[u] = v
-        member = [0] * n
-        count = 0
-        for x, p in enumerate(parent):
-            if p == x:
-                member[x] = count
-                count += 1
-            else:
-                member[x] = member[p]
+        member, count = classes(n, (ends for ends, a in zip(d.edges, phi.edge_image) if a is None))
         if d.shape == "path":
             shape = "path"
         else:

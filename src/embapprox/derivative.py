@@ -16,10 +16,10 @@ their runs are consecutive, so such a stage is built in one pass over the
 walk, and the runs in walk order are K''s own walk.  Such a stage builds
 only what the next one reads: K' with its walk, G' and phi'.  Every stage
 builds its components only when `DerivativeStep.components` is read.
-Other domains group the preimage of every target edge with one union-find
-(`phi_components`).  Derived domains and targets carry no vertex names, so
-nothing grows from stage to stage; `cli derive --dot` names their vertices
-after the target edges they come from.
+Other domains group the preimage of every target edge at once with
+`core.classes` (`phi_components`).  Derived domains and targets carry no
+vertex names, so nothing grows from stage to stage; `cli derive --dot`
+names their vertices after the target edges they come from.
 
 `derivative_stages` iterates the derivative.  Whether a stage repeats its
 source is read off counts for a path or cycle (`_stabilized`: only a
@@ -35,7 +35,7 @@ from .core import (
     DomainGraph,
     PlaneGraph,
     SimplicialMap,
-    UnionFind,
+    classes,
     closed_walk,
     computed_once,
     normalize_nondegenerate,
@@ -78,9 +78,10 @@ def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
 
     The preimage subgraph of a closed edge a also contains the degenerate
     edges sitting over a's endpoints; they can join pieces together but a
-    component must contain at least one edge mapped onto a to count.  One
-    union-find keyed by (target edge, domain vertex) finds the pieces over
-    every target edge at once.
+    component must contain at least one edge mapped onto a to count.  Each
+    (target edge, domain vertex) slot those edges reach is numbered once,
+    and one `core.classes` call over the slots finds the pieces over every
+    target edge at once.
     """
     d, g = phi.domain, phi.target
     members: dict[int, list[int]] = {}  # target edge -> its edges onto it, then its glue
@@ -92,27 +93,29 @@ def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
         for a in g.incident[phi.vertex_image[d.edges[eid][0]]]:
             if a in onto:
                 members[a].append(eid)
-    sets = UnionFind()
+    slot: dict[tuple[int, int], int] = {}
+    pairs = []
     for a, eids in members.items():
         for eid in eids:
             u, v = d.edges[eid]
-            sets.union((a, u), (a, v))
-    pieces: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
+            pairs.append((slot.setdefault((a, u), len(slot)), slot.setdefault((a, v), len(slot))))
+    member, count = classes(len(slot), pairs)
+    covered = [-1] * count  # the target edge of a piece with an edge onto it
+    edges: list[list[int]] = [[] for _ in range(count)]
     for a, eids in members.items():
         for i, eid in enumerate(eids):
-            u, v = d.edges[eid]
-            root = sets.find((a, u))
+            c = member[slot[a, d.edges[eid][0]]]
             if i < onto[a]:
-                vs, es = pieces.setdefault(root, (set(), set()))
-            elif root in pieces:
-                # glue comes after every onto edge, so a missing piece has none
-                vs, es = pieces[root]
-            else:
-                continue
-            vs.add(u)
-            vs.add(v)
-            es.add(eid)
-    out = [PhiComponent(a, frozenset(vs), frozenset(es)) for (a, _), (vs, es) in pieces.items()]
+                covered[c] = a
+            edges[c].append(eid)
+    vertices: list[list[int]] = [[] for _ in range(count)]
+    for (_, x), s in slot.items():
+        vertices[member[s]].append(x)
+    out = [
+        PhiComponent(a, frozenset(vs), frozenset(es))
+        for a, vs, es in zip(covered, vertices, edges)
+        if a >= 0
+    ]
     out.sort(key=lambda c: (c.target_edge, min(c.vertices)))
     return tuple(out)
 

@@ -98,6 +98,8 @@ def _solve_graphic(ends: list[list[int]], b: list[int]):
     ne, nv = len(b), len(ends)
     ground = ne
     parity = b + [0]
+    # not `core.classes`: roots follow the pivot rule, not the smallest member,
+    # and a shared find call in this innermost loop made the vk route slower
     parent = list(range(ne + 1))  # the clusters, by path-halving union-find
     at = list(range(ne))  # at[pos]: cluster root whose row sits at pos >= row
     pos = list(range(ne))  # pos[root]: position of an ungrounded cluster's row

@@ -72,6 +72,7 @@ def boundary_walks(
     for v in sigma_vertices:
         if not 0 <= v < g.n:
             raise PreconditionError(f"vertex {v} outside the plane graph")
+    # a plain search, not `core.classes`: an input check on a small sigma, where it timed faster
     reached = {min(sigma_vertices)}
     frontier = [min(sigma_vertices)]
     while frontier:

@@ -45,7 +45,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import PlaneGraph, SimplicialMap, UnionFind, WalkArc
+from .core import PlaneGraph, SimplicialMap, WalkArc, classes
 from .errors import PreconditionError
 from .ribbon import Port, alternating_ports, boundary_walks
 
@@ -66,18 +66,22 @@ class CrossingWitness:
 
 def _intersection_components(g: PlaneGraph, a: Subgraph, b: Subgraph) -> list[Subgraph]:
     vs = a[0] & b[0]
-    es = a[1] & b[1]
     if not vs:
         return []
-    sets = UnionFind()
+    es = a[1] & b[1]
+    order = sorted(vs)  # sigma's vertices numbered locally, so no call costs O(|V(G)|)
+    local = {v: i for i, v in enumerate(order)}
+    ends = g.edges
+    member, count = classes(len(order), [(local[u], local[v]) for u, v in (ends[e] for e in es)])
+    if count == 1:  # the common case: sigma is connected
+        return [(frozenset(order), frozenset(list(es)))]
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v, c in zip(order, member):
+        groups[c].append(v)
+    shared: list[list[int]] = [[] for _ in range(count)]
     for e in es:
-        sets.union(*g.edges[e])
-    out = []
-    for group in sets.classes(sorted(vs)):
-        cvs = frozenset(group)
-        ces = frozenset(e for e in es if g.edges[e][0] in cvs)
-        out.append((cvs, ces))
-    return out
+        shared[member[local[ends[e][0]]]].append(e)
+    return [(frozenset(cvs), frozenset(ces)) for cvs, ces in zip(groups, shared)]
 
 
 def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainGraph, SimplicialMap, UnionFind, computed_once, normalize_nondegenerate
+from .core import DomainGraph, SimplicialMap, classes, computed_once, normalize_nondegenerate
 from .errors import PreconditionError
 from .geometry import disc_ports, proper_crossing
 from .gf2 import Columns, solve_or_certify
@@ -343,32 +343,30 @@ def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
     share an unknown are glued, and one that holds an unknown alone exposes
     it.  Every face of a red 2-cell is red, so each red 2-cell is a
     component of its own, of parity 0; components are listed in the order
-    of their first 2-cells.
+    of their first 2-cells.  `core.classes` groups the rows, which are the
+    kept 2-cells in layout order, and numbers the classes by their first
+    rows, so exposure and parity are read per class.
     """
-    rows, rhs = system.rows, system.rhs
-    exposed = [False] * len(rows)
-    sets = UnionFind()
-    for col in system.columns:
+    columns = system.columns
+    member, count = classes(len(system.rows), ((col[0], r) for col in columns for r in col[1:]))
+    exposed = [False] * count
+    for col in columns:
         if len(col) == 1:
-            exposed[col[0]] = True
-        for r in col[1:]:
-            sets.union(col[0], r)
-    parity_at: dict[int, int] = {}  # first equation of each qualifying component
-    for members in sets.classes(range(len(rows))):
-        if not any(exposed[r] for r in members):
-            parity = 0
-            for r in members:
-                parity ^= rhs[r]
-            parity_at[members[0]] = parity
+            exposed[member[col[0]]] = True
+    parity = [0] * count
+    for r, bit in enumerate(system.rhs):
+        parity[member[r]] ^= bit
     vector = []
-    kept = 0
+    row = first = 0  # the next kept 2-cell's row, and the next class to meet its first row
     for red in system.layout[1]:
         if red:
             vector.append(0)
-        else:
-            if kept in parity_at:
-                vector.append(parity_at[kept])
-            kept += 1
+            continue
+        if member[row] == first:
+            if not exposed[first]:
+                vector.append(parity[first])
+            first += 1
+        row += 1
     return tuple(vector)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from embapprox.core import (
     DomainGraph,
     PlaneGraph,
     SimplicialMap,
-    UnionFind,
     WalkArc,
     _pair,
     closed_walk,
@@ -256,7 +256,7 @@ def reference_rejection(phi: SimplicialMap) -> Event | None:
 
 
 def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
-    """`core.zero_components` by a union-find over the degenerate edges, blind to the walk.
+    """`core.zero_components` by a stack search over the degenerate edges, blind to the walk.
 
     Classes are numbered by their smallest vertex and named by their
     vertices' names in increasing id order, joined by `+`.  Every
@@ -264,14 +264,25 @@ def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[
     checked from scratch, its shape computed from its structure.
     """
     d = phi.domain
-    sets = UnionFind()
+    glued: list[list[int]] = [[] for _ in range(d.n)]
     for eid in phi.degenerate_edges:
-        sets.union(*d.edges[eid])
-    classes = sets.classes(range(d.n))  # by smallest vertex, each in id order
-    member = [0] * d.n
-    for c, xs in enumerate(classes):
-        for x in xs:
-            member[x] = c
+        u, v = d.edges[eid]
+        glued[u].append(v)
+        glued[v].append(u)
+    member = [-1] * d.n
+    classes: list[list[int]] = []  # by smallest vertex, each in id order
+    for x in range(d.n):
+        if member[x] >= 0:
+            continue
+        member[x] = len(classes)
+        reached, stack = [x], [x]
+        while stack:
+            for y in glued[stack.pop()]:
+                if member[y] < 0:
+                    member[y] = member[x]
+                    reached.append(y)
+                    stack.append(y)
+        classes.append(sorted(reached))
     names = d.vertex_names or tuple(str(x) for x in range(d.n))
     edges = tuple(
         _pair(member[u], member[v]) for (u, v), a in zip(d.edges, phi.edge_image) if a is not None
@@ -281,6 +292,77 @@ def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[
     )
     images = tuple(phi.vertex_image[xs[0]] for xs in classes)
     return SimplicialMap(domain, phi.target, images), tuple(member)
+
+
+def reference_components(d: DomainGraph) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """`DomainGraph.components` by a depth-first search from each unreached vertex in id order.
+
+    Every step scans the whole edge list, so nothing is shared with the
+    domain's own incidence lists.
+    """
+    reached = [False] * d.n
+    out = []
+    for start in range(d.n):
+        if reached[start]:
+            continue
+        reached[start] = True
+        vertices, edges, stack = {start}, set(), [start]
+        while stack:
+            x = stack.pop()
+            for eid, (u, v) in enumerate(d.edges):
+                if x in (u, v):
+                    edges.add(eid)
+                    y = v if x == u else u
+                    if not reached[y]:
+                        reached[y] = True
+                        vertices.add(y)
+                        stack.append(y)
+        out.append((frozenset(vertices), frozenset(edges)))
+    return out
+
+
+def reference_cut_components(edges, complex, values) -> tuple[int, ...]:
+    """`vankampen.cut_components` by a breadth-first search over the equations.
+
+    `edges` are a path domain's edges, `complex` its `DeletedProduct` and
+    `values` the parity of every 2-cell.  A non-red 2-cell (s, t) is an
+    equation in its non-red faces (x, t), x on s, and (z, s), z on t, the
+    unknowns.  Equations that share an unknown are one component; a
+    component holding an unknown of weight 1 (in one equation only) is
+    exposed.  Each red 2-cell reads 0, and each unexposed component reads
+    the sum of its parities once, at its first 2-cell.
+    """
+    unknowns = {c for c, red in zip(complex.cells1, complex.red1) if not red}
+    faces = []
+    holding: dict[tuple[int, int], list[int]] = {}  # unknown -> the equations holding it
+    for i, ((s, t), red) in enumerate(zip(complex.cells2, complex.red2)):
+        here = [] if red else [(x, t) for x in edges[s]] + [(z, s) for z in edges[t]]
+        here = [c for c in here if c in unknowns]
+        faces.append(here)
+        for c in here:
+            holding.setdefault(c, []).append(i)
+    vector = []
+    done = [False] * len(faces)
+    for i, red in enumerate(complex.red2):
+        if red:
+            vector.append(0)
+            continue
+        if done[i]:
+            continue
+        done[i] = True
+        queue, parity, exposed = deque([i]), 0, False
+        while queue:
+            j = queue.popleft()
+            parity ^= values[j]
+            for c in faces[j]:
+                exposed = exposed or len(holding[c]) == 1
+                for other in holding[c]:
+                    if not done[other]:
+                        done[other] = True
+                        queue.append(other)
+        if not exposed:
+            vector.append(parity)
+    return tuple(vector)
 
 
 def relabelled(phi: SimplicialMap, vertex_ids, edge_order, names: bool = True) -> SimplicialMap:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     contract_edge,
     mirrored_map,
+    reference_components,
     reference_zero_components,
     relabelled,
     theta_fold,
@@ -39,6 +40,7 @@ from embapprox.core import (
     _pair,
     _shape_of,
     backtrack,
+    classes,
     closed_walk,
     computed_once,
     format_instance,
@@ -102,6 +104,43 @@ def test_incidence_helpers():
     assert c.is_circle() and c.shape == "cycle"
     assert not path_domain(3).is_circle()
     assert path_domain(1).shape == "path"  # a single vertex is a (trivial) path
+
+
+def test_classes_on_hand_cases():
+    assert classes(0, []) == ([], 0)
+    assert classes(3, []) == ([0, 1, 2], 3)
+    # repeated pairs, both orders of one pair and loops join nothing more
+    assert classes(5, [(2, 2), (3, 1), (1, 3), (1, 3), (0, 0)]) == ([0, 1, 2, 1, 3], 4)
+    # a later pair lowers the root of a class already joined
+    assert classes(5, [(3, 4), (1, 4), (0, 2)]) == ([0, 1, 0, 1, 1], 2)
+    assert classes(4, iter([(0, 3), (3, 2)])) == ([0, 1, 0, 0], 2)
+
+
+@st.composite
+def _general_domains(draw):
+    """Domains of up to 64 vertices with loops, parallel edges and isolated vertices."""
+    n = draw(st.integers(0, 64))
+    if n == 0:
+        return DomainGraph(0, (), "general")
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=n + 8))
+    pairs += draw(st.lists(ends.map(lambda v: (v, v)), max_size=3))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    order = draw(st.permutations(range(len(pairs))))
+    return DomainGraph(n, tuple(_pair(*pairs[i]) for i in order), "general")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_general_domains())
+def test_domain_components_match_a_depth_first_search(d):
+    # equal lists: the same vertex and edge sets, ordered by smallest vertex
+    expected = reference_components(d)
+    assert d.components() == expected
+    circle = (
+        len(expected) == 1 and len(d.edges) >= 1 and all(d.degree(v) == 2 for v in range(d.n))
+    )
+    assert d.is_circle() == circle
 
 
 def test_simplicial_map_images_must_span_edges():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from conftest import (
     mirrored_map,
     random_lane_orders,
+    reference_cut_components,
     sample_corpus,
     theta_fold,
     walk_maps,
@@ -24,6 +26,7 @@ from conftest import (
 from embapprox import gf2, vankampen
 
 from embapprox.catalog import (
+    TARGETS,
     ex33_pair,
     path_domain,
     small_targets,
@@ -154,6 +157,19 @@ def test_path_cut_components_zero_iff_vanishing():
         assert vanishes == all(c % 2 == 0 for c in cuts), phi.vertex_image
         seen_nonzero += any(c % 2 for c in cuts)
     assert seen_nonzero >= 2
+
+
+def test_cut_components_match_a_search_over_the_equations():
+    walks = (phi for _, phi in generate(CorpusSpec("path", tuple(sorted(TARGETS)), k_max=6)))
+    for phi in [*walks, theta_fold(64)]:
+        drawn = vankampen.obstruction_system(normalize_nondegenerate(phi))
+        # all-odd parities too: no drawing above puts two odd equations in
+        # one unexposed component, so only these tell a sum from an "or"
+        for system in (drawn, replace(drawn, rhs=[1] * len(drawn.rows))):
+            got = vankampen.cut_components(system)
+            edges = system.domain.edges
+            want = reference_cut_components(edges, system.deleted_product(), system.values)
+            assert got == want, phi
 
 
 def test_path_cut_components_requires_a_path():
