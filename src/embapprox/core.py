@@ -5,6 +5,11 @@ every vertex, its incident edges in counterclockwise order.  A domain is a
 multigraph tagged with a shape (path, cycle or general).  A simplicial map
 sends domain vertices to target vertices so that every domain edge either
 collapses to a target vertex (degenerate) or lands on a target edge.
+
+A path or cycle is read off one walk, `simple_walk`: it decides the shape
+tag, checks a domain's declared shape and is the domain's `walk`;
+`derivative.winding_report` walks circle components with it, and `decide`
+checks a cycle target with it.
 """
 
 from __future__ import annotations
@@ -301,47 +306,55 @@ class PlaneGraph(FieldState):
         )
 
 
-def _shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
-    """Recompute the shape tag from structure.
+def simple_walk(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The walk of a simple path or cycle on 0 .. n - 1: (vertices, edge ids), or None.
 
-    path  = connected, no loops or parallel edges, a single vertex or exactly
-            two degree-1 ends with all other degrees 2;
-    cycle = connected simple cycle on >= 3 vertices;
-    everything else is general.
+    A path starts at its smaller end, and a single vertex is the path
+    ((0,), ()).  A cycle has at least three vertices; it starts at vertex 0
+    and leaves along its smaller edge id, and its vertex list does not
+    repeat vertex 0 at the end.  Any other graph gives None.
 
     A path has n - 1 edges and a cycle n, and both have degrees at most 2,
-    so each vertex keeps at most two neighbours; a loop, a third neighbour
-    or a repeated one makes the graph general.  Then one walk decides: from
-    a vertex of degree below 2 on n - 1 edges (an end, or an isolated
-    vertex), or from vertex 0 on n edges (where every degree is 2), the
-    graph is connected exactly when the walk reaches all n vertices.
+    so each vertex keeps at most two edge ids, the smaller first; a loop or
+    a third edge rules the graph out.  Then one walk decides: from a vertex
+    of degree below 2 on n - 1 edges (an end, or an isolated vertex), or
+    from vertex 0 on n edges (where every degree is 2), it runs to a dead
+    end or back to its start, and the graph is a path or cycle exactly when
+    the walk reached all n vertices.  On n = 2 vertices two edges can only
+    be parallel, so no cycle has fewer than three.
     """
     m = len(edges)
-    if n == 0 or (m != n - 1 and m != n):
-        return "general"
+    if n == 0 or (m != n - 1 and m != n) or m == n < 3:
+        return None
     first = [-1] * n
     second = [-1] * n
-    for u, v in edges:
+    for eid, (u, v) in enumerate(edges):
         if u == v:
-            return "general"
-        for a, b in ((u, v), (v, u)):
+            return None
+        for a in (u, v):
             if first[a] < 0:
-                first[a] = b
-            elif second[a] < 0 and first[a] != b:
-                second[a] = b
+                first[a] = eid
+            elif second[a] < 0:
+                second[a] = eid
             else:
-                return "general"
+                return None
     start = second.index(-1) if m < n else 0
-    prev, cur, reached = -1, start, 1
-    while True:
-        nxt = first[cur] if first[cur] != prev else second[cur]
-        if nxt < 0 or nxt == start:
+    vertices = [start]
+    order: list[int] = []
+    cur, e = start, first[start]
+    while e >= 0:
+        order.append(e)
+        u, w = edges[e]
+        cur = w if cur == u else u
+        if cur == start:
             break
-        prev, cur = cur, nxt
-        reached += 1
-    if reached != n:
-        return "general"
-    return "path" if m < n else "cycle"
+        vertices.append(cur)
+        e = second[cur] if first[cur] == e else first[cur]
+    if len(vertices) != n:
+        return None
+    return (tuple(vertices), tuple(order))
 
 
 @dataclass(frozen=True)
@@ -365,8 +378,11 @@ class DomainGraph(FieldState):
                 raise DanglingIdError(f"edge {eid} references unknown vertex", 0)
             if (u, v) != _pair(u, v):
                 raise InvariantError("edge-order", f"edge {eid} endpoints not sorted")
-        if self.shape != "general" and _shape_of(self.n, self.edges) != self.shape:
-            raise InvariantError("shape", f"structure is not a simple {self.shape}")
+        if self.shape != "general":
+            walk = simple_walk(self.n, self.edges)
+            if walk is None or (len(walk[1]) == self.n) != (self.shape == "cycle"):
+                raise InvariantError("shape", f"structure is not a simple {self.shape}")
+            object.__setattr__(self, "walk", walk)
         if self.vertex_names and len(self.vertex_names) != self.n:
             raise InvariantError("names", "vertex_names length mismatch")
 
@@ -376,11 +392,14 @@ class DomainGraph(FieldState):
     ) -> "DomainGraph":
         """The domain on these edges, tagged with the shape its structure has.
 
-        The shape is computed once, by `_shape_of`, instead of being passed
-        in and recomputed to check it.
+        The shape is read off `simple_walk` once, instead of being passed in
+        and recomputed to check it, and a path or cycle keeps that walk.
         """
         graph = cls(n, edges, "general", vertex_names)
-        object.__setattr__(graph, "shape", _shape_of(n, edges))
+        walk = simple_walk(n, edges)
+        if walk is not None:
+            object.__setattr__(graph, "shape", "cycle" if len(walk[1]) == n else "path")
+            object.__setattr__(graph, "walk", walk)
         return graph
 
     @classmethod
@@ -419,42 +438,15 @@ class DomainGraph(FieldState):
     def walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A path or cycle domain as one walk: (vertices, edges) in traversal order.
 
-        A path starts at its smaller end; a cycle starts at vertex 0 and
-        leaves along its smaller edge id, and its vertex list does not repeat
-        vertex 0 at the end.  This is the order `open_walk` and `closed_walk`
-        give, read off the edge list without their checks because the shape
-        is already validated.
+        The walk `simple_walk` gives: a path starts at its smaller end; a
+        cycle starts at vertex 0 and leaves along its smaller edge id, and
+        its vertex list does not repeat vertex 0 at the end.  A validated
+        domain stores it while its shape is checked.
         """
-        if self.shape not in ("path", "cycle"):
+        walk = simple_walk(self.n, self.edges) if self.shape != "general" else None
+        if walk is None:
             raise PreconditionError("only path and cycle domains are one walk")
-        n, edges = self.n, self.edges
-        # the one or two edge ids at each vertex, the smaller first
-        first = [-1] * n
-        second = [-1] * n
-        for eid, (u, v) in enumerate(edges):
-            if first[u] < 0:
-                first[u] = eid
-            else:
-                second[u] = eid
-            if first[v] < 0:
-                first[v] = eid
-            else:
-                second[v] = eid
-        start = 0
-        if self.shape == "path":
-            start = next((v for v in range(n) if second[v] < 0 <= first[v]), 0)
-        vertices = [start]
-        order: list[int] = []
-        cur, e = start, first[start]
-        for _ in range(len(edges)):
-            order.append(e)
-            u, w = edges[e]
-            cur = w if cur == u else u
-            vertices.append(cur)
-            e = second[cur] if first[cur] == e else first[cur]
-        if self.shape == "cycle":
-            vertices.pop()
-        return (tuple(vertices), tuple(order))
+        return walk
 
     def degree(self, v: int) -> int:
         """Topological degree: loops count twice."""
@@ -903,67 +895,3 @@ def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     route deciding one map shares one normalized map.
     """
     return phi if phi.is_nondegenerate() else phi.normalized
-
-
-# ---------------------------------------------------------------------------
-# walks along degree-<=2 pieces
-
-
-def _component_walk(graph, vertices: frozenset[int], edges: frozenset[int], closed: bool):
-    """Traverse a path- or circle-like piece of any graph with .edges/.other_end."""
-    inc: dict[int, list[int]] = {v: [] for v in vertices}
-    for eid in sorted(edges):
-        u, v = graph.edges[eid]
-        inc[u].append(eid)
-        if v != u:
-            inc[v].append(eid)
-    if not edges:
-        if closed:
-            raise PreconditionError("a closed walk needs at least one edge")
-        return [min(vertices)], []
-    if closed:
-        start = min(vertices)
-    else:
-        ends = sorted(v for v in vertices if len(inc[v]) == 1)
-        if len(ends) != 2:
-            raise PreconditionError("an open walk needs exactly two degree-1 ends")
-        start = ends[0]
-    walk_vertices = [start]
-    walk_edges: list[int] = []
-    used: set[int] = set()
-    cur = start
-    while len(walk_edges) < len(edges):
-        try:
-            nxt = next(e for e in inc[cur] if e not in used)
-        except StopIteration:
-            raise PreconditionError("component is not a single path or circle")
-        used.add(nxt)
-        walk_edges.append(nxt)
-        cur = graph.other_end(nxt, cur)
-        walk_vertices.append(cur)
-    if closed:
-        if cur != start:
-            raise PreconditionError("component is not a single circle")
-        walk_vertices.pop()
-    elif cur == start or len(walk_vertices) != len(vertices):
-        raise PreconditionError("component is not a single path")
-    return walk_vertices, walk_edges
-
-
-def open_walk(graph, vertices: frozenset[int], edges: frozenset[int]):
-    """End-to-end traversal of a path piece, starting at its smaller end.
-
-    Returns (vertex list, edge id list); a single isolated vertex gives
-    ([v], []).  Works on DomainGraph and PlaneGraph alike.
-    """
-    return _component_walk(graph, vertices, edges, closed=False)
-
-
-def closed_walk(graph, vertices: frozenset[int], edges: frozenset[int]):
-    """Traversal once around a circle piece.
-
-    Starts at the smallest vertex and leaves along its smallest incident edge
-    id, which fixes one of the two directions deterministically.  Returns
-    (vertex list, edge id list) with len(vertices) == len(edges).
-    """
-    return _component_walk(graph, vertices, edges, closed=True)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SimplicialMap, _shape_of, normalize_nondegenerate
+from .core import SimplicialMap, normalize_nondegenerate, simple_walk
 from .derivative import derivative_stages, iterate_derivative, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
 from .oracle import is_approximable_oracle
@@ -294,7 +294,7 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
                 f"vertex {v} has degree {d.degree(v)} > 3"
             )
     g = phi.target
-    if _shape_of(g.n, g.edges) != "cycle":
+    if len(g.edges) != g.n or simple_walk(g.n, g.edges) is None:
         raise PreconditionError("target is not a cycle")
     if not phi.is_nondegenerate():
         raise PreconditionError("map must be nondegenerate")

@@ -24,6 +24,11 @@ names their vertices after the target edges they come from.
 `derivative_stages` iterates the derivative.  Whether a stage repeats its
 source is read off counts for a path or cycle (`_stabilized`: only a
 winding of a cycle target does); other domains ask `iso.maps_isomorphic`.
+
+`winding_report` reads each winding off the domain's walk alone: a circle
+component, walked by `core.simple_walk`, winds when its walk never steps
+back within an image whose vertices all have degree 2, and its degree is
+the walk's length over the image's vertex count.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from .core import (
     PlaneGraph,
     SimplicialMap,
     classes,
-    closed_walk,
     computed_once,
     normalize_nondegenerate,
+    simple_walk,
 )
 from .errors import DerivePreconditionError, PreconditionError
 from .iso import maps_isomorphic
@@ -435,57 +440,61 @@ class WindingReport:
 def winding_report(phi: SimplicialMap) -> WindingReport:
     """Classify each domain component as a standard winding or not.
 
-    A component winds when it is a circle, its image subgraph is a circle,
-    and the walk around the domain steps through the image in one constant
-    direction (which is exactly ultra-nondegeneracy over a cycle image).
-    The sign convention: both circles are traversed starting from their
-    smallest vertex along their smallest incident edge id.
+    A component is a circle when it has an edge and every vertex has degree
+    2 (a cycle domain is one).  A circle winds when none of its edges is
+    degenerate, every vertex of its image has degree 2 in the image, and
+    its walk x_0 .. x_(L-1) never steps straight back: x_(i-1) != x_(i+1),
+    indices mod L.  Then the walk leaves each vertex by the image edge it
+    did not arrive on, so it runs round the image, a single cycle, in one
+    direction, and |d| = L / |V(image)|.  The sign is + when the walk
+    leaves the image's smallest vertex along that vertex's smaller image
+    edge id.  The walk is `core.simple_walk`'s: from the smallest vertex
+    along its smaller edge id, on a general domain's component renumbered
+    in increasing order.
     """
-    d, g = phi.domain, phi.target
-    out = []
-    if d.shape in ("path", "cycle"):
-        pieces = [(frozenset(range(d.n)), frozenset(range(len(d.edges))), d.shape == "cycle")]
-    else:
+    d = phi.domain
+    if d.shape == "general":
         # a component holds every edge at its vertices
         pieces = [
             (vs, es, bool(es) and all(d.degree(v) == 2 for v in vs)) for vs, es in d.components()
         ]
+    else:
+        pieces = [(frozenset(range(d.n)), frozenset(range(len(d.edges))), d.shape == "cycle")]
+    out = []
     for vs, es, circ in pieces:
         img_vs = frozenset(phi.vertex_image[v] for v in vs)
         img_es = frozenset(
             phi.edge_image[e] for e in es if phi.edge_image[e] is not None
         )
-        entry = ComponentWinding(vs, es, circ, False, 0, img_vs, img_es)
-        if circ and img_es:
-            img_degree = dict.fromkeys(img_vs, 0)
-            for e in img_es:
-                for v in g.edges[e]:
-                    img_degree[v] += 1
-            deg_ok = all(x == 2 for x in img_degree.values()) and len(img_es) == len(img_vs)
-            if deg_ok:
-                try:
-                    img_order, _ = closed_walk(g, img_vs, img_es)
-                except PreconditionError:
-                    img_order = None
-                if img_order is not None:
-                    pos = {v: i for i, v in enumerate(img_order)}
-                    length = len(img_order)
-                    walk_vs, walk_es = d.walk if d.shape == "cycle" else closed_walk(d, vs, es)
-                    sign = 0
-                    ok = all(phi.edge_image[e] is not None for e in walk_es)
-                    if ok:
-                        for t in range(len(walk_vs)):
-                            a = pos[phi.vertex_image[walk_vs[t]]]
-                            b = pos[phi.vertex_image[walk_vs[(t + 1) % len(walk_vs)]]]
-                            step = (b - a) % length
-                            s = 1 if step == 1 else (-1 if step == length - 1 else 0)
-                            if s == 0 or (sign and s != sign):
-                                ok = False
-                                break
-                            sign = s
-                    if ok:
-                        entry = ComponentWinding(
-                            vs, es, True, True, sign * len(es) // length, img_vs, img_es
-                        )
-        out.append(entry)
+        degree = _winding_degree(phi, vs, es, img_vs, img_es) if circ else 0
+        out.append(ComponentWinding(vs, es, circ, degree != 0, degree, img_vs, img_es))
     return WindingReport(tuple(out))
+
+
+def _winding_degree(phi: SimplicialMap, vs, es, img_vs, img_es) -> int:
+    """The degree of the circle component (vs, es) as a winding, or 0 where it does not wind."""
+    d, eimg = phi.domain, phi.edge_image
+    if any(eimg[e] is None for e in es):
+        return 0
+    image_degree = dict.fromkeys(img_vs, 0)
+    for a in img_es:
+        for x in phi.target.edges[a]:
+            image_degree[x] += 1
+    if any(c != 2 for c in image_degree.values()):
+        return 0
+    if d.shape == "cycle":
+        vertices, edges = d.walk
+    else:
+        local, ids = sorted(vs), sorted(es)
+        at = {v: i for i, v in enumerate(local)}
+        walk = simple_walk(len(local), tuple((at[u], at[v]) for u, v in (d.edges[e] for e in ids)))
+        if walk is None:
+            return 0
+        vertices, edges = [local[v] for v in walk[0]], [ids[e] for e in walk[1]]
+    x = [phi.vertex_image[v] for v in vertices]
+    y = x[-1:] + x + x[:1]  # y[i] = x[i - 1] and y[i + 2] = x[i + 1]
+    if any(a == b for a, b in zip(y, y[2:])):
+        return 0
+    i = x.index(min(img_vs))
+    sign = 1 if eimg[edges[i]] < eimg[edges[i - 1]] else -1
+    return sign * len(x) // len(img_vs)

@@ -153,17 +153,14 @@ def oracle_result(
     *,
     max_lifts: int | None = None,
     prune: bool = True,
-    strand_order: tuple[int, ...] | None = None,
 ) -> OracleResult:
     """Exhaustive decision with the first accepted lift in search order.
 
-    The default strand order (increasing domain edge id) makes the accepted
-    lift the lexicographically least one; ``strand_order`` is a testing hook
-    for search-order-independence checks and changes which accepted lift is
-    reported, never the verdict.  ``prune`` cuts a branch as soon as the
-    placed ports already force a crossing; prunes never remove an acceptable
-    completion, so the verdict and first accepted lift match the unpruned
-    search.
+    Strands are placed in increasing domain edge id, which makes the
+    accepted lift the lexicographically least one.  ``prune`` cuts a branch
+    as soon as the placed ports already force a crossing; prunes never
+    remove an acceptable completion, so the verdict and first accepted lift
+    match the unpruned search.
     """
     if phi.domain.shape in ("path", "cycle"):
         phi = normalize_nondegenerate(phi)
@@ -177,9 +174,6 @@ def oracle_result(
     total = 1
     for s in exp.strands:
         total *= factorial(len(s))
-    order = strand_order if strand_order is not None else range(edges)
-    if sorted(order) != list(range(edges)):
-        raise PreconditionError("strand order must enumerate every domain edge once")
 
     # lane l of target edge a is the global slot base[a] + l; at[0][slot] and
     # at[1][slot] are its ports' positions in the discs of a's two ends
@@ -222,7 +216,7 @@ def oracle_result(
         return prune or lift_crossing_check(exp, _lift(base, rider)) is None
 
     # the search stays suspended at its first accepted lift, so rider holds it
-    accepted = next(backtrack(order, candidates, complete, slot_of, rider), None)
+    accepted = next(backtrack(range(edges), candidates, complete, slot_of, rider), None)
     lift = None if accepted is None else _lift(base, rider)
     return OracleResult(lift is not None, lift, examined, total)
 

@@ -9,18 +9,17 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from embapprox import transversal
-from embapprox.catalog import TARGETS, cycle_domain, path_domain, small_targets, theta_target
-from embapprox.core import (
-    DomainGraph,
-    PlaneGraph,
-    SimplicialMap,
-    WalkArc,
-    _pair,
-    closed_walk,
-    open_walk,
+from embapprox.catalog import (
+    TARGETS,
+    cycle_domain,
+    cycle_target,
+    path_domain,
+    small_targets,
+    theta_target,
 )
+from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair
 from embapprox.decide import Event
-from embapprox.derivative import winding_report
+from embapprox.derivative import ComponentWinding, WindingReport, winding_report
 from embapprox.errors import PreconditionError
 from embapprox.transversal import CrossingWitness, find_crossing_pair
 
@@ -174,9 +173,143 @@ def back_and_forth(k: int) -> SimplicialMap:
     return SimplicialMap(path_domain(k), g, tuple(a if i % 2 else u for i in range(k - 1)) + (v,))
 
 
+@st.composite
+def closed_walks(draw, k_max: int, targets=("theta", "W4", "ex33", "C3", "C4", "C5", "C6")):
+    """Closed walks of 3 to k_max vertices into the named targets; Cn is `cycle_target(n)`.
+
+    A step may stay put.  A random walk closes by a shortest way back to
+    its start, and one of fewer than three vertices stays put until it has
+    three.
+    """
+    name = draw(st.sampled_from(targets))
+    g = TARGETS[name]() if name in TARGETS else cycle_target(int(name[1:]))
+    images = [draw(st.integers(0, g.n - 1))]
+    for _ in range(draw(st.integers(0, k_max - g.n))):
+        v = images[-1]
+        choice = draw(st.integers(0, len(g.incident[v])))
+        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+    images += way_back(g, images[-1], images[0])
+    images += images[-1:] * (3 - len(images))
+    return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
+
+
+# --- reference walks -----------------------------------------------------------
+# A path or circle piece of any graph, traversed edge by edge with a used-edge
+# set, independently of core.simple_walk: the reference for DomainGraph.walk,
+# the arc enumeration and the winding report.
+
+
+def _component_walk(graph, vertices: frozenset[int], edges: frozenset[int], closed: bool):
+    """Traverse a path- or circle-like piece of any graph with .edges/.other_end.
+
+    An open piece starts at its smaller end; a closed one at its smallest
+    vertex, leaving along its smallest incident edge id.  Returns (vertex
+    list, edge id list); a closed walk does not repeat its start.
+    """
+    inc: dict[int, list[int]] = {v: [] for v in vertices}
+    for eid in sorted(edges):
+        u, v = graph.edges[eid]
+        inc[u].append(eid)
+        if v != u:
+            inc[v].append(eid)
+    if not edges:
+        if closed:
+            raise PreconditionError("a closed walk needs at least one edge")
+        return [min(vertices)], []
+    if closed:
+        start = min(vertices)
+    else:
+        ends = sorted(v for v in vertices if len(inc[v]) == 1)
+        if len(ends) != 2:
+            raise PreconditionError("an open walk needs exactly two degree-1 ends")
+        start = ends[0]
+    walk_vertices = [start]
+    walk_edges: list[int] = []
+    used: set[int] = set()
+    cur = start
+    while len(walk_edges) < len(edges):
+        try:
+            nxt = next(e for e in inc[cur] if e not in used)
+        except StopIteration:
+            raise PreconditionError("component is not a single path or circle")
+        used.add(nxt)
+        walk_edges.append(nxt)
+        cur = graph.other_end(nxt, cur)
+        walk_vertices.append(cur)
+    if closed:
+        if cur != start:
+            raise PreconditionError("component is not a single circle")
+        walk_vertices.pop()
+    elif cur == start or len(walk_vertices) != len(vertices):
+        raise PreconditionError("component is not a single path")
+    return walk_vertices, walk_edges
+
+
+def reference_walk(d: DomainGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The walk a path or cycle domain should give as `DomainGraph.walk`."""
+    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
+    vs, es = _component_walk(d, *every, closed=d.shape == "cycle")
+    return tuple(vs), tuple(es)
+
+
+def reference_winding_report(phi: SimplicialMap) -> WindingReport:
+    """`derivative.winding_report` by walking the image circle in the target.
+
+    A component winds when it is a circle, its image subgraph is a circle,
+    and the walk around the domain steps through the image in one constant
+    direction, read off positions along the image's own walk.  Both circles
+    are traversed from their smallest vertex along their smallest incident
+    edge id.
+    """
+    d, g = phi.domain, phi.target
+    out = []
+    if d.shape in ("path", "cycle"):
+        pieces = [(frozenset(range(d.n)), frozenset(range(len(d.edges))), d.shape == "cycle")]
+    else:
+        pieces = [
+            (vs, es, bool(es) and all(d.degree(v) == 2 for v in vs)) for vs, es in d.components()
+        ]
+    for vs, es, circ in pieces:
+        img_vs = frozenset(phi.vertex_image[v] for v in vs)
+        img_es = frozenset(phi.edge_image[e] for e in es if phi.edge_image[e] is not None)
+        entry = ComponentWinding(vs, es, circ, False, 0, img_vs, img_es)
+        if circ and img_es:
+            img_degree = dict.fromkeys(img_vs, 0)
+            for e in img_es:
+                for v in g.edges[e]:
+                    img_degree[v] += 1
+            if all(x == 2 for x in img_degree.values()) and len(img_es) == len(img_vs):
+                try:
+                    img_order, _ = _component_walk(g, img_vs, img_es, closed=True)
+                except PreconditionError:
+                    img_order = None
+                if img_order is not None:
+                    pos = {v: i for i, v in enumerate(img_order)}
+                    length = len(img_order)
+                    walk_vs, walk_es = _component_walk(d, vs, es, closed=True)
+                    sign = 0
+                    ok = all(phi.edge_image[e] is not None for e in walk_es)
+                    if ok:
+                        for t in range(len(walk_vs)):
+                            a = pos[phi.vertex_image[walk_vs[t]]]
+                            b = pos[phi.vertex_image[walk_vs[(t + 1) % len(walk_vs)]]]
+                            step = (b - a) % length
+                            s = 1 if step == 1 else (-1 if step == length - 1 else 0)
+                            if s == 0 or (sign and s != sign):
+                                ok = False
+                                break
+                            sign = s
+                    if ok:
+                        entry = ComponentWinding(
+                            vs, es, True, True, sign * len(es) // length, img_vs, img_es
+                        )
+        out.append(entry)
+    return WindingReport(tuple(out))
+
+
 # --- reference crossing scan -----------------------------------------------
-# Every arc pair in enumeration order, with arcs listed from open_walk and
-# closed_walk, independently of the run scan and of DomainGraph.walk.
+# Every arc pair in enumeration order, with arcs listed from the reference
+# walk, independently of the run scan and of DomainGraph.walk.
 
 
 def subwalks(phi: SimplicialMap) -> list[WalkArc]:
@@ -187,18 +320,17 @@ def subwalks(phi: SimplicialMap) -> list[WalkArc]:
     is refused.
     """
     d = phi.domain
-    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
     if d.shape == "path":
-        order, eids = open_walk(d, *every)
+        order, eids = reference_walk(d)
         return [
-            WalkArc(tuple(order[i : j + 1]), tuple(eids[i:j]))
+            WalkArc(order[i : j + 1], eids[i:j])
             for i in range(len(order))
             for j in range(i + 1, len(order))
         ]
     if d.shape == "cycle":
-        order, eids = closed_walk(d, *every)
+        order, eids = reference_walk(d)
         m = len(order)
-        order2, eids2 = tuple(order) * 2, tuple(eids) * 2
+        order2, eids2 = order * 2, eids * 2
         return [
             WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
         ]

@@ -17,6 +17,7 @@ from conftest import (
     contract_edge,
     mirrored_map,
     reference_components,
+    reference_walk,
     reference_zero_components,
     relabelled,
     theta_fold,
@@ -38,15 +39,13 @@ from embapprox.core import (
     PlaneGraph,
     SimplicialMap,
     _pair,
-    _shape_of,
     backtrack,
     classes,
-    closed_walk,
     computed_once,
     format_instance,
     normalize_nondegenerate,
-    open_walk,
     parse_instance,
+    simple_walk,
     zero_components,
 )
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
@@ -453,20 +452,15 @@ def test_mirrored_map_is_an_involution_and_reverses_rotations():
 
 
 def test_walk_extraction():
-    d = path_domain(4)
-    vs, es = open_walk(d, frozenset(range(4)), frozenset(range(3)))
-    assert list(vs) in ([0, 1, 2, 3], [3, 2, 1, 0])
-    c = cycle_domain(4)
-    vs2, es2 = closed_walk(c, frozenset(range(4)), frozenset(range(4)))
-    assert len(vs2) == 4 and len(es2) == 4
-    with pytest.raises(PreconditionError):
-        closed_walk(d, frozenset(range(4)), frozenset(range(3)))
-
-
-def _reference_walk(d: DomainGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    every = (frozenset(range(d.n)), frozenset(range(len(d.edges))))
-    vs, es = (open_walk if d.shape == "path" else closed_walk)(d, *every)
-    return tuple(vs), tuple(es)
+    assert simple_walk(4, path_domain(4).edges) == ((0, 1, 2, 3), (0, 1, 2))
+    c = cycle_domain(4)  # edges (0,1) (0,3) (1,2) (2,3)
+    assert simple_walk(4, c.edges) == ((0, 1, 2, 3), (0, 2, 3, 1)) == c.walk
+    assert simple_walk(1, ()) == ((0,), ())
+    # two parallel edges, a loop, a path plus an isolated vertex, two triangles
+    assert simple_walk(2, ((0, 1), (0, 1))) is None
+    assert simple_walk(1, ((0, 0),)) is None
+    assert simple_walk(3, ((1, 2),)) is None
+    assert simple_walk(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))) is None
 
 
 def _assert_stage_walks_match(phi: SimplicialMap, walks: dict[str, int]) -> None:
@@ -474,7 +468,7 @@ def _assert_stage_walks_match(phi: SimplicialMap, walks: dict[str, int]) -> None
     for m in (phi, *iterate_derivative(phi, phi.domain.n + 1).maps):
         d = m.domain
         if d.shape in walks:
-            assert d.walk == _reference_walk(d), (d.n, d.edges)
+            assert d.walk == reference_walk(d), (d.n, d.edges)
             walks[d.shape] += 1
 
 
@@ -542,7 +536,7 @@ def _assert_quotient_pinned(phi: SimplicialMap) -> str:
     q = normalize_nondegenerate(phi)
     assert q.domain.vertex_names == tuple("+".join(c) for c in classes.values())
     assert q.vertex_image == tuple(phi.vertex_image[r] for r in classes)
-    assert q.domain.shape == _shape_of(q.domain.n, q.domain.edges)
+    assert q.domain.shape == DomainGraph.from_structure(q.domain.n, q.domain.edges).shape
     return q.domain.shape
 
 
@@ -673,7 +667,7 @@ def test_walk_collapse_is_the_union_find_quotient_up_to_k5():
 
 
 def _reference_shape_of(n: int, edges: tuple[tuple[int, int], ...]) -> str:
-    """The shape tag computed with sets, a sort and a DFS, as core._shape_of once was."""
+    """The shape tag computed with sets, a sort and a DFS, blind to `simple_walk`."""
     if n == 0:
         return "general"
     deg = [0] * n
@@ -729,8 +723,21 @@ def _multigraphs(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(_multigraphs())
 def test_shape_of_matches_the_reference(graph):
+    # the shape tag, a declared shape's check and the stored walk all read
+    # simple_walk, which must give the reference walk
     n, edges = graph
-    assert _shape_of(n, edges) == _reference_shape_of(n, edges)
+    shape = _reference_shape_of(n, edges)
+    d = DomainGraph.from_structure(n, edges)
+    assert d.shape == shape
+    for declared in ("path", "cycle"):
+        if declared != shape:
+            with pytest.raises(InvariantError):
+                DomainGraph(n, edges, declared)
+    if shape == "general":
+        assert simple_walk(n, edges) is None
+    else:
+        assert simple_walk(n, edges) == d.walk == DomainGraph(n, edges, shape).walk
+        assert d.walk == reference_walk(d)
 
 
 def test_cycle_target_and_catalog_targets_are_valid():

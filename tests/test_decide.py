@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_map, reference_rejection, theta_fold, way_back
+from conftest import closed_walks, random_walk_map, reference_rejection, theta_fold, way_back
 
 from embapprox import decide, derivative, vankampen
 from embapprox.catalog import (
@@ -374,25 +374,6 @@ def test_decide_and_iterate_derivative_walk_one_tower():
         for kind in ("clean-pass", "transversal-self-intersection")
         for flagged in (False, True)
     } | {("terminal-approximable", False), ("empty-domain", False)}
-
-
-@st.composite
-def closed_walks(draw, k_max: int):
-    """Closed walks of 3 to k_max vertices into theta, W4, ex33 or C3-C6.
-
-    A step may stay put.  A random walk closes by a shortest way back to
-    its start, and one of fewer than three vertices stays put until it has
-    three.
-    """
-    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33", "C3", "C4", "C5", "C6")))]()
-    images = [draw(st.integers(0, g.n - 1))]
-    for _ in range(draw(st.integers(0, k_max - g.n))):
-        v = images[-1]
-        choice = draw(st.integers(0, len(g.incident[v])))
-        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
-    images += way_back(g, images[-1], images[0])
-    images += images[-1:] * (3 - len(images))
-    return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

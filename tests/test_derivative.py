@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_map, reference_scan, walk_maps, way_back
+from conftest import (
+    closed_walks,
+    random_walk_map,
+    reference_scan,
+    reference_winding_report,
+    walk_maps,
+    way_back,
+)
 
 from embapprox import derivative
 from embapprox.catalog import (
@@ -33,7 +40,6 @@ from embapprox.core import (
     PlaneGraph,
     SimplicialMap,
     _pair,
-    _shape_of,
     normalize_nondegenerate,
 )
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
@@ -203,6 +209,62 @@ def test_winding_degrees_cover_both_orientations():
     assert plus == -minus
 
 
+def test_standard_windings_have_their_own_degree():
+    for length in (3, 4, 7):
+        for d in range(-6, 7):
+            phi = winding_map(d, length)
+            report = winding_report(phi)
+            assert report.winding_degrees() == ((d,) if d else ())
+            assert report == reference_winding_report(phi)
+
+
+def test_interleaved_circles_of_a_general_domain_wind_by_their_own_walks():
+    # two disjoint cycles on interleaved ids round C3: 0 5 2 7 4 8 winds +2
+    # and 1 6 3 winds -1.  Each is walked from its smallest vertex along its
+    # smaller edge id; renumbered in any order but increasing (decreasing,
+    # or by first appearance in the edge list), a walk here reverses and
+    # flips its sign
+    edges = ((4, 7), (1, 6), (4, 8), (0, 5), (2, 7), (0, 8), (3, 6), (2, 5), (1, 3))
+    phi = SimplicialMap(
+        DomainGraph(9, edges, "general"), cycle_target(3), (0, 0, 2, 1, 1, 1, 2, 0, 2)
+    )
+    report = winding_report(phi)
+    assert [(sorted(c.vertices), c.degree) for c in report.components] == [
+        ([0, 2, 4, 5, 7, 8], 2),
+        ([1, 3, 6], -1),
+    ]
+    assert report == reference_winding_report(phi)
+
+
+@st.composite
+def _windings_with_back_steps(draw):
+    """The d-winding round C3-C8, d in -5 .. 5, with up to three detours inserted.
+
+    A detour after x_i is a back-step x_i x_(i+1) x_i x_(i+1), or a stay
+    x_i x_i.
+    """
+    phi = winding_map(draw(st.sampled_from(range(-5, 6))), draw(st.integers(3, 8)))
+    images = list(phi.vertex_image)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(images) - 1))
+        detour = [images[(i + 1) % len(images)], images[i]] if draw(st.booleans()) else [images[i]]
+        images[i + 1 : i + 1] = detour
+    return SimplicialMap(cycle_domain(len(images)), phi.target, tuple(images))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        closed_walks(k_max=64, targets=("C3", "C4", "C5", "C6", "C7", "C8", "theta", "W4")),
+        _windings_with_back_steps(),
+    )
+)
+def test_winding_report_matches_the_image_walking_reference(phi):
+    # phi itself may have degenerate edges; its stages start from its quotient
+    for stage in (phi, *iterate_derivative(phi, phi.domain.n + 1).maps):
+        assert winding_report(stage) == reference_winding_report(stage), stage.vertex_image
+
+
 # --- reference stage construction ---------------------------------------------
 # The plain per-target-edge scans that phi_components and derive replaced:
 # O(|E(G)|(|V(K)| + |E(K)|)) components, O(m^2) adjacency, a renumbering
@@ -293,7 +355,7 @@ def _reference_derive(phi: SimplicialMap) -> DerivativeStep:
         tuple(tuple(renum[e] for e in rot) for rot in rotation),
     )
     kp_edges = tuple(sorted(_pair(i, j) for i, j in shared))
-    kprime = DomainGraph(m, kp_edges, _shape_of(m, kp_edges))
+    kprime = DomainGraph.from_structure(m, kp_edges)
     phiprime = SimplicialMap(kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps))
     return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
 

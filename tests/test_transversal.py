@@ -13,6 +13,7 @@ from conftest import (
     back_and_forth,
     random_walk_map,
     reference_scan,
+    reference_walk,
     subwalks,
     theta_fold,
     walk_maps,
@@ -35,7 +36,6 @@ from embapprox.core import (
     PlaneGraph,
     SimplicialMap,
     WalkArc,
-    closed_walk,
     normalize_nondegenerate,
 )
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
@@ -179,7 +179,7 @@ def test_cycle_arcs_are_the_proper_cyclic_subwalks():
             continue
         checked += 1
         d = phi.domain
-        order, eids = closed_walk(d, frozenset(range(d.n)), frozenset(range(len(d.edges))))
+        order, eids = reference_walk(d)
         m = len(order)
         want = [
             WalkArc(
