@@ -17,12 +17,13 @@ from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
 
-from .core import parse_instance
+from .core import classes, parse_instance
 from .corpus import TSV_HEADER, CorpusSpec, run_agreement
 from .decide import decide_cycle, decide_deg3_to_circle, decide_path
-from .derivative import iterate_derivative, winding_report
+from .derivative import derivative_stages, winding_report
 from .errors import (
     DanglingIdError,
+    DerivePreconditionError,
     EmbapproxError,
     InvariantError,
     OracleBudgetExceeded,
@@ -59,33 +60,39 @@ def _dot(phi, title: str, domain_names, target_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_files(result) -> list[str]:
-    """One DOT text per map of an iteration, naming derived vertices by provenance.
+def _stage0_names(phi) -> list[str]:
+    """Names of stage 0's vertices: the input ids of each class, joined by "+".
 
-    Derived stages carry no names, so they are made here from the first
-    map's: a G' vertex is named after its target edge `u-v`, and the j-th
-    K' vertex over one target edge `<edge>#j` (K' numbers its vertices by
-    target edge first).
+    Stage 0 is phi quotiented by its degenerate edges, whose classes
+    `classes` numbers by smallest vertex as the quotient does; each class
+    lists its vertex ids in increasing order.
     """
-    phi = result.maps[0]
-    domain_names = [phi.domain.name_of(x) for x in range(phi.domain.n)]
-    target_names = [phi.target.name_of(v) for v in range(phi.target.n)]
-    texts = []
-    for i, m in enumerate(result.maps):
-        texts.append(_dot(m, f"step{i}", domain_names, target_names))
-        if i < len(result.steps):
-            step = result.steps[i]
-            edges = m.target.edges
-            target_names = [
-                f"{target_names[edges[a][0]]}-{target_names[edges[a][1]]}"
-                for a in step.realized_edges
-            ]
-            seen: dict[int, int] = {}
-            domain_names = []
-            for r in step.map.vertex_image:
-                seen[r] = seen.get(r, -1) + 1
-                domain_names.append(f"{target_names[r]}#{seen[r]}")
-    return texts
+    d = phi.domain
+    member, count = classes(d.n, (d.edges[e] for e in phi.degenerate_edges))
+    groups: list[list[str]] = [[] for _ in range(count)]
+    for x, c in enumerate(member):
+        groups[c].append(str(x))
+    return ["+".join(g) for g in groups]
+
+
+def _derived_names(step, target_names: list[str]) -> tuple[list[str], list[str]]:
+    """Names of a derived stage's domain and target vertices, by provenance.
+
+    Derived stages carry no names, so they are made from the source's
+    target names: a G' vertex is named after its target edge `u-v`, and the
+    j-th K' vertex over one target edge `<edge>#j` (K' numbers its vertices
+    by target edge first).
+    """
+    edges = step.source.target.edges
+    target_names = [
+        f"{target_names[edges[a][0]]}-{target_names[edges[a][1]]}" for a in step.realized_edges
+    ]
+    seen: dict[int, int] = {}
+    domain_names = []
+    for r in step.map.vertex_image:
+        seen[r] = seen.get(r, -1) + 1
+        domain_names.append(f"{target_names[r]}#{seen[r]}")
+    return domain_names, target_names
 
 
 def _cmd_check(args) -> int:
@@ -111,24 +118,41 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    """Print each stage, and write its DOT file, as `derivative_stages` yields it.
+
+    phi is dropped before the first stage is asked for, so no stage is held
+    after the next one is built (see `derivative_stages`).
+    """
     phi = _load(args.file)
     steps = args.steps if args.steps is not None else phi.domain.n
-    result = iterate_derivative(phi, max_steps=steps)
-    for i, m in enumerate(result.maps):
-        d = m.domain
-        print(
-            f"step {i}: vertices={d.n} edges={len(d.edges)} shape={d.shape}"
-            f" injective={'yes' if m.is_injective() else 'no'}"
-        )
-    print(f"status: {result.status}")
-    if result.failure is not None:
-        print(f"failure at step {result.failure_step}: {result.failure}")
+    out = None
     if args.dot:
         out = Path(args.dot)
         out.mkdir(parents=True, exist_ok=True)
-        for i, text in enumerate(_dot_files(result)):
-            (out / f"step{i}.dot").write_text(text, encoding="utf-8")
-        print(f"wrote {len(result.maps)} dot files to {out}")
+        domain_names = _stage0_names(phi)
+        target_names = [phi.target.name_of(v) for v in range(phi.target.n)]
+    stages = derivative_stages(phi, steps)
+    del phi
+    failure = None
+    try:
+        for i, (m, step, status) in enumerate(stages):
+            d = m.domain
+            print(
+                f"step {i}: vertices={d.n} edges={len(d.edges)} shape={d.shape}"
+                f" injective={'yes' if m.is_injective() else 'no'}"
+            )
+            if out is not None:
+                if step is not None:
+                    domain_names, target_names = _derived_names(step, target_names)
+                text = _dot(m, f"step{i}", domain_names, target_names)
+                (out / f"step{i}.dot").write_text(text, encoding="utf-8")
+    except DerivePreconditionError as exc:
+        status, failure = "precondition-failed", exc.witness
+    print(f"status: {status}")
+    if failure is not None:
+        print(f"failure at step {i}: {failure}")
+    if out is not None:
+        print(f"wrote {i + 1} dot files to {out}")
     return 0
 
 

@@ -181,11 +181,6 @@ class PlaneGraph(FieldState):
         return {e: i for i, e in enumerate(self.edges)}
 
     @computed_once
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids at each vertex (rotation order)."""
-        return self.rotation
-
-    @computed_once
     def crossing_memo(self) -> dict:
         """Crossing test results of transversal, per interned image subgraph.
 
@@ -214,10 +209,9 @@ class PlaneGraph(FieldState):
         """What `decide` concluded from each stage map into this graph onward.
 
         Keyed by the stage map's domain shape, domain edges and vertex
-        image; no names, since no verdict reads one.  Values hold counts
-        and event tuples, never maps or graphs.  Like crossing_memo it grows
-        with the distinct stages decided into this graph, goes away with the
-        graph and is not part of equality.
+        image.  Values hold counts and event tuples, never maps or graphs.
+        Like crossing_memo it grows with the distinct stages decided into
+        this graph, goes away with the graph and is not part of equality.
         """
         return {}
 
@@ -296,15 +290,6 @@ class PlaneGraph(FieldState):
             object.__setattr__(graph, name, value)
         return graph
 
-    def mirrored(self) -> "PlaneGraph":
-        """Reverse every rotation: the mirror-image embedding."""
-        return PlaneGraph(
-            self.n,
-            self.edges,
-            tuple(tuple(reversed(r)) for r in self.rotation),
-            self.vertex_names,
-        )
-
 
 def simple_walk(
     n: int, edges: tuple[tuple[int, int], ...]
@@ -362,13 +347,13 @@ class DomainGraph(FieldState):
     """Multigraph domain; loops and parallel edges allowed under shape general.
 
     `edges[i]` is the sorted endpoint pair of edge i; distinct ids may repeat
-    a pair (parallel edges) and a loop has equal endpoints.
+    a pair (parallel edges) and a loop has equal endpoints.  Vertices are
+    numbered, not named: a printer names what it prints.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     shape: str
-    vertex_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -383,19 +368,15 @@ class DomainGraph(FieldState):
             if walk is None or (len(walk[1]) == self.n) != (self.shape == "cycle"):
                 raise InvariantError("shape", f"structure is not a simple {self.shape}")
             object.__setattr__(self, "walk", walk)
-        if self.vertex_names and len(self.vertex_names) != self.n:
-            raise InvariantError("names", "vertex_names length mismatch")
 
     @classmethod
-    def from_structure(
-        cls, n: int, edges: tuple[tuple[int, int], ...], vertex_names: tuple[str, ...] = ()
-    ) -> "DomainGraph":
+    def from_structure(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "DomainGraph":
         """The domain on these edges, tagged with the shape its structure has.
 
         The shape is read off `simple_walk` once, instead of being passed in
         and recomputed to check it, and a path or cycle keeps that walk.
         """
-        graph = cls(n, edges, "general", vertex_names)
+        graph = cls(n, edges, "general")
         walk = simple_walk(n, edges)
         if walk is not None:
             object.__setattr__(graph, "shape", "cycle" if len(walk[1]) == n else "path")
@@ -408,7 +389,6 @@ class DomainGraph(FieldState):
         n: int,
         edges: tuple[tuple[int, int], ...],
         shape: str,
-        vertex_names: tuple[str, ...],
         walk: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     ) -> "DomainGraph":
         """A domain whose construction already fixes its structure and shape; nothing is checked.
@@ -417,7 +397,7 @@ class DomainGraph(FieldState):
         stored instead of being recomputed.
         """
         graph = object.__new__(cls)
-        fields = (("n", n), ("edges", edges), ("shape", shape), ("vertex_names", vertex_names))
+        fields = (("n", n), ("edges", edges), ("shape", shape))
         for name, value in fields:
             object.__setattr__(graph, name, value)
         if walk is not None:
@@ -456,9 +436,6 @@ class DomainGraph(FieldState):
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
         return w if v == u else u
-
-    def name_of(self, v: int) -> str:
-        return self.vertex_names[v] if self.vertex_names else str(v)
 
     def components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """Connected components as (vertex set, edge set) pairs, by smallest vertex."""
@@ -593,12 +570,6 @@ class SimplicialMap(FieldState):
             return False
         imgs = self.edge_image
         return None not in imgs and len(set(imgs)) == len(imgs)
-
-    def arc_image(self, arc: WalkArc) -> tuple[frozenset[int], frozenset[int]]:
-        """Image subgraph of an arc as (target vertex set, target edge set)."""
-        vs = frozenset(self.vertex_image[v] for v in arc.vertices)
-        es = frozenset(self.edge_image[e] for e in arc.edges if self.edge_image[e] is not None)
-        return vs, es
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +719,7 @@ def parse_instance(text: str) -> SimplicialMap:
         if v not in vmap:
             raise DanglingIdError(f"domain vertex {v} has no map line", 1)
         images.append(vmap[v])
-    domain = DomainGraph(k, tuple(d_edges), shape, tuple(map(str, range(k))))
+    domain = DomainGraph(k, tuple(d_edges), shape)
     return SimplicialMap(domain, target, tuple(images))
 
 
@@ -777,23 +748,17 @@ def _quotient(
 ) -> SimplicialMap:
     """The map on the classes of `member`, numbered by smallest vertex.
 
-    Names are the `+`-joined names of a class's vertices, and the
-    nondegenerate edges keep their order.  The shape is `shape` when the
-    caller's construction determines it, else it is computed.
+    The nondegenerate edges keep their order.  The shape is `shape` when
+    the caller's construction determines it, else it is computed.
     """
-    d = phi.domain
-    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
-    groups: list[list[str]] = [[] for _ in range(count)]
     images = [0] * count
-    for x in range(d.n):
-        groups[member[x]].append(old_names[x])
-        images[member[x]] = phi.vertex_image[x]
-    names = tuple("+".join(g) for g in groups)
+    for x, img in enumerate(phi.vertex_image):
+        images[member[x]] = img
     new_edges = _surviving_edges(phi, member)
     if shape is None:
-        new_domain = DomainGraph.from_structure(count, new_edges, names)
+        new_domain = DomainGraph.from_structure(count, new_edges)
     else:
-        new_domain = DomainGraph._built(count, new_edges, shape, names)
+        new_domain = DomainGraph._built(count, new_edges, shape)
     # a class is joined through degenerate edges, so its vertices share one
     # image, and each surviving edge keeps its target edge
     edge_image = tuple([a for a in phi.edge_image if a is not None])
@@ -825,11 +790,11 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     Where the walk visits the vertices in id order, as on every
     `catalog.path_domain` and `catalog.cycle_domain`, the runs come in the
     order of their smallest vertices, so one pass along the walk numbers
-    the classes, appends each class's name and reads its image; a path
-    whose edge ids also follow the walk gets the edges (i, i + 1) and its
-    walk.  General domains, and walks in another order (a parsed domain),
-    group their vertices by the degenerate edges with `classes`, which
-    numbers the classes the same way.
+    the classes and reads each class's image; a path whose edge ids also
+    follow the walk gets the edges (i, i + 1) and its walk.  General
+    domains, and walks in another order (a parsed domain), group their
+    vertices by the degenerate edges with `classes`, which numbers the
+    classes the same way.
     """
     d = phi.domain
     n = d.n
@@ -844,26 +809,17 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
         return _quotient(phi, member, count, shape), tuple(member)
     order = d.walk[1]
     eimg, vimg = phi.edge_image, phi.vertex_image
-    old_names = d.vertex_names or tuple(map(str, ids))
     member = [0] * n
-    names: list[str] = []
     images = [vimg[0]]
-    name = old_names[0]
     c = 0  # the class of vertex x
     for x in range(1, n):
-        if eimg[order[x - 1]] is None:
-            name += "+" + old_names[x]
-        else:
-            names.append(name)
-            name = old_names[x]
+        if eimg[order[x - 1]] is not None:
             images.append(vimg[x])
             c += 1
         member[x] = c
-    names.append(name)
     count = c + 1
     if closed and c and eimg[order[-1]] is None:
         # the last run wraps into the first, which holds vertex 0
-        names[0] += "+" + names.pop()
         images.pop()
         count = c
         x = n - 1
@@ -878,11 +834,11 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     else:
         edges = _surviving_edges(phi, member)
     if not closed:
-        domain = DomainGraph._built(count, edges, "path", tuple(names), walk)
+        domain = DomainGraph._built(count, edges, "path", walk)
     elif count >= 3:
-        domain = DomainGraph._built(count, edges, "cycle", tuple(names))
+        domain = DomainGraph._built(count, edges, "cycle")
     else:
-        domain = DomainGraph.from_structure(count, edges, tuple(names))
+        domain = DomainGraph.from_structure(count, edges)
     return SimplicialMap._built(domain, phi.target, tuple(images), edge_image), tuple(member)
 
 

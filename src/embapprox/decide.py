@@ -18,16 +18,15 @@ more) is the last stage built: nothing on the rest of its tower can
 reject it, and the number of derives to its empty domain is counted from
 the turns of its walk in O(n) (`_derives_to_empty`), so deciding the
 identity path onto C900 builds no derived target at all.
-`iterate_derivative` and `derive` still build every stage.
 When `derive` refuses a stage, the oracle decides and the verdict is
-flagged for review.  What a stage map concludes from there on is kept in its target's
-`PlaneGraph.decide_memo`, keyed by the map's domain shape, domain edges and
-vertex image (names play no part in a verdict), so a stage met again under
-one target, by the same map or another, is decided once.  The memo grows
-with the distinct stages decided into the target and lives as long as the
-target, like its `crossing_memo`.  Degree-3 domains over a cycle combine
+flagged for review.  What a stage map concludes from there on is kept in
+its target's `PlaneGraph.decide_memo`, keyed by the map's domain shape,
+domain edges and vertex image, so a stage met again under one target, by
+the same map or another, is decided once.  The memo grows with the
+distinct stages decided into the target and lives as long as the target,
+like its `crossing_memo`.  Degree-3 domains over a cycle combine
 the mod-2 obstruction with a winding-parity check on the last stage of
-`iterate_derivative`, the tower collected whole.  A second, independent
+`derivative_stages`, keeping no earlier stage.  A second, independent
 route for paths uses the obstruction alone.  Both routes keep the
 obstruction's verdict in the target's `PlaneGraph.obstruction_memo`, keyed
 by the normalized map's domain edges and vertex image, so each distinct
@@ -40,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import SimplicialMap, normalize_nondegenerate, simple_walk
-from .derivative import derivative_stages, iterate_derivative, winding_report
+from .derivative import derivative_stages, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
 from .oracle import is_approximable_oracle
 from .transversal import branch_vertices, find_crossing_pair
@@ -305,9 +304,10 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
             "degree-3-to-circle",
             ((0, Event("obstruction-nonzero", witness)),),
         )
-    result = iterate_derivative(phi, max_steps=d.n)
-    final = result.maps[-1]
-    final_step = len(result.maps) - 1
+    # every target derived from a cycle has maximum degree <= 2, where no
+    # image branches and no arcs cross, so no derive here is refused
+    for final_step, (final, _, _) in enumerate(derivative_stages(phi, d.n)):
+        pass
     for comp in winding_report(final).components:
         if comp.is_winding and comp.degree % 2 != 0 and abs(comp.degree) >= 3:
             return Verdict(

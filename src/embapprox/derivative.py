@@ -14,12 +14,11 @@ On a path or cycle domain the phi-components are the maximal runs of one
 edge image along the domain's walk, and two components touch exactly when
 their runs are consecutive, so such a stage is built in one pass over the
 walk, and the runs in walk order are K''s own walk.  Such a stage builds
-only what the next one reads: K' with its walk, G' and phi'.  Every stage
-builds its components only when `DerivativeStep.components` is read.
-Other domains group the preimage of every target edge at once with
-`core.classes` (`phi_components`).  Derived domains and targets carry no
-vertex names, so nothing grows from stage to stage; `cli derive --dot`
-names their vertices after the target edges they come from.
+only what the next one reads: K' with its walk, G' and phi'.  Other
+domains group the preimage of every target edge at once with
+`core.classes` (`phi_components`).  Derived targets carry no vertex names
+and domains none at all, so nothing grows from stage to stage; `cli
+derive --dot` names their vertices after the target edges they come from.
 
 `derivative_stages` iterates the derivative.  Whether a stage repeats its
 source is read off counts for a path or cycle (`_stabilized`: only a
@@ -41,7 +40,6 @@ from .core import (
     PlaneGraph,
     SimplicialMap,
     classes,
-    computed_once,
     normalize_nondegenerate,
     simple_walk,
 )
@@ -68,15 +66,6 @@ class DerivativeStep:
     terminal_approximable: bool
     realized_edges: tuple[int, ...]  # target edge id per gprime vertex
 
-    @computed_once
-    def components(self) -> tuple[PhiComponent, ...]:
-        """The phi-components of the source, one per kprime vertex, in order.
-
-        Nothing on the way from one stage to the next reads them, so they
-        are built only when read.
-        """
-        return phi_components(self.source)
-
 
 def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
     """All phi-components, ordered by (target edge, smallest domain vertex).
@@ -95,7 +84,7 @@ def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
             members.setdefault(a, []).append(eid)
     onto = {a: len(eids) for a, eids in members.items()}
     for eid in phi.degenerate_edges:
-        for a in g.incident[phi.vertex_image[d.edges[eid][0]]]:
+        for a in g.rotation[phi.vertex_image[d.edges[eid][0]]]:
             if a in onto:
                 members[a].append(eid)
     slot: dict[tuple[int, int], int] = {}
@@ -213,7 +202,7 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
     """
     vertices, edges = phi.domain.walk
     if not edges:
-        empty = DomainGraph._built(0, (), "general", ())
+        empty = DomainGraph._built(0, (), "general")
         return _stage(phi, (), [], empty, False)
     eimg = phi.edge_image
     closed = phi.domain.shape == "cycle"
@@ -275,7 +264,6 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
         runs,
         tuple(shared),
         "cycle" if cyclic else "path",
-        (),
         (tuple(walk_vertices), tuple(walk_edges)),
     )
     terminal = closed and runs == 2
@@ -291,8 +279,7 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     targets' own memos.  G' is built unchecked (`PlaneGraph._built`): its
     vertices are the distinct realized edges, its edges the sorted distinct
     realized pairs between them, and `derived_rotation` lists at each vertex
-    exactly the pairs that hold it.  Derived domains and targets carry no
-    names.
+    exactly the pairs that hold it.  Derived targets carry no names.
     """
     g = phi.target
     realized_edges = tuple(sorted(set(edge_of)))
@@ -366,8 +353,16 @@ def derivative_stages(phi: SimplicialMap, max_steps: int):
     configuration, or repeats its source up to isomorphism, `_stabilized`),
     or "budget-exhausted" after max_steps derives.  A refused derive raises
     `DerivePreconditionError` out of the generator.
+
+    The generator keeps no reference to phi once stage 0 is built, and
+    holds only the current stage and the step that made it (whose source
+    is the stage before).  Every target keeps the targets derived from it
+    (`PlaneGraph.derived_memo`), so a caller that holds phi, or any early
+    stage, keeps the tower built so far alive; one that holds neither
+    streams the tower in the memory of a few stages.
     """
     stage = normalize_nondegenerate(phi)
+    del phi
     step = None
     for i in range(max_steps + 1):
         if step is not None and step.terminal_approximable:
@@ -400,7 +395,9 @@ def iterate_derivative(phi: SimplicialMap, max_steps: int) -> IterationResult:
     """Every stage of `derivative_stages(phi, max_steps)`, with the exit it ends on.
 
     A refused derive is recorded, not raised: the status is then
-    "precondition-failed" and failure_step the stage it refused.
+    "precondition-failed" and failure_step the stage it refused.  The
+    result holds the whole tower at once; the library itself streams
+    `derivative_stages` instead.
     """
     maps, steps = [], []
     failure = failure_step = None

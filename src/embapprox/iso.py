@@ -3,7 +3,7 @@
 Two maps are isomorphic when there are vertex bijections of the domains and
 of the targets that carry edges to edges (with multiplicity), preserve every
 target rotation as a cyclic sequence (same orientation), and commute with the
-maps.  It ignores provenance names.  Derivative iteration asks it whether
+maps.  It ignores target vertex names.  Derivative iteration asks it whether
 a stage of a general domain (the degree-3 route, or a closed walk that
 normalizes to a doubled edge) repeats its source; path and cycle stages
 settle that by counts (`derivative._stabilized`), and the tests compare
@@ -49,8 +49,8 @@ def _plane_isos(g1: PlaneGraph, g2: PlaneGraph):
     if sorted(deg1) != sorted(deg2):
         return
     order = sorted(range(g1.n), key=lambda v: -deg1[v])
-    nbrs1 = [{g1.other_end(e, v) for e in g1.incident[v]} for v in range(g1.n)]
-    nbrs2 = [{g2.other_end(e, w) for e in g2.incident[w]} for w in range(g2.n)]
+    nbrs1 = [{g1.other_end(e, v) for e in g1.rotation[v]} for v in range(g1.n)]
+    nbrs2 = [{g2.other_end(e, w) for e in g2.rotation[w]} for w in range(g2.n)]
     vmap: list[int] = [-1] * g1.n
     inverse: list[int] = [-1] * g2.n
 

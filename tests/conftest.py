@@ -24,8 +24,8 @@ from embapprox.errors import PreconditionError
 from embapprox.transversal import CrossingWitness, find_crossing_pair
 
 
-def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
-    """Contract one degenerate domain edge.
+def contract_edge(phi: SimplicialMap, eid: int) -> tuple[SimplicialMap, tuple[int, ...]]:
+    """Contract one degenerate domain edge: the map and, per old vertex, its new vertex.
 
     A loop is simply removed; otherwise the endpoints merge into the smaller
     id and the remaining edges are re-targeted, keeping any multiplicity.
@@ -45,21 +45,28 @@ def contract_edge(phi: SimplicialMap, eid: int) -> SimplicialMap:
     new_edges = tuple(
         _pair(relabel[a], relabel[b]) for i, (a, b) in enumerate(d.edges) if i != eid
     )
-    old_names = d.vertex_names or tuple(str(i) for i in range(d.n))
-    names = [""] * new_n
-    for x in range(d.n):
-        y = relabel[x]
-        names[y] = old_names[x] if not names[y] else f"{names[y]}+{old_names[x]}"
     images = [0] * new_n
     for x in range(d.n):
         images[relabel[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph.from_structure(new_n, new_edges, tuple(names))
-    return SimplicialMap(new_domain, phi.target, tuple(images))
+    new_domain = DomainGraph.from_structure(new_n, new_edges)
+    return SimplicialMap(new_domain, phi.target, tuple(images)), tuple(relabel)
+
+
+def mirrored(g: PlaneGraph) -> PlaneGraph:
+    """Reverse every rotation: the mirror-image embedding."""
+    return PlaneGraph(g.n, g.edges, tuple(tuple(reversed(r)) for r in g.rotation), g.vertex_names)
 
 
 def mirrored_map(phi: SimplicialMap) -> SimplicialMap:
     """Same map into the mirror-image embedding of the target."""
-    return SimplicialMap(phi.domain, phi.target.mirrored(), phi.vertex_image)
+    return SimplicialMap(phi.domain, mirrored(phi.target), phi.vertex_image)
+
+
+def arc_image(phi: SimplicialMap, arc: WalkArc) -> tuple[frozenset[int], frozenset[int]]:
+    """Image subgraph of an arc as (target vertex set, target edge set)."""
+    vs = frozenset(phi.vertex_image[v] for v in arc.vertices)
+    es = frozenset(phi.edge_image[e] for e in arc.edges if phi.edge_image[e] is not None)
+    return vs, es
 
 
 def random_lane_orders(phi: SimplicialMap, rng: random.Random, side: int = 0):
@@ -83,7 +90,7 @@ def random_walk_map(
         images = [rng.randrange(target.n)]
         for _ in range(k - 1):
             v = images[-1]
-            images.append(rng.choice([v] + [target.other_end(e, v) for e in target.incident[v]]))
+            images.append(rng.choice([v] + [target.other_end(e, v) for e in target.rotation[v]]))
         if closed:
             u, v = images[0], images[-1]
             if u != v and (min(u, v), max(u, v)) not in target.edge_index:
@@ -102,7 +109,7 @@ def way_back(g: PlaneGraph, u: int, v: int) -> list[int]:
     prev = {u: None}
     queue = [u]
     for x in queue:
-        for e in g.incident[x]:
+        for e in g.rotation[x]:
             y = g.other_end(e, x)
             if y not in prev:
                 prev[y] = x
@@ -127,8 +134,8 @@ def walk_maps(draw, k_max: int, k_min: int = 1, closed: bool = True):
     images = [draw(st.integers(0, g.n - 1))]
     for _ in range(k - 1):
         v = images[-1]
-        choice = draw(st.integers(0, len(g.incident[v])))
-        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+        choice = draw(st.integers(0, len(g.rotation[v])))
+        images.append(v if choice == 0 else g.other_end(g.rotation[v][choice - 1], v))
     closed = closed and k >= 3 and draw(st.booleans())
     if closed:
         u, v = images[-1], images[0]
@@ -186,8 +193,8 @@ def closed_walks(draw, k_max: int, targets=("theta", "W4", "ex33", "C3", "C4", "
     images = [draw(st.integers(0, g.n - 1))]
     for _ in range(draw(st.integers(0, k_max - g.n))):
         v = images[-1]
-        choice = draw(st.integers(0, len(g.incident[v])))
-        images.append(v if choice == 0 else g.other_end(g.incident[v][choice - 1], v))
+        choice = draw(st.integers(0, len(g.rotation[v])))
+        images.append(v if choice == 0 else g.other_end(g.rotation[v][choice - 1], v))
     images += way_back(g, images[-1], images[0])
     images += images[-1:] * (3 - len(images))
     return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
@@ -347,7 +354,7 @@ def reference_scan(
     """
     g = phi.target
     arcs = subwalks(phi)
-    images = [phi.arc_image(arc) for arc in arcs]
+    images = [arc_image(phi, arc) for arc in arcs]
     keys = [(tuple(sorted(a[0])), tuple(sorted(a[1]))) for a in images]
     tested = {} if tested is None else tested
     for i in range(len(arcs)):
@@ -390,10 +397,9 @@ def reference_rejection(phi: SimplicialMap) -> Event | None:
 def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
     """`core.zero_components` by a stack search over the degenerate edges, blind to the walk.
 
-    Classes are numbered by their smallest vertex and named by their
-    vertices' names in increasing id order, joined by `+`.  Every
-    nondegenerate edge survives in its order, and the quotient is built and
-    checked from scratch, its shape computed from its structure.
+    Classes are numbered by their smallest vertex.  Every nondegenerate
+    edge survives in its order, and the quotient is built and checked from
+    scratch, its shape computed from its structure.
     """
     d = phi.domain
     glued: list[list[int]] = [[] for _ in range(d.n)]
@@ -402,7 +408,7 @@ def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[
         glued[u].append(v)
         glued[v].append(u)
     member = [-1] * d.n
-    classes: list[list[int]] = []  # by smallest vertex, each in id order
+    classes: list[list[int]] = []  # by smallest vertex
     for x in range(d.n):
         if member[x] >= 0:
             continue
@@ -414,14 +420,11 @@ def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[
                     member[y] = member[x]
                     reached.append(y)
                     stack.append(y)
-        classes.append(sorted(reached))
-    names = d.vertex_names or tuple(str(x) for x in range(d.n))
+        classes.append(reached)
     edges = tuple(
         _pair(member[u], member[v]) for (u, v), a in zip(d.edges, phi.edge_image) if a is not None
     )
-    domain = DomainGraph.from_structure(
-        len(classes), edges, tuple("+".join(names[x] for x in xs) for xs in classes)
-    )
+    domain = DomainGraph.from_structure(len(classes), edges)
     images = tuple(phi.vertex_image[xs[0]] for xs in classes)
     return SimplicialMap(domain, phi.target, images), tuple(member)
 
@@ -497,22 +500,14 @@ def reference_cut_components(edges, complex, values) -> tuple[int, ...]:
     return tuple(vector)
 
 
-def relabelled(phi: SimplicialMap, vertex_ids, edge_order, names: bool = True) -> SimplicialMap:
-    """phi with domain vertex x renamed vertex_ids[x] and its edges listed as edge_order says.
+def relabelled(phi: SimplicialMap, vertex_ids, edge_order) -> SimplicialMap:
+    """phi with domain vertex x renumbered vertex_ids[x] and its edges listed as edge_order says.
 
-    New edge i is old edge edge_order[i].  With names, new vertex
-    vertex_ids[x] is named after x, so a quotient's names show the order in
-    which a class lists its vertices.
+    New edge i is old edge edge_order[i].
     """
     d = phi.domain
     image = [0] * d.n
     for x, y in enumerate(vertex_ids):
         image[y] = phi.vertex_image[x]
     edges = tuple(_pair(vertex_ids[u], vertex_ids[v]) for u, v in (d.edges[e] for e in edge_order))
-    vertex_names = ()
-    if names:
-        label = [""] * d.n
-        for x, y in enumerate(vertex_ids):
-            label[y] = f"w{x}"
-        vertex_names = tuple(label)
-    return SimplicialMap(DomainGraph(d.n, edges, d.shape, vertex_names), phi.target, tuple(image))
+    return SimplicialMap(DomainGraph(d.n, edges, d.shape), phi.target, tuple(image))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     contract_edge,
+    mirrored,
     mirrored_map,
     reference_components,
     reference_walk,
@@ -399,11 +400,11 @@ def test_parse_ignores_comments_and_blank_lines():
 def test_contract_edge_merges_and_requires_degeneracy():
     g = small_targets()["C4"]
     phi = SimplicialMap(path_domain(4), g, (0, 0, 1, 2))
-    out = contract_edge(phi, 0)
+    out, member = contract_edge(phi, 0)
     assert out.domain.n == 3
     assert out.vertex_image == (0, 1, 2)
     assert out.domain.shape == "path"
-    assert "+" in out.domain.name_of(0)
+    assert member == (0, 0, 1, 2)
     with pytest.raises(PreconditionError):
         contract_edge(phi, 1)  # not degenerate
     with pytest.raises(PreconditionError):
@@ -443,7 +444,7 @@ def test_zero_components_keeps_parallel_edges():
 
 def test_mirrored_map_is_an_involution_and_reverses_rotations():
     g = theta_target()
-    m = g.mirrored()
+    m = mirrored(g)
     assert m.edges == g.edges
     for v in range(g.n):
         assert m.rotation[v] == tuple(reversed(g.rotation[v]))
@@ -511,8 +512,8 @@ def _assert_quotient_pinned(phi: SimplicialMap) -> str:
 
     The classes come from a DFS over the degenerate edges, started at each
     vertex in increasing order, so each class is numbered by its smallest
-    vertex; a quotient vertex is named by its class's names joined by `+`.
-    Returns the quotient's shape.
+    vertex, and `zero_components` gives each vertex that class.  Returns the
+    quotient's shape.
     """
     d = phi.domain
     adjacent: list[list[int]] = [[] for _ in range(d.n)]
@@ -529,13 +530,10 @@ def _assert_quotient_pinned(phi: SimplicialMap) -> str:
                     if root[y] < 0:
                         root[y] = s
                         stack.append(y)
-    names = d.vertex_names or tuple(str(x) for x in range(d.n))
-    classes: dict[int, list[str]] = {}
-    for x in range(d.n):
-        classes.setdefault(root[x], []).append(names[x])
+    number = {r: i for i, r in enumerate(dict.fromkeys(root))}
     q = normalize_nondegenerate(phi)
-    assert q.domain.vertex_names == tuple("+".join(c) for c in classes.values())
-    assert q.vertex_image == tuple(phi.vertex_image[r] for r in classes)
+    assert zero_components(phi) == (q, tuple(number[r] for r in root))
+    assert q.vertex_image == tuple(phi.vertex_image[r] for r in number)
     assert q.domain.shape == DomainGraph.from_structure(q.domain.n, q.domain.edges).shape
     return q.domain.shape
 
@@ -577,7 +575,7 @@ def _run_walks(draw):
     for move in moves:
         v = images[-1]
         if move:
-            at = g.incident[v]
+            at = g.rotation[v]
             v = g.other_end(at[draw(st.integers(0, len(at) - 1))], v)
         images.append(v)
     u, v = images[-1], images[0]
@@ -598,7 +596,7 @@ def test_quotient_shapes_and_numbering_on_random_run_walks(phi):
 def _quotient_fields(q: SimplicialMap, member: tuple[int, ...]) -> tuple:
     d = q.domain
     walk = d.walk if d.shape != "general" else None
-    return (d.n, d.edges, d.shape, d.vertex_names, walk, q.vertex_image, q.edge_image, member)
+    return (d.n, d.edges, d.shape, walk, q.vertex_image, q.edge_image, member)
 
 
 def _assert_collapse_is_the_reference(phi: SimplicialMap) -> tuple:
@@ -614,14 +612,14 @@ def _relabelled_run_walks(draw):
     d = phi.domain
     vertex_ids = draw(st.permutations(range(d.n)))
     edge_order = draw(st.permutations(range(len(d.edges))))
-    return relabelled(phi, vertex_ids, edge_order, names=draw(st.booleans()))
+    return relabelled(phi, vertex_ids, edge_order)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_relabelled_run_walks())
 def test_walk_collapse_is_the_union_find_quotient_on_relabelled_walks(phi):
     # the walk visits the ids in no particular order, so classes are runs of
-    # the walk numbered by smallest vertex, and names list ids in order
+    # the walk numbered by smallest vertex
     _assert_collapse_is_the_reference(phi)
 
 
@@ -630,24 +628,24 @@ def test_walk_collapse_is_the_union_find_quotient_on_hand_cases():
     # every edge degenerate: one class, a point
     point = SimplicialMap(cycle_domain(4), c3, (1, 1, 1, 1))
     assert _assert_collapse_is_the_reference(point) == (
-        1, (), "path", ("0+1+2+3",), ((0,), ()), (1,), (), (0, 0, 0, 0)
+        1, (), "path", ((0,), ()), (1,), (), (0, 0, 0, 0)
     )
     # two classes joined by two edges: a doubled edge, shape general
     doubled = SimplicialMap(cycle_domain(4), c3, (0, 0, 1, 1))
     got = _assert_collapse_is_the_reference(doubled)
-    assert got[:4] == (2, ((0, 1), (0, 1)), "general", ("0+1", "2+3")) and got[-1] == (0, 0, 1, 1)
+    assert got[:3] == (2, ((0, 1), (0, 1)), "general") and got[-1] == (0, 0, 1, 1)
     # the last run wraps past vertex 0 into the first class
     wrap = SimplicialMap(cycle_domain(5), c3, (0, 1, 2, 0, 0))
     got = _assert_collapse_is_the_reference(wrap)
-    assert got[:4] == (3, ((0, 1), (1, 2), (0, 2)), "cycle", ("0+3+4", "1", "2"))
+    assert got[:3] == (3, ((0, 1), (1, 2), (0, 2)), "cycle")
     assert got[-1] == (0, 1, 2, 0, 0)
     # the same cycle walked from inside the wrapping run, its ids reversed
     backwards = relabelled(wrap, (4, 3, 2, 1, 0), range(5))
     got = _assert_collapse_is_the_reference(backwards)
-    assert got[3] == ("w4+w3+w0", "w2", "w1") and got[-1] == (0, 0, 1, 2, 0)
+    assert got[-1] == (0, 0, 1, 2, 0)
     # one vertex and a nondegenerate map: every vertex is its own class
     one = SimplicialMap(path_domain(1), c3, (2,))
-    assert _assert_collapse_is_the_reference(one) == (1, (), "path", ("0",), ((0,), ()), (2,), (), (0,))
+    assert _assert_collapse_is_the_reference(one) == (1, (), "path", ((0,), ()), (2,), (), (0,))
     plain = FIXTURES["x-cross"]()
     got = _assert_collapse_is_the_reference(plain)
     assert got[1] == plain.domain.edges and got[-1] == tuple(range(plain.domain.n))
@@ -752,7 +750,7 @@ def test_cycle_target_and_catalog_targets_are_valid():
 
 COMPUTED_ONCE = {
     PlaneGraph: (
-        "edge_index", "incident", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
+        "edge_index", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
         "obstruction_memo", "instance_sections",
     ),
     DomainGraph: ("incident", "walk"),

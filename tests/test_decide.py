@@ -433,7 +433,7 @@ def onward_walks(draw, k_max: int):
     came_from = None
     for _ in range(draw(st.integers(0, k_max - g.n))):
         v = images[-1]
-        onward = [g.other_end(e, v) for e in g.incident[v]]
+        onward = [g.other_end(e, v) for e in g.rotation[v]]
         choice = draw(st.integers(0, 2 * len(onward) + 1))
         if choice == 0:
             images.append(v)

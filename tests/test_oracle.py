@@ -137,7 +137,7 @@ def test_degenerate_handling_by_shape():
     g = small_targets()["C4"]
     degen_path = SimplicialMap(path_domain(3), g, (0, 0, 1))
     assert is_approximable_oracle(degen_path)[0] is True
-    y = DomainGraph(3, ((0, 1), (1, 2)), "general", ("a", "b", "c"))
+    y = DomainGraph(3, ((0, 1), (1, 2)), "general")
     degen_general = SimplicialMap(y, g, (0, 0, 1))
     with pytest.raises(PreconditionError):
         oracle_result(degen_general)

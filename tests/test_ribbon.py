@@ -34,7 +34,7 @@ def test_tree_subgraph_bounds_one_circle():
     assert len(circles) == 1
     # every other edge-end at u or v stabs the circle once
     expected = sorted(
-        Port(e, x) for x in (u, v) for e in g.incident[x] if e != 0
+        Port(e, x) for x in (u, v) for e in g.rotation[x] if e != 0
     )
     assert sorted(circles[0].ports) == expected
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    arc_image,
     back_and_forth,
     random_walk_map,
     reference_scan,
@@ -54,8 +55,8 @@ def test_x_cross_path_has_a_transversal_self_intersection():
     assert wit.kind == "interleaved"
     assert set(wit.arc_p.vertices).isdisjoint(wit.arc_q.vertices)
     # the witness images really do cross
-    a = phi.arc_image(wit.arc_p)
-    b = phi.arc_image(wit.arc_q)
+    a = arc_image(phi, wit.arc_p)
+    b = arc_image(phi, wit.arc_q)
     assert transversal._crossing_component(phi.target, a, b) is not None
 
 
@@ -92,8 +93,8 @@ def test_degenerate_maps_are_refused():
 def test_images_cross_is_symmetric_and_false_on_disjoint():
     phi = x_cross_path()
     wit = find_crossing_pair(phi, disjoint_only=True)
-    a = phi.arc_image(wit.arc_p)
-    b = phi.arc_image(wit.arc_q)
+    a = arc_image(phi, wit.arc_p)
+    b = arc_image(phi, wit.arc_q)
     forward = transversal._crossing_component(phi.target, a, b)
     backward = transversal._crossing_component(phi.target, b, a)
     assert forward is not None and backward is not None
@@ -208,7 +209,7 @@ def test_runs_start_where_the_image_of_an_arc_changes():
             continue
         want = []
         for arc in subwalks(phi):
-            image = phi.arc_image(arc)
+            image = arc_image(phi, arc)
             if len(arc.edges) == 1 or image != want[-1][1]:
                 want.append((arc, image))
         assert _run_firsts(phi) == want
@@ -333,7 +334,7 @@ def test_images_cross_only_at_a_vertex_of_degree_three_in_their_union(phi):
     if psi.domain.shape not in ("path", "cycle"):
         return  # a doubled edge: both its arcs have one image, so no pair to test
     g = psi.target
-    images = list(dict.fromkeys(psi.arc_image(arc) for arc in subwalks(psi)))
+    images = list(dict.fromkeys(arc_image(psi, arc) for arc in subwalks(psi)))
     for i, a in enumerate(images):
         for b in images[i + 1 :]:
             degree = Counter(v for e in a[1] | b[1] for v in g.edges[e])
