@@ -99,13 +99,11 @@ def small_targets(max_edges: int = 6) -> dict[str, PlaneGraph]:
 
 
 def cycle_domain(m: int) -> DomainGraph:
-    edges = tuple(sorted(_pair(i, (i + 1) % m) for i in range(m)))
-    shape = "cycle" if m >= 3 else "general"
-    return DomainGraph(m, edges, shape)
+    return DomainGraph(m, tuple(sorted(_pair(i, (i + 1) % m) for i in range(m))))
 
 
 def path_domain(m: int) -> DomainGraph:
-    return DomainGraph(m, tuple((i, i + 1) for i in range(m - 1)), "path")
+    return DomainGraph(m, tuple((i, i + 1) for i in range(m - 1)))
 
 
 def winding_map(d: int, length: int = 3) -> SimplicialMap:

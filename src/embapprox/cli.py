@@ -75,18 +75,17 @@ def _stage0_names(phi) -> list[str]:
     return ["+".join(g) for g in groups]
 
 
-def _derived_names(step, target_names: list[str]) -> tuple[list[str], list[str]]:
+def _derived_names(step) -> tuple[list[str], list[str]]:
     """Names of a derived stage's domain and target vertices, by provenance.
 
-    Derived stages carry no names, so they are made from the source's
-    target names: a G' vertex is named after its target edge `u-v`, and the
-    j-th K' vertex over one target edge `<edge>#j` (K' numbers its vertices
-    by target edge first).
+    A G' vertex is named after its target edge, `PlaneGraph.edge_name`:
+    by the input's vertex names at stage 1 and, since derived targets carry
+    no names, by vertex ids after that, so no name grows from stage to
+    stage.  The j-th K' vertex over one target edge is `<edge>#j` (K'
+    numbers its vertices by target edge first).
     """
-    edges = step.source.target.edges
-    target_names = [
-        f"{target_names[edges[a][0]]}-{target_names[edges[a][1]]}" for a in step.realized_edges
-    ]
+    g = step.source.target
+    target_names = [g.edge_name(a) for a in step.realized_edges]
     seen: dict[int, int] = {}
     domain_names = []
     for r in step.map.vertex_image:
@@ -143,7 +142,7 @@ def _cmd_derive(args) -> int:
             )
             if out is not None:
                 if step is not None:
-                    domain_names, target_names = _derived_names(step, target_names)
+                    domain_names, target_names = _derived_names(step)
                 text = _dot(m, f"step{i}", domain_names, target_names)
                 (out / f"step{i}.dot").write_text(text, encoding="utf-8")
     except DerivePreconditionError as exc:

@@ -2,12 +2,13 @@
 
 A target is a plane-embedded simple graph: a rotation system listing, for
 every vertex, its incident edges in counterclockwise order.  A domain is a
-multigraph tagged with a shape (path, cycle or general).  A simplicial map
-sends domain vertices to target vertices so that every domain edge either
-collapses to a target vertex (degenerate) or lands on a target edge.
+multigraph; its shape (path, cycle or general) is a fact about its edges.
+A simplicial map sends domain vertices to target vertices so that every
+domain edge either collapses to a target vertex (degenerate) or lands on a
+target edge.
 
-A path or cycle is read off one walk, `simple_walk`: it decides the shape
-tag, checks a domain's declared shape and is the domain's `walk`;
+A path or cycle is read off one walk, `simple_walk`: it decides a domain's
+`shape` and is the domain's `walk`, and nothing else decides a shape;
 `derivative.winding_report` walks circle components with it, and `decide`
 checks a cycle target with it.
 """
@@ -153,6 +154,8 @@ class PlaneGraph(FieldState):
     def __post_init__(self):
         if len(self.rotation) != self.n:
             raise InvariantError("rotation-cover", "one rotation line per vertex required")
+        if self.vertex_names and len(self.vertex_names) != self.n:
+            raise InvariantError("names", "vertex_names length mismatch")
         seen: set[tuple[int, int]] = set()
         incident: list[list[int]] = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(self.edges):
@@ -169,12 +172,11 @@ class PlaneGraph(FieldState):
             incident[v].append(eid)
         for v in range(self.n):
             if sorted(self.rotation[v]) != incident[v]:
+                who = repr(self.name_of(v)) if self.vertex_names else v
                 raise InvariantError(
                     "rotation-cover",
-                    f"rotation at vertex {v} must list each incident edge exactly once",
+                    f"rotation at vertex {who} must list each incident edge exactly once",
                 )
-        if self.vertex_names and len(self.vertex_names) != self.n:
-            raise InvariantError("names", "vertex_names length mismatch")
 
     @computed_once
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -208,10 +210,11 @@ class PlaneGraph(FieldState):
     def decide_memo(self) -> dict:
         """What `decide` concluded from each stage map into this graph onward.
 
-        Keyed by the stage map's domain shape, domain edges and vertex
-        image.  Values hold counts and event tuples, never maps or graphs.
-        Like crossing_memo it grows with the distinct stages decided into
-        this graph, goes away with the graph and is not part of equality.
+        Keyed by the stage map's domain edges and vertex image, which fix
+        its domain's shape too.  Values hold counts and event tuples, never
+        maps or graphs.  Like crossing_memo it grows with the distinct
+        stages decided into this graph, goes away with the graph and is not
+        part of equality.
         """
         return {}
 
@@ -344,65 +347,65 @@ def simple_walk(
 
 @dataclass(frozen=True)
 class DomainGraph(FieldState):
-    """Multigraph domain; loops and parallel edges allowed under shape general.
+    """Multigraph domain; loops and parallel edges allowed.
 
     `edges[i]` is the sorted endpoint pair of edge i; distinct ids may repeat
     a pair (parallel edges) and a loop has equal endpoints.  Vertices are
-    numbered, not named: a printer names what it prints.
+    numbered, not named: a printer names what it prints.  The domain's
+    `shape` is its structure's, read off `simple_walk`.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    shape: str
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise InvariantError("shape", f"unknown shape {self.shape!r}")
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise DanglingIdError(f"edge {eid} references unknown vertex", 0)
             if (u, v) != _pair(u, v):
                 raise InvariantError("edge-order", f"edge {eid} endpoints not sorted")
-        if self.shape != "general":
-            walk = simple_walk(self.n, self.edges)
-            if walk is None or (len(walk[1]) == self.n) != (self.shape == "cycle"):
-                raise InvariantError("shape", f"structure is not a simple {self.shape}")
-            object.__setattr__(self, "walk", walk)
-
-    @classmethod
-    def from_structure(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "DomainGraph":
-        """The domain on these edges, tagged with the shape its structure has.
-
-        The shape is read off `simple_walk` once, instead of being passed in
-        and recomputed to check it, and a path or cycle keeps that walk.
-        """
-        graph = cls(n, edges, "general")
-        walk = simple_walk(n, edges)
-        if walk is not None:
-            object.__setattr__(graph, "shape", "cycle" if len(walk[1]) == n else "path")
-            object.__setattr__(graph, "walk", walk)
-        return graph
+        self.shape  # read while the domain is built, not by the first route to use it
 
     @classmethod
     def _built(
         cls,
         n: int,
         edges: tuple[tuple[int, int], ...],
-        shape: str,
         walk: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     ) -> "DomainGraph":
-        """A domain whose construction already fixes its structure and shape; nothing is checked.
+        """A domain whose construction already proves its edges valid; nothing is checked.
 
-        A caller that already knows the domain's `walk` passes it, and it is
-        stored instead of being recomputed.
+        A caller that already knows the domain's `simple_walk` passes it as
+        `walk`, and the shape is read off it instead of walking again.
         """
         graph = object.__new__(cls)
-        fields = (("n", n), ("edges", edges), ("shape", shape))
-        for name, value in fields:
-            object.__setattr__(graph, name, value)
-        if walk is not None:
-            object.__setattr__(graph, "walk", walk)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        if walk is None:
+            graph.shape
+        else:
+            object.__setattr__(graph, "shape", graph._shape_of(walk))
         return graph
+
+    def _shape_of(self, walk: tuple[tuple[int, ...], tuple[int, ...]] | None) -> str:
+        """The shape that `simple_walk`'s result on this domain gives.
+
+        A path or cycle stores that result as its `walk`.
+        """
+        if walk is None:
+            return "general"
+        object.__setattr__(self, "walk", walk)
+        return "cycle" if len(walk[1]) == self.n else "path"
+
+    @computed_once
+    def shape(self) -> str:
+        """"path", "cycle" or "general": the structure's shape, stored with the walk.
+
+        Every domain reads it when it is built, off the walk `_built` was
+        given or else from `simple_walk`.  An unpickled domain reads both
+        again here: `FieldState` restores fields alone.
+        """
+        return self._shape_of(simple_walk(self.n, self.edges))
 
     @computed_once
     def incident(self) -> tuple[tuple[int, ...], ...]:
@@ -420,13 +423,13 @@ class DomainGraph(FieldState):
 
         The walk `simple_walk` gives: a path starts at its smaller end; a
         cycle starts at vertex 0 and leaves along its smaller edge id, and
-        its vertex list does not repeat vertex 0 at the end.  A validated
-        domain stores it while its shape is checked.
+        its vertex list does not repeat vertex 0 at the end.  `shape`
+        stores it, so only a general domain, or an unpickled one whose shape
+        is not read yet, reaches here.
         """
-        walk = simple_walk(self.n, self.edges) if self.shape != "general" else None
-        if walk is None:
+        if self.shape == "general":
             raise PreconditionError("only path and cycle domains are one walk")
-        return walk
+        return self.walk
 
     def degree(self, v: int) -> int:
         """Topological degree: loops count twice."""
@@ -447,15 +450,6 @@ class DomainGraph(FieldState):
         for eid, (u, _) in enumerate(self.edges):
             edges[member[u]].append(eid)
         return [(frozenset(vs), frozenset(es)) for vs, es in zip(vertices, edges)]
-
-    def is_circle(self) -> bool:
-        """Homeomorphic to a circle: connected, every vertex of degree 2."""
-        return (
-            self.n >= 1
-            and len(self.edges) >= 1
-            and classes(self.n, self.edges)[1] == 1
-            and all(self.degree(v) == 2 for v in range(self.n))
-        )
 
 
 @dataclass(frozen=True)
@@ -595,7 +589,9 @@ def parse_instance(text: str) -> SimplicialMap:
     Sections, in order: #target (edge lines, and vertex lines that name a
     vertex before its first edge does), #rotation (rot lines),
     #domain (shape line then edge lines), #map (``dv -> tv`` lines).
-    Blank lines and ``%`` comments are ignored anywhere.
+    Blank lines and ``%`` comments are ignored anywhere.  A declared path
+    or cycle must be the domain's structure; a declared general takes any
+    multigraph, and the domain has its structure's shape either way.
     """
     section = None
     t_edges: list[tuple[int, int]] = []
@@ -692,6 +688,9 @@ def parse_instance(text: str) -> SimplicialMap:
         if e in edge_ids:
             raise InvariantError("simple-target", f"line {t_edge_lines[i]}: parallel edge")
         edge_ids[e] = i
+    name_list = [""] * n_t
+    for name, i in t_names.items():
+        name_list[i] = name
     rotation: list[tuple[int, ...] | None] = [None] * n_t
     for lineno, v, toks in pending_rot:
         ids = []
@@ -701,14 +700,11 @@ def parse_instance(text: str) -> SimplicialMap:
                 raise DanglingIdError(f"rotation references unknown edge {tok!r}", lineno)
             ids.append(edge_ids[e])
         if rotation[v] is not None:
-            raise ParseError(f"duplicate rotation for vertex {v}", lineno)
+            raise ParseError(f"duplicate rotation for vertex {name_list[v]!r}", lineno)
         rotation[v] = tuple(ids)
     for v in range(n_t):
         if rotation[v] is None:
-            raise ParseError(f"missing rotation line for target vertex {v}", 1)
-    name_list = [""] * n_t
-    for name, i in t_names.items():
-        name_list[i] = name
+            raise ParseError(f"missing rotation line for target vertex {name_list[v]!r}", 1)
     target = PlaneGraph(n_t, tuple(t_edges), tuple(rotation), tuple(name_list))
 
     k = d_max + 1
@@ -719,12 +715,14 @@ def parse_instance(text: str) -> SimplicialMap:
         if v not in vmap:
             raise DanglingIdError(f"domain vertex {v} has no map line", 1)
         images.append(vmap[v])
-    domain = DomainGraph(k, tuple(d_edges), shape)
+    domain = DomainGraph(k, tuple(d_edges))
+    if shape != "general" and domain.shape != shape:
+        raise InvariantError("shape", f"structure is not a simple {shape}")
     return SimplicialMap(domain, target, tuple(images))
 
 
 def format_instance(phi: SimplicialMap) -> str:
-    """Inverse of parse_instance for fixture generation.
+    """Inverse of parse_instance for fixture generation; the shape line is the structure's.
 
     The #target and #rotation sections are the target's own
     (`PlaneGraph.instance_sections`), written once per target; each call
@@ -743,47 +741,14 @@ def format_instance(phi: SimplicialMap) -> str:
 # quotients
 
 
-def _quotient(
-    phi: SimplicialMap, member: list[int], count: int, shape: str | None
-) -> SimplicialMap:
-    """The map on the classes of `member`, numbered by smallest vertex.
-
-    The nondegenerate edges keep their order.  The shape is `shape` when
-    the caller's construction determines it, else it is computed.
-    """
-    images = [0] * count
-    for x, img in enumerate(phi.vertex_image):
-        images[member[x]] = img
-    new_edges = _surviving_edges(phi, member)
-    if shape is None:
-        new_domain = DomainGraph.from_structure(count, new_edges)
-    else:
-        new_domain = DomainGraph._built(count, new_edges, shape)
-    # a class is joined through degenerate edges, so its vertices share one
-    # image, and each surviving edge keeps its target edge
-    edge_image = tuple([a for a in phi.edge_image if a is not None])
-    return SimplicialMap._built(new_domain, phi.target, tuple(images), edge_image)
-
-
-def _surviving_edges(phi: SimplicialMap, member: list[int]) -> tuple[tuple[int, int], ...]:
-    """The nondegenerate edges of phi in their order, as sorted pairs of classes."""
-    edges = []
-    for (u, v), a in zip(phi.domain.edges, phi.edge_image):
-        if a is not None:
-            u, v = member[u], member[v]
-            edges.append((u, v) if u < v else (v, u))
-    return tuple(edges)
-
-
 def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]:
     """Quotient the domain by the components of the degenerate part.
 
     Each class of domain vertices connected through degenerate edges collapses
     to one vertex; every nondegenerate edge survives, so parallel edges are
     kept.  Classes are numbered by their smallest vertex.  A path's quotient
-    is a path and a cycle's is a cycle when three or more classes remain;
-    any other shape is computed.  Returns the quotient map and, per original
-    vertex, its class id.
+    is a path and a cycle's is a cycle when three or more classes remain.
+    Returns the quotient map and, per original vertex, its class id.
 
     On a path or cycle a class is a maximal run of degenerate edges along
     `DomainGraph.walk`, and on a cycle the last run wraps into the first.
@@ -798,47 +763,48 @@ def zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[int, ...]]
     """
     d = phi.domain
     n = d.n
-    closed = d.shape == "cycle"
-    ids = tuple(range(n))
-    if d.shape == "general" or d.walk[0] != ids:
-        member, count = classes(n, (ends for ends, a in zip(d.edges, phi.edge_image) if a is None))
-        if d.shape == "path":
-            shape = "path"
-        else:
-            shape = "cycle" if closed and count >= 3 else None
-        return _quotient(phi, member, count, shape), tuple(member)
-    order = d.walk[1]
     eimg, vimg = phi.edge_image, phi.vertex_image
-    member = [0] * n
-    images = [vimg[0]]
-    c = 0  # the class of vertex x
-    for x in range(1, n):
-        if eimg[order[x - 1]] is not None:
-            images.append(vimg[x])
-            c += 1
-        member[x] = c
-    count = c + 1
-    if closed and c and eimg[order[-1]] is None:
-        # the last run wraps into the first, which holds vertex 0
-        images.pop()
-        count = c
-        x = n - 1
-        while member[x] == c:
-            member[x] = 0
-            x -= 1
+    ids = tuple(range(n))
+    order = None  # the walk's edge ids, where it visits the vertices in id order
+    if d.shape == "general" or d.walk[0] != ids:
+        member, count = classes(n, (ends for ends, a in zip(d.edges, eimg) if a is None))
+        images = [0] * count
+        for x, img in enumerate(vimg):
+            images[member[x]] = img
+    else:
+        order = d.walk[1]
+        member = [0] * n
+        images = [vimg[0]]
+        c = 0  # the class of vertex x
+        for x in range(1, n):
+            if eimg[order[x - 1]] is not None:
+                images.append(vimg[x])
+                c += 1
+            member[x] = c
+        count = c + 1
+        if d.shape == "cycle" and c and eimg[order[-1]] is None:
+            # the last run wraps into the first, which holds vertex 0
+            images.pop()
+            count = c
+            x = n - 1
+            while member[x] == c:
+                member[x] = 0
+                x -= 1
+    # a class is joined through degenerate edges, so its vertices share one
+    # image, and each surviving edge keeps its target edge
     edge_image = tuple([a for a in eimg if a is not None])
     walk = None
-    if not closed and order == ids[:-1]:
+    if d.shape == "path" and order == ids[:-1]:
         edges = tuple(zip(range(count - 1), range(1, count)))
         walk = (ids[:count], ids[: count - 1])
     else:
-        edges = _surviving_edges(phi, member)
-    if not closed:
-        domain = DomainGraph._built(count, edges, "path", walk)
-    elif count >= 3:
-        domain = DomainGraph._built(count, edges, "cycle")
-    else:
-        domain = DomainGraph.from_structure(count, edges)
+        edges = []
+        for (u, v), a in zip(d.edges, eimg):
+            if a is not None:
+                u, v = member[u], member[v]
+                edges.append((u, v) if u < v else (v, u))
+        edges = tuple(edges)
+    domain = DomainGraph._built(count, edges, walk)
     return SimplicialMap._built(domain, phi.target, tuple(images), edge_image), tuple(member)
 
 

@@ -165,7 +165,7 @@ def random_deg3_map(
                             break
         if not ok:
             continue
-        domain = DomainGraph(n, tuple(edges), "general")
+        domain = DomainGraph(n, tuple(edges))
         return SimplicialMap(domain, target, tuple(images))
 
 

@@ -20,11 +20,11 @@ the turns of its walk in O(n) (`_derives_to_empty`), so deciding the
 identity path onto C900 builds no derived target at all.
 When `derive` refuses a stage, the oracle decides and the verdict is
 flagged for review.  What a stage map concludes from there on is kept in
-its target's `PlaneGraph.decide_memo`, keyed by the map's domain shape,
-domain edges and vertex image, so a stage met again under one target, by
-the same map or another, is decided once.  The memo grows with the
-distinct stages decided into the target and lives as long as the target,
-like its `crossing_memo`.  Degree-3 domains over a cycle combine
+its target's `PlaneGraph.decide_memo`, keyed by the map's domain edges
+and vertex image, so a stage met again under one target, by the same map
+or another, is decided once.  The memo grows with the distinct stages
+decided into the target and lives as long as the target, like its
+`crossing_memo`.  Degree-3 domains over a cycle combine
 the mod-2 obstruction with a winding-parity check on the last stage of
 `derivative_stages`, keeping no earlier stage.  A second, independent
 route for paths uses the obstruction alone.  Both routes keep the
@@ -206,7 +206,7 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
                 outcome = _STABILIZED
                 break
             memo = cur.target.decide_memo
-            key = (cur.domain.shape, cur.domain.edges, cur.vertex_image)
+            key = (cur.domain.edges, cur.vertex_image)
             outcome = memo.get(key)
             if outcome is not None:
                 break

@@ -151,6 +151,13 @@ def derive(phi: SimplicialMap) -> DerivativeStep:
     branches; other general-domain inputs are refused since no in-scope
     construction covers them.  Iterated derivatives of maps into a circle
     stay inside this class: realized images are unions of arcs and circles.
+
+    A general domain never derives to the terminal configuration, a circle
+    domain in exactly two phi-components.  A domain's shape is its
+    structure's, so the only circles that are general are the doubled edge
+    and a loop.  The doubled edge's two edges join the same two vertices,
+    so a nondegenerate map sends them onto one target edge, in one
+    component; a loop is degenerate.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
@@ -180,13 +187,8 @@ def derive(phi: SimplicialMap) -> DerivativeStep:
         for v in c.vertices:
             at_vertex.setdefault(v, []).append(i)
     shared = sorted({pair for ids in at_vertex.values() for pair in combinations(ids, 2)})
-    terminal = (
-        m == 2
-        and d.is_circle()
-        and len(comps[0].vertices & comps[1].vertices) == 2
-    )
-    kprime = DomainGraph.from_structure(m, tuple(shared))
-    return _stage(phi, [c.target_edge for c in comps], shared, kprime, terminal)
+    kprime = DomainGraph._built(m, tuple(shared))
+    return _stage(phi, [c.target_edge for c in comps], shared, kprime, False)
 
 
 def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
@@ -202,7 +204,7 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
     """
     vertices, edges = phi.domain.walk
     if not edges:
-        empty = DomainGraph._built(0, (), "general")
+        empty = DomainGraph._built(0, ())
         return _stage(phi, (), [], empty, False)
     eimg = phi.edge_image
     closed = phi.domain.shape == "cycle"
@@ -260,12 +262,7 @@ def _derive_runs(phi: SimplicialMap) -> DerivativeStep:
         if rank[0] > rank[-1]:
             walk_vertices = rank[::-1]
             walk_edges.reverse()
-    kprime = DomainGraph._built(
-        runs,
-        tuple(shared),
-        "cycle" if cyclic else "path",
-        (tuple(walk_vertices), tuple(walk_edges)),
-    )
+    kprime = DomainGraph._built(runs, tuple(shared), (tuple(walk_vertices), tuple(walk_edges)))
     terminal = closed and runs == 2
     return _stage(phi, [images[i] for i in order], shared, kprime, terminal)
 

@@ -48,7 +48,7 @@ def contract_edge(phi: SimplicialMap, eid: int) -> tuple[SimplicialMap, tuple[in
     images = [0] * new_n
     for x in range(d.n):
         images[relabel[x]] = phi.vertex_image[x]
-    new_domain = DomainGraph.from_structure(new_n, new_edges)
+    new_domain = DomainGraph(new_n, new_edges)
     return SimplicialMap(new_domain, phi.target, tuple(images)), tuple(relabel)
 
 
@@ -424,7 +424,7 @@ def reference_zero_components(phi: SimplicialMap) -> tuple[SimplicialMap, tuple[
     edges = tuple(
         _pair(member[u], member[v]) for (u, v), a in zip(d.edges, phi.edge_image) if a is not None
     )
-    domain = DomainGraph.from_structure(len(classes), edges)
+    domain = DomainGraph(len(classes), edges)
     images = tuple(phi.vertex_image[xs[0]] for xs in classes)
     return SimplicialMap(domain, phi.target, images), tuple(member)
 
@@ -510,4 +510,4 @@ def relabelled(phi: SimplicialMap, vertex_ids, edge_order) -> SimplicialMap:
     for x, y in enumerate(vertex_ids):
         image[y] = phi.vertex_image[x]
     edges = tuple(_pair(vertex_ids[u], vertex_ids[v]) for u, v in (d.edges[e] for e in edge_order))
-    return SimplicialMap(DomainGraph(d.n, edges, d.shape), phi.target, tuple(image))
+    return SimplicialMap(DomainGraph(d.n, edges), phi.target, tuple(image))

@@ -13,6 +13,7 @@ import pytest
 from embapprox import cli, vankampen
 from embapprox.catalog import cycle_domain, cycle_target, path_domain
 from embapprox.core import SimplicialMap, format_instance, parse_instance
+from embapprox.decide import decide_path
 from embapprox.oracle import oracle_result
 
 FIX = Path(__file__).resolve().parents[1] / "src" / "embapprox" / "fixtures"
@@ -122,6 +123,18 @@ def test_check_deg3_matches_library_verdict(capsys, tmp_path):
     code, out, _ = run(capsys, "check", inst)
     assert code == (0 if expected else 1)
     assert out.startswith("approximable" if expected else "not approximable")
+
+
+def test_check_dispatches_on_the_structure_not_the_shape_line(capsys, tmp_path):
+    # a path into theta written "shape general" is decided as the path it is
+    text = (FIX / "euler-path.inst").read_text(encoding="utf-8")
+    general = tmp_path / "general.inst"
+    general.write_text(text.replace("shape path\n", "shape general\n"), encoding="utf-8")
+    verdict = decide_path(parse_instance(text))
+    assert verdict.approximable
+    want = run(capsys, "check", "--trace", FIX / "euler-path.inst")
+    assert run(capsys, "check", "--trace", general) == want
+    assert want[1].splitlines() == ["approximable"] + [f"step {i}: {e}" for i, e in verdict.trace]
 
 
 # ------------------------------------------------- input / scope errors
@@ -269,6 +282,18 @@ def test_derive_writes_dot_files(capsys, tmp_path):
         assert files == sorted(p.name for p in expected.glob("step*.dot"))
         for name in files:
             assert (out_dir / name).read_bytes() == (expected / name).read_bytes(), (fixture, name)
+
+
+def test_derive_dot_names_do_not_grow_from_stage_to_stage(capsys, tmp_path):
+    # a G' vertex is named after a target edge by the target's own names or
+    # ids, not after the names of the stage before; threaded from stage to
+    # stage, the names of the identity path onto C16 wrote 2,497,683 bytes
+    k = 16
+    phi = SimplicialMap(path_domain(k), cycle_target(k), tuple(range(k)))
+    inst = _write_map(tmp_path / "identity.inst", phi)
+    assert run(capsys, "derive", "--dot", tmp_path / "dot", inst)[0] == 0
+    sizes = [p.stat().st_size for p in (tmp_path / "dot").glob("step*.dot")]
+    assert len(sizes) == k + 1 and sum(sizes) < 100_000
 
 
 def test_derive_streams_the_tower(capsys, tmp_path):

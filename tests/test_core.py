@@ -81,17 +81,58 @@ def test_plane_graph_rotation_must_permute_incident_edges():
         PlaneGraph(3, ((0, 1), (1, 2)), ((0,), (0,), (1,)))
 
 
+def _domain_text(shape: str, n: int, edges: tuple[tuple[int, int], ...]) -> str:
+    """An instance with this shape line and domain, every domain vertex onto one target vertex."""
+    lines = ["#target", "edge a b", "#rotation", "rot a : a-b", "rot b : a-b", "#domain"]
+    lines += [f"shape {shape}", *(f"edge {u} {v}" for u, v in edges), "#map"]
+    lines += [f"{v} -> a" for v in range(n)]
+    return "\n".join(lines) + "\n"
+
+
 def test_domain_graph_shape_tag_is_checked():
+    # a file's shape line: path and cycle must be the structure's shape
     with pytest.raises(InvariantError):
-        DomainGraph(3, ((0, 1), (1, 2)), "cycle")
+        parse_instance(_domain_text("cycle", 3, ((0, 1), (1, 2))))
     with pytest.raises(InvariantError):
-        DomainGraph(3, ((0, 1), (0, 2), (1, 2)), "path")
+        parse_instance(_domain_text("path", 3, ((0, 1), (0, 2), (1, 2))))
     # general accepts anything, including multigraphs
-    DomainGraph(2, ((0, 1), (0, 1)), "general")
+    doubled = parse_instance(_domain_text("general", 2, ((0, 1), (0, 1))))
+    assert doubled.domain.shape == "general"
+
+
+def test_a_general_shape_line_takes_the_structure_shape():
+    path = parse_instance(_domain_text("general", 3, ((1, 2), (0, 1))))
+    assert path.domain.shape == "path" and path.domain.walk == ((0, 1, 2), (1, 0))
+    cycle = parse_instance(_domain_text("general", 3, ((0, 1), (0, 2), (1, 2))))
+    assert cycle.domain.shape == "cycle" and cycle.domain.walk == ((0, 1, 2), (0, 2, 1))
+    # the file written back names the structure's shape
+    assert "\nshape path\n" in format_instance(path)
+    assert "\nshape cycle\n" in format_instance(cycle)
+
+
+def test_a_path_shape_line_on_a_cycle_still_raises():
+    with pytest.raises(InvariantError) as caught:
+        parse_instance(_domain_text("path", 4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    assert str(caught.value) == "shape: structure is not a simple path"
+
+
+def test_a_pickled_domain_keeps_its_shape_and_walk():
+    # only the fields travel, so the copy reads its shape and walk again
+    square = DomainGraph(4, ((0, 2), (0, 3), (1, 2), (1, 3)))  # walked 0 2 1 3
+    for d in (path_domain(1), path_domain(5), cycle_domain(6), square):
+        copy = pickle.loads(pickle.dumps(d))
+        assert d.__getstate__() == (d.n, d.edges)
+        assert copy.walk == d.walk == simple_walk(d.n, d.edges)
+        assert copy.shape == d.shape != "general"
+    for d in (DomainGraph(2, ((0, 1), (0, 1))), DomainGraph(0, ()), DomainGraph(1, ((0, 0),))):
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy.shape == d.shape == "general"
+        with pytest.raises(PreconditionError):
+            copy.walk
 
 
 def test_degrees_count_loops_twice_in_domains():
-    d = DomainGraph(1, ((0, 0),), "general")
+    d = DomainGraph(1, ((0, 0),))
     assert d.degree(0) == 2
 
 
@@ -100,9 +141,8 @@ def test_incidence_helpers():
     assert g.max_degree == 3
     for eid, (u, v) in enumerate(g.edges):
         assert g.other_end(eid, u) == v and g.other_end(eid, v) == u
-    c = cycle_domain(4)
-    assert c.is_circle() and c.shape == "cycle"
-    assert not path_domain(3).is_circle()
+    assert cycle_domain(4).shape == "cycle"
+    assert path_domain(3).shape == "path"
     assert path_domain(1).shape == "path"  # a single vertex is a (trivial) path
 
 
@@ -121,14 +161,14 @@ def _general_domains(draw):
     """Domains of up to 64 vertices with loops, parallel edges and isolated vertices."""
     n = draw(st.integers(0, 64))
     if n == 0:
-        return DomainGraph(0, (), "general")
+        return DomainGraph(0, ())
     ends = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=n + 8))
     pairs += draw(st.lists(ends.map(lambda v: (v, v)), max_size=3))
     if pairs:
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
     order = draw(st.permutations(range(len(pairs))))
-    return DomainGraph(n, tuple(_pair(*pairs[i]) for i in order), "general")
+    return DomainGraph(n, tuple(_pair(*pairs[i]) for i in order))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -140,7 +180,9 @@ def test_domain_components_match_a_depth_first_search(d):
     circle = (
         len(expected) == 1 and len(d.edges) >= 1 and all(d.degree(v) == 2 for v in range(d.n))
     )
-    assert d.is_circle() == circle
+    # a circle has the shape cycle unless it is a loop or the doubled edge
+    loop_or_doubled = (d.n, d.edges) in ((1, ((0, 0),)), (2, ((0, 1), (0, 1))))
+    assert circle == (d.shape == "cycle" or loop_or_doubled)
 
 
 def test_simplicial_map_images_must_span_edges():
@@ -318,13 +360,13 @@ PARSE_ERRORS = [
     (
         _VALID.replace("rot b : a-b b-c", "rot a : a-b a-c"),
         ParseError,
-        "duplicate rotation for vertex 0",
+        "duplicate rotation for vertex 'a'",
         7,
     ),
     (
         _VALID.replace("rot c : a-c b-c\n", ""),
         ParseError,
-        "missing rotation line for target vertex 2",
+        "missing rotation line for target vertex 'c'",
         1,
     ),
     (_TARGET + _ROTATION + "#domain\nshape path\n", ParseError, "empty domain", 1),
@@ -337,7 +379,7 @@ PARSE_ERRORS = [
     (
         _VALID.replace("rot a : a-b a-c", "rot a : a-b"),
         InvariantError,
-        "rotation-cover: rotation at vertex 0 must list each incident edge exactly once",
+        "rotation-cover: rotation at vertex 'a' must list each incident edge exactly once",
         None,
     ),
     (
@@ -491,7 +533,7 @@ def test_walk_is_the_reference_walk_on_every_stage_of_random_walks(phi):
 def test_walk_is_only_defined_on_paths_and_cycles():
     assert path_domain(1).walk == ((0,), ())
     with pytest.raises(PreconditionError):
-        DomainGraph(2, ((0, 1), (0, 1)), "general").walk
+        DomainGraph(2, ((0, 1), (0, 1))).walk
 
 
 def test_quotients_and_stage_maps_equal_validated_ones():
@@ -534,7 +576,7 @@ def _assert_quotient_pinned(phi: SimplicialMap) -> str:
     q = normalize_nondegenerate(phi)
     assert zero_components(phi) == (q, tuple(number[r] for r in root))
     assert q.vertex_image == tuple(phi.vertex_image[r] for r in number)
-    assert q.domain.shape == DomainGraph.from_structure(q.domain.n, q.domain.edges).shape
+    assert q.domain.shape == DomainGraph(q.domain.n, q.domain.edges).shape
     return q.domain.shape
 
 
@@ -721,21 +763,25 @@ def _multigraphs(draw):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(_multigraphs())
 def test_shape_of_matches_the_reference(graph):
-    # the shape tag, a declared shape's check and the stored walk all read
-    # simple_walk, which must give the reference walk
+    # the shape, a file's declared shape's check and the stored walk all
+    # read simple_walk, which must give the reference walk
     n, edges = graph
     shape = _reference_shape_of(n, edges)
-    d = DomainGraph.from_structure(n, edges)
+    d = DomainGraph(n, edges)
     assert d.shape == shape
-    for declared in ("path", "cycle"):
-        if declared != shape:
-            with pytest.raises(InvariantError):
-                DomainGraph(n, edges, declared)
+    if n:
+        for declared in ("path", "cycle", "general"):
+            text = _domain_text(declared, n, edges)
+            if declared in (shape, "general"):
+                parsed = parse_instance(text).domain
+                assert parsed == d and parsed.shape == shape
+            else:
+                with pytest.raises(InvariantError):
+                    parse_instance(text)
     if shape == "general":
         assert simple_walk(n, edges) is None
     else:
-        assert simple_walk(n, edges) == d.walk == DomainGraph(n, edges, shape).walk
-        assert d.walk == reference_walk(d)
+        assert simple_walk(n, edges) == d.walk == reference_walk(d)
 
 
 def test_cycle_target_and_catalog_targets_are_valid():
@@ -753,7 +799,7 @@ COMPUTED_ONCE = {
         "edge_index", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
         "obstruction_memo", "instance_sections",
     ),
-    DomainGraph: ("incident", "walk"),
+    DomainGraph: ("incident", "shape", "walk"),
     SimplicialMap: ("witness_memo", "normalized"),
 }
 

@@ -137,8 +137,8 @@ def test_degenerate_handling_by_shape():
     g = small_targets()["C4"]
     degen_path = SimplicialMap(path_domain(3), g, (0, 0, 1))
     assert is_approximable_oracle(degen_path)[0] is True
-    y = DomainGraph(3, ((0, 1), (1, 2)), "general")
-    degen_general = SimplicialMap(y, g, (0, 0, 1))
+    y = DomainGraph(4, ((0, 1), (0, 2), (0, 3)))
+    degen_general = SimplicialMap(y, g, (0, 0, 1, 3))
     with pytest.raises(PreconditionError):
         oracle_result(degen_general)
 
