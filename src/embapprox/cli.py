@@ -5,7 +5,9 @@ optionally exporting DOT files), vk (obstruction report, single map or
 pair), oracle (brute-force decision), winding (winding report), corpus
 (agreement suites and fixture replay).  Exit codes: 0 approximable /
 success, 1 not approximable / disagreement, 2 input or usage error, 3
-out-of-scope shape, 4 inconclusive (budget exhausted).
+out-of-scope shape, 4 inconclusive (budget, memory or recursion depth
+exhausted), 5 internal error (any other exception: a fault of the
+program, never a verdict).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+import traceback
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -387,6 +390,13 @@ def main(argv=None) -> int:
     except EmbapproxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as err:
+        print(f"inconclusive: {err!r}", file=sys.stderr)
+        return 4
+    except Exception as err:  # a crash must not read as a verdict (exit 0 or 1)
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print(f"internal error: {err!r} at {Path(where.filename).name}:{where.lineno}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

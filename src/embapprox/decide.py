@@ -257,7 +257,7 @@ def _obstruction(phi: SimplicialMap) -> tuple:
     The obstruction of a normalized map reads only its domain edges, its
     vertex image and the target, and its witness cells use domain ids, so
     a map that normalizes to a stored key takes the stored (vanishes,
-    witness cells).
+    certificate cells or None).
     """
     phi = normalize_nondegenerate(phi)
     memo = phi.target.obstruction_memo

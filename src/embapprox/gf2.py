@@ -28,21 +28,24 @@ class Columns:
         return (self.nrows, len(self.rows))
 
 
-def solve_or_certify(a: Columns, b):
+def solve_or_certify(a: Columns, b, *, solve: bool = True):
     """Solve a @ w = b over GF(2); b is read mod 2.
 
     Returns (solution, None) when consistent, else (None, certificate) where
     the certificate y is a 0/1 list over equations with y @ a = 0 and
     y @ b = 1: an odd-looking combination proving unsolvability.  The
     solution sets every free variable to 0; the certificate is the first
-    inconsistent row left by column-order Gauss-Jordan elimination.
+    inconsistent row left by column-order Gauss-Jordan elimination.  With
+    solve False a consistent system returns (None, None): only the
+    certificate is computed, and the graphic branch skips its forest peel.
     """
     b = [int(x) % 2 for x in b]
     if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
     if max(map(len, a.rows), default=0) > 2:
-        return _solve_dense(a, b)
-    return _solve_graphic(a.rows, b)
+        sol, cert = _solve_dense(a, b)
+        return (sol if solve else None), cert
+    return _solve_graphic(a.rows, b, solve)
 
 
 def _solve_dense(a: Columns, b: list[int]):
@@ -81,7 +84,7 @@ def _solve_dense(a: Columns, b: list[int]):
     return sol, None
 
 
-def _solve_graphic(ends: list[list[int]], b: list[int]):
+def _solve_graphic(ends: list[list[int]], b: list[int], solve: bool = True):
     """The dense elimination's result for columns of weight <= 2, by union-find.
 
     `ends[col]` lists the rows where column col has a one, in row order.
@@ -93,7 +96,8 @@ def _solve_graphic(ends: list[list[int]], b: list[int]):
     `row` and leaves the unpivoted rows, the other hit absorbs it, and a
     cluster whose row was pivoted with no other hit is grounded.  The pivot
     columns form the spanning forest that Kruskal builds in column order,
-    so the solution is read off that forest by peeling leaves.
+    so the solution is read off that forest by peeling leaves, unless solve
+    is False and (None, None) stands for consistent.
     """
     ne, nv = len(b), len(ends)
     ground = ne
@@ -132,7 +136,8 @@ def _solve_graphic(ends: list[list[int]], b: list[int]):
         at[pos[pivot]] = moved
         pos[moved] = pos[pivot]
         row += 1
-        forest.append((col, p, q))
+        if solve:
+            forest.append((col, p, q))
         parent[pivot] = other
         parity[other] ^= parity[pivot]
     for r in at[row:]:
@@ -144,6 +149,8 @@ def _solve_graphic(ends: list[list[int]], b: list[int]):
                     parent[root] = root = parent[parent[root]]
                 cert.append(1 if root == r else 0)
             return None, cert
+    if not solve:
+        return None, None
 
     # peel the forest from its leaves; a node's remaining edge is the xor of
     # its unpeeled edge ids while its degree is 1

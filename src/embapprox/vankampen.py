@@ -10,12 +10,19 @@ part.  That is a GF(2) system with one equation per non-red 2-cell and one
 unknown per non-red 1-cell.
 
 `ObstructionSystem` numbers the cells by ints: the 1-cell (x, t) is
-x * |E| + t and the 2-cell (s, t), s < t, is s * |E| + t.  One pass over
-the domain keeps only the non-red cells and appends each equation to the
-columns of its faces' unknowns, which go to `gf2` as `gf2.Columns`.  Over a
-path or cycle domain each 1-cell bounds at most two 2-cells, so `gf2`
-solves the system by union-find and no matrix is ever allocated; only
-degree-3 domains reach its elimination.  Over a path domain the same
+x * |E| + t and the 2-cell (s, t), s < t, is s * |E| + t.  Only non-red
+cells are listed, and only they are visited: a non-red cell pairs
+simplices whose images share a vertex, so the domain edges are bucketed
+by the ends of their images, each vertex keeps a table of its own cells
+over its image's bucket, and the equations are read from the edge pairs
+within each bucket.  The system costs time and space in its cells, not in
+the square of the domain.  Each equation goes to the columns of its
+faces' unknowns, which go to `gf2` as `gf2.Columns`.  Over a path or cycle
+domain each 1-cell bounds at most two 2-cells, so `gf2` solves the system
+by union-find and no matrix is ever allocated; only degree-3 domains reach
+its elimination.  A verdict needs no solving cochain, so
+`obstruction_vanishes` asks `gf2` for the certificate alone, and only
+`obstruction_report` solves.  Over a path domain the same
 columns regroup into per-component parities split along the red cells.
 The tuple-celled `DeletedProduct` with its red cells, and the cochain on
 all of them, are expanded from the same numbering only where a caller
@@ -24,6 +31,7 @@ reads them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import DomainGraph, SimplicialMap, classes, computed_once, normalize_nondegenerate
@@ -50,6 +58,15 @@ def _image_ends(phi: SimplicialMap) -> list[tuple[int, int]]:
     """Endpoints of each domain edge's image edge, indexed by domain edge."""
     target_edges = phi.target.edges
     return [target_edges[img] for img in phi.edge_image]
+
+
+def _over(phi: SimplicialMap) -> list[list[int]]:
+    """Domain edges by the ends of their images, per target vertex, increasing."""
+    over: list[list[int]] = [[] for _ in range(phi.target.n)]
+    for t, (c, e) in enumerate(_image_ends(phi)):
+        over[c].append(t)
+        over[e].append(t)
+    return over
 
 
 def _disjoint(e: tuple[int, int], f: tuple[int, int]) -> bool:
@@ -108,57 +125,66 @@ class ObstructionSystem:
 def _number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
     """`ObstructionSystem`'s (cells, rows, columns), from non-red cells only.
 
-    `var[x * |E| + t]` is the unknown of the 1-cell (x, t), or -1 when that
-    cell is red or no cell (x on t).
+    A non-red 1-cell (x, t) has t's image touching f(x), so it is one of
+    the edges `over[f(x)]`; `var[x]` maps each such t off x to its unknown.
+    A non-red 2-cell (s, t) has images sharing an end, so for each s the
+    rows are read from the edges t > s over either image end of s, the two
+    sorted bucket tails merged; an edge over both ends (the same image
+    edge) is met twice and kept once.  Nothing is allocated per pair of a
+    vertex and an edge, and rows come in the order of the all-pairs scan.
     """
     if not phi.is_nondegenerate():
         raise PreconditionError("map has degenerate edges; normalize first")
     d = phi.domain
     edges = d.edges
     width = len(edges)
-    target_edges = phi.target.edges
-    over: list[list[int]] = [[] for _ in range(phi.target.n)]  # edges by image end
-    masks = []  # each edge's image ends as a bit set
-    for t, img in enumerate(phi.edge_image):
-        c, e = target_edges[img]
-        over[c].append(t)
-        over[e].append(t)
-        masks.append(1 << c | 1 << e)
-    var = [-1] * (d.n * width)
+    over = _over(phi)
+    var: list[dict[int, list[int]]] = []  # per vertex x: t -> the column of (x, t)
     cells = []
+    columns: list[list[int]] = []
     for x, fx in enumerate(phi.vertex_image):
         base = x * width
+        own = {}
         for t in over[fx]:
             z, w = edges[t]
             if z != x and w != x:
-                var[base + t] = len(cells)
+                own[t] = column = []
+                columns.append(column)
                 cells.append(base + t)
-    columns: list[list[int]] = [[] for _ in cells]
+        var.append(own)
     rows = []
+    r = 0
+    vimg = phi.vertex_image
     for s, (x, y) in enumerate(edges):
-        ms = masks[s]
-        xs, ys, ss = x * width, y * width, s * width
-        for t in range(s + 1, width):
-            if not ms & masks[t]:
+        bucket_x, bucket_y = over[vimg[x]], over[vimg[y]]
+        candidates = bucket_x[bisect_right(bucket_x, s):] + bucket_y[bisect_right(bucket_y, s):]
+        if not candidates:
+            continue
+        candidates.sort()
+        var_x, var_y, ss = var[x], var[y], s * width
+        last = -1
+        for t in candidates:
+            if t == last:
                 continue
+            last = t
             z, w = edges[t]
             if z == x or z == y or w == x or w == y:
                 continue
-            r = len(rows)
             rows.append(ss + t)
             # the faces (x, t), (y, t), (z, s) and (w, s), unknowns only
-            j = var[xs + t]
-            if j >= 0:
-                columns[j].append(r)
-            j = var[ys + t]
-            if j >= 0:
-                columns[j].append(r)
-            j = var[z * width + s]
-            if j >= 0:
-                columns[j].append(r)
-            j = var[w * width + s]
-            if j >= 0:
-                columns[j].append(r)
+            column = var_x.get(t)
+            if column is not None:
+                column.append(r)
+            column = var_y.get(t)
+            if column is not None:
+                column.append(r)
+            column = var[z].get(s)
+            if column is not None:
+                column.append(r)
+            column = var[w].get(s)
+            if column is not None:
+                column.append(r)
+            r += 1
     return cells, rows, columns
 
 
@@ -298,28 +324,38 @@ class ObstructionReport:
         return self.system.values
 
 
+def _solve(phi: SimplicialMap, lane_orders, solve: bool):
+    """(drawn system of the normalized phi, solution, certificate) from `solve_or_certify`."""
+    system = obstruction_system(normalize_nondegenerate(phi), lane_orders)
+    a = Columns(len(system.rows), system.columns)
+    return (system, *solve_or_certify(a, system.rhs, solve=solve))
+
+
+def _cells(numbers: list[int], bits: list[int], width: int) -> tuple[tuple[int, int], ...]:
+    """The cells of the set bits, each number s * width + t read back as (s, t)."""
+    return tuple(divmod(numbers[i], width) for i, bit in enumerate(bits) if bit)
+
+
 def obstruction_report(phi: SimplicialMap, lane_orders=None) -> ObstructionReport:
-    phi = normalize_nondegenerate(phi)
-    system = obstruction_system(phi, lane_orders)
-    width = len(phi.domain.edges)
-    sol, cert = solve_or_certify(Columns(len(system.rows), system.columns), system.rhs)
-    if sol is not None:
-        solving = tuple(divmod(system.cells[j], width) for j, bit in enumerate(sol) if bit)
-        return ObstructionReport(system, True, solving, None)
-    certificate = tuple(divmod(system.rows[r], width) for r, bit in enumerate(cert) if bit)
-    return ObstructionReport(system, False, None, certificate)
+    """The drawn system with its verdict and witness: a solving 1-cochain or a certificate."""
+    system, sol, cert = _solve(phi, lane_orders, solve=True)
+    width = len(system.domain.edges)
+    if cert is None:
+        return ObstructionReport(system, True, _cells(system.cells, sol, width), None)
+    return ObstructionReport(system, False, None, _cells(system.rows, cert, width))
 
 
 def obstruction_vanishes(phi: SimplicialMap, lane_orders=None):
-    """Is the crossing cochain a relative coboundary?  (verdict, witness).
+    """Is the crossing cochain a relative coboundary?  (verdict, certificate).
 
-    The witness is a solving 1-cochain (tuple of non-red 1-cells) when true,
-    else a certificate: 2-cells whose equations sum inconsistently.
+    The certificate is None when true, else the 2-cells whose equations sum
+    inconsistently.  No solving cochain is computed; `obstruction_report`
+    gives one.
     """
-    report = obstruction_report(phi, lane_orders)
-    return report.vanishes, (
-        report.solving_cells if report.vanishes else report.certificate_cells
-    )
+    system, _, cert = _solve(phi, lane_orders, solve=False)
+    if cert is None:
+        return True, None
+    return False, _cells(system.rows, cert, len(system.domain.edges))
 
 
 def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]:
@@ -386,9 +422,10 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
     """Obstruction data for two maps drawn together.
 
     Cells are all K-edge x L-edge pairs (the domains are already disjoint),
-    red when the images share nothing; the 1-cochain space is spanned by
-    vertex x edge and edge x vertex cells, numbered x * |E(L)| + j and then
-    |V(K)| * |E(L)| + i * |V(L)| + y.
+    red when the images share nothing; the unknowns are the non-red vertex
+    x edge cells (x, j), f(x) an end of j's image, by x then j, and then
+    the non-red edge x vertex cells (i, y), g(y) an end of i's image, by i
+    then y.  Each K vertex and K edge keeps a table of its own cells only.
     """
     if phi.target != psi.target:
         raise PreconditionError("maps must share one target")
@@ -396,25 +433,32 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
     psi = normalize_nondegenerate(psi)
     phi_images = _image_ends(phi)
     psi_images = _image_ends(psi)
-    n_psi, e_phi, e_psi = psi.domain.n, len(phi_images), len(psi_images)
-    ev = phi.domain.n * e_psi  # the first edge x vertex cell
-    var = [-1] * (ev + e_phi * n_psi)
-    nvars = 0
-    for x, fx in enumerate(phi.vertex_image):
-        for j, ends in enumerate(psi_images):
-            if fx in ends:
-                var[x * e_psi + j] = nvars
-                nvars += 1
-    for i, ends in enumerate(phi_images):
-        for y, fy in enumerate(psi.vertex_image):
-            if fy in ends:
-                var[ev + i * n_psi + y] = nvars
-                nvars += 1
-    columns: list[list[int]] = [[] for _ in range(nvars)]
+    e_phi, e_psi = len(phi_images), len(psi_images)
+    over = _over(psi)
+    at: list[list[int]] = [[] for _ in range(phi.target.n)]  # L vertices by image, increasing
+    for y, fy in enumerate(psi.vertex_image):
+        at[fy].append(y)
+    # the column of each non-red 1-cell, vertex x edge cells first, in numbering order
+    columns: list[list[int]] = []
+    by_vertex = []  # per K vertex x: j -> the column of (x, j)
+    for fx in phi.vertex_image:
+        own = {}
+        for j in over[fx]:
+            own[j] = column = []
+            columns.append(column)
+        by_vertex.append(own)
+    by_edge = []  # per K edge i: y -> the column of (i, y)
+    for c, e in phi_images:
+        own = {}
+        for y in sorted(at[c] + at[e]):
+            own[y] = column = []
+            columns.append(column)
+        by_edge.append(own)
     strands = e_phi + e_psi
     red2 = []
     pairs = []  # strand pair of each non-red cell, as the drawing numbers it
     for i, (x, y) in enumerate(phi.domain.edges):
+        at_x, at_y, at_i = by_vertex[x], by_vertex[y], by_edge[i]
         for j, (z, w) in enumerate(psi.domain.edges):
             red = _disjoint(phi_images[i], psi_images[j])
             red2.append(red)
@@ -422,13 +466,12 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
                 continue
             r = len(pairs)
             pairs.append(i * strands + e_phi + j)
-            for f in (x * e_psi + j, y * e_psi + j, ev + i * n_psi + z, ev + i * n_psi + w):
-                k = var[f]
-                if k >= 0:
-                    columns[k].append(r)
+            for column in (at_x.get(j), at_y.get(j), at_i.get(z), at_i.get(w)):
+                if column is not None:
+                    column.append(r)
     rhs = _parities((phi, psi), pairs, lane_orders)
     drawn = iter(rhs)
     values = tuple(0 if red else next(drawn) for red in red2)
-    sol, _cert = solve_or_certify(Columns(len(pairs), columns), rhs)
+    _, cert = solve_or_certify(Columns(len(pairs), columns), rhs, solve=False)
     cells2 = tuple((i, j) for i in range(e_phi) for j in range(e_psi))
-    return PairReport(cells2, tuple(red2), values, sol is not None)
+    return PairReport(cells2, tuple(red2), values, cert is None)

@@ -511,3 +511,56 @@ def relabelled(phi: SimplicialMap, vertex_ids, edge_order) -> SimplicialMap:
         image[y] = phi.vertex_image[x]
     edges = tuple(_pair(vertex_ids[u], vertex_ids[v]) for u, v in (d.edges[e] for e in edge_order))
     return SimplicialMap(DomainGraph(d.n, edges), phi.target, tuple(image))
+
+
+# --- reference numbering -------------------------------------------------------
+
+
+def reference_number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
+    """`vankampen._number` by an n * |E| table of unknowns and a scan of all edge pairs.
+
+    `var[x * |E| + t]` is the unknown of the 1-cell (x, t), or -1 when that
+    cell is red or no cell (x on t).  Every pair s < t of domain edges whose
+    images share an end and whose ends are disjoint is an equation, in the
+    order of s, then t.
+    """
+    if not phi.is_nondegenerate():
+        raise PreconditionError("map has degenerate edges; normalize first")
+    d = phi.domain
+    edges = d.edges
+    width = len(edges)
+    target_edges = phi.target.edges
+    over: list[list[int]] = [[] for _ in range(phi.target.n)]  # edges by image end
+    masks = []  # each edge's image ends as a bit set
+    for t, img in enumerate(phi.edge_image):
+        c, e = target_edges[img]
+        over[c].append(t)
+        over[e].append(t)
+        masks.append(1 << c | 1 << e)
+    var = [-1] * (d.n * width)
+    cells = []
+    for x, fx in enumerate(phi.vertex_image):
+        base = x * width
+        for t in over[fx]:
+            z, w = edges[t]
+            if z != x and w != x:
+                var[base + t] = len(cells)
+                cells.append(base + t)
+    columns: list[list[int]] = [[] for _ in cells]
+    rows = []
+    for s, (x, y) in enumerate(edges):
+        ms = masks[s]
+        xs, ys, ss = x * width, y * width, s * width
+        for t in range(s + 1, width):
+            if not ms & masks[t]:
+                continue
+            z, w = edges[t]
+            if z == x or z == y or w == x or w == y:
+                continue
+            r = len(rows)
+            rows.append(ss + t)
+            # the faces (x, t), (y, t), (z, s) and (w, s), unknowns only
+            for j in (var[xs + t], var[ys + t], var[z * width + s], var[w * width + s]):
+                if j >= 0:
+                    columns[j].append(r)
+    return cells, rows, columns

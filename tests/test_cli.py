@@ -408,6 +408,34 @@ def test_oracle_pruned_refutation_ignores_budget(capsys):
     assert "lifts examined: 0" in out
 
 
+# ---------------------------------------------------------------- crashes
+
+
+@pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum recursion depth")])
+def test_exhausted_memory_or_recursion_is_inconclusive(capsys, monkeypatch, error):
+    def crash(phi):
+        raise error
+
+    monkeypatch.setattr(cli, "decide_path", crash)
+    code, out, err = run(capsys, "check", FIX / "x-cross.inst")
+    assert code == 4
+    assert out == ""
+    assert err == f"inconclusive: {error!r}\n"
+
+
+def test_any_other_crash_exits_5_and_prints_no_verdict(capsys, monkeypatch):
+    def crash(phi):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "decide_path", crash)
+    code, out, err = run(capsys, "check", FIX / "x-cross.inst")
+    assert code == 5
+    assert out == ""
+    # one line, naming where the exception was raised
+    assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 # -------------------------------------------------------------- winding
 
 

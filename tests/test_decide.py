@@ -628,7 +628,7 @@ def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
 def _ints_and_tuples(value) -> bool:
     if isinstance(value, tuple):
         return all(_ints_and_tuples(v) for v in value)
-    return isinstance(value, int)
+    return value is None or isinstance(value, int)
 
 
 def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
@@ -645,8 +645,8 @@ def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch
     routes = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]
     deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
     routes += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]
-    # a vanishing obstruction puts no witness in the verdict, so the solving
-    # cells are compared as well: kept ones against a direct computation
+    # a vanishing obstruction puts no witness in the verdict, so the stored
+    # (vanishes, certificate) is compared as well, against a direct computation
     shared = [(repr(route(phi)), decide._obstruction(phi)) for route, phi in routes]
     shared_drawn = len(drawn)
     alone = []

@@ -276,3 +276,30 @@ def test_int_row_elimination_matches_the_numpy_reference_bit_for_bit():
         assert _same_result(gf2._solve_dense(cols, b), want), trial
         certified += want[1] is not None
     assert 300 < certified < 2700
+
+
+def test_a_verdict_without_the_solution_keeps_the_certificate():
+    # graphic systems (weight <= 2) and random dense ones, heavy columns and all
+    rng = random.Random(17)
+    systems = []
+    for _ in range(1500):
+        a, b = _graphic_system(rng, rng.randrange(0, 13), rng.randrange(0, 15))
+        systems.append((_columns(a), b))
+    for _ in range(1500):
+        ne, nv = rng.randrange(0, 13), rng.randrange(0, 15)
+        density = rng.random()
+        rows = [[r for r in range(ne) if rng.random() < density] for _ in range(nv)]
+        systems.append((gf2.Columns(ne, rows), [rng.randrange(2) for _ in range(ne)]))
+    certified = {True: 0, False: 0}  # by graphic branch
+    for trial, (cols, b) in enumerate(systems):
+        x, cert = solve_or_certify(cols, b)
+        assert solve_or_certify(cols, b, solve=False) == (None, cert), trial
+        graphic = max(map(len, cols.rows), default=0) <= 2
+        if graphic:
+            assert gf2._solve_graphic(cols.rows, b, False) == (None, cert), trial
+        if cert is not None:
+            assert verify_certificate(cols, b, cert), trial
+            certified[graphic] += 1
+        else:
+            assert _product(_dense(cols), x) == b, trial
+    assert min(certified.values()) > 300

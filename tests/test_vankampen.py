@@ -18,6 +18,7 @@ from conftest import (
     mirrored_map,
     random_lane_orders,
     reference_cut_components,
+    reference_number,
     sample_corpus,
     theta_fold,
     walk_maps,
@@ -27,6 +28,8 @@ from embapprox import gf2, vankampen
 
 from embapprox.catalog import (
     TARGETS,
+    cycle_domain,
+    cycle_target,
     ex33_pair,
     path_domain,
     small_targets,
@@ -34,9 +37,9 @@ from embapprox.catalog import (
     winding_map,
     x_cross_path,
 )
-from embapprox.core import PlaneGraph, SimplicialMap, normalize_nondegenerate
+from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, normalize_nondegenerate
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
-from embapprox.decide import decide_path_via_vk
+from embapprox.decide import decide_deg3_to_circle, decide_path_via_vk
 from embapprox.errors import PreconditionError
 from embapprox.oracle import oracle_result
 from embapprox.vankampen import (
@@ -298,6 +301,44 @@ def test_long_theta_fold_obstruction_stays_small():
     assert peak < 20 * 2**20
 
 
+def test_identity_path_obstruction_costs_its_cells_not_the_square_of_the_domain():
+    # every disjoint edge pair of the identity path onto C4096 has disjoint
+    # images: the system is empty, and a table of all n * |E| 1-cells took 134 MB
+    k = 4096
+    phi = SimplicialMap(path_domain(k), cycle_target(k), tuple(range(k)))
+    tracemalloc.start()
+    try:
+        verdict = decide_path_via_vk(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.approximable is True
+    assert peak < 30 * 2**20
+
+
+def test_degree_3_route_answers_on_20001_vertices():
+    # a cycle onto C20000 plus one edge doubling the image of its first edge
+    k = 20000
+    domain = DomainGraph(k + 1, cycle_domain(k).edges + ((0, k),))
+    phi = SimplicialMap(domain, cycle_target(k), tuple(range(k)) + (1,))
+    assert decide_deg3_to_circle(phi).approximable is True
+
+
+def test_bucket_numbering_matches_the_all_pairs_scan():
+    specs = [
+        CorpusSpec("path", tuple(TARGETS), k_max=6),
+        CorpusSpec("cycle", tuple(TARGETS), k_min=3, k_max=6),
+        CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=8, seed=1, count=2000),
+    ]
+    count = 0
+    for spec in specs:
+        for iid, phi in generate(spec):
+            phi = normalize_nondegenerate(phi)
+            assert vankampen._number(phi) == reference_number(phi), iid
+            count += 1
+    assert count == 53556
+
+
 def test_vankampen_does_not_import_numpy():
     assert not any(getattr(v, "__name__", "") == "numpy" for v in vars(vankampen).values())
 
@@ -318,13 +359,13 @@ def test_obstruction_systems_list_each_row_once_per_column(monkeypatch):
     solve = vankampen.solve_or_certify
     systems = []
 
-    def checked(a, b):
+    def checked(a, b, **kwargs):
         assert isinstance(a, gf2.Columns) and a.shape == (len(b), len(a.rows))
         for rows in a.rows:
             assert all(r < s for r, s in zip(rows, rows[1:])), rows
             assert all(0 <= r < a.nrows for r in rows), rows
         systems.append(a.shape)
-        return solve(a, b)
+        return solve(a, b, **kwargs)
 
     monkeypatch.setattr(vankampen, "solve_or_certify", checked)
     rng = random.Random(8)
