@@ -142,7 +142,8 @@ def _number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
     var: list[dict[int, list[int]]] = []  # per vertex x: t -> the column of (x, t)
     cells = []
     columns: list[list[int]] = []
-    for x, fx in enumerate(phi.vertex_image):
+    vimg = phi.vertex_image
+    for x, fx in enumerate(vimg):
         base = x * width
         own = {}
         for t in over[fx]:
@@ -154,7 +155,6 @@ def _number(phi: SimplicialMap) -> tuple[list[int], list[int], list[list[int]]]:
         var.append(own)
     rows = []
     r = 0
-    vimg = phi.vertex_image
     for s, (x, y) in enumerate(edges):
         bucket_x, bucket_y = over[vimg[x]], over[vimg[y]]
         candidates = bucket_x[bisect_right(bucket_x, s):] + bucket_y[bisect_right(bucket_y, s):]
