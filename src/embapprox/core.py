@@ -196,6 +196,18 @@ class PlaneGraph(FieldState):
         return {}
 
     @computed_once
+    def boundary_memo(self) -> dict:
+        """Boundary circles of `ribbon.boundary_walks`, per intersection component.
+
+        `transversal` keys each component sigma of two image subgraphs by its
+        (vertex set, edge set) and traces its circles on first sight, so
+        every image pair that meets in sigma reads them here.  Like
+        crossing_memo it goes away with the graph and is not part of
+        equality.
+        """
+        return {}
+
+    @computed_once
     def derived_memo(self) -> dict:
         """Derived targets of this graph, keyed by what determines one.
 

@@ -12,8 +12,11 @@ pairs therefore groups arcs by image and tests each pair of distinct images
 once.  The target graph (`PlaneGraph.crossing_memo`) gives each distinct
 image a small int id once, with its sort key, and keeps the results by id
 pair, so a scan maps each image to its id once and then looks pairs up by
-int; maps into one target share the results and no cache outlives the
-target.  The first witnesses of a map are memoized on the map itself.
+int.  The boundary circles depend on sigma and the target alone, so each
+sigma is traced once per target (`PlaneGraph.boundary_memo`), however many
+image pairs meet in it.  Maps into one target share both tables and no
+cache outlives the target.  The first witnesses of a map are memoized on
+the map itself.
 
 Arcs can cross only at a branch vertex of the map: a vertex of degree 3
 or more in its image subgraph U, the edge images and their ends.  Every
@@ -30,19 +33,19 @@ the scans test only images that contain one.
 
 The search scans walks: path and cycle domains.  Moving an arc's end away
 from its start only grows its image, so the arcs from one start fall into
-a few runs of one image.  The search scans those runs and builds only the
-two arcs of each witness; it never lists the O(k^2) arcs.  No route needs
-a general domain scanned: `derive` takes general domains only into
-targets of maximum degree 2, where no image branches, and the one general
-stage `decide` meets, a closed walk normalized to a doubled edge, has no
-branch vertex.  So a general domain is answered only when its image
-cannot branch, and refused otherwise.
+a few runs of one image.  One sweep of the walk from the right finds each
+start's runs in O(|V(G)| + |E(G)|), and the search scans those runs and
+builds only the two arcs of each witness; it never lists the O(k^2) arcs.
+No route needs a general domain scanned: `derive` takes general domains
+only into targets of maximum degree 2, where no image branches, and the
+one general stage `decide` meets, a closed walk normalized to a doubled
+edge, has no branch vertex.  So a general domain is answered only when its
+image cannot branch, and refused otherwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import PlaneGraph, SimplicialMap, WalkArc, classes
@@ -84,6 +87,16 @@ def _intersection_components(g: PlaneGraph, a: Subgraph, b: Subgraph) -> list[Su
     return [(frozenset(cvs), frozenset(ces)) for cvs, ces in zip(groups, shared)]
 
 
+def _circles(g: PlaneGraph, sigma_vs: frozenset[int], sigma_es: frozenset[int]):
+    """The boundary circles of sigma in g, traced once per target (`PlaneGraph.boundary_memo`)."""
+    memo = g.boundary_memo
+    sigma = (sigma_vs, sigma_es)
+    circles = memo.get(sigma)
+    if circles is None:
+        circles = memo[sigma] = boundary_walks(g, sigma_vs, sigma_es)
+    return circles
+
+
 def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
     """Shared engine behind the crossing tests; returns (sigma, kind, ports) or None.
 
@@ -96,7 +109,7 @@ def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
         b_stubs = frozenset(e for e in b_es - sigma_es if sigma_vs & set(g.edges[e]))
         if not a_stubs or not b_stubs:
             continue
-        circles = boundary_walks(g, sigma_vs, sigma_es)
+        circles = _circles(g, sigma_vs, sigma_es)
         for c in circles:
             picks = alternating_ports(c, a_stubs, b_stubs)
             if picks is not None:
@@ -165,25 +178,6 @@ def _interned(
     return entries
 
 
-_UNTESTED = object()
-
-
-def _crossing(g: PlaneGraph, images: list[Subgraph], entries, a: int, b: int):
-    """The engine on images a and b, memoized in g's crossing_memo.
-
-    The image with the smaller sort key goes first, so each unordered image
-    pair is tested in one orientation and its witness ports are fixed; the
-    result is kept in the row of the smaller interned id.
-    """
-    (ia, ka, row_a), (ib, kb, row_b) = entries[a], entries[b]
-    row, other = (row_a, ib) if ia < ib else (row_b, ia)
-    result = row.get(other, _UNTESTED)
-    if result is _UNTESTED:
-        pair = (images[a], images[b]) if ka <= kb else (images[b], images[a])
-        result = row[other] = _crossing_component(g, *pair)
-    return result
-
-
 def _walk(phi: SimplicialMap) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
     """A path or cycle domain as one walk: (vertices, edges, m, closed).
 
@@ -200,41 +194,63 @@ def _walk(phi: SimplicialMap) -> tuple[tuple[int, ...], tuple[int, ...], int, bo
 
 
 def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):
-    """Runs of arcs with one image, as (start, first end, image), in arc order.
+    """Runs of arcs with one image: (runs, images), runs as (start, first end, image id).
 
-    From a fixed start, a later end only adds to the image, so the arcs from
-    one start fall into at most |V(G)| + |E(G)| runs of constant image; this
-    is the one place that key is computed.  The walk from s stops at the
-    run whose image is as large as that of the longest arc from s: a
-    backward pass (paths) or the edge image counts (cycles) give those sizes
-    for every start in linear time.
+    Runs come in arc order, by start and then by first end, and images[id]
+    is the image subgraph of a run's arcs.  A target cell is an int: vertex
+    c, or edge |V(G)| + a.  The arc (s, e) covers the vertex at s and, at
+    each position p in s + 1 .. e, the vertex at p and the edge entering it,
+    so from a fixed start a later end only adds to the image, and it adds
+    exactly at the next position after s where a cell not yet covered
+    enters.  The runs from s are therefore the groups of cells with one
+    next entry, in order, up to the last end (m - 1 on a path, s + m - 1 on
+    a cycle's doubled walk); this is the one place that key is computed.
+
+    One sweep from the right keeps every cell seen so far in a list ordered
+    by its next entry: going from start s + 1 to s moves the edge entering
+    s + 1 and then the vertex at s to the front.  So each start costs
+    O(|V(G)| + |E(G)|), however long its image takes to stop growing, and
+    each distinct image is built once, found by its cells as a bit set.
     """
     vimg, eimg = phi.vertex_image, phi.edge_image
-    if closed:
-        counts = Counter(eimg[e] for e in edges[:m])
-        full = len({vimg[v] for v in vertices[:m]}) + len(counts)
-        # the longest arc from s misses only the edge that enters s
-        longest = [full - (counts[eimg[edges[s - 1]]] == 1) for s in range(m)]
-    else:
-        longest = [0] * m
-        seen_vs: set[int] = set()
-        seen_es: set[int] = set()
-        for p in range(m - 1, -1, -1):
-            seen_vs.add(vimg[vertices[p]])
-            if p < m - 1:
-                seen_es.add(eimg[edges[p]])
-            longest[p] = len(seen_vs) + len(seen_es)
-    for s in range(m):
-        vs: frozenset[int] = frozenset((vimg[vertices[s]],))
-        es: frozenset[int] = frozenset()
-        for e in range(s + 1, s + m if closed else m):
-            v, x = vimg[vertices[e]], eimg[edges[e - 1]]
-            if v in vs and x in es:
+    n = phi.target.n
+    last = len(vertices) - 1  # no arc starts there
+    cells = [vimg[vertices[last]]]  # every cell seen so far, by decreasing next entry: front last
+    entries = [last]  # the next entry of each
+    seen = [False] * (n + len(phi.target.edges))
+    seen[cells[0]] = True
+    ids: dict[int, int] = {}  # an image as a bit set of cells -> its id
+    images: list[Subgraph] = []
+    by_start: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for s in range(last - 1, -1, -1):
+        for c, p in ((n + eimg[edges[s]], s + 1), (vimg[vertices[s]], s)):
+            if seen[c]:
+                i = cells.index(c)
+                del cells[i], entries[i]
+            seen[c] = True
+            cells.append(c)
+            entries.append(p)
+        if s >= m:
+            continue
+        bound = s + m - 1 if closed else last
+        image = 1 << cells[-1]  # the vertex at s
+        j = len(cells) - 2
+        while j >= 0 and entries[j] <= bound:
+            e = entries[j]
+            image |= 1 << cells[j]
+            j -= 1
+            if j >= 0 and entries[j] == e:
                 continue
-            vs, es = vs | {v}, es | {x}
-            yield s, e, (vs, es)
-            if len(vs) + len(es) == longest[s]:
-                break
+            x = ids.get(image)
+            if x is None:
+                x = ids[image] = len(images)
+                covered = cells[j + 1 :]
+                images.append((
+                    frozenset([c for c in covered if c < n]),
+                    frozenset([c - n for c in covered if c >= n]),
+                ))
+            by_start[s].append((s, e, x))
+    return [run for here in by_start for run in here], images
 
 
 def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitness | None:
@@ -261,23 +277,42 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
     return memo[disjoint_only]
 
 
+_UNTESTED = object()
+
+
 def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[int, ...]:
     """Ids of the images that cross image a; an image never crosses itself.
 
+    Each pair's result is read from g's crossing_memo, or tested once and
+    kept there: the image with the smaller sort key goes first, so each
+    unordered image pair is tested in one orientation and its witness ports
+    are fixed, and the result sits in the row of the smaller interned id.
     An image without a branch vertex (entry None) crosses nothing and is
     never tested.
     """
     if entries[a] is None:
         return ()
-    return tuple(
-        b for b, entry in enumerate(entries)
-        if entry is not None and b != a and _crossing(g, images, entries, a, b) is not None
-    )
+    ia, ka, row_a = entries[a]
+    image = images[a]
+    found = []
+    for b, entry in enumerate(entries):
+        if entry is None or b == a:
+            continue
+        ib, kb, row_b = entry
+        row, other = (row_a, ib) if ia < ib else (row_b, ia)
+        result = row.get(other, _UNTESTED)
+        if result is _UNTESTED:
+            pair = (image, images[b]) if ka <= kb else (images[b], image)
+            result = row[other] = _crossing_component(g, *pair)
+        if result is not None:
+            found.append(b)
+    return tuple(found)
 
 
-def _witness(g: PlaneGraph, images, entries, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
-    """The witness for arcs arc_p and arc_q, whose images are images[a] and images[b]."""
-    svs, ses, kind, ports = _crossing(g, images, entries, a, b)
+def _witness(entries, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
+    """The witness for arcs arc_p and arc_q, whose images are image a and its partner image b."""
+    (ia, _, row_a), (ib, _, row_b) = entries[a], entries[b]
+    svs, ses, kind, ports = row_a[ib] if ia < ib else row_b[ia]
     return CrossingWitness(arc_p, arc_q, svs, ses, kind, ports)
 
 
@@ -310,12 +345,7 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
         raise PreconditionError("crossing scan of a branching map needs a path or cycle domain")
     g = phi.target
     vertices, edges, m, closed = _walk(phi)
-    ids: dict[Subgraph, int] = {}
-    runs = [
-        (s, lo, ids.setdefault(image, len(ids)))
-        for s, lo, image in _runs(phi, vertices, edges, m, closed)
-    ]
-    images = list(ids)
+    runs, images = _runs(phi, vertices, edges, m, closed)
     entries = _interned(g, images, branch)
     # the positions of each image's runs, and their starts
     at: list[list[int]] = [[] for _ in images]
@@ -347,10 +377,10 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
             if not later:
                 continue
             j = min(later)
-            first = _witness(g, images, entries, arc(i), a, arc(j), runs[j][2])
+            first = _witness(entries, arc(i), a, arc(j), runs[j][2])
         bound = s + m - 1 if closed else m - 1
         disjoint = [j for b in partners if (j := next_disjoint(b, lo, bound)) is not None]
         if disjoint:
             j = min(disjoint)
-            return first, _witness(g, images, entries, arc(i), a, arc(j), runs[j][2])
+            return first, _witness(entries, arc(i), a, arc(j), runs[j][2])
     return first, None

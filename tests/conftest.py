@@ -180,6 +180,47 @@ def back_and_forth(k: int) -> SimplicialMap:
     return SimplicialMap(path_domain(k), g, tuple(a if i % 2 else u for i in range(k - 1)) + (v,))
 
 
+def branching_back_and_forth(k: int) -> SimplicialMap:
+    """The path u a u a ... u v b u of k vertices on theta, k even.
+
+    Its image is u a, u v, v b and b u, so u has degree 3 and every stage
+    is scanned; the first k - 3 vertices stay inside the image u a.
+    """
+    g = theta_target()
+    u, v, a, b = (g.vertex_names.index(name) for name in ("u", "v", "a", "b"))
+    images = tuple(a if i % 2 else u for i in range(k - 3)) + (v, b, u)
+    return SimplicialMap(path_domain(k), g, images)
+
+
+@st.composite
+def lingering_walks(draw, k_max: int):
+    """Walks of 2 to k_max vertices into theta, W4 or ex33 that move at every step.
+
+    The walk takes one random step at a time, and after a step it may go
+    back and forth along that edge for up to 32 more steps: from each start
+    in such a stretch the image stays one edge for long, the case where
+    walking forward from every start takes time quadratic in k.  A closed
+    walk (k >= 3) closes by a shortest way back to its start, so it may end
+    with more than k vertices; one that ends where it started has its last
+    vertex dropped.
+    """
+    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33")))]()
+    k = draw(st.integers(2, k_max))
+    images = [draw(st.integers(0, g.n - 1))]
+    while len(images) < k:
+        v = images[-1]
+        w = g.other_end(g.rotation[v][draw(st.integers(0, len(g.rotation[v]) - 1))], v)
+        images += [w, v] * draw(st.sampled_from((0, 0, 0, 1, 4, 16))) + [w]
+    images = images[:k]
+    if k >= 3 and draw(st.booleans()):
+        images += way_back(g, images[-1], images[0])
+        if images[-1] == images[0]:
+            images.pop()
+        if len(images) >= 3:
+            return SimplicialMap(cycle_domain(len(images)), g, tuple(images))
+    return SimplicialMap(path_domain(len(images)), g, tuple(images))
+
+
 @st.composite
 def closed_walks(draw, k_max: int, targets=("theta", "W4", "ex33", "C3", "C4", "C5", "C6")):
     """Closed walks of 3 to k_max vertices into the named targets; Cn is `cycle_target(n)`.
@@ -342,6 +383,26 @@ def subwalks(phi: SimplicialMap) -> list[WalkArc]:
             WalkArc(order2[s : e + 1], eids2[s:e]) for s in range(m) for e in range(s + 1, s + m)
         ]
     raise PreconditionError(f"arcs of a {d.shape} domain are not scanned")
+
+
+def reference_runs(phi: SimplicialMap):
+    """`transversal._runs` by walking forward from every start, as (start, first end, image).
+
+    The walk from s steps through every end in arc order and yields where
+    the image grows, so it takes O(k) steps per start however soon the image
+    stops growing.  Takes `transversal._walk`'s unrolled walk.
+    """
+    vertices, edges, m, closed = transversal._walk(phi)
+    vimg, eimg = phi.vertex_image, phi.edge_image
+    for s in range(m):
+        vs: frozenset[int] = frozenset((vimg[vertices[s]],))
+        es: frozenset[int] = frozenset()
+        for e in range(s + 1, s + m if closed else m):
+            v, x = vimg[vertices[e]], eimg[edges[e - 1]]
+            if v in vs and x in es:
+                continue
+            vs, es = vs | {v}, es | {x}
+            yield s, e, (vs, es)
 
 
 def reference_scan(

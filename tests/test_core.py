@@ -796,8 +796,8 @@ def test_cycle_target_and_catalog_targets_are_valid():
 
 COMPUTED_ONCE = {
     PlaneGraph: (
-        "edge_index", "max_degree", "crossing_memo", "derived_memo", "decide_memo",
-        "obstruction_memo", "instance_sections",
+        "edge_index", "max_degree", "crossing_memo", "boundary_memo", "derived_memo",
+        "decide_memo", "obstruction_memo", "instance_sections",
     ),
     DomainGraph: ("incident", "shape", "walk"),
     SimplicialMap: ("witness_memo", "normalized"),
@@ -815,7 +815,8 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
     verdict = decide_path(phi)
     vk_verdict = decide_path_via_vk(phi)
     # the fold's image never branches, so its stages test no image pair; the
-    # path a v b u v b u into the same target fills crossing_memo
+    # path a v b u v b u into the same target fills crossing_memo and
+    # boundary_memo
     branched = SimplicialMap(path_domain(7), phi.target, (2, 1, 3, 0, 1, 3, 0))
     assert decide_path(branched).approximable
     objects = {PlaneGraph: phi.target, DomainGraph: phi.domain, SimplicialMap: phi}
@@ -826,14 +827,16 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
             value = getattr(objects[cls], name)
             assert getattr(objects[cls], name) is value
     target = phi.target
-    assert target.crossing_memo and target.derived_memo and target.decide_memo
+    assert target.crossing_memo and target.boundary_memo
+    assert target.derived_memo and target.decide_memo
     assert target.obstruction_memo and phi.normalized.witness_memo
     fresh = _theta_fold_with_a_stay()
     # only the fields are pickled, so no memo and no normalized map travels with a copy
     assert pickle.dumps(phi) == pickle.dumps(fresh)
     pickled = pickle.loads(pickle.dumps(phi))
     assert pickled.witness_memo == {}
-    for name in ("crossing_memo", "derived_memo", "decide_memo", "obstruction_memo"):
+    memos = ("crossing_memo", "boundary_memo", "derived_memo", "decide_memo", "obstruction_memo")
+    for name in memos:
         assert getattr(pickled.target, name) == {}
     assert pickled.normalized == phi.normalized and pickled.normalized is not phi.normalized
     for other in (fresh, pickled):

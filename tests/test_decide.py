@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_walks, random_walk_map, reference_rejection, theta_fold, way_back
+from conftest import (
+    closed_walks,
+    lingering_walks,
+    mirrored,
+    random_walk_map,
+    reference_rejection,
+    theta_fold,
+    walk_maps,
+    way_back,
+)
 
 from embapprox import decide, derivative, vankampen
 from embapprox.catalog import (
@@ -389,6 +398,47 @@ def test_cycle_runs_end_within_n_derives_and_stabilize_on_unit_windings(phi):
         (comp,) = winding_report(stage).components
         assert comp.is_winding and abs(comp.degree) == 1
         assert comp.image_edges == frozenset(range(len(stage.target.edges)))
+
+
+class _Escalated(Exception):
+    """Raised in place of the oracle, which a refused derive would call."""
+
+
+def _refuse_to_escalate(phi):
+    raise _Escalated
+
+
+def _decision(phi: SimplicialMap) -> tuple[bool, int, str] | tuple[bool] | str:
+    """decide_path's or decide_cycle's verdict on phi, and the stage and kind of its decisive event.
+
+    A run whose derive is refused would ask the oracle, whose search grows
+    exponentially with k; it reads "escalated" instead.
+    """
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decide, "is_approximable_oracle", _refuse_to_escalate)
+            v = (decide_path if phi.domain.shape == "path" else decide_cycle)(phi)
+    except _Escalated:
+        return "escalated"
+    hit = v.decisive()
+    return (v.approximable,) if hit is None else (v.approximable, hit[0], hit[1].kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        walk_maps(k_max=64, closed=False),
+        closed_walks(k_max=64, targets=("theta", "W4", "ex33")),
+        lingering_walks(k_max=64),
+    )
+)
+def test_verdicts_are_invariant_under_reversal_and_mirroring(phi):
+    # each copy gets a target of its own, so no memo answers for another
+    g = phi.target
+    want = _decision(phi)
+    copy = PlaneGraph(g.n, g.edges, g.rotation, g.vertex_names)
+    assert _decision(SimplicialMap(phi.domain, copy, phi.vertex_image[::-1])) == want
+    assert _decision(SimplicialMap(phi.domain, mirrored(g), phi.vertex_image)) == want
 
 
 def _gate_matches_the_ungated_scan(phi: SimplicialMap) -> int:

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     arc_image,
     back_and_forth,
+    branching_back_and_forth,
+    lingering_walks,
     random_walk_map,
+    reference_runs,
     reference_scan,
     reference_walk,
+    sample_corpus,
     subwalks,
     theta_fold,
     walk_maps,
@@ -40,7 +45,7 @@ from embapprox.core import (
     normalize_nondegenerate,
 )
 from embapprox.corpus import CorpusSpec, generate, random_deg3_map
-from embapprox.decide import decide_path
+from embapprox.decide import decide_cycle, decide_path
 from embapprox.derivative import derive, iterate_derivative
 from embapprox.errors import DerivePreconditionError, PreconditionError
 from embapprox import ribbon
@@ -165,10 +170,8 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
 def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
     """First arc and image of every run that the run scan produces."""
     vertices, edges, m, closed = transversal._walk(phi)
-    return [
-        (WalkArc(vertices[s : lo + 1], edges[s:lo]), image)
-        for s, lo, image in transversal._runs(phi, vertices, edges, m, closed)
-    ]
+    runs, images = transversal._runs(phi, vertices, edges, m, closed)
+    return [(WalkArc(vertices[s : lo + 1], edges[s:lo]), images[x]) for s, lo, x in runs]
 
 
 def test_cycle_arcs_are_the_proper_cyclic_subwalks():
@@ -215,6 +218,60 @@ def test_runs_start_where_the_image_of_an_arc_changes():
         assert _run_firsts(phi) == want
         runs[phi.domain.shape] += len(want)
     assert min(runs.values()) > 200
+
+
+def _lingering_cycle() -> SimplicialMap:
+    """The closed walk u a u a ... u a v b on theta, 62 vertices."""
+    g = TARGETS["theta"]()
+    u, v, a, b = (g.vertex_names.index(name) for name in ("u", "v", "a", "b"))
+    return SimplicialMap(cycle_domain(62), g, (u, a) * 30 + (v, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lingering_walks(k_max=64))
+@example(branching_back_and_forth(4))
+@example(branching_back_and_forth(64))
+@example(back_and_forth(64))
+@example(_lingering_cycle())
+def test_run_sweep_matches_the_forward_walk(phi):
+    # the walks move at every step, so each is its own normalized map
+    runs, images = transversal._runs(phi, *transversal._walk(phi))
+    assert len(set(images)) == len(images)
+    assert [(s, lo, images[x]) for s, lo, x in runs] == list(reference_runs(phi))
+
+
+def test_branching_back_and_forth_path_at_k65536_is_decided_quickly():
+    # every start inside u a u a ... sees the image u a until the walk
+    # leaves it; walking forward from each start took 1.2 s at k=4096 and
+    # grew with k^2
+    phi = branching_back_and_forth(65536)
+    start = time.perf_counter()
+    verdict = decide_path(phi)
+    elapsed = time.perf_counter() - start
+    assert verdict.approximable is True
+    assert [e.kind for _, e in verdict.trace] == ["clean-pass"] * 5 + ["empty-domain"]
+    assert elapsed < 5.0
+
+
+def test_each_intersection_component_is_traced_once_per_target(monkeypatch):
+    trace = ribbon.boundary_walks
+    traced = []  # (target, sigma vertices, sigma edges); holding the targets keeps their ids apart
+
+    def counted(g, sigma_vs, sigma_es):
+        traced.append((g, sigma_vs, sigma_es))
+        return trace(g, sigma_vs, sigma_es)
+
+    monkeypatch.setattr(transversal, "boundary_walks", counted)
+    for shape, decide in (("path", decide_path), ("cycle", decide_cycle)):
+        for _, phi in sample_corpus(shape, 1350, seed=7):
+            decide(phi)
+    keys = [(id(g), sigma_vs, sigma_es) for g, sigma_vs, sigma_es in traced]
+    targets = {id(g): g for g, _, _ in traced}
+    assert len(keys) == len(set(keys)) > 20 and len(targets) >= 3
+    stored = {(i, *sigma) for i, g in targets.items() for sigma in g.boundary_memo}
+    assert stored == set(keys)
+    for g, sigma_vs, sigma_es in traced:
+        assert g.boundary_memo[sigma_vs, sigma_es] == trace(g, sigma_vs, sigma_es)
 
 
 def _witness_maps() -> list[SimplicialMap]:
