@@ -178,7 +178,7 @@ def _cmd_vk(args) -> int:
         vec = cut_components(report.system)
         print("cut-components: " + (" ".join(str(b) for b in vec) if vec else "-"))
     print("cell2\tred\tparity")
-    for cell, red, val in zip(*report.system.layout, report.values):
+    for cell, red, val in zip(*report.system.layout, report.system.values):
         print(f"{cell[0]},{cell[1]}\t{'yes' if red else 'no'}\t{val}")
     return 0 if report.vanishes else 1
 
@@ -194,10 +194,13 @@ def _cmd_oracle(args) -> int:
     print(f"lifts examined: {result.lifts_examined}")
     print(f"total lifts: {result.total_lifts}")
     if args.witness and result.lift is not None:
+        # the lift numbers the normalized map's edges, which keep phi's
+        # nondegenerate edges in order
+        kept = [e for e, a in enumerate(phi.edge_image) if a is not None]
         g = phi.target
         for a, row in enumerate(result.lift.by_edge):
             if row:
-                print(f"lane order {g.edge_name(a)}: " + " ".join(map(str, row)))
+                print(f"lane order {g.edge_name(a)}: " + " ".join(str(kept[e]) for e in row))
     return 0 if result.approximable else 1
 
 
@@ -375,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:  # a user path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ParseError, DanglingIdError, InvariantError) as err:

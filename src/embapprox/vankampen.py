@@ -7,7 +7,9 @@ discs of `geometry`, the discs the lift search reads too, gives a
 crossing-parity cochain on the non-red pairs, and the map passes the
 obstruction test when that cochain is a coboundary relative to the red
 part.  That is a GF(2) system with one equation per non-red 2-cell and one
-unknown per non-red 1-cell.
+unknown per non-red 1-cell.  `Drawing` draws one map, and `pair_report`
+draws two as their disjoint union; only `obstruction_system` takes lane
+orders, a drawing choice that no verdict depends on.
 
 `ObstructionSystem` numbers the cells by ints: the 1-cell (x, t) is
 x * |E| + t and the 2-cell (s, t), s < t, is s * |E| + t.  Only non-red
@@ -197,69 +199,53 @@ def build_deleted_product(phi: SimplicialMap) -> DeletedProduct:
 # canonical drawing
 
 
-def _lanes(maps, lane_orders) -> dict[int, list[tuple[int, int]]]:
-    """(side, domain edge) strands in each target edge's strip, in lane order.
+def _lanes(phi: SimplicialMap, lane_orders) -> dict[int, list[int]]:
+    """Domain edges in each target edge's strip, in lane order.
 
-    Checks that the maps share one target and have no degenerate edges and
-    that every given lane order permutes its strip's strands.
+    Checks that phi has no degenerate edges and that every given lane order
+    permutes its strip's edges; a strip without one reads its edges by id.
     """
-    target = maps[0].target
-    for m in maps[1:]:
-        if m.target != target:
-            raise PreconditionError("maps must share one target")
-    lanes: dict[int, list[tuple[int, int]]] = {}
-    for side, m in enumerate(maps):
-        for eid, img in enumerate(m.edge_image):
-            if img is None:
-                raise PreconditionError("map has degenerate edges; normalize first")
-            lanes.setdefault(img, []).append((side, eid))
-    for a in lanes:
-        lanes[a].sort()
+    lanes: dict[int, list[int]] = {}
+    for eid, img in enumerate(phi.edge_image):
+        if img is None:
+            raise PreconditionError("map has degenerate edges; normalize first")
+        lanes.setdefault(img, []).append(eid)
     if lane_orders is not None:
         for a, order in lane_orders.items():
-            if sorted(order) != sorted(lanes.get(a, [])):
+            if sorted(order) != lanes.get(a, []):
                 raise PreconditionError(f"lane order for target edge {a} is not a permutation")
             lanes[a] = list(order)
     return lanes
 
 
 class Drawing:
-    """The chord drawing of one or two maps into the target.
+    """The chord drawing of one nondegenerate map into its target.
 
-    Every strand (a nondegenerate domain edge of either side) runs through
-    the strip of its image edge in its own lane; lanes never cross inside a
-    strip, so all crossings happen inside vertex discs, between the chords
-    joining strand ends to the star centres of their domain vertices.  In
-    the disc of v the i-th port of `disc_ports` sits at boundary position
-    2i + 1, and each star's centre at 2j, just before its first port j.  A
-    star's chords then fan out over its own ports only, so two stars cross
-    exactly when their ports alternate, as in the lift search.
+    Every strand (a domain edge) runs through the strip of its image edge
+    in its own lane; lanes never cross inside a strip, so all crossings
+    happen inside vertex discs, between the chords joining strand ends to
+    the star centres of their domain vertices.  In the disc of v the i-th
+    port of `disc_ports` sits at boundary position 2i + 1, and each star's
+    centre at 2j, just before its first port j.  A star's chords then fan
+    out over its own ports only, so two stars cross exactly when their
+    ports alternate, as in the lift search.
 
-    Strands are numbered side after side (side 0's domain edges, then side
-    1's), and the pair of strands a < b is a * `strands` + b.  One sweep over
-    each disc's chords XORs every crossing into its pair's slot, so `odd`
-    holds the pairs whose curves cross an odd number of times.
+    The pair of strands a < b is a * `strands` + b.  One sweep over each
+    disc's chords XORs every crossing into its pair's slot, so `odd` holds
+    the pairs whose curves cross an odd number of times.
     """
 
-    def __init__(self, maps, lane_orders=None):
-        self.maps = tuple(maps)
-        sides = []  # per side: its first strand number, domain edges and vertex image
-        total = 0
-        for m in self.maps:
-            sides.append((total, m.domain.edges, m.vertex_image))
-            total += len(m.domain.edges)
-        self.strands = total
+    def __init__(self, phi: SimplicialMap, lane_orders=None):
+        edges, image = phi.domain.edges, phi.vertex_image
+        total = self.strands = len(edges)
         odd = self.odd = set()
-        discs = disc_ports(self.maps[0].target, _lanes(self.maps, lane_orders))
-        for v, ports in enumerate(discs):
-            starts: dict[tuple[int, int], int] = {}  # (side, star): its first port
+        for v, ports in enumerate(disc_ports(phi.target, _lanes(phi, lane_orders))):
+            starts: dict[int, int] = {}  # star: its first port
             first = []
-            strand = []
-            for i, (_a, (side, eid)) in enumerate(ports):
-                off, edges, image = sides[side]
+            strand = [eid for _a, eid in ports]
+            for i, eid in enumerate(strand):
                 u, w = edges[eid]
-                first.append(starts.setdefault((side, u if image[u] == v else w), i))
-                strand.append(off + eid)
+                first.append(starts.setdefault(u if image[u] == v else w, i))
             # the chord of port i runs from 2 * first[i] to 2i + 1, so a
             # chord i < j ends below chord j's centre unless first[j] <= i
             for j, fj in enumerate(first):
@@ -276,31 +262,34 @@ class Drawing:
         return [1 if pair in odd else 0 for pair in pairs]
 
 
-def _parities(maps, pairs, lane_orders) -> list[int]:
+def _parities(phi: SimplicialMap, pairs, lane_orders=None) -> list[int]:
     """Crossing parities for the numbered strand pairs.
 
     With no pairs nothing is drawn, but the drawing's input checks still run.
     """
     if not pairs:
-        _lanes(maps, lane_orders)
+        _lanes(phi, lane_orders)
         return []
-    return Drawing(maps, lane_orders).parities(pairs)
+    return Drawing(phi, lane_orders).parities(pairs)
 
 
 def obstruction_system(phi: SimplicialMap, lane_orders=None) -> ObstructionSystem:
     """The system of a nondegenerate map with its crossing parities drawn.
 
-    A single map's strand pair (s, t) is numbered s * |E| + t, like its
-    2-cell, so the rows are the pairs to draw.  Red cells are never drawn:
-    their curves live in disjoint neighborhoods by construction.
+    A strand pair (s, t) is numbered s * |E| + t, like its 2-cell, so the
+    rows are the pairs to draw.  Red cells are never drawn: their curves
+    live in disjoint neighborhoods by construction.  `lane_orders`, if
+    given, maps target edges to their domain edges in lane order, as the
+    rows of the oracle's `Lift.by_edge` do; the verdict does not depend on
+    it, and it is the one place a drawing choice enters.
     """
     cells, rows, columns = _number(phi)
-    return ObstructionSystem(phi.domain, cells, rows, columns, _parities((phi,), rows, lane_orders))
+    return ObstructionSystem(phi.domain, cells, rows, columns, _parities(phi, rows, lane_orders))
 
 
-def intersection_cochain(phi: SimplicialMap, lane_orders=None):
+def intersection_cochain(phi: SimplicialMap):
     """(complex, parity per 2-cell) for the canonical drawing of one map."""
-    system = obstruction_system(phi, lane_orders)
+    system = obstruction_system(phi)
     return system.deleted_product(), system.values
 
 
@@ -315,18 +304,10 @@ class ObstructionReport:
     solving_cells: tuple[tuple[int, int], ...] | None
     certificate_cells: tuple[tuple[int, int], ...] | None
 
-    @property
-    def complex(self) -> DeletedProduct:
-        return self.system.deleted_product()
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return self.system.values
-
-
-def _solve(phi: SimplicialMap, lane_orders, solve: bool):
+def _solve(phi: SimplicialMap, solve: bool):
     """(drawn system of the normalized phi, solution, certificate) from `solve_or_certify`."""
-    system = obstruction_system(normalize_nondegenerate(phi), lane_orders)
+    system = obstruction_system(normalize_nondegenerate(phi))
     a = Columns(len(system.rows), system.columns)
     return (system, *solve_or_certify(a, system.rhs, solve=solve))
 
@@ -336,29 +317,29 @@ def _cells(numbers: list[int], bits: list[int], width: int) -> tuple[tuple[int, 
     return tuple(divmod(numbers[i], width) for i, bit in enumerate(bits) if bit)
 
 
-def obstruction_report(phi: SimplicialMap, lane_orders=None) -> ObstructionReport:
+def obstruction_report(phi: SimplicialMap) -> ObstructionReport:
     """The drawn system with its verdict and witness: a solving 1-cochain or a certificate."""
-    system, sol, cert = _solve(phi, lane_orders, solve=True)
+    system, sol, cert = _solve(phi, solve=True)
     width = len(system.domain.edges)
     if cert is None:
         return ObstructionReport(system, True, _cells(system.cells, sol, width), None)
     return ObstructionReport(system, False, None, _cells(system.rows, cert, width))
 
 
-def obstruction_vanishes(phi: SimplicialMap, lane_orders=None):
+def obstruction_vanishes(phi: SimplicialMap):
     """Is the crossing cochain a relative coboundary?  (verdict, certificate).
 
     The certificate is None when true, else the 2-cells whose equations sum
     inconsistently.  No solving cochain is computed; `obstruction_report`
     gives one.
     """
-    system, _, cert = _solve(phi, lane_orders, solve=False)
+    system, _, cert = _solve(phi, solve=False)
     if cert is None:
         return True, None
     return False, _cells(system.rows, cert, len(system.domain.edges))
 
 
-def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]:
+def path_cut_components(phi: SimplicialMap) -> tuple[int, ...]:
     """Per-component crossing parities of a path domain, cut along red cells.
 
     Components of 2-cells glued across non-red 1-cells qualify when every
@@ -369,7 +350,7 @@ def path_cut_components(phi: SimplicialMap, lane_orders=None) -> tuple[int, ...]
     if phi.domain.shape != "path":
         raise PreconditionError("cut components are defined for path domains")
     phi = normalize_nondegenerate(phi)
-    return cut_components(obstruction_system(phi, lane_orders))
+    return cut_components(obstruction_system(phi))
 
 
 def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
@@ -418,7 +399,7 @@ class PairReport:
     vanishes: bool
 
 
-def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> PairReport:
+def pair_report(phi: SimplicialMap, psi: SimplicialMap) -> PairReport:
     """Obstruction data for two maps drawn together.
 
     Cells are all K-edge x L-edge pairs (the domains are already disjoint),
@@ -426,6 +407,8 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
     x edge cells (x, j), f(x) an end of j's image, by x then j, and then
     the non-red edge x vertex cells (i, y), g(y) an end of i's image, by i
     then y.  Each K vertex and K edge keeps a table of its own cells only.
+    The drawing is of the disjoint union of K and L, L's ids after K's, so
+    the cell (i, j) is the union's strand pair (i, |E(K)| + j).
     """
     if phi.target != psi.target:
         raise PreconditionError("maps must share one target")
@@ -456,7 +439,7 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
         by_edge.append(own)
     strands = e_phi + e_psi
     red2 = []
-    pairs = []  # strand pair of each non-red cell, as the drawing numbers it
+    pairs = []  # strand pair of each non-red cell, as the union's drawing numbers it
     for i, (x, y) in enumerate(phi.domain.edges):
         at_x, at_y, at_i = by_vertex[x], by_vertex[y], by_edge[i]
         for j, (z, w) in enumerate(psi.domain.edges):
@@ -469,7 +452,12 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap, lane_orders=None) -> Pai
             for column in (at_x.get(j), at_y.get(j), at_i.get(z), at_i.get(w)):
                 if column is not None:
                     column.append(r)
-    rhs = _parities((phi, psi), pairs, lane_orders)
+    shift = phi.domain.n
+    edges = phi.domain.edges + tuple((u + shift, w + shift) for u, w in psi.domain.edges)
+    domain = DomainGraph._built(shift + psi.domain.n, edges)
+    images = phi.vertex_image + psi.vertex_image
+    edge_image = phi.edge_image + psi.edge_image
+    rhs = _parities(SimplicialMap._built(domain, phi.target, images, edge_image), pairs)
     drawn = iter(rhs)
     values = tuple(0 if red else next(drawn) for red in red2)
     _, cert = solve_or_certify(Columns(len(pairs), columns), rhs, solve=False)

@@ -8,7 +8,7 @@ from collections import deque
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from embapprox import transversal
+from embapprox import gf2, transversal, vankampen
 from embapprox.catalog import (
     TARGETS,
     cycle_domain,
@@ -69,13 +69,25 @@ def arc_image(phi: SimplicialMap, arc: WalkArc) -> tuple[frozenset[int], frozens
     return vs, es
 
 
-def random_lane_orders(phi: SimplicialMap, rng: random.Random, side: int = 0):
+def random_lane_orders(phi: SimplicialMap, rng: random.Random):
     """A uniformly shuffled lane permutation for every realized target edge."""
-    lanes: dict[int, list[tuple[int, int]]] = {}
+    lanes: dict[int, list[int]] = {}
     for eid, img in enumerate(phi.edge_image):
         if img is not None:
-            lanes.setdefault(img, []).append((side, eid))
+            lanes.setdefault(img, []).append(eid)
     return {a: tuple(rng.sample(block, len(block))) for a, block in lanes.items()}
+
+
+def drawn_verdict(phi: SimplicialMap, orders) -> tuple[bool, tuple[int, ...] | None]:
+    """(vanishes, cut vector or None) of a nondegenerate map drawn in the given lane orders.
+
+    The cut vector is read for path domains only.
+    """
+    system = vankampen.obstruction_system(phi, orders)
+    a = gf2.Columns(len(system.rows), system.columns)
+    _, cert = gf2.solve_or_certify(a, system.rhs, solve=False)
+    cuts = vankampen.cut_components(system) if phi.domain.shape == "path" else None
+    return cert is None, cuts
 
 
 def random_walk_map(

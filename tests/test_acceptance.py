@@ -13,6 +13,7 @@ import time
 
 from conftest import (
     contract_edge,
+    drawn_verdict,
     mirrored_map,
     random_lane_orders,
     random_walk_map,
@@ -126,14 +127,10 @@ def test_criterion_8_verdicts_invariant_under_presentation_changes():
     # (a) obstruction verdicts are independent of the lane order in each strip
     for iid, phi in sample_corpus("path", 100, seed=11, k_max=6):
         base = normalize_nondegenerate(phi)
-        ref_vanishes, _ = obstruction_vanishes(base)
         ref_cuts = path_cut_components(base) if base.domain.shape == "path" else None
+        ref = (obstruction_vanishes(base)[0], ref_cuts)
         for _ in range(20):
-            orders = random_lane_orders(base, rng)
-            vanishes, _ = obstruction_vanishes(base, orders)
-            assert vanishes == ref_vanishes, iid
-            if ref_cuts is not None:
-                assert path_cut_components(base, orders) == ref_cuts, iid
+            assert drawn_verdict(base, random_lane_orders(base, rng)) == ref, iid
 
     # (b) mirroring the target plane changes no verdict
     for iid, phi in sample_corpus("path", 50, seed=12, k_max=6):

@@ -147,6 +147,31 @@ def test_unreadable_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _unusable_paths(tmp_path: Path, case: str) -> list[str]:
+    """The argv of a run whose file argument cannot be read or written."""
+    if case == "directory":
+        return ["check", str(tmp_path)]
+    if case == "not-utf8":
+        inst = tmp_path / "latin1.inst"
+        inst.write_bytes((FIX / "x-cross.inst").read_bytes() + "% caf\xe9\n".encode("latin-1"))
+        return ["check", str(inst)]
+    if case == "corpus-out-directory":
+        return ["corpus", "--shape", "path", "--target", "C3", "--k-max", "1", "--out", str(tmp_path)]
+    existing = tmp_path / "taken"
+    existing.write_text("", encoding="utf-8")
+    return ["derive", "--dot", str(existing), str(FIX / "x-cross.inst")]
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "corpus-out-directory", "derive-dot-file"])
+def test_unusable_user_paths_exit_2(capsys, tmp_path, case):
+    # a path the user gave that cannot be read or written is an input
+    # error, not a fault of the program (exit 5)
+    code, out, err = run(capsys, *_unusable_paths(tmp_path, case))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     inst = tmp_path / "bad.inst"
     inst.write_text("this is not an instance\n", encoding="utf-8")
@@ -387,6 +412,42 @@ def test_oracle_approximable_with_witness(capsys):
     assert any(line.startswith("lifts examined: ") for line in lines)
     assert any(line.startswith("total lifts: ") for line in lines)
     assert any(line.startswith("lane order ") for line in lines)
+
+
+# the path u u a a v into the triangle u-a-v: its edges 0 and 2 are degenerate
+DEGENERATE_PATH = """\
+#target
+edge u a
+edge a v
+edge u v
+#rotation
+rot u : u-a u-v
+rot a : u-a a-v
+rot v : a-v u-v
+#domain
+shape path
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 4
+#map
+0 -> u
+1 -> u
+2 -> a
+3 -> a
+4 -> v
+"""
+
+
+def test_oracle_witness_names_the_input_edges_of_a_degenerate_map(capsys, tmp_path):
+    # the lift is searched on the normalized map, whose edges 0 and 1 are
+    # the input's edges 1 and 3
+    inst = tmp_path / "degenerate.inst"
+    inst.write_text(DEGENERATE_PATH, encoding="utf-8")
+    code, out, _ = run(capsys, "oracle", "--witness", inst)
+    assert code == 0
+    lanes = [line for line in out.splitlines() if line.startswith("lane order ")]
+    assert lanes == ["lane order u-a: 1", "lane order a-v: 3"]
 
 
 def test_oracle_budget_exhaustion_exits_4(capsys):

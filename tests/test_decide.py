@@ -687,9 +687,9 @@ def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch
     drawn = []
     system = vankampen.obstruction_system
 
-    def counted(phi, lane_orders=None):
+    def counted(phi):
         drawn.append(phi)
-        return system(phi, lane_orders)
+        return system(phi)
 
     monkeypatch.setattr(vankampen, "obstruction_system", counted)
     routes = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]

@@ -13,10 +13,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    drawn_verdict,
     mirrored_map,
     random_lane_orders,
+    random_walk_map,
     reference_cut_components,
     reference_number,
     sample_corpus,
@@ -109,10 +112,10 @@ def test_obstruction_report_solving_and_certificate_sides():
 
 def test_certificate_is_a_valid_inconsistency_proof():
     report = obstruction_report(winding_map(2))
-    dp = report.complex
+    dp = report.system.deleted_product()
     cert = set(report.certificate_cells)
     # summed equations have odd right-hand side ...
-    total = sum(v for cell, v in zip(dp.cells2, report.values) if cell in cert)
+    total = sum(v for cell, v in zip(dp.cells2, report.system.values) if cell in cert)
     assert total % 2 == 1
     # ... while every unknown (a non-red 1-cell) cancels out
     dom = winding_map(2).domain
@@ -132,14 +135,11 @@ def test_obstruction_verdicts_do_not_depend_on_lane_order():
     for phi in (winding_map(2), winding_map(3), x_cross_path()):
         base, _ = obstruction_vanishes(phi)
         for _ in range(5):
-            got, _ = obstruction_vanishes(phi, random_lane_orders(phi, rng))
+            got, _ = drawn_verdict(phi, random_lane_orders(phi, rng))
             assert got == base
 
 
 def test_path_cut_components_zero_iff_vanishing():
-    from conftest import random_walk_map
-    from embapprox.core import normalize_nondegenerate
-
     # hand-picked nonzero witnesses plus a seeded sample around them
     fiveod = small_targets()["fiveod"]
     pool = [
@@ -239,11 +239,9 @@ def test_all_red_maps_skip_the_drawing_but_keep_its_checks(monkeypatch):
     assert all(report.red2) and report.vanishes is True
     assert drawings == []
     # the checks a drawing makes on its input still apply
-    not_a_permutation = {g.edge_index[(0, 1)]: ((0, 7),)}
+    not_a_permutation = {g.edge_index[(0, 1)]: (7,)}
     with pytest.raises(PreconditionError):
-        intersection_cochain(phi, not_a_permutation)
-    with pytest.raises(PreconditionError):
-        pair_report(a, b, not_a_permutation)
+        vankampen.obstruction_system(phi, not_a_permutation)
     with pytest.raises(PreconditionError):
         pair_report(a, SimplicialMap(path_domain(2), theta_target(), (0, 1)))
     with pytest.raises(PreconditionError):
@@ -275,9 +273,9 @@ def test_every_accepted_lift_draws_a_zero_cochain():
         result = oracle_result(phi)
         if not result.approximable:
             continue
-        lanes = {a: tuple((0, e) for e in row) for a, row in enumerate(result.lift.by_edge)}
-        _, values = intersection_cochain(normalize_nondegenerate(phi), lanes)
-        assert not any(values), iid
+        lanes = dict(enumerate(result.lift.by_edge))
+        system = vankampen.obstruction_system(normalize_nondegenerate(phi), lanes)
+        assert not any(system.rhs), iid
         accepted += 1
     assert accepted > 1000
 
@@ -418,6 +416,21 @@ def test_obstruction_verdict_survives_reversal_and_mirroring(phi):
     reversed_ = SimplicialMap(phi.domain, phi.target, phi.vertex_image[::-1])
     assert obstruction_vanishes(reversed_)[0] is vanishes
     assert obstruction_vanishes(mirrored_map(phi))[0] is vanishes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(walk_maps(k_max=64), st.randoms(use_true_random=False))
+def test_no_drawing_choice_changes_a_verdict(phi, rng):
+    """Lane orders, the order of a pair and the plane's orientation leave every verdict alone."""
+    base = normalize_nondegenerate(phi)
+    drawn = drawn_verdict(base, None)
+    for _ in range(3):
+        assert drawn_verdict(base, random_lane_orders(base, rng)) == drawn
+    closed = rng.random() < 0.5
+    psi = random_walk_map(rng, phi.target, rng.randint(3 if closed else 1, 64), closed)
+    vanishes = pair_report(phi, psi).vanishes
+    assert pair_report(psi, phi).vanishes is vanishes
+    assert pair_report(mirrored_map(phi), mirrored_map(psi)).vanishes is vanishes
 
 
 def _faces(d, cell):
