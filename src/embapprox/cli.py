@@ -165,7 +165,8 @@ def _cmd_vk(args) -> int:
         report = pair_report(phi, psi)
         print("v = 0" if report.vanishes else "v != 0")
         print("kedge\tledge\tred\tparity")
-        for (i, j), red, val in zip(report.cells2, report.red2, report.values):
+        for c, (red, val) in enumerate(zip(report.red2, report.values)):
+            i, j = divmod(c, report.width)
             print(f"{i}\t{j}\t{'yes' if red else 'no'}\t{val}")
         return 0 if report.vanishes else 1
     report = obstruction_report(phi)

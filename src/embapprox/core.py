@@ -186,10 +186,11 @@ class PlaneGraph(FieldState):
     def crossing_memo(self) -> dict:
         """Crossing test results of transversal, per interned image subgraph.
 
-        Each distinct image subgraph maps to (id, sort key, row): a small int
-        given once, the key that orders the engine's two arguments, and a
-        dict from the larger id of a tested pair to its result, kept in the
-        row of the pair's smaller id.  It lives on the graph so that every
+        Each distinct image subgraph, keyed by its cells as a bit set (vertex
+        c, edge n + a), maps to (id, sort key, row, subgraph): a small int
+        given once, the key that orders the engine's two arguments, a dict
+        from the larger id of a tested pair to its result, kept in the row
+        of the pair's smaller id, and the (vertex set, edge set) itself.  It lives on the graph so that every
         map into one target shares it and it goes away with the graph; it is
         not part of equality.
         """

@@ -11,7 +11,6 @@ the brute-force oracle, and emits one TSV row per instance.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -247,6 +246,9 @@ def run_agreement(spec: CorpusSpec, jobs: int = 1):
     per_target = [replace(spec, targets=(name,)) for name in spec.targets]
     workers = min(jobs, len(per_target))
     if workers > 1:
+        # imported here: it costs every CLI start about 14 ms, and one worker needs none
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_evaluate_target, per_target))
     else:

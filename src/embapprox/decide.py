@@ -1,10 +1,7 @@
 """Decision procedures for approximability by embeddings.
 
 Paths and cycles are decided on the stages of `derivative_stages`, which
-derives each stage on demand and ends on the tower's exits (empty domain,
-terminal, stabilized).  A path stage never stabilizes, and a cycle stage
-does exactly when it winds round a cycle target, which counts on the stage
-settle with no isomorphism search.  Each stage is checked for transversal
+derives each stage on demand.  Each stage is checked for transversal
 self-intersections (cycle stages also for windings of degree outside
 {-1, 0, 1}) until one concludes, and every run ends within n derives.
 A winding of degree d covers its image circle |d| times, and a circle has
@@ -13,11 +10,15 @@ only when its walk is at least twice as long as its image has edges and
 its image has as many vertices as edges: no other cycle stage holds a
 winding of degree |d| >= 2.  A general-shaped stage is scanned component
 by component, and a path stage never winds.
-A path stage whose image has no branch vertex (no vertex of degree 3 or
-more) is the last stage built: nothing on the rest of its tower can
-reject it, and the number of derives to its empty domain is counted from
-the turns of its walk in O(n) (`_derives_to_empty`), so deciding the
-identity path onto C900 builds no derived target at all.
+A path or cycle stage whose image has no branch vertex (no vertex of
+degree 3 or more) is the last stage built, unless it is a closed walk
+that winds |d| >= 2 times round its image: nothing on the rest of its
+tower can reject it, and which exit ends the run (empty domain, terminal
+or stabilized) and after how many derives is counted from the turns of
+its walk in O(n) (`_branch_free_outcome`).  Every run that ends on an
+exit of the tower passes such a stage first, so those exits are met in
+closed form only, and deciding the identity path onto C900 or the
+there-and-back fold onto C65,536 builds no derived target at all.
 When `derive` refuses a stage, the oracle decides and the verdict is
 flagged for review.  What a stage map concludes from there on is kept in
 its target's `PlaneGraph.decide_memo`, keyed by the map's domain edges
@@ -92,10 +93,9 @@ class Verdict:
 
 
 _CLEAN_PASS = Event("clean-pass")
-# the outcomes every run ending on one of these exits shares (see _decide_by_iteration)
-_TERMINAL = (0, ((0, Event("terminal-approximable")),), True, False)
-_STABILIZED = (0, (), True, False)
-_EMPTY_DOMAIN = (0, ((0, Event("empty-domain")),), True, False)
+# the final events of a run that ends on one of these exits (see _branch_free_outcome)
+_TERMINAL = ((0, Event("terminal-approximable")),)
+_EMPTY_DOMAIN = ((0, Event("empty-domain")),)
 
 
 def _rejection(cur: SimplicialMap) -> Event | None:
@@ -117,76 +117,126 @@ def _rejection(cur: SimplicialMap) -> Event | None:
     return None
 
 
-def _derives_to_empty(cur: SimplicialMap) -> int:
-    """How many derives take the path stage cur, whose image never branches, to no vertex.
+def _branch_free_outcome(cur: SimplicialMap) -> tuple | None:
+    """The outcome of the run from the path or cycle stage cur, whose image never branches.
 
-    Nothing on the rest of the tower can reject cur or end its run early:
-    - no crossing occurs: arcs cross only at a branch vertex of the image
-      (`transversal`), so neither crossing scan finds a pair and no derive
-      is refused;
-    - the derivative stays defined and branch-free: a G' vertex a = xy has
-      at most one realized neighbour through x, the one other image edge
-      at x, and one through y, so G' has maximum degree 2;
-    - a path stage never stabilizes and is never terminal: K' has one
-      vertex per run of the walk, fewer than the stage has vertices, and
-      only a cycle domain derives to the terminal configuration; so every
-      later stage is a clean path stage too, and the run ends on the empty
-      domain.
-    The image is a path or a cycle, along which the walk x_0 .. x_k steps
-    one way or the other.  A turn is a position j with x_(j-1) = x_(j+1);
-    the turns cut the k edges into segments of alternating direction, of
-    lengths l_1 .. l_m.  The segment rule is exactly the run collapse of
-    `derive`: the edges at a turn are equal and fall into one run, while
-    inside a segment consecutive edges differ, so a segment of length l
-    keeps l - 1 steps of the derived walk, in its own direction.  One
-    derive thus lowers every length by 1, drops those that reach 0 and
-    merges neighbouring survivors that run the same way, which they do
-    when an odd number of segments was dropped between them.  The count is
-    the rounds until no segment is left, plus the derive of the one vertex
-    then left (a one-vertex stage needs 1).  No segment drops before the
-    shortest reaches 0, so rounds are taken that many at a time; each pass
-    costs O(m) and removes at least m from the total length, so all of
-    them cost O(k).
+    cur has passed `_rejection`.  The outcome is a `decide_memo` value,
+    (derives from cur, final events, True, False), or None for a closed
+    walk that winds |d| >= 2 times round its image: its run goes on stage
+    by stage, since the sign of its forbidden winding is read in the labels
+    of a derived target.  Nothing on the rest of the tower can cross or
+    refuse a derive: arcs cross only at a branch vertex of the image
+    (`transversal`), and the derivative stays branch-free, since a G'
+    vertex a = xy has at most one realized neighbour through x, the one
+    other image edge at x, and one through y.
+    The image is a path or a cycle, along which the walk x_0 .. x_L steps
+    one way or the other (x_L = x_0 on a closed walk, indices mod L).  A
+    turn is a position j with x_(j-1) = x_(j+1); the turns cut the L edges
+    into segments of alternating direction, of lengths l_1 .. l_m, on a
+    closed walk cyclically from turn to turn, so that its m turns are even
+    in number.  The segment rule is exactly the run collapse of `derive`:
+    the edges at a turn are equal and fall into one run, while inside a
+    segment consecutive edges differ, so a segment of length l keeps l - 1
+    steps of the derived walk, in its own direction.  One derive thus
+    lowers every length by 1, drops those that reach 0 and merges
+    neighbouring survivors that run the same way, which they do when an
+    odd number of segments was dropped between them; on a closed walk the
+    last survivor and the first are neighbours across the walk's start.
+    The length drops by m.  The exits:
+    - A path stage never stabilizes and is never terminal: K' has one
+      vertex per run, fewer than the stage has vertices, and only a cycle
+      domain derives to the terminal configuration.  Its run ends when no
+      segment is left, on one vertex, plus the derive to the empty domain.
+    - A closed walk derives to L - m runs, one per position that is not a
+      turn (never one: edges that change round a closed walk change
+      twice).  Two runs are the terminal configuration.  With none (L = m)
+      one run goes all round, and K' is one vertex, as above.  With three
+      or more K' is a cycle of L - m vertices, again a clean branch-free
+      cycle stage, since a winding needs a walk without turns.
+    - A closed walk without turns never steps back, so it winds round its
+      image, a cycle of p vertices, L / p times.  Its net winding d, the
+      alternating sum l_1 - l_2 + ... over p, is the same on every stage:
+      a derive takes 1 from each of an even number of lengths, and a walk
+      of d != 0 passes through every vertex of its image cycle, so the
+      derived image is again a p-cycle.  So a walk of |d| <= 1 reaches a
+      stage without turns only with |d| = 1, and one of d = 0 ends on an
+      exit above.  The derive after that stage stabilizes
+      (`derivative._stabilized`) when its target is the image cycle, as on
+      every stage after the first, which maps onto its target; a first
+      stage into a larger target (a cycle of theta) takes one more.
+    No segment drops before the shortest reaches 0, so rounds are taken
+    that many at a time, and a length of 2 within them is found by
+    division; each batch costs O(m) and removes at least m from the
+    length, so all of them cost O(L).
     """
     vimg = cur.vertex_image
     x = [vimg[v] for v in cur.domain.walk[0]]
-    turns = (j for j, (a, b) in enumerate(zip(x, x[2:]), 1) if a == b)
-    cuts = [0, *turns, len(x) - 1]
+    closed = cur.domain.shape == "cycle"
+    y = x + x[:2] if closed else x
+    turns = [j for j, (a, b) in enumerate(zip(y, y[2:]), 1) if a == b]
+    cuts = turns + [t + len(x) for t in turns[:1]] if closed else [0, *turns, len(x) - 1]
     lengths = [b - a for a, b in zip(cuts, cuts[1:])]  # one vertex: one segment of length 0
-    derives = 1
-    while lengths:
-        low = min(lengths)
+    length = len(x) if closed else len(x) - 1
+    if closed:
+        net = abs(sum(lengths[::2]) - sum(lengths[1::2])) if lengths else length
+        if net >= 2 * len(set(x)):
+            return None
+    derives = 0
+    while length:
+        if not lengths:  # a closed walk without turns, |d| = 1
+            g = cur.target
+            onto = derives or len(g.edges) == g.n == length
+            return (derives + (1 if onto else 2), (), True, False)
+        m, low = len(lengths), min(lengths)
+        if closed and (length - 2) % m == 0 and (length - 2) // m <= low:
+            return (derives + (length - 2) // m, _TERMINAL, True, False)
         derives += low
+        length -= low * m
+        if closed:  # read the cycle of lengths from a survivor, so only the last can wrap
+            top = lengths.index(max(lengths))
+            lengths = lengths[top:] + lengths[:top]
         merged = []
         odd = False  # an odd number of segments dropped since the last survivor
-        for length in lengths:
-            length -= low
-            if not length:
+        for segment in lengths:
+            segment -= low
+            if not segment:
                 odd = not odd
                 continue
             if merged and odd:
-                merged[-1] += length
+                merged[-1] += segment
             else:
-                merged.append(length)
+                merged.append(segment)
             odd = False
+        if closed and odd and merged:
+            # the last survivor runs on into the first; a lone one leaves no turn
+            tail = merged.pop()
+            if merged:
+                merged[0] += tail
         lengths = merged
-    return derives
+    return (derives + 1, _EMPTY_DOMAIN, True, False)
 
 
 def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     """Check each stage of `derivative_stages(phi, n)` until one concludes.
 
-    A path stage whose image has no branch vertex concludes once it passes
-    its check: the run then ends on the empty domain after the derives
-    that `_derives_to_empty` counts in O(n), and no later stage is built.
+    A path or cycle stage whose image has no branch vertex concludes once
+    it passes its check: `_branch_free_outcome` counts from the turns of
+    its walk, in O(n), how its run ends, and no later stage is built.  Only
+    a closed walk that winds |d| >= 2 times round its image goes on, until
+    a stage without turns shows the winding to the winding check.  So the
+    run never meets an exit of the tower: the stage before a terminal one
+    has two runs, whose image is a path of two edges; the stage before a
+    stabilized one winds round a cycle image without turns, and is
+    rejected if |d| >= 2; the stage before an empty one is a single vertex
+    (what a doubled edge, the one general stage met here, derives to).
+    None of these images branches.
     Every run ends within n derives, n the vertex count of phi: a path
     stage loses a vertex per derive, and on a cycle stage Phi = L -
     |V(image)| (L the domain length) drops by at least one per derive until
     the stage is a winding, which the winding check rejects (|d| >= 2) or
     the next derive stabilizes (|d| = 1), so a cycle run takes at most
     Phi_0 + 2 <= n derives.  A run that would take more raises
-    `InvariantError` instead of answering.  A stage whose own derive ends
-    the run (terminal or stabilized) is not checked.  What a stage map
+    `InvariantError` instead of answering.  What a stage map
     concludes is kept in its target's `decide_memo` as (derives from this
     stage, final events, approximable, flagged for review), a final event
     at stage s of a run whose clean passes end before stage `end` kept as
@@ -198,29 +248,21 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     budget = phi.domain.n
     ran = []  # (memo, key) of each stage decided here, not found in a memo
     try:
-        for i, (cur, _, status) in enumerate(derivative_stages(phi, budget)):
-            if status == "terminal":
-                outcome = _TERMINAL
-                break
-            if status == "stabilized":
-                outcome = _STABILIZED
-                break
+        for i, (cur, _, _) in enumerate(derivative_stages(phi, budget)):
             memo = cur.target.decide_memo
             key = (cur.domain.edges, cur.vertex_image)
             outcome = memo.get(key)
             if outcome is not None:
                 break
             ran.append((memo, key))
-            if status == "empty-domain":
-                outcome = _EMPTY_DOMAIN
-                break
             event = _rejection(cur)
             if event is not None:
                 outcome = (0, ((0, event),), False, False)
                 break
-            if cur.domain.shape == "path" and not branch_vertices(cur):
-                outcome = (_derives_to_empty(cur),) + _EMPTY_DOMAIN[1:]
-                break
+            if cur.domain.shape != "general" and not branch_vertices(cur):
+                outcome = _branch_free_outcome(cur)
+                if outcome is not None:
+                    break
     except DerivePreconditionError as err:
         # refused on a non-disjoint crossing: the oracle decides, flagged
         ok, _ = is_approximable_oracle(cur)

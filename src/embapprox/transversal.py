@@ -9,12 +9,13 @@ if sigma contains a cycle and both arcs thread every boundary circle of it.
 
 That test reads nothing but the two image subgraphs.  The search over arc
 pairs therefore groups arcs by image and tests each pair of distinct images
-once.  The target graph (`PlaneGraph.crossing_memo`) gives each distinct
-image a small int id once, with its sort key, and keeps the results by id
-pair, so a scan maps each image to its id once and then looks pairs up by
-int.  The boundary circles depend on sigma and the target alone, so each
-sigma is traced once per target (`PlaneGraph.boundary_memo`), however many
-image pairs meet in it.  Maps into one target share both tables and no
+once.  The target graph (`PlaneGraph.crossing_memo`) keys each distinct
+image by its cells as a bit set, gives it a small int id once, with its
+subgraph and sort key, and keeps the results by id pair, so a scan maps
+each image to its id once and then looks pairs up by int.  The boundary
+circles depend on sigma and the target alone, so each sigma is traced
+once per target (`PlaneGraph.boundary_memo`), however many image pairs
+meet in it.  Maps into one target share both tables and no
 cache outlives the target.  The first witnesses of a map are memoized on
 the map itself.
 
@@ -127,10 +128,6 @@ def _crossing_component(g: PlaneGraph, a: Subgraph, b: Subgraph):
     return None
 
 
-def _sort_key(image: Subgraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(sorted(image[0])), tuple(sorted(image[1])))
-
-
 def branch_vertices(phi: SimplicialMap) -> frozenset[int]:
     """Vertices of degree 3 or more in phi's image subgraph; arcs cross only at one.
 
@@ -158,22 +155,29 @@ def branch_vertices(phi: SimplicialMap) -> frozenset[int]:
 
 
 def _interned(
-    g: PlaneGraph, images: list[Subgraph], branch: frozenset[int]
-) -> list[tuple[int, tuple, dict] | None]:
-    """The (id, sort key, row) entry of each image in g's crossing_memo, made on first sight.
+    g: PlaneGraph, images: list[tuple[int, list[int]]], branch: frozenset[int]
+) -> list[tuple[int, tuple, dict, Subgraph] | None]:
+    """The (id, sort key, row, image subgraph) entry of each image in g's crossing_memo.
 
-    An image that holds none of the branch vertices in branch crosses
-    nothing; it gets None and no entry.
+    An image comes as `_runs` gives it, its cells as a bit set and as a
+    list, and the bit set is its key: the subgraph and its sort key are
+    built only for a new entry.  An image that holds none of the branch
+    vertices in branch crosses nothing; it gets None and no entry.
     """
     memo = g.crossing_memo
+    n = g.n
+    mask = sum(1 << v for v in branch)
     entries = []
-    for image in images:
-        if branch.isdisjoint(image[0]):
+    for bits, cells in images:
+        if not bits & mask:
             entries.append(None)
             continue
-        entry = memo.get(image)
+        entry = memo.get(bits)
         if entry is None:
-            entry = memo[image] = (len(memo), _sort_key(image), {})
+            vs = sorted([c for c in cells if c < n])
+            es = sorted([c - n for c in cells if c >= n])
+            image = (frozenset(vs), frozenset(es))
+            entry = memo[bits] = (len(memo), (tuple(vs), tuple(es)), {}, image)
         entries.append(entry)
     return entries
 
@@ -197,20 +201,22 @@ def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):
     """Runs of arcs with one image: (runs, images), runs as (start, first end, image id).
 
     Runs come in arc order, by start and then by first end, and images[id]
-    is the image subgraph of a run's arcs.  A target cell is an int: vertex
-    c, or edge |V(G)| + a.  The arc (s, e) covers the vertex at s and, at
-    each position p in s + 1 .. e, the vertex at p and the edge entering it,
-    so from a fixed start a later end only adds to the image, and it adds
-    exactly at the next position after s where a cell not yet covered
-    enters.  The runs from s are therefore the groups of cells with one
-    next entry, in order, up to the last end (m - 1 on a path, s + m - 1 on
-    a cycle's doubled walk); this is the one place that key is computed.
+    holds the cells of a run's arcs' image as a bit set and as a list.  A
+    target cell is an int: vertex c, or edge |V(G)| + a.  The arc (s, e)
+    covers the vertex at s and, at each position p in s + 1 .. e, the
+    vertex at p and the edge entering it, so from a fixed start a later end
+    only adds to the image, and it adds exactly at the next position after
+    s where a cell not yet covered enters.  The runs from s are therefore
+    the groups of cells with one next entry, in order, up to the last end
+    (m - 1 on a path, s + m - 1 on a cycle's doubled walk); this is the one
+    place that key is computed.
 
     One sweep from the right keeps every cell seen so far in a list ordered
     by its next entry: going from start s + 1 to s moves the edge entering
     s + 1 and then the vertex at s to the front.  So each start costs
     O(|V(G)| + |E(G)|), however long its image takes to stop growing, and
-    each distinct image is built once, found by its cells as a bit set.
+    each distinct image's cells are listed once, found by their bit set,
+    which also keys the image in the target's crossing_memo (`_interned`).
     """
     vimg, eimg = phi.vertex_image, phi.edge_image
     n = phi.target.n
@@ -220,7 +226,7 @@ def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):
     seen = [False] * (n + len(phi.target.edges))
     seen[cells[0]] = True
     ids: dict[int, int] = {}  # an image as a bit set of cells -> its id
-    images: list[Subgraph] = []
+    images: list[tuple[int, list[int]]] = []
     by_start: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
     for s in range(last - 1, -1, -1):
         for c, p in ((n + eimg[edges[s]], s + 1), (vimg[vertices[s]], s)):
@@ -244,11 +250,7 @@ def _runs(phi: SimplicialMap, vertices, edges, m: int, closed: bool):
             x = ids.get(image)
             if x is None:
                 x = ids[image] = len(images)
-                covered = cells[j + 1 :]
-                images.append((
-                    frozenset([c for c in covered if c < n]),
-                    frozenset([c - n for c in covered if c >= n]),
-                ))
+                images.append((image, cells[j + 1 :]))
             by_start[s].append((s, e, x))
     return [run for here in by_start for run in here], images
 
@@ -280,7 +282,7 @@ def find_crossing_pair(phi: SimplicialMap, disjoint_only: bool) -> CrossingWitne
 _UNTESTED = object()
 
 
-def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[int, ...]:
+def _partners(g: PlaneGraph, entries, a: int) -> tuple[int, ...]:
     """Ids of the images that cross image a; an image never crosses itself.
 
     Each pair's result is read from g's crossing_memo, or tested once and
@@ -292,17 +294,16 @@ def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[i
     """
     if entries[a] is None:
         return ()
-    ia, ka, row_a = entries[a]
-    image = images[a]
+    ia, ka, row_a, image = entries[a]
     found = []
     for b, entry in enumerate(entries):
         if entry is None or b == a:
             continue
-        ib, kb, row_b = entry
+        ib, kb, row_b, other_image = entry
         row, other = (row_a, ib) if ia < ib else (row_b, ia)
         result = row.get(other, _UNTESTED)
         if result is _UNTESTED:
-            pair = (image, images[b]) if ka <= kb else (images[b], image)
+            pair = (image, other_image) if ka <= kb else (other_image, image)
             result = row[other] = _crossing_component(g, *pair)
         if result is not None:
             found.append(b)
@@ -311,7 +312,7 @@ def _partners(g: PlaneGraph, images: list[Subgraph], entries, a: int) -> tuple[i
 
 def _witness(entries, arc_p: WalkArc, a: int, arc_q: WalkArc, b: int):
     """The witness for arcs arc_p and arc_q, whose images are image a and its partner image b."""
-    (ia, _, row_a), (ib, _, row_b) = entries[a], entries[b]
+    (ia, _, row_a, _), (ib, _, row_b, _) = entries[a], entries[b]
     svs, ses, kind, ports = row_a[ib] if ia < ib else row_b[ia]
     return CrossingWitness(arc_p, arc_q, svs, ses, kind, ports)
 
@@ -368,7 +369,7 @@ def _first_crossings(phi: SimplicialMap) -> tuple[CrossingWitness | None, Crossi
     first = None
     for i, (s, lo, a) in enumerate(runs):
         if a not in crossers:
-            crossers[a] = _partners(g, images, entries, a)
+            crossers[a] = _partners(g, entries, a)
         partners = crossers[a]
         if not partners:
             continue

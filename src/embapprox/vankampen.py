@@ -393,10 +393,17 @@ def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PairReport:
-    cells2: tuple[tuple[int, int], ...]  # (K edge, L edge)
+    """The pair cells (i, j), K edge by L edge, row-major: cell c is divmod(c, width)."""
+
+    width: int  # |E(L)|
     red2: tuple[bool, ...]
     values: tuple[int, ...]
     vanishes: bool
+
+    @computed_once
+    def cells2(self) -> tuple[tuple[int, int], ...]:
+        """Every pair cell (K edge, L edge), in the order of red2 and values, built on first use."""
+        return tuple(divmod(c, self.width) for c in range(len(self.red2)))
 
 
 def pair_report(phi: SimplicialMap, psi: SimplicialMap) -> PairReport:
@@ -461,5 +468,4 @@ def pair_report(phi: SimplicialMap, psi: SimplicialMap) -> PairReport:
     drawn = iter(rhs)
     values = tuple(0 if red else next(drawn) for red in red2)
     _, cert = solve_or_certify(Columns(len(pairs), columns), rhs, solve=False)
-    cells2 = tuple((i, j) for i in range(e_phi) for j in range(e_psi))
-    return PairReport(cells2, tuple(red2), values, cert is None)
+    return PairReport(e_psi, tuple(red2), values, cert is None)

@@ -18,9 +18,10 @@ from embapprox.catalog import (
     theta_target,
 )
 from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair
-from embapprox.decide import Event
-from embapprox.derivative import ComponentWinding, WindingReport, winding_report
-from embapprox.errors import PreconditionError
+from embapprox.decide import Event, Verdict
+from embapprox.derivative import ComponentWinding, WindingReport, derivative_stages, winding_report
+from embapprox.errors import DerivePreconditionError, InvariantError, PreconditionError
+from embapprox.oracle import is_approximable_oracle
 from embapprox.transversal import CrossingWitness, find_crossing_pair
 
 
@@ -462,6 +463,38 @@ def reference_rejection(phi: SimplicialMap) -> Event | None:
             if comp.is_winding and abs(comp.degree) >= 2:
                 return Event("forbidden-winding", comp.degree)
     return None
+
+
+def reference_decide(phi: SimplicialMap) -> Verdict:
+    """`decide_path` or `decide_cycle` stage by stage, on the whole tower.
+
+    Every stage is checked by `reference_rejection` until one rejects or
+    the tower ends: a terminal or stabilized stage is not checked, and an
+    empty one ends the run.  A refused derive asks the oracle and flags the
+    verdict.  No stage is settled from the turns of its walk and no memo
+    is read, so the run derives every stage it passes; one that passes
+    the stage its budget of n derives reaches raises `InvariantError`.
+    """
+    criterion = f"{phi.domain.shape}-derivatives"
+    trace = []
+    try:
+        for i, (stage, _, end) in enumerate(derivative_stages(phi, phi.domain.n)):
+            if end == "terminal":
+                return Verdict(True, criterion, (*trace, (i, Event("terminal-approximable"))))
+            if end == "stabilized":
+                return Verdict(True, criterion, tuple(trace))
+            if end == "empty-domain":
+                return Verdict(True, criterion, (*trace, (i, Event("empty-domain"))))
+            event = reference_rejection(stage)
+            if event is not None:
+                return Verdict(False, criterion, (*trace, (i, event)))
+            trace.append((i, Event("clean-pass")))
+    except DerivePreconditionError as err:
+        ok, _ = is_approximable_oracle(stage)
+        if not ok:
+            trace.append((i, Event("transversal-self-intersection", err.witness)))
+        return Verdict(ok, criterion, tuple(trace), flagged_for_review=True)
+    raise InvariantError("derive-bound", f"{phi.domain.n} derives left a stage undecided")
 
 
 # --- reference quotient --------------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -188,13 +193,14 @@ def test_run_agreement_in_worker_processes_gives_the_same_rows():
 
 def test_run_agreement_starts_no_more_workers_than_targets(monkeypatch):
     pools = []
-    pool_class = corpus.ProcessPoolExecutor
+    pool_class = concurrent.futures.ProcessPoolExecutor
 
     def recorded(max_workers):
         pools.append(max_workers)
         return pool_class(max_workers=max_workers)
 
-    monkeypatch.setattr(corpus, "ProcessPoolExecutor", recorded)
+    # run_agreement imports the pool class where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     two = CorpusSpec(shape="path", targets=("C3", "theta"), k_min=1, k_max=4)
     assert run_agreement(two, jobs=4) == run_agreement(two, jobs=1)
     assert pools == [2]
@@ -202,6 +208,18 @@ def test_run_agreement_starts_no_more_workers_than_targets(monkeypatch):
     one = CorpusSpec(shape="path", targets=("theta",), k_min=1, k_max=4)
     assert run_agreement(one, jobs=4) == run_agreement(one, jobs=1)
     assert pools == [2]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # every CLI start imports corpus; run_agreement imports the pool only to start workers
+    code = (
+        "import importlib, pkgutil, sys, embapprox\n"
+        "for m in pkgutil.iter_modules(embapprox.__path__):\n"
+        "    importlib.import_module('embapprox.' + m.name)\n"
+        "sys.exit('concurrent.futures.process' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_full_derivative_iteration_statuses():

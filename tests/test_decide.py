@@ -17,6 +17,7 @@ from conftest import (
     lingering_walks,
     mirrored,
     random_walk_map,
+    reference_decide,
     reference_rejection,
     theta_fold,
     walk_maps,
@@ -251,7 +252,7 @@ def test_branch_free_path_settles_after_the_counted_derives(lengths, derives):
     phi = _segment_walk(lengths)
     trace = _tower_trace(phi)
     assert trace[-1] == (derives, Event("empty-domain"))
-    assert decide._derives_to_empty(phi) == derives
+    assert decide._branch_free_outcome(phi)[:2] == (derives, ((0, Event("empty-domain")),))
     assert decide_path(phi).trace == trace
 
 
@@ -283,6 +284,69 @@ def branch_free_paths(draw, k_max: int):
 @given(branch_free_paths(k_max=256))
 def test_branch_free_path_verdicts_match_the_whole_tower(phi):
     assert decide_path(phi).trace == _tower_trace(phi)
+
+
+def _winding_with_turns(d: int) -> SimplicialMap:
+    """A closed walk into C4 that winds d times round it and steps back once on the way."""
+    step = 1 if d > 0 else -1
+    images = [0, step % 4] + [step * i % 4 for i in range(abs(d) * 4)]
+    return SimplicialMap(cycle_domain(len(images)), cycle_target(4), tuple(images))
+
+
+def test_branch_free_closed_walks_settle_on_each_exit():
+    g = TARGETS["theta"]()
+    u, a, v, b = (g.vertex_names.index(name) for name in "uavb")
+    clean = Event("clean-pass")
+    cases = [
+        # the there-and-back fold: two segments of 5, terminal once 2 edges are left
+        (winding_map(0, 5), (*((j, clean) for j in range(4)), (4, Event("terminal-approximable")))),
+        # one edge there and back twice: one run all round, then one vertex
+        (SimplicialMap(cycle_domain(4), cycle_target(4), (0, 1, 0, 1)),
+         ((0, clean), (1, clean), (2, Event("empty-domain")))),
+        # a unit winding onto its whole target stabilizes after one derive
+        (winding_map(1, 4), ((0, clean),)),
+        (winding_map(-1, 4), ((0, clean),)),
+        # onto a cycle of theta it first derives onto that cycle
+        (SimplicialMap(cycle_domain(4), g, (u, a, v, b)), ((0, clean), (1, clean))),
+    ]
+    for phi, trace in cases:
+        v = decide_cycle(phi)
+        assert (v.approximable, v.trace, v.flagged_for_review) == (True, trace, False)
+        assert v == reference_decide(phi)
+    # with |d| >= 2 the run goes on until stage 1 shows the winding, whose
+    # sign is read in stage 1's labels: they read +3 both ways round, where
+    # the walk that never turns reads d at stage 0
+    for d in (3, -3):
+        phi = _winding_with_turns(d)
+        assert phi.vertex_image[:3] == (0, d // 3 % 4, 0)
+        v = decide_cycle(phi)
+        assert v.decisive() == (1, Event("forbidden-winding", 3))
+        assert v == reference_decide(phi)
+        assert decide_cycle(winding_map(d, 4)).decisive() == (0, Event("forbidden-winding", d))
+
+
+def test_branch_free_closed_walks_derive_nothing(monkeypatch):
+    def refused(phi):
+        raise AssertionError("a branch-free closed walk was derived")
+
+    monkeypatch.setattr(derivative, "derive", refused)
+    g = cycle_target(5)
+    walks = [(0, 1, 2, 3, 4), (0, 1, 2, 1, 2, 3, 4), (0, 1, 0, 4, 3, 4), (0, 1, 2, 1), (0, 1, 0, 1)]
+    ends = [decide_cycle(SimplicialMap(cycle_domain(len(w)), g, w)).trace[-1] for w in walks]
+    kinds = ["clean-pass"] * 2 + ["terminal-approximable"] * 2 + ["empty-domain"]
+    assert [e.kind for _, e in ends] == kinds
+
+
+def test_branch_free_closed_walks_match_the_whole_tower_up_to_k6():
+    spec = CorpusSpec("cycle", ("C3", "C4", "C5", "C6", "theta"), k_min=3, k_max=6)
+    for _, phi in generate(spec):
+        assert repr(decide_cycle(phi)) == repr(reference_decide(phi)), phi.vertex_image
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(closed_walks(k_max=64, targets=tuple(f"C{n}" for n in range(3, 13))))
+def test_closed_walks_into_cycles_match_the_whole_tower(phi):
+    assert repr(decide_cycle(phi)) == repr(reference_decide(phi))
 
 
 def test_closed_theta_fold_at_k2048_is_decided_quickly():
@@ -322,14 +386,15 @@ def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypa
     judged = []
     for phi in pool:
         judge = decide_cycle if phi.domain.shape == "cycle" else decide_path
-        judged.append((judge, phi, judge(phi)))
-    # without the stabilization exit a run reaches the same verdict with a
-    # trace no shorter, or, where stabilization ended it, no verdict at all
+        judged.append((phi, judge(phi)))
+    # decide meets the stabilization exit only in closed form; the whole
+    # tower without that exit reaches the same verdict with a trace no
+    # shorter, or, where stabilization ended the run, no verdict at all
     monkeypatch.setattr(derivative, "_stabilized", lambda step: False)
     unending = 0
-    for judge, phi, lazy in judged:
+    for phi, lazy in judged:
         try:
-            eager = judge(_on_fresh_target(phi))
+            eager = reference_decide(_on_fresh_target(phi))
         except InvariantError:
             assert lazy.trace[-1][1] == Event("clean-pass") and not lazy.flagged_for_review
             unending += 1
@@ -340,9 +405,10 @@ def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypa
 
 
 def test_a_run_that_never_stabilizes_raises_instead_of_answering(monkeypatch):
-    # the identity cycle onto C5 derives to itself; with no stabilization
-    # exit nothing ends its run, which used to answer approximable once its
-    # budget ran out
+    # the identity cycle onto C5 derives to itself; with neither its closed
+    # form nor the stabilization exit nothing ends its run, which used to
+    # answer approximable once its budget ran out
+    monkeypatch.setattr(decide, "_branch_free_outcome", lambda cur: None)
     monkeypatch.setattr(derivative, "_stabilized", lambda step: False)
     phi = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     with pytest.raises(InvariantError, match="derive-bound"):

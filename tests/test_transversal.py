@@ -167,11 +167,28 @@ def test_each_derivative_stage_enumerates_its_arcs_once(monkeypatch):
         assert [m.target for m in scanned] == [m.target for m in branching]
 
 
-def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
-    """First arc and image of every run that the run scan produces."""
+def _scanned_runs(phi: SimplicialMap):
+    """`transversal._runs` on phi's walk, each run's image read off its cells as a subgraph.
+
+    Each image's bit set holds exactly its listed cells, and no two images
+    share one.
+    """
     vertices, edges, m, closed = transversal._walk(phi)
     runs, images = transversal._runs(phi, vertices, edges, m, closed)
-    return [(WalkArc(vertices[s : lo + 1], edges[s:lo]), images[x]) for s, lo, x in runs]
+    n = phi.target.n
+    assert [bits for bits, _ in images] == [sum(1 << c for c in cells) for _, cells in images]
+    assert len({bits for bits, _ in images}) == len(images)
+    subgraphs = [
+        (frozenset(c for c in cells if c < n), frozenset(c - n for c in cells if c >= n))
+        for _, cells in images
+    ]
+    return vertices, edges, [(s, lo, subgraphs[x]) for s, lo, x in runs]
+
+
+def _run_firsts(phi: SimplicialMap) -> list[tuple[WalkArc, tuple]]:
+    """First arc and image of every run that the run scan produces."""
+    vertices, edges, runs = _scanned_runs(phi)
+    return [(WalkArc(vertices[s : lo + 1], edges[s:lo]), image) for s, lo, image in runs]
 
 
 def test_cycle_arcs_are_the_proper_cyclic_subwalks():
@@ -235,9 +252,7 @@ def _lingering_cycle() -> SimplicialMap:
 @example(_lingering_cycle())
 def test_run_sweep_matches_the_forward_walk(phi):
     # the walks move at every step, so each is its own normalized map
-    runs, images = transversal._runs(phi, *transversal._walk(phi))
-    assert len(set(images)) == len(images)
-    assert [(s, lo, images[x]) for s, lo, x in runs] == list(reference_runs(phi))
+    assert _scanned_runs(phi)[2] == list(reference_runs(phi))
 
 
 def test_branching_back_and_forth_path_at_k65536_is_decided_quickly():
@@ -334,9 +349,12 @@ _VERIFIED: dict[int, set] = {}  # id of a shared target or derived target -> id 
 def _assert_table_matches_the_engine(g: PlaneGraph) -> None:
     """Each stored result sits in the row of the smaller id and is the engine's on the pair."""
     memo = g.crossing_memo
-    by_id = {entry[0]: (image, entry[1]) for image, entry in memo.items()}
+    by_id = {entry[0]: (entry[3], entry[1]) for entry in memo.values()}
     verified = _VERIFIED.setdefault(id(g), set())
-    for image, (x, key, row) in memo.items():
+    for bits, (x, key, row, image) in memo.items():
+        cells = [*image[0], *(g.n + a for a in image[1])]
+        assert bits == sum(1 << c for c in cells)
+        assert key == (tuple(sorted(image[0])), tuple(sorted(image[1])))
         for y, result in row.items():
             if (x, y) in verified:
                 continue
