@@ -350,7 +350,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force lift search")
     p.add_argument("file")
-    p.add_argument("--max-lifts", type=_at_least(0), default=None)
+    p.add_argument(
+        "--max-lifts",
+        type=_at_least(0),
+        default=None,
+        metavar="N",
+        help="examine at most N complete lifts, else exit 4 (inconclusive); the partial"
+        " assignments the search cuts are not counted, so N does not bound its time",
+    )
     p.add_argument("--witness", action="store_true", help="print the accepted lift's lane orders")
     p.set_defaults(func=_cmd_oracle)
 
@@ -365,7 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(0), default=500)
-    p.add_argument("--max-lifts", type=_at_least(0), default=None)
+    p.add_argument(
+        "--max-lifts",
+        type=_at_least(0),
+        default=None,
+        metavar="N",
+        help="per-instance oracle budget of N complete lifts, as for oracle; an"
+        " instance that exhausts it is inconclusive and counts as a disagreement",
+    )
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--fixtures", action="store_true", help="replay shipped fixtures")

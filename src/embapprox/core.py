@@ -243,6 +243,19 @@ class PlaneGraph(FieldState):
         return {}
 
     @computed_once
+    def oracle_memo(self) -> dict:
+        """Lift searches of `oracle`, per normalized map into this graph and prune flag.
+
+        Keyed by the normalized map's domain edges, vertex image and the
+        search's `prune` flag, which changes how many lifts it examines;
+        each value is (approximable, the accepted lift's lane rows or None,
+        lifts examined, total lifts), ints and tuples only.  Like
+        crossing_memo it goes away with the graph and is not part of
+        equality.
+        """
+        return {}
+
+    @computed_once
     def instance_sections(self) -> str:
         """The #target and #rotation sections of an instance file, with no final newline.
 

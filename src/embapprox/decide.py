@@ -20,7 +20,9 @@ exit of the tower passes such a stage first, so those exits are met in
 closed form only, and deciding the identity path onto C900 or the
 there-and-back fold onto C65,536 builds no derived target at all.
 When `derive` refuses a stage, the oracle decides and the verdict is
-flagged for review.  What a stage map concludes from there on is kept in
+flagged for review; its search is kept in the stage target's
+`PlaneGraph.oracle_memo`, so the oracle route on a map refused at stage
+0 finds it there.  What a stage map concludes from there on is kept in
 its target's `PlaneGraph.decide_memo`, keyed by the map's domain edges
 and vertex image, so a stage met again under one target, by the same map
 or another, is decided once.  The memo grows with the distinct stages

@@ -11,7 +11,13 @@ vertex.  The disc is the one of `geometry`, which the mod-2 drawing of
 `vankampen` shares: both take their port order from `disc_ports` and
 their crossings from `proper_crossing`.  The search over all per-edge
 copy assignments runs on `core.backtrack`; it is exhaustive and
-therefore decides approximability outright, at factorial cost.
+therefore decides approximability outright, at factorial cost.  Its
+outcome is kept in the target's `PlaneGraph.oracle_memo`, keyed by the
+normalized map's domain edges and vertex image and the `prune` flag, so
+each distinct normalized map into one target is searched once, whoever
+asks: the corpus runner, `decide`'s flagged fallback or the oracle route
+itself.  ``max_lifts`` counts complete lifts only; the partial
+assignments the search extends and prunes on the way are not counted.
 """
 
 from __future__ import annotations
@@ -161,6 +167,13 @@ def oracle_result(
     as soon as the placed ports already force a crossing; prunes never
     remove an acceptable completion, so the verdict and first accepted lift
     match the unpruned search.
+    Each distinct normalized map into one target is searched once per
+    ``prune`` flag, and the outcome is kept in the target's
+    `PlaneGraph.oracle_memo`.  The search is deterministic, so a call that
+    finds its search kept raises `OracleBudgetExceeded` exactly when that
+    search examined more than ``max_lifts`` lifts, as a fresh search would;
+    a search that runs out of budget keeps nothing.  A negative budget
+    examines no lift, as 0 does.
     """
     if phi.domain.shape in ("path", "cycle"):
         phi = normalize_nondegenerate(phi)
@@ -168,6 +181,21 @@ def oracle_result(
         raise PreconditionError(
             "general-shape maps must be nondegenerate for the oracle"
         )
+    if max_lifts is not None:
+        max_lifts = max(max_lifts, 0)
+    memo = phi.target.oracle_memo
+    key = (phi.domain.edges, phi.vertex_image, prune)
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = _search(phi, max_lifts, prune)
+    approximable, by_edge, examined, total = known
+    if max_lifts is not None and examined > max_lifts:
+        raise OracleBudgetExceeded(max_lifts)
+    return OracleResult(approximable, None if by_edge is None else Lift(by_edge), examined, total)
+
+
+def _search(phi: SimplicialMap, max_lifts: int | None, prune: bool) -> tuple:
+    """The lift search of a normalized map: (approximable, lane rows or None, examined, total)."""
     exp = build_expansion(phi)
     g = phi.target
     edges = len(phi.domain.edges)
@@ -213,16 +241,18 @@ def oracle_result(
         examined += 1
         if max_lifts is not None and examined > max_lifts:
             raise OracleBudgetExceeded(examined - 1)
-        return prune or lift_crossing_check(exp, _lift(base, rider)) is None
+        return prune or lift_crossing_check(exp, Lift(_lanes(base, rider))) is None
 
     # the search stays suspended at its first accepted lift, so rider holds it
     accepted = next(backtrack(range(edges), candidates, complete, slot_of, rider), None)
-    lift = None if accepted is None else _lift(base, rider)
-    return OracleResult(lift is not None, lift, examined, total)
+    if accepted is None:
+        return (False, None, examined, total)
+    return (True, _lanes(base, rider), examined, total)
 
 
-def _lift(base: list[int], rider: list[int]) -> Lift:
-    return Lift(tuple(tuple(rider[lo:hi]) for lo, hi in zip(base, base[1:])))
+def _lanes(base: list[int], rider: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of `Lift.by_edge`: per target edge, the domain edges on its lanes."""
+    return tuple(tuple(rider[lo:hi]) for lo, hi in zip(base, base[1:]))
 
 
 def is_approximable_oracle(

@@ -606,6 +606,17 @@ def reference_cut_components(edges, complex, values) -> tuple[int, ...]:
     return tuple(vector)
 
 
+def ints_and_tuples(value) -> bool:
+    """Does value hold only ints (bools among them), None and tuples of them?
+
+    Memo values of this kind keep no graph or map alive and, once the
+    cyclic collector has seen them, cost it nothing.
+    """
+    if isinstance(value, tuple):
+        return all(ints_and_tuples(v) for v in value)
+    return value is None or isinstance(value, int)
+
+
 def relabelled(phi: SimplicialMap, vertex_ids, edge_order) -> SimplicialMap:
     """phi with domain vertex x renumbered vertex_ids[x] and its edges listed as edge_order says.
 

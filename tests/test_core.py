@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     contract_edge,
+    ints_and_tuples,
     mirrored,
     mirrored_map,
     reference_components,
@@ -59,7 +60,7 @@ from embapprox.errors import (
     ParseError,
     PreconditionError,
 )
-from embapprox.oracle import is_approximable_oracle
+from embapprox.oracle import is_approximable_oracle, oracle_result
 
 
 # --- graph invariants -------------------------------------------------------
@@ -797,7 +798,7 @@ def test_cycle_target_and_catalog_targets_are_valid():
 COMPUTED_ONCE = {
     PlaneGraph: (
         "edge_index", "max_degree", "crossing_memo", "boundary_memo", "derived_memo",
-        "decide_memo", "obstruction_memo", "instance_sections",
+        "decide_memo", "obstruction_memo", "oracle_memo", "instance_sections",
     ),
     DomainGraph: ("incident", "shape", "walk"),
     SimplicialMap: ("witness_memo", "normalized"),
@@ -830,12 +831,18 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
     assert target.crossing_memo and target.boundary_memo
     assert target.derived_memo and target.decide_memo
     assert target.obstruction_memo and phi.normalized.witness_memo
+    # no stage of the fold is refused, so only an oracle call fills oracle_memo
+    assert target.oracle_memo == {}
+    searched = oracle_result(phi)
+    assert target.oracle_memo and all(ints_and_tuples(entry) for entry in target.oracle_memo.items())
     fresh = _theta_fold_with_a_stay()
     # only the fields are pickled, so no memo and no normalized map travels with a copy
     assert pickle.dumps(phi) == pickle.dumps(fresh)
     pickled = pickle.loads(pickle.dumps(phi))
     assert pickled.witness_memo == {}
-    memos = ("crossing_memo", "boundary_memo", "derived_memo", "decide_memo", "obstruction_memo")
+    memos = (
+        "crossing_memo", "boundary_memo", "derived_memo", "decide_memo", "obstruction_memo", "oracle_memo",
+    )
     for name in memos:
         assert getattr(pickled.target, name) == {}
     assert pickled.normalized == phi.normalized and pickled.normalized is not phi.normalized
@@ -846,6 +853,7 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
             assert repr(filled) == repr(same)
     assert decide_path(pickled) == decide_path(fresh) == verdict
     assert decide_path_via_vk(pickled) == decide_path_via_vk(fresh) == vk_verdict
+    assert oracle_result(pickled) == oracle_result(fresh) == searched
 
 
 def test_a_degenerate_map_keeps_its_normalization_and_a_nondegenerate_one_is_its_own():

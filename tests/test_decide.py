@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     closed_walks,
+    ints_and_tuples,
     lingering_walks,
     mirrored,
     random_walk_map,
@@ -24,7 +25,7 @@ from conftest import (
     way_back,
 )
 
-from embapprox import decide, derivative, vankampen
+from embapprox import decide, derivative, oracle, vankampen
 from embapprox.catalog import (
     TARGETS,
     cycle_domain,
@@ -50,7 +51,7 @@ from embapprox.decide import (
 )
 from embapprox.derivative import derive, iterate_derivative, winding_report
 from embapprox.errors import InvariantError, PreconditionError
-from embapprox.oracle import is_approximable_oracle
+from embapprox.oracle import is_approximable_oracle, oracle_result
 
 
 def test_event_kinds_are_validated():
@@ -741,12 +742,6 @@ def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
 # --- obstruction_memo ------------------------------------------------------------
 
 
-def _ints_and_tuples(value) -> bool:
-    if isinstance(value, tuple):
-        return all(_ints_and_tuples(v) for v in value)
-    return value is None or isinstance(value, int)
-
-
 def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     # the maps of one corpus share each target and so its obstruction_memo;
     # each map on its own copy of the target draws its cochain itself
@@ -775,4 +770,38 @@ def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch
     targets = {id(phi.target): phi.target for _, phi in routes}.values()
     entries = [entry for g in targets for entry in g.obstruction_memo.items()]
     assert len(entries) == shared_drawn
-    assert all(_ints_and_tuples(entry) for entry in entries)
+    assert all(ints_and_tuples(entry) for entry in entries)
+
+
+# --- oracle_memo -----------------------------------------------------------------
+
+
+def test_shared_oracle_memo_gives_the_results_of_fresh_targets(monkeypatch):
+    # the maps of one corpus share each target and so its oracle_memo, where
+    # each distinct normalized map is searched once; each map on its own copy
+    # of the target searches its lifts itself
+    searched = []
+    expand = oracle.build_expansion
+
+    def counted(phi):
+        searched.append(phi)
+        return expand(phi)
+
+    monkeypatch.setattr(oracle, "build_expansion", counted)
+    maps = []
+    for shape in ("path", "cycle"):
+        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
+        maps += [phi for _, phi in generate(spec)]
+    maps += [phi for _, phi in generate(CorpusSpec("deg3", tuple(TARGETS), k_max=7, seed=5, count=13))]
+    shared = [oracle_result(phi) for phi in maps]
+    distinct = {(id(m.target), m.domain.edges, m.vertex_image) for m in map(normalize_nondegenerate, maps)}
+    assert len(searched) == len(distinct) < len(maps) // 2
+    assert [oracle_result(phi) for phi in maps] == shared
+    assert len(searched) == len(distinct)
+    # a fresh search gives the verdict, the lift and both counts of the kept one
+    assert [oracle_result(_on_fresh_target(phi)) for phi in maps] == shared
+    assert len(searched) == len(distinct) + len(maps)
+    targets = {id(phi.target): phi.target for phi in maps}.values()
+    entries = [entry for g in targets for entry in g.oracle_memo.items()]
+    assert len(entries) == len(distinct)
+    assert all(ints_and_tuples(entry) for entry in entries)

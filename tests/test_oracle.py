@@ -120,6 +120,31 @@ def test_pruned_exhaustion_can_conclude_within_any_budget():
     assert res.lifts_examined == 0
 
 
+def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
+    # the first call fills the target's oracle_memo; every later call on a
+    # map that normalizes to the same one must answer as a fresh search does
+    phi = winding_map(0)
+    pruned = oracle_result(phi)
+    assert pruned.approximable and pruned.lifts_examined == 1
+    unkept = winding_map(0)
+    for psi in (unkept, phi):
+        with pytest.raises(OracleBudgetExceeded) as info:
+            oracle_result(psi, max_lifts=0)
+        assert info.value.lifts_examined == 0
+    # a search that ran out of budget keeps nothing
+    assert unkept.target.oracle_memo == {}
+    # the unpruned search counts the rejected lift before the accepted one
+    fresh = oracle_result(winding_map(0), prune=False)
+    assert oracle_result(phi, prune=False) == fresh
+    assert fresh.lifts_examined == 2 > pruned.lifts_examined
+    with pytest.raises(OracleBudgetExceeded) as info:
+        oracle_result(phi, prune=False, max_lifts=1)
+    assert info.value.lifts_examined == 1
+    assert oracle_result(phi, prune=False, max_lifts=2) == fresh
+    assert oracle_result(phi) == pruned
+    assert len(phi.target.oracle_memo) == 2
+
+
 def test_lift_crossing_check_reports_the_forced_disc():
     phi = x_cross_path()
     exp = build_expansion(phi)
