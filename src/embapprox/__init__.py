@@ -16,7 +16,7 @@ from .core import (
     parse_instance,
     zero_components,
 )
-from .decide import Event, Verdict, decide_cycle, decide_deg3_to_circle, decide_path, decide_path_via_vk
+from .decide import Event, Verdict, decide_cycle, decide_deg3_to_circle, decide_map, decide_path, decide_path_via_vk
 from .derivative import derive, iterate_derivative, winding_report
 from .errors import (
     DanglingIdError,
@@ -49,6 +49,7 @@ __all__ = [
     "Verdict",
     "decide_cycle",
     "decide_deg3_to_circle",
+    "decide_map",
     "decide_path",
     "decide_path_via_vk",
     "derive",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import classes, parse_instance
 from .corpus import TSV_HEADER, CorpusSpec, run_agreement
-from .decide import decide_cycle, decide_deg3_to_circle, decide_path
+from .decide import decide_map
 from .derivative import derivative_stages, winding_report
 from .errors import (
     DanglingIdError,
@@ -98,14 +98,7 @@ def _derived_names(step) -> tuple[list[str], list[str]]:
 
 
 def _cmd_check(args) -> int:
-    phi = _load(args.file)
-    shape = phi.domain.shape
-    if shape == "path":
-        verdict = decide_path(phi)
-    elif shape == "cycle":
-        verdict = decide_cycle(phi)
-    else:
-        verdict = decide_deg3_to_circle(phi)
+    verdict = decide_map(_load(args.file))
     if verdict.approximable:
         print("approximable")
     else:

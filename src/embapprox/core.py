@@ -221,13 +221,13 @@ class PlaneGraph(FieldState):
 
     @computed_once
     def decide_memo(self) -> dict:
-        """What `decide` concluded from each stage map into this graph onward.
+        """Derivative runs of `decide`, per normalized map into this graph.
 
-        Keyed by the stage map's domain edges and vertex image, which fix
-        its domain's shape too.  Values hold counts and event tuples, never
-        maps or graphs.  Like crossing_memo it grows with the distinct
-        stages decided into this graph, goes away with the graph and is not
-        part of equality.
+        Keyed by the normalized map's domain edges and vertex image, which
+        fix its domain's shape too; each value is (clean passes, final
+        events, approximable, flagged for review), never maps or graphs.
+        Derived targets keep none.  Like crossing_memo it goes away with the
+        graph and is not part of equality.
         """
         return {}
 

@@ -4,8 +4,9 @@ Exhaustive corpora enumerate every simplicial map of a path or cycle into a
 catalog target as a vertex assignment where consecutive images are equal or
 adjacent.  Random corpora draw degree-<=3 multigraph domains with
 nondegenerate assignments into a cycle, reproducibly from a seed.  The
-runner decides every instance along each applicable route, compares with
-the brute-force oracle, and emits one TSV row per instance.
+runner decides every instance as `check` does (`decide_map`), paths also
+by the obstruction alone, compares with the brute-force oracle, and emits
+one TSV row per instance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import itemgetter
 
 from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
-from .decide import decide_cycle, decide_deg3_to_circle, decide_path, decide_path_via_vk
+from .decide import decide_map, decide_path_via_vk
 from .errors import OracleBudgetExceeded
 from .oracle import is_approximable_oracle
 
@@ -202,18 +203,12 @@ def evaluate_instance(
     instance_id: str, phi: SimplicialMap, shape: str, target_name: str,
     max_lifts: int | None = None,
 ) -> AgreementRow:
-    k = phi.domain.n
+    """phi's row: `decide_map`'s verdict, and a path corpus's vk column, against the oracle's."""
+    d = vk_verdict = decide_map(phi).approximable
     vk = "-"
     if shape == "path":
-        d = decide_path(phi).approximable
         vk_verdict = decide_path_via_vk(phi).approximable
         vk = _yn(vk_verdict)
-    elif shape == "cycle":
-        d = decide_cycle(phi).approximable
-        vk_verdict = d
-    else:
-        d = decide_deg3_to_circle(phi).approximable
-        vk_verdict = d
     try:
         o, _ = is_approximable_oracle(phi, max_lifts=max_lifts)
         oracle_str = _yn(o)
@@ -221,9 +216,7 @@ def evaluate_instance(
     except OracleBudgetExceeded:
         oracle_str = "inconclusive"
         agree = False
-    return AgreementRow(
-        instance_id, shape, target_name, k, _yn(d), oracle_str, vk, agree
-    )
+    return AgreementRow(instance_id, shape, target_name, phi.domain.n, _yn(d), oracle_str, vk, agree)
 
 
 def _evaluate_target(spec: CorpusSpec) -> list[AgreementRow]:

@@ -22,17 +22,17 @@ there-and-back fold onto C65,536 builds no derived target at all.
 When `derive` refuses a stage, the oracle decides and the verdict is
 flagged for review; its search is kept in the stage target's
 `PlaneGraph.oracle_memo`, so the oracle route on a map refused at stage
-0 finds it there.  What a stage map concludes from there on is kept in
-its target's `PlaneGraph.decide_memo`, keyed by the map's domain edges
-and vertex image, so a stage met again under one target, by the same map
-or another, is decided once.  The memo grows with the distinct stages
-decided into the target and lives as long as the target, like its
-`crossing_memo`.  Degree-3 domains over a cycle combine
+0 finds it there.  What a run concludes is kept in its target's
+`PlaneGraph.decide_memo`, keyed by the normalized map's domain edges and
+vertex image, so each distinct normalized map into one target is run
+once; derived targets keep no verdict.  `decide_map` picks the route by
+the domain's shape: paths and cycles take the derivative stages, any
+other domain the degree-3 rule.  Degree-3 domains over a cycle combine
 the mod-2 obstruction with a winding-parity check on the last stage of
 `derivative_stages`, keeping no earlier stage.  A second, independent
 route for paths uses the obstruction alone.  Both routes keep the
-obstruction's verdict in the target's `PlaneGraph.obstruction_memo`, keyed
-by the normalized map's domain edges and vertex image, so each distinct
+obstruction's verdict in the target's `PlaneGraph.obstruction_memo` under
+the same key, as the oracle keeps its searches, so each distinct
 normalized map into one target is drawn and solved once.  Every verdict
 carries a trace of per-step events.
 """
@@ -95,9 +95,9 @@ class Verdict:
 
 
 _CLEAN_PASS = Event("clean-pass")
-# the final events of a run that ends on one of these exits (see _branch_free_outcome)
-_TERMINAL = ((0, Event("terminal-approximable")),)
-_EMPTY_DOMAIN = ((0, Event("empty-domain")),)
+# the events of the exits `_branch_free_outcome` counts its run to
+_TERMINAL = Event("terminal-approximable")
+_EMPTY_DOMAIN = Event("empty-domain")
 
 
 def _rejection(cur: SimplicialMap) -> Event | None:
@@ -122,12 +122,13 @@ def _rejection(cur: SimplicialMap) -> Event | None:
 def _branch_free_outcome(cur: SimplicialMap) -> tuple | None:
     """The outcome of the run from the path or cycle stage cur, whose image never branches.
 
-    cur has passed `_rejection`.  The outcome is a `decide_memo` value,
-    (derives from cur, final events, True, False), or None for a closed
-    walk that winds |d| >= 2 times round its image: its run goes on stage
-    by stage, since the sign of its forbidden winding is read in the labels
-    of a derived target.  Nothing on the rest of the tower can cross or
-    refuse a derive: arcs cross only at a branch vertex of the image
+    cur has passed `_rejection`, and the run approves the map.  The outcome
+    is (derives from cur, the event of the exit it ends on, None for the
+    stabilized one, which has no event), or None for a closed walk that
+    winds |d| >= 2 times round its image: its run goes on stage by stage,
+    since the sign of its forbidden winding is read in the labels of a
+    derived target.  Nothing on the rest of the tower can cross or refuse
+    a derive: arcs cross only at a branch vertex of the image
     (`transversal`), and the derivative stays branch-free, since a G'
     vertex a = xy has at most one realized neighbour through x, the one
     other image edge at x, and one through y.
@@ -188,10 +189,10 @@ def _branch_free_outcome(cur: SimplicialMap) -> tuple | None:
         if not lengths:  # a closed walk without turns, |d| = 1
             g = cur.target
             onto = derives or len(g.edges) == g.n == length
-            return (derives + (1 if onto else 2), (), True, False)
+            return (derives + (1 if onto else 2), None)
         m, low = len(lengths), min(lengths)
         if closed and (length - 2) % m == 0 and (length - 2) // m <= low:
-            return (derives + (length - 2) // m, _TERMINAL, True, False)
+            return (derives + (length - 2) // m, _TERMINAL)
         derives += low
         length -= low * m
         if closed:  # read the cycle of lengths from a survivor, so only the last can wrap
@@ -215,12 +216,32 @@ def _branch_free_outcome(cur: SimplicialMap) -> tuple | None:
             if merged:
                 merged[0] += tail
         lengths = merged
-    return (derives + 1, _EMPTY_DOMAIN, True, False)
+    return (derives + 1, _EMPTY_DOMAIN)
 
 
 def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
+    """The `_run_stages` of the normalized phi, made once per distinct normalized map and target.
+
+    A run reads only the normalized map's domain edges, its vertex image
+    and the target, so a map whose key is in the target's `decide_memo`
+    takes the stored outcome and enters no `derivative_stages`.
+    """
+    phi = normalize_nondegenerate(phi)
+    memo = phi.target.decide_memo
+    key = (phi.domain.edges, phi.vertex_image)
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = _run_stages(phi)
+    passes, final, approximable, flagged = known
+    trace = tuple([(j, _CLEAN_PASS) for j in range(passes)]) + final
+    return Verdict(approximable, criterion, trace, flagged)
+
+
+def _run_stages(phi: SimplicialMap) -> tuple:
     """Check each stage of `derivative_stages(phi, n)` until one concludes.
 
+    phi is normalized, and n is its vertex count.  The outcome is (clean
+    passes, final events at their stages, approximable, flagged for review).
     A path or cycle stage whose image has no branch vertex concludes once
     it passes its check: `_branch_free_outcome` counts from the turns of
     its walk, in O(n), how its run ends, and no later stage is built.  Only
@@ -232,53 +253,34 @@ def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
     rejected if |d| >= 2; the stage before an empty one is a single vertex
     (what a doubled edge, the one general stage met here, derives to).
     None of these images branches.
-    Every run ends within n derives, n the vertex count of phi: a path
-    stage loses a vertex per derive, and on a cycle stage Phi = L -
-    |V(image)| (L the domain length) drops by at least one per derive until
-    the stage is a winding, which the winding check rejects (|d| >= 2) or
-    the next derive stabilizes (|d| = 1), so a cycle run takes at most
-    Phi_0 + 2 <= n derives.  A run that would take more raises
-    `InvariantError` instead of answering.  What a stage map
-    concludes is kept in its target's `decide_memo` as (derives from this
-    stage, final events, approximable, flagged for review), a final event
-    at stage s of a run whose clean passes end before stage `end` kept as
-    (s - end, event); so a stage met again under the same target, by this
-    map or another, is not decided twice.  Stage 0, the normalized phi, is
-    looked up before any derive; its key reads the quotient, which the
-    other routes share as `phi.normalized`.
+    Every run ends within n derives: a path stage loses a vertex per
+    derive, and on a cycle stage Phi = L - |V(image)| (L the domain length)
+    drops by at least one per derive until the stage is a winding, which
+    the winding check rejects (|d| >= 2) or the next derive stabilizes
+    (|d| = 1), so a cycle run takes at most Phi_0 + 2 <= n derives, since
+    a normalized closed walk covers at least one edge.  A run that would
+    take more raises `InvariantError` instead of answering.
     """
     budget = phi.domain.n
-    ran = []  # (memo, key) of each stage decided here, not found in a memo
     try:
         for i, (cur, _, _) in enumerate(derivative_stages(phi, budget)):
-            memo = cur.target.decide_memo
-            key = (cur.domain.edges, cur.vertex_image)
-            outcome = memo.get(key)
-            if outcome is not None:
-                break
-            ran.append((memo, key))
             event = _rejection(cur)
             if event is not None:
-                outcome = (0, ((0, event),), False, False)
-                break
+                return (i, ((i, event),), False, False)
             if cur.domain.shape != "general" and not branch_vertices(cur):
                 outcome = _branch_free_outcome(cur)
                 if outcome is not None:
-                    break
+                    derives, last = outcome
+                    end = i + derives  # stages 0 .. end - 1 pass clean
+                    if end > budget:
+                        break
+                    return (end, ((end, last),) if last else (), True, False)
     except DerivePreconditionError as err:
         # refused on a non-disjoint crossing: the oracle decides, flagged
         ok, _ = is_approximable_oracle(cur)
-        final = () if ok else ((-1, Event("transversal-self-intersection", err.witness)),)
-        outcome = (1, final, ok, True)
-    if outcome is None or i + outcome[0] > budget:
-        raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
-    derives, final, approximable, flagged = outcome
-    end = i + derives  # stages 0 .. end - 1 are clean passes, each followed by a derive
-    for j, (memo, key) in enumerate(ran):
-        memo[key] = (end - j, final, approximable, flagged)
-    trace = [(j, _CLEAN_PASS) for j in range(end)]
-    trace.extend((end + t, event) for t, event in final)
-    return Verdict(approximable, criterion, tuple(trace), flagged)
+        final = () if ok else ((i, Event("transversal-self-intersection", err.witness)),)
+        return (i + 1, final, ok, True)
+    raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
 
 
 def decide_path(phi: SimplicialMap) -> Verdict:
@@ -360,3 +362,14 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
                 ((final_step, Event("forbidden-winding", comp.degree)),),
             )
     return Verdict(True, "degree-3-to-circle", ((final_step, Event("clean-pass")),))
+
+
+def decide_map(phi: SimplicialMap) -> Verdict:
+    """The verdict of the route for phi's domain shape, the one `check` answers.
+
+    Paths and cycles are decided on their derivative stages, any other
+    domain by `decide_deg3_to_circle`, which raises `PreconditionError` for
+    a target that is not a cycle, a vertex of degree > 3 or a degenerate map.
+    """
+    route = {"path": decide_path, "cycle": decide_cycle}.get(phi.domain.shape, decide_deg3_to_circle)
+    return route(phi)

@@ -34,6 +34,7 @@ from embapprox.corpus import (
     random_deg3_map,
     run_agreement,
 )
+from embapprox.decide import Event, Verdict
 from embapprox.derivative import iterate_derivative
 from embapprox.ribbon import boundary_walks
 
@@ -168,6 +169,32 @@ def test_paths_get_a_three_way_row():
     row = evaluate_instance("p", phi, "path", "C3")
     assert row.vk in ("yes", "no")
     assert row.agree is True
+
+
+def test_evaluate_instance_decides_through_decide_map(monkeypatch):
+    # the decide column is decide_map's answer whatever the corpus shape, so
+    # a deg3 corpus's path-shaped map takes the path route as check does;
+    # the shape only labels the row and fills the vk column of a path corpus
+    asked = []
+
+    def stub(phi):
+        asked.append(phi.domain.shape)
+        return Verdict(False, "stub", ((0, Event("forbidden-winding", 7)),))
+
+    monkeypatch.setattr(corpus, "decide_map", stub)
+    path = next(phi for _, phi in generate(CorpusSpec("path", ("C3",), k_min=3, k_max=3)))
+    deg3_path = next(phi for _, phi in generate(CorpusSpec("deg3", ("C4",), seed=3)) if phi.domain.shape == "path")
+    rows = [
+        evaluate_instance("p", path, "path", "C3"),
+        evaluate_instance("w", winding_map(1), "cycle", "C3"),
+        evaluate_instance("d", deg3_path, "deg3", "C4"),
+    ]
+    assert asked == ["path", "cycle", "path"]
+    assert [(r.shape, r.decide, r.oracle, r.vk, r.agree) for r in rows] == [
+        ("path", "no", "yes", "yes", False),
+        ("cycle", "no", "yes", "-", False),
+        ("deg3", "no", "yes", "-", False),
+    ]
 
 
 def test_budget_exhaustion_marks_rows_inconclusive():

@@ -5,15 +5,20 @@ plus the printed report, using the shipped fixture instances (and a few
 handwritten ones for the error paths).
 """
 
+import io
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embapprox import cli, vankampen
 from embapprox.catalog import cycle_domain, cycle_target, path_domain
 from embapprox.core import SimplicialMap, format_instance, parse_instance
-from embapprox.decide import decide_path
+from embapprox.decide import Event, Verdict, decide_path
 from embapprox.oracle import oracle_result
 
 FIX = Path(__file__).resolve().parents[1] / "src" / "embapprox" / "fixtures"
@@ -135,6 +140,26 @@ def test_check_dispatches_on_the_structure_not_the_shape_line(capsys, tmp_path):
     want = run(capsys, "check", "--trace", FIX / "euler-path.inst")
     assert run(capsys, "check", "--trace", general) == want
     assert want[1].splitlines() == ["approximable"] + [f"step {i}: {e}" for i, e in verdict.trace]
+
+
+def test_check_takes_its_verdict_from_decide_map(capsys, monkeypatch, tmp_path):
+    # check chooses no route itself: whatever decide_map answers is printed,
+    # for a path, a cycle and a general domain alike
+    asked = []
+
+    def stub(phi):
+        asked.append(phi.domain.shape)
+        return Verdict(False, "stub", ((0, Event("clean-pass")), (1, Event("forbidden-winding", 7))))
+
+    monkeypatch.setattr(cli, "decide_map", stub)
+    for name in ("euler-path.inst", "winding0.inst", "ex33-phi.inst"):
+        assert run(capsys, "check", FIX / name)[:2] == (1, "not approximable: forbidden-winding(7)\n")
+    inst = tmp_path / "y3.inst"
+    inst.write_text(Y3_INTO_C4, encoding="utf-8")
+    assert run(capsys, "check", "--trace", inst)[:2] == (
+        1, "not approximable: forbidden-winding(7)\nstep 0: clean-pass\nstep 1: forbidden-winding(7)\n"
+    )
+    assert asked == ["path", "cycle", "path", "general"]
 
 
 # ------------------------------------------------- input / scope errors
@@ -477,7 +502,7 @@ def test_exhausted_memory_or_recursion_is_inconclusive(capsys, monkeypatch, erro
     def crash(phi):
         raise error
 
-    monkeypatch.setattr(cli, "decide_path", crash)
+    monkeypatch.setattr(cli, "decide_map", crash)
     code, out, err = run(capsys, "check", FIX / "x-cross.inst")
     assert code == 4
     assert out == ""
@@ -488,13 +513,76 @@ def test_any_other_crash_exits_5_and_prints_no_verdict(capsys, monkeypatch):
     def crash(phi):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "decide_path", crash)
+    monkeypatch.setattr(cli, "decide_map", crash)
     code, out, err = run(capsys, "check", FIX / "x-cross.inst")
     assert code == 5
     assert out == ""
     # one line, naming where the exception was raised
     assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# ------------------------------------------------- mutated instances
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIX.glob("*.inst"))]
+
+
+@st.composite
+def mutated_instances(draw) -> str:
+    """A fixture's text with lines dropped, duplicated or swapped, or rewritten.
+
+    A rewrite gives a map line another image (a target vertex or an unknown
+    name), a domain edge other ends (ids up to one past the last, or the
+    same id twice) under the shape line "shape general", which admits any
+    structure, or the shape line another shape.
+    """
+    lines = draw(st.sampled_from(FIXTURE_TEXTS)).splitlines()
+    names = sorted({name for line in lines if line.startswith("rot ") for name in line.split()[1:2]})
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "image", "edge", "shape")))
+        section = next((line for line in reversed(lines[: i + 1]) if line.startswith("#")), "")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "image" and "->" in lines[i]:
+            image = draw(st.sampled_from([*names, "nowhere"]))
+            lines[i] = f"{lines[i].split('->')[0]}-> {image}"
+        elif kind == "edge" and section == "#domain" and lines[i].startswith("edge "):
+            top = sum(1 for line in lines if "->" in line)
+            u, v = draw(st.integers(0, top)), draw(st.integers(0, top))
+            lines[i] = f"edge {u} {v}"
+            lines = ["shape general" if line.startswith("shape ") else line for line in lines]
+        elif kind == "shape" and lines[i].startswith("shape "):
+            lines[i] = "shape " + draw(st.sampled_from(("path", "cycle", "general", "tree")))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mutated_instances(), st.integers(0, 20))
+def test_mutated_instances_exit_0_to_4_and_check_prints_only_verdicts(text, lifts):
+    # a malformed or out-of-scope input is an input error (2), out of scope
+    # (3) or inconclusive (4), never an internal error (5); check prints a
+    # verdict exactly when it exits 0 or 1
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "mutated.inst"
+        inst.write_text(text, encoding="utf-8")
+        for argv in (["check"], ["vk"], ["winding"], ["derive"], ["oracle", "--max-lifts", str(lifts)]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([*argv, str(inst)])
+            assert 0 <= code <= 4, (argv, err.getvalue(), text)
+            if argv == ["check"]:
+                first = out.getvalue().split("\n")[0]
+                assert (code == 0) == (first == "approximable"), (code, out.getvalue())
+                assert (code == 1) == first.startswith("not approximable: "), (code, out.getvalue())
+                assert code < 2 or out.getvalue() == "", (code, out.getvalue())
 
 
 # -------------------------------------------------------------- winding

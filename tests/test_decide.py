@@ -41,11 +41,12 @@ from embapprox.catalog import (
     x_cross_path,
 )
 from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, normalize_nondegenerate
-from embapprox.corpus import CorpusSpec, generate, random_deg3_map
+from embapprox.corpus import CorpusSpec, evaluate_instance, generate, random_deg3_map
 from embapprox.decide import (
     Event,
     decide_cycle,
     decide_deg3_to_circle,
+    decide_map,
     decide_path,
     decide_path_via_vk,
 )
@@ -253,7 +254,7 @@ def test_branch_free_path_settles_after_the_counted_derives(lengths, derives):
     phi = _segment_walk(lengths)
     trace = _tower_trace(phi)
     assert trace[-1] == (derives, Event("empty-domain"))
-    assert decide._branch_free_outcome(phi)[:2] == (derives, ((0, Event("empty-domain")),))
+    assert decide._branch_free_outcome(phi) == (derives, Event("empty-domain"))
     assert decide_path(phi).trace == trace
 
 
@@ -632,6 +633,39 @@ def test_degree_three_decider_agrees_with_oracle():
         assert mine.approximable == truth, phi.vertex_image
 
 
+# the random degree-3 corpus of acceptance criterion 6
+CRITERION_6 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=8, seed=20260817, count=500)
+
+
+def test_degree_three_decider_agrees_with_oracle_on_walk_shaped_maps():
+    # decide_map sends the path- and cycle-shaped maps of criterion 6's
+    # corpus to the walk routes, so the degree-3 rule is refereed on them here
+    shapes = Counter()
+    for _, phi in generate(CRITERION_6):
+        shape = phi.domain.shape
+        if shape == "general":
+            continue
+        shapes[shape] += 1
+        truth, _ = is_approximable_oracle(phi)
+        assert decide_deg3_to_circle(phi).approximable == truth, (shape, phi.domain.edges, phi.vertex_image)
+    assert shapes == {"path": 342, "cycle": 4}
+
+
+def test_decide_map_takes_the_route_of_the_domain_shape():
+    # every walk with k <= 6 into the eight targets, and the general-shaped
+    # maps of criterion 6's corpus
+    for shape, route in (("path", decide_path), ("cycle", decide_cycle)):
+        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=6)
+        for _, phi in generate(spec):
+            assert repr(decide_map(phi)) == repr(route(phi)), phi.vertex_image
+    general = [phi for _, phi in generate(CRITERION_6) if phi.domain.shape == "general"]
+    assert len(general) == 1500 - 342 - 4
+    for phi in general:
+        assert repr(decide_map(phi)) == repr(decide_deg3_to_circle(phi)), phi.vertex_image
+    with pytest.raises(PreconditionError, match="not a cycle"):
+        decide_map(SimplicialMap(DomainGraph(3, ((0, 1), (0, 2), (1, 2), (1, 2))), TARGETS["theta"](), (0, 2, 1)))
+
+
 def test_winding_verdict_criterion_and_trace_structure():
     v = decide_cycle(winding_map(2))
     assert all(isinstance(i, int) and isinstance(e, Event) for i, e in v.trace)
@@ -712,10 +746,10 @@ def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
     assert not any(_holds_a_graph_or_map(entry) for entry in entries)
 
 
-def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
-    # both maps normalize to the identity cycle onto C5, one with a budget
-    # of 5 derives and one of 7; in either order each gets the verdict it
-    # gets on a fresh target
+def test_decide_memo_shares_stage_0_across_budgets(monkeypatch):
+    # both maps normalize to the identity cycle onto C5, one of 5 vertices
+    # and one of 7; in either order each gets the verdict it gets on a
+    # fresh target
     identity = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     stationary = SimplicialMap(cycle_domain(7), cycle_target(5), (0, 1, 1, 2, 3, 3, 4))
     a, b = (normalize_nondegenerate(m) for m in (identity, stationary))
@@ -726,9 +760,9 @@ def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
         for phi in (first, SimplicialMap(second.domain, g, second.vertex_image)):
             assert decide_cycle(phi) == decide_cycle(_on_fresh_target(phi))
         assert not any(_holds_a_graph_or_map(entry) for entry in _memo_entries(g))
-    # a verdict is lent to later maps, also one whose derives use up the
-    # whole budget, as on the identity path onto C5, whose branch-free first
-    # stage is the only one checked
+    # a verdict is lent to later maps with the same stage 0, also one whose
+    # derives use up the whole budget, as on the identity path onto C5,
+    # whose branch-free first stage is the only one checked
     checked = _counting_stages(monkeypatch)
     g = cycle_target(5)
     lent = [decide_cycle(SimplicialMap(m.domain, g, m.vertex_image)) for m in (identity, stationary)]
@@ -737,6 +771,38 @@ def test_decide_memo_lends_a_suffix_to_maps_of_any_budget(monkeypatch):
     first = decide_path(path)
     assert first.trace[-1] == (5, Event("empty-domain")) and len(checked) == 1 + 1
     assert decide_path(path) == first and len(checked) == 1 + 1
+
+
+def test_a_decide_memo_hit_enters_no_derivative_stage(monkeypatch):
+    # the stationary walk normalizes to the identity cycle onto C5, which
+    # is decided first; the second map is answered from the memo alone
+    g = cycle_target(5)
+    identity = SimplicialMap(cycle_domain(5), g, (0, 1, 2, 3, 4))
+    stationary = SimplicialMap(cycle_domain(7), g, (0, 1, 1, 2, 3, 3, 4))
+    first = decide_cycle(identity)
+
+    def refused(phi, max_steps):
+        raise AssertionError("derivative_stages entered on a memo hit")
+
+    monkeypatch.setattr(decide, "derivative_stages", refused)
+    assert decide_cycle(stationary) == decide_cycle(identity) == first
+    assert decide_map(stationary) == first
+    with pytest.raises(AssertionError, match="memo hit"):
+        decide_cycle(SimplicialMap(cycle_domain(5), g, (4, 3, 2, 1, 0)))
+
+
+def test_a_corpus_run_leaves_no_decide_memo_entry_on_a_derived_target():
+    # each run is kept under its normalized input's target alone, also when
+    # it built derived targets on its way
+    targets = {}
+    for shape in ("path", "cycle"):
+        spec = CorpusSpec(shape, ("theta", "ex33", "C3"), k_min=3 if shape == "cycle" else 1, k_max=6)
+        for iid, phi in generate(spec):
+            evaluate_instance(iid, phi, shape, "-")
+            targets[id(phi.target)] = phi.target
+    for g in targets.values():
+        assert g.decide_memo and list(_memo_entries(g)) == list(g.decide_memo.items())
+    assert sum(len(g.derived_memo) for g in targets.values()) > 10
 
 
 # --- obstruction_memo ------------------------------------------------------------
