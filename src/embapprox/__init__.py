@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .oracle import is_approximable_oracle, oracle_result
+from .oracle import oracle_result
 from .transversal import find_crossing_pair
 from .vankampen import (
     build_deleted_product,
@@ -62,7 +62,6 @@ __all__ = [
     "OracleBudgetExceeded",
     "ParseError",
     "PreconditionError",
-    "is_approximable_oracle",
     "oracle_result",
     "find_crossing_pair",
     "build_deleted_product",

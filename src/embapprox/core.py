@@ -10,7 +10,8 @@ target edge.
 A path or cycle is read off one walk, `simple_walk`: it decides a domain's
 `shape` and is the domain's `walk`, and nothing else decides a shape;
 `derivative.winding_report` walks circle components with it, and `decide`
-checks a cycle target with it.
+checks a cycle target with it.  What a route concludes on a map is kept
+once per normalized map in its target, by `verdict_once`.
 """
 
 from __future__ import annotations
@@ -220,38 +221,18 @@ class PlaneGraph(FieldState):
         return {}
 
     @computed_once
-    def decide_memo(self) -> dict:
-        """Derivative runs of `decide`, per normalized map into this graph.
+    def verdicts(self) -> dict:
+        """What each route concluded, per normalized map into this graph (`verdict_once`).
 
-        Keyed by the normalized map's domain edges and vertex image, which
-        fix its domain's shape too; each value is (clean passes, final
-        events, approximable, flagged for review), never maps or graphs.
-        Derived targets keep none.  Like crossing_memo it goes away with the
-        graph and is not part of equality.
-        """
-        return {}
-
-    @computed_once
-    def obstruction_memo(self) -> dict:
-        """Mod-2 obstruction verdicts of `decide`, per normalized map into this graph.
-
-        Keyed by the normalized map's domain edges and vertex image; each
-        value is (vanishes, witness cells), ints and tuples only.  Like
-        crossing_memo it goes away with the graph and is not part of
-        equality.
-        """
-        return {}
-
-    @computed_once
-    def oracle_memo(self) -> dict:
-        """Lift searches of `oracle`, per normalized map into this graph and prune flag.
-
-        Keyed by the normalized map's domain edges, vertex image and the
-        search's `prune` flag, which changes how many lifts it examines;
-        each value is (approximable, the accepted lift's lane rows or None,
-        lifts examined, total lifts), ints and tuples only.  Like
-        crossing_memo it goes away with the graph and is not part of
-        equality.
+        Keyed by the route's name ("derivatives", "obstruction", "oracle"
+        or "oracle-unpruned"), the normalized map's domain edges and its
+        vertex image, which fix its domain's shape too.  Each value is what
+        its route keeps, never a map or a graph: a derivative run's (clean
+        passes, final events, approximable, flagged for review), the
+        obstruction's (vanishes, certificate cells or None) and a lift
+        search's (approximable, lane rows or None, lifts examined, total
+        lifts).  Like crossing_memo it goes away with the graph and is not
+        part of equality.
         """
         return {}
 
@@ -843,3 +824,20 @@ def normalize_nondegenerate(phi: SimplicialMap) -> SimplicialMap:
     route deciding one map shares one normalized map.
     """
     return phi if phi.is_nondegenerate() else phi.normalized
+
+
+def verdict_once(route: str, phi: SimplicialMap, conclude, *args):
+    """`conclude(normalized phi, *args)`, once per route and normalized map into phi's target.
+
+    A route's conclusion reads only the normalized map's domain edges, its
+    vertex image and the target, so it is kept in the target's `verdicts`
+    under (route, domain edges, vertex image), and a map that normalizes to
+    a kept key runs no route code.  A conclude that raises keeps nothing.
+    """
+    phi = normalize_nondegenerate(phi)
+    verdicts = phi.target.verdicts
+    key = (route, phi.domain.edges, phi.vertex_image)
+    known = verdicts.get(key)
+    if known is None:
+        known = verdicts[key] = conclude(phi, *args)
+    return known

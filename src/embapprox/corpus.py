@@ -19,7 +19,7 @@ from .catalog import TARGETS, cycle_domain, path_domain
 from .core import DomainGraph, PlaneGraph, SimplicialMap, _pair
 from .decide import decide_map, decide_path_via_vk
 from .errors import OracleBudgetExceeded
-from .oracle import is_approximable_oracle
+from .oracle import oracle_result
 
 TSV_HEADER = "instance\tshape\ttarget\tk\tdecide\toracle\tvk\tagree"
 
@@ -210,7 +210,7 @@ def evaluate_instance(
         vk_verdict = decide_path_via_vk(phi).approximable
         vk = _yn(vk_verdict)
     try:
-        o, _ = is_approximable_oracle(phi, max_lifts=max_lifts)
+        o = oracle_result(phi, max_lifts=max_lifts).approximable
         oracle_str = _yn(o)
         agree = (d == o) and (vk_verdict == o)
     except OracleBudgetExceeded:

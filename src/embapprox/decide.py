@@ -20,31 +20,28 @@ exit of the tower passes such a stage first, so those exits are met in
 closed form only, and deciding the identity path onto C900 or the
 there-and-back fold onto C65,536 builds no derived target at all.
 When `derive` refuses a stage, the oracle decides and the verdict is
-flagged for review; its search is kept in the stage target's
-`PlaneGraph.oracle_memo`, so the oracle route on a map refused at stage
-0 finds it there.  What a run concludes is kept in its target's
-`PlaneGraph.decide_memo`, keyed by the normalized map's domain edges and
-vertex image, so each distinct normalized map into one target is run
-once; derived targets keep no verdict.  `decide_map` picks the route by
-the domain's shape: paths and cycles take the derivative stages, any
-other domain the degree-3 rule.  Degree-3 domains over a cycle combine
-the mod-2 obstruction with a winding-parity check on the last stage of
+flagged for review.  `decide_map` picks the route by the domain's shape:
+paths and cycles take the derivative stages, any other domain the
+degree-3 rule.  Degree-3 domains over a cycle combine the mod-2
+obstruction with a winding-parity check on the last stage of
 `derivative_stages`, keeping no earlier stage.  A second, independent
-route for paths uses the obstruction alone.  Both routes keep the
-obstruction's verdict in the target's `PlaneGraph.obstruction_memo` under
-the same key, as the oracle keeps its searches, so each distinct
-normalized map into one target is drawn and solved once.  Every verdict
-carries a trace of per-step events.
+route for paths uses the obstruction alone.  Each route concludes once
+per normalized map and target (`core.verdict_once`): the derivative run
+under the route "derivatives", the obstruction's (vanishes, certificate
+cells or None) under "obstruction" for both routes that read it, and the
+oracle's searches, the flagged fallback's included, under its own names;
+derived targets keep no derivative run.  Every verdict carries a trace of
+per-step events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SimplicialMap, normalize_nondegenerate, simple_walk
+from .core import SimplicialMap, simple_walk, verdict_once
 from .derivative import derivative_stages, winding_report
 from .errors import DerivePreconditionError, InvariantError, PreconditionError
-from .oracle import is_approximable_oracle
+from .oracle import oracle_result
 from .transversal import branch_vertices, find_crossing_pair
 from .vankampen import obstruction_vanishes
 
@@ -220,19 +217,8 @@ def _branch_free_outcome(cur: SimplicialMap) -> tuple | None:
 
 
 def _decide_by_iteration(phi: SimplicialMap, criterion: str) -> Verdict:
-    """The `_run_stages` of the normalized phi, made once per distinct normalized map and target.
-
-    A run reads only the normalized map's domain edges, its vertex image
-    and the target, so a map whose key is in the target's `decide_memo`
-    takes the stored outcome and enters no `derivative_stages`.
-    """
-    phi = normalize_nondegenerate(phi)
-    memo = phi.target.decide_memo
-    key = (phi.domain.edges, phi.vertex_image)
-    known = memo.get(key)
-    if known is None:
-        known = memo[key] = _run_stages(phi)
-    passes, final, approximable, flagged = known
+    """The `_run_stages` of the normalized phi, run once per distinct normalized map and target."""
+    passes, final, approximable, flagged = verdict_once("derivatives", phi, _run_stages)
     trace = tuple([(j, _CLEAN_PASS) for j in range(passes)]) + final
     return Verdict(approximable, criterion, trace, flagged)
 
@@ -277,7 +263,7 @@ def _run_stages(phi: SimplicialMap) -> tuple:
                     return (end, ((end, last),) if last else (), True, False)
     except DerivePreconditionError as err:
         # refused on a non-disjoint crossing: the oracle decides, flagged
-        ok, _ = is_approximable_oracle(cur)
+        ok = oracle_result(cur).approximable
         final = () if ok else ((i, Event("transversal-self-intersection", err.witness)),)
         return (i + 1, final, ok, True)
     raise InvariantError("derive-bound", f"{budget} derives left a stage undecided")
@@ -297,28 +283,11 @@ def decide_cycle(phi: SimplicialMap) -> Verdict:
     return _decide_by_iteration(phi, "cycle-derivatives")
 
 
-def _obstruction(phi: SimplicialMap) -> tuple:
-    """`obstruction_vanishes(phi)`, decided once per distinct normalized map and target.
-
-    The obstruction of a normalized map reads only its domain edges, its
-    vertex image and the target, and its witness cells use domain ids, so
-    a map that normalizes to a stored key takes the stored (vanishes,
-    certificate cells or None).
-    """
-    phi = normalize_nondegenerate(phi)
-    memo = phi.target.obstruction_memo
-    key = (phi.domain.edges, phi.vertex_image)
-    known = memo.get(key)
-    if known is None:
-        known = memo[key] = obstruction_vanishes(phi)
-    return known
-
-
 def decide_path_via_vk(phi: SimplicialMap) -> Verdict:
     """Independent path route: approximable iff the obstruction vanishes."""
     if phi.domain.shape != "path":
         raise PreconditionError("domain shape must be path")
-    vanishes, witness = _obstruction(phi)
+    vanishes, witness = verdict_once("obstruction", phi, obstruction_vanishes)
     if vanishes:
         return Verdict(True, "path-van-kampen", ((0, Event("clean-pass")),))
     return Verdict(
@@ -343,7 +312,7 @@ def decide_deg3_to_circle(phi: SimplicialMap) -> Verdict:
         raise PreconditionError("target is not a cycle")
     if not phi.is_nondegenerate():
         raise PreconditionError("map must be nondegenerate")
-    vanishes, witness = _obstruction(phi)
+    vanishes, witness = verdict_once("obstruction", phi, obstruction_vanishes)
     if not vanishes:
         return Verdict(
             False,

@@ -12,12 +12,12 @@ vertex.  The disc is the one of `geometry`, which the mod-2 drawing of
 their crossings from `proper_crossing`.  The search over all per-edge
 copy assignments runs on `core.backtrack`; it is exhaustive and
 therefore decides approximability outright, at factorial cost.  Its
-outcome is kept in the target's `PlaneGraph.oracle_memo`, keyed by the
-normalized map's domain edges and vertex image and the `prune` flag, so
-each distinct normalized map into one target is searched once, whoever
-asks: the corpus runner, `decide`'s flagged fallback or the oracle route
-itself.  ``max_lifts`` counts complete lifts only; the partial
-assignments the search extends and prunes on the way are not counted.
+outcome is kept by `core.verdict_once` under the route "oracle", or
+"oracle-unpruned" without pruning, so each distinct normalized map into
+one target is searched once per flag, whoever asks: the corpus runner,
+`decide`'s flagged fallback or the oracle route itself.  ``max_lifts``
+counts complete lifts only; the partial assignments the search extends
+and prunes on the way are not counted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .core import SimplicialMap, WalkArc, backtrack, normalize_nondegenerate
+from .core import SimplicialMap, WalkArc, backtrack, verdict_once
 from .errors import OracleBudgetExceeded, PreconditionError
 from .geometry import disc_ports, proper_crossing
 
@@ -168,27 +168,20 @@ def oracle_result(
     remove an acceptable completion, so the verdict and first accepted lift
     match the unpruned search.
     Each distinct normalized map into one target is searched once per
-    ``prune`` flag, and the outcome is kept in the target's
-    `PlaneGraph.oracle_memo`.  The search is deterministic, so a call that
-    finds its search kept raises `OracleBudgetExceeded` exactly when that
-    search examined more than ``max_lifts`` lifts, as a fresh search would;
-    a search that runs out of budget keeps nothing.  A negative budget
-    examines no lift, as 0 does.
+    ``prune`` flag (`core.verdict_once`).  The search is deterministic, so
+    a call that finds its search kept raises `OracleBudgetExceeded` exactly
+    when that search examined more than ``max_lifts`` lifts, as a fresh
+    search would; a search that runs out of budget keeps nothing.  A
+    negative budget examines no lift, as 0 does.
     """
-    if phi.domain.shape in ("path", "cycle"):
-        phi = normalize_nondegenerate(phi)
-    elif not phi.is_nondegenerate():
+    if phi.domain.shape == "general" and not phi.is_nondegenerate():
         raise PreconditionError(
             "general-shape maps must be nondegenerate for the oracle"
         )
     if max_lifts is not None:
         max_lifts = max(max_lifts, 0)
-    memo = phi.target.oracle_memo
-    key = (phi.domain.edges, phi.vertex_image, prune)
-    known = memo.get(key)
-    if known is None:
-        known = memo[key] = _search(phi, max_lifts, prune)
-    approximable, by_edge, examined, total = known
+    route = "oracle" if prune else "oracle-unpruned"
+    approximable, by_edge, examined, total = verdict_once(route, phi, _search, max_lifts, prune)
     if max_lifts is not None and examined > max_lifts:
         raise OracleBudgetExceeded(max_lifts)
     return OracleResult(approximable, None if by_edge is None else Lift(by_edge), examined, total)
@@ -254,10 +247,3 @@ def _lanes(base: list[int], rider: list[int]) -> tuple[tuple[int, ...], ...]:
     """The rows of `Lift.by_edge`: per target edge, the domain edges on its lanes."""
     return tuple(tuple(rider[lo:hi]) for lo, hi in zip(base, base[1:]))
 
-
-def is_approximable_oracle(
-    phi: SimplicialMap, *, max_lifts: int | None = None
-) -> tuple[bool, Lift | None]:
-    """Does some lift avoid all forced crossings?  (verdict, accepted lift)."""
-    result = oracle_result(phi, max_lifts=max_lifts)
-    return result.approximable, result.lift

@@ -21,7 +21,7 @@ from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pai
 from embapprox.decide import Event, Verdict
 from embapprox.derivative import ComponentWinding, WindingReport, derivative_stages, winding_report
 from embapprox.errors import DerivePreconditionError, InvariantError, PreconditionError
-from embapprox.oracle import is_approximable_oracle
+from embapprox.oracle import oracle_result
 from embapprox.transversal import CrossingWitness, find_crossing_pair
 
 
@@ -490,7 +490,7 @@ def reference_decide(phi: SimplicialMap) -> Verdict:
                 return Verdict(False, criterion, (*trace, (i, event)))
             trace.append((i, Event("clean-pass")))
     except DerivePreconditionError as err:
-        ok, _ = is_approximable_oracle(stage)
+        ok = oracle_result(stage).approximable
         if not ok:
             trace.append((i, Event("transversal-self-intersection", err.witness)))
         return Verdict(ok, criterion, tuple(trace), flagged_for_review=True)
@@ -615,6 +615,11 @@ def ints_and_tuples(value) -> bool:
     if isinstance(value, tuple):
         return all(ints_and_tuples(v) for v in value)
     return value is None or isinstance(value, int)
+
+
+def kept(g: PlaneGraph, route: str) -> list:
+    """The (key, value) entries `core.verdict_once` keeps in g for route, keys without the route."""
+    return [(key[1:], value) for key, value in g.verdicts.items() if key[0] == route]
 
 
 def relabelled(phi: SimplicialMap, vertex_ids, edge_order) -> SimplicialMap:

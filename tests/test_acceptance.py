@@ -26,7 +26,7 @@ from embapprox.corpus import CorpusSpec, generate, run_agreement
 from embapprox.decide import decide_cycle, decide_path
 from embapprox.derivative import derive, winding_report
 from embapprox.errors import DerivePreconditionError
-from embapprox.oracle import is_approximable_oracle
+from embapprox.oracle import oracle_result
 from embapprox.vankampen import (
     obstruction_vanishes,
     pair_report,
@@ -42,7 +42,7 @@ def test_criterion_1_winding_catalog_agrees_with_oracle():
         phi = winding_map(d)
         expected = abs(d) <= 1
         assert decide_cycle(phi).approximable is expected, f"decide wrong at d={d}"
-        assert is_approximable_oracle(phi)[0] is expected, f"oracle wrong at d={d}"
+        assert oracle_result(phi).approximable is expected, f"oracle wrong at d={d}"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -136,7 +136,7 @@ def test_criterion_8_verdicts_invariant_under_presentation_changes():
     for iid, phi in sample_corpus("path", 50, seed=12, k_max=6):
         mir = mirrored_map(phi)
         assert decide_path(phi).approximable == decide_path(mir).approximable, iid
-        assert is_approximable_oracle(phi)[0] == is_approximable_oracle(mir)[0], iid
+        assert oracle_result(phi).approximable == oracle_result(mir).approximable, iid
         assert (
             obstruction_vanishes(normalize_nondegenerate(phi))[0]
             == obstruction_vanishes(normalize_nondegenerate(mir))[0]
@@ -144,7 +144,7 @@ def test_criterion_8_verdicts_invariant_under_presentation_changes():
     for iid, phi in sample_corpus("cycle", 50, seed=13, k_max=6):
         mir = mirrored_map(phi)
         assert decide_cycle(phi).approximable == decide_cycle(mir).approximable, iid
-        assert is_approximable_oracle(phi)[0] == is_approximable_oracle(mir)[0], iid
+        assert oracle_result(phi).approximable == oracle_result(mir).approximable, iid
     pair = ex33_pair()
     assert pair_report(mirrored_map(pair[0]), mirrored_map(pair[1])).vanishes is True
 

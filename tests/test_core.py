@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     contract_edge,
     ints_and_tuples,
+    kept,
     mirrored,
     mirrored_map,
     reference_components,
@@ -60,7 +61,7 @@ from embapprox.errors import (
     ParseError,
     PreconditionError,
 )
-from embapprox.oracle import is_approximable_oracle, oracle_result
+from embapprox.oracle import oracle_result
 
 
 # --- graph invariants -------------------------------------------------------
@@ -798,7 +799,7 @@ def test_cycle_target_and_catalog_targets_are_valid():
 COMPUTED_ONCE = {
     PlaneGraph: (
         "edge_index", "max_degree", "crossing_memo", "boundary_memo", "derived_memo",
-        "decide_memo", "obstruction_memo", "oracle_memo", "instance_sections",
+        "verdicts", "instance_sections",
     ),
     DomainGraph: ("incident", "shape", "walk"),
     SimplicialMap: ("witness_memo", "normalized"),
@@ -829,20 +830,20 @@ def test_values_computed_once_stay_out_of_equality_hash_repr_and_fields():
             assert getattr(objects[cls], name) is value
     target = phi.target
     assert target.crossing_memo and target.boundary_memo
-    assert target.derived_memo and target.decide_memo
-    assert target.obstruction_memo and phi.normalized.witness_memo
-    # no stage of the fold is refused, so only an oracle call fills oracle_memo
-    assert target.oracle_memo == {}
+    assert target.derived_memo and kept(target, "derivatives")
+    assert kept(target, "obstruction") and phi.normalized.witness_memo
+    # no stage of the fold is refused, so only an oracle call keeps a search
+    assert kept(target, "oracle") == []
     searched = oracle_result(phi)
-    assert target.oracle_memo and all(ints_and_tuples(entry) for entry in target.oracle_memo.items())
+    searches = kept(target, "oracle")
+    assert searches and all(ints_and_tuples(entry) for entry in searches)
+    assert {route for route, _, _ in target.verdicts} == {"derivatives", "obstruction", "oracle"}
     fresh = _theta_fold_with_a_stay()
     # only the fields are pickled, so no memo and no normalized map travels with a copy
     assert pickle.dumps(phi) == pickle.dumps(fresh)
     pickled = pickle.loads(pickle.dumps(phi))
     assert pickled.witness_memo == {}
-    memos = (
-        "crossing_memo", "boundary_memo", "derived_memo", "decide_memo", "obstruction_memo", "oracle_memo",
-    )
+    memos = ("crossing_memo", "boundary_memo", "derived_memo", "verdicts")
     for name in memos:
         assert getattr(pickled.target, name) == {}
     assert pickled.normalized == phi.normalized and pickled.normalized is not phi.normalized
@@ -870,7 +871,7 @@ def test_a_degenerate_map_keeps_its_normalization_and_a_nondegenerate_one_is_its
     try:
         for make in (theta_fold, lambda k: SimplicialMap(path_domain(k), theta_target(), (0,) * k)):
             phi = make(16)
-            for route in (decide_path, decide_path_via_vk, is_approximable_oracle):
+            for route in (decide_path, decide_path_via_vk, oracle_result):
                 route(phi)
             refs = [weakref.ref(phi), weakref.ref(normalize_nondegenerate(phi))]
             del phi

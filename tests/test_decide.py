@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     closed_walks,
     ints_and_tuples,
+    kept,
     lingering_walks,
     mirrored,
     random_walk_map,
@@ -35,7 +37,6 @@ from embapprox.catalog import (
     path_domain,
     small_targets,
     terminal_flower,
-    wheel_target,
     whole_fold,
     winding_map,
     x_cross_path,
@@ -52,7 +53,7 @@ from embapprox.decide import (
 )
 from embapprox.derivative import derive, iterate_derivative, winding_report
 from embapprox.errors import InvariantError, PreconditionError
-from embapprox.oracle import is_approximable_oracle, oracle_result
+from embapprox.oracle import oracle_result
 
 
 def test_event_kinds_are_validated():
@@ -362,18 +363,28 @@ def test_closed_theta_fold_at_k2048_is_decided_quickly():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="a crossing is reported at h, where arc 3-7 only ends (ROADMAP item 1)",
+    reason="a crossing is reported at a vertex where one of its arcs only ends (ROADMAP item 1)",
 )
-def test_w4_path_min_decide_path_agrees_with_the_oracle():
-    # walk-W4-path-min, the smallest known false negative of decide_path:
-    # it reports arcs 0-2 and 3-7 crossing at h, while the obstruction and
-    # the oracle both accept the map
-    g = wheel_target()
+@pytest.mark.parametrize(
+    "target, walk",
+    [
+        # walk-W4-path-min, the smallest known false negative of decide_path:
+        # it reports arcs 0-2 and 3-7 crossing at h, where arc 3-7 only ends
+        ("W4", "r1 h r3 h r2 r3 r4 h"),
+        # arcs 0-4 and 5-7 crossing at h, where arc 0-4 starts and ends
+        ("W4", "h r3 r4 r1 h r4 h r2"),
+        # arcs 0-4 and 5-7 crossing at a1, where arc 0-4 starts and ends
+        ("ex33", "a1 a4 a2 a3 a1 a5 a1 a2"),
+    ],
+)
+def test_w4_path_min_decide_path_agrees_with_the_oracle(target, walk):
+    # decide_path rejects each of these at stage 0, while the obstruction
+    # and the oracle both accept it
+    g = TARGETS[target]()
     index = {name: v for v, name in enumerate(g.vertex_names)}
-    walk = ("r1", "h", "r3", "h", "r2", "r3", "r4", "h")
-    phi = SimplicialMap(path_domain(len(walk)), g, tuple(index[name] for name in walk))
-    oracle_verdict, _ = is_approximable_oracle(phi)
-    assert decide_path(phi).approximable == oracle_verdict
+    names = walk.split()
+    phi = SimplicialMap(path_domain(len(names)), g, tuple(index[name] for name in names))
+    assert decide_path(phi).approximable == oracle_result(phi).approximable
 
 
 def test_stabilization_changes_no_verdict_of_a_run_that_ends_without_it(monkeypatch):
@@ -415,7 +426,7 @@ def test_a_run_that_never_stabilizes_raises_instead_of_answering(monkeypatch):
     phi = SimplicialMap(cycle_domain(5), cycle_target(5), (0, 1, 2, 3, 4))
     with pytest.raises(InvariantError, match="derive-bound"):
         decide_cycle(phi)
-    assert not phi.target.decide_memo
+    assert phi.target.verdicts == {}
 
 
 # the iterate_derivative status of a run that decide ends on a tower exit
@@ -484,7 +495,7 @@ def _decision(phi: SimplicialMap) -> tuple[bool, int, str] | tuple[bool] | str:
     """
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(decide, "is_approximable_oracle", _refuse_to_escalate)
+            patch.setattr(decide, "oracle_result", _refuse_to_escalate)
             v = (decide_path if phi.domain.shape == "path" else decide_cycle)(phi)
     except _Escalated:
         return "escalated"
@@ -507,6 +518,49 @@ def test_verdicts_are_invariant_under_reversal_and_mirroring(phi):
     copy = PlaneGraph(g.n, g.edges, g.rotation, g.vertex_names)
     assert _decision(SimplicialMap(phi.domain, copy, phi.vertex_image[::-1])) == want
     assert _decision(SimplicialMap(phi.domain, mirrored(g), phi.vertex_image)) == want
+
+
+def _windows(phi: SimplicialMap) -> list[SimplicialMap]:
+    """Every window of phi's walk as a path map into its target.
+
+    A window is a run of consecutive vertices of the walk; on a closed
+    walk the runs go round, and the longest ones cover every edge, so they
+    start and end at one vertex.
+    """
+    vimg = phi.vertex_image
+    x = [vimg[v] for v in phi.domain.walk[0]]
+    k = len(x)
+    if phi.domain.shape == "cycle":
+        runs = [tuple(x[(i + j) % k] for j in range(size)) for i in range(k) for size in range(1, k + 2)]
+    else:
+        runs = [tuple(x[i:j]) for i in range(k) for j in range(i + 1, k + 1)]
+    return [SimplicialMap(path_domain(len(run)), phi.target, run) for run in runs]
+
+
+# an ε-close embedding of a walk restricts to one of each of its windows
+# (ROADMAP item 13), so a route that accepts a walk must accept every window
+# of it; a window whose run would escalate to the oracle is skipped, as
+# `_decision` skips it
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk_maps(k_max=24, closed=False))
+def test_every_window_of_an_accepted_path_is_accepted(phi):
+    windows = _windows(phi)
+    if _decision(phi) == (True,):
+        for window in windows:
+            assert _decision(window) in ((True,), "escalated"), window.vertex_image
+    if decide_path_via_vk(phi).approximable:
+        for window in windows:
+            assert decide_path_via_vk(window).approximable, window.vertex_image
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(closed_walks(k_max=24))
+def test_every_cyclic_window_of_an_accepted_closed_walk_is_accepted(phi):
+    if _decision(phi) == (True,):
+        for window in _windows(phi):
+            assert _decision(window) in ((True,), "escalated"), window.vertex_image
 
 
 def _gate_matches_the_ungated_scan(phi: SimplicialMap) -> int:
@@ -592,7 +646,7 @@ def test_escalated_instances_are_flagged_but_correct():
     v = decide_path(psi)
     assert v.approximable is False
     assert v.flagged_for_review is True
-    oracle_verdict, _ = is_approximable_oracle(psi)
+    oracle_verdict = oracle_result(psi).approximable
     assert oracle_verdict is False
     # the independent route agrees without needing a flag
     w = decide_path_via_vk(psi)
@@ -629,7 +683,7 @@ def test_degree_three_decider_agrees_with_oracle():
         target = small_targets()[rng.choice(["C3", "C4", "C5"])]
         phi = random_deg3_map(target, rng, max_vertices=7)
         mine = decide_deg3_to_circle(phi)
-        truth, _ = is_approximable_oracle(phi)
+        truth = oracle_result(phi).approximable
         assert mine.approximable == truth, phi.vertex_image
 
 
@@ -646,7 +700,7 @@ def test_degree_three_decider_agrees_with_oracle_on_walk_shaped_maps():
         if shape == "general":
             continue
         shapes[shape] += 1
-        truth, _ = is_approximable_oracle(phi)
+        truth = oracle_result(phi).approximable
         assert decide_deg3_to_circle(phi).approximable == truth, (shape, phi.domain.edges, phi.vertex_image)
     assert shapes == {"path": 342, "cycle": 4}
 
@@ -672,7 +726,7 @@ def test_winding_verdict_criterion_and_trace_structure():
     assert v.trace == tuple(sorted(v.trace, key=lambda t: t[0]))
 
 
-# --- decide_memo ---------------------------------------------------------------
+# --- verdicts kept per target ----------------------------------------------------
 
 
 def _on_fresh_target(phi: SimplicialMap) -> SimplicialMap:
@@ -682,12 +736,12 @@ def _on_fresh_target(phi: SimplicialMap) -> SimplicialMap:
     return SimplicialMap(phi.domain, copy, phi.vertex_image)
 
 
-def _memo_entries(g: PlaneGraph):
-    """Every decide_memo entry of g and of the derived targets built under it."""
+def _verdicts_under(g: PlaneGraph):
+    """Every kept verdict of g and of the derived targets built under it."""
     stack = [g]
     while stack:
         t = stack.pop()
-        yield from t.decide_memo.items()
+        yield from t.verdicts.items()
         stack.extend(t.derived_memo.values())
 
 
@@ -701,49 +755,117 @@ def _holds_a_graph_or_map(value) -> bool:
     return False
 
 
-def _counting_stages(monkeypatch) -> list:
-    """Stages decide checks for crossings from now on, as a growing list."""
-    checked = []
-    find = decide.find_crossing_pair
+def _counting(monkeypatch, module, name: str) -> list:
+    """The first argument of every call of module.name from now on, as a growing list.
 
-    def counted(phi, disjoint_only):
-        checked.append(phi)
-        return find(phi, disjoint_only)
+    With decide.find_crossing_pair, these are the stages decide checks for crossings.
+    """
+    seen = []
+    fn = getattr(module, name)
 
-    monkeypatch.setattr(decide, "find_crossing_pair", counted)
-    return checked
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
 
 
-def test_shared_decide_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
-    # the maps of one corpus share each target and so its decide_memo; each
-    # map on its own copy of the target decides its stages from scratch; a
-    # second pass finds every stage 0 in the shared memo and derives nothing
-    checked = _counting_stages(monkeypatch)
-    derived = []
-    derive_stage = derivative.derive
-
-    def counted(phi):
-        derived.append(phi)
-        return derive_stage(phi)
-
-    monkeypatch.setattr(derivative, "derive", counted)
+def _walks(k_max: int) -> list[SimplicialMap]:
+    """Every path and closed walk of at most k_max vertices into each catalog target."""
     maps = []
-    for shape, judge in (("path", decide_path), ("cycle", decide_cycle)):
-        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
-        maps += [(judge, phi) for _, phi in generate(spec)]
-    shared = [repr(judge(phi)) for judge, phi in maps]
+    for shape in ("path", "cycle"):
+        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=k_max)
+        maps += [phi for _, phi in generate(spec)]
+    return maps
+
+
+def _route_corpus(route: str) -> tuple:
+    """The (call, map) pairs of a corpus that reach route, and how the route concludes.
+
+    Returns the pairs, the module and name of the function that
+    `verdict_once` is given on route, and the arguments it passes after
+    the map.
+    """
+    if route == "derivatives":
+        calls = [(decide_path if phi.domain.shape == "path" else decide_cycle, phi) for phi in _walks(5)]
+        return calls, decide, "_run_stages", ()
+    if route == "obstruction":
+        calls = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]
+        deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
+        calls += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]
+        return calls, decide, "obstruction_vanishes", ()
+    prune = route == "oracle"
+    maps = _walks(5) + [phi for _, phi in generate(CorpusSpec("deg3", tuple(TARGETS), k_max=7, seed=5, count=13))]
+    return [(partial(oracle_result, prune=prune), phi) for phi in maps], oracle, "_search", (None, prune)
+
+
+@pytest.mark.parametrize("route", ("derivatives", "obstruction", "oracle", "oracle-unpruned"))
+def test_shared_verdicts_give_the_results_of_fresh_targets(route, monkeypatch):
+    # the maps of one corpus share each target and so its verdicts, where
+    # each route concludes each distinct normalized map once; each map on
+    # its own copy of the target is concluded from scratch
+    calls, module, name, args = _route_corpus(route)
+    conclude = getattr(module, name)
+    concluded = _counting(monkeypatch, module, name)
+    checked = _counting(monkeypatch, decide, "find_crossing_pair")
+    derived = _counting(monkeypatch, derivative, "derive")
+    shared = [repr(call(phi)) for call, phi in calls]
     shared_stages = len(checked)
+    normal = [normalize_nondegenerate(phi) for _, phi in calls]
+    distinct = {(id(n.target), n.domain.edges, n.vertex_image) for n in normal}
+    assert len(concluded) == len(distinct) < len(calls) // 2
     del checked[:]
-    alone = [repr(judge(_on_fresh_target(phi))) for judge, phi in maps]
+    alone = [repr(call(_on_fresh_target(phi))) for call, phi in calls]
     assert alone == shared
-    assert shared_stages < len(checked) // 2
-    cold_derives = len(derived)
-    assert [repr(judge(phi)) for judge, phi in maps] == shared
-    assert len(derived) == cold_derives > 1000
-    targets = {id(phi.target): phi.target for _, phi in maps}.values()
-    entries = [entry for g in targets for entry in _memo_entries(g)]
-    assert any(flagged for _, (_, _, _, flagged) in entries)
-    assert not any(_holds_a_graph_or_map(entry) for entry in entries)
+    assert len(concluded) == len(distinct) + len(calls)
+    fresh_stages, cold_derives = len(checked), len(derived)
+    # a second pass concludes nothing
+    assert [repr(call(phi)) for call, phi in calls] == shared
+    assert len(concluded) == len(distinct) + len(calls)
+    second_derives = len(derived) - cold_derives
+    # what is kept (for a vanishing obstruction, more than the verdict shows)
+    # is what the route concludes on a fresh target
+    for (_, phi), n in zip(calls, normal):
+        own = normalize_nondegenerate(_on_fresh_target(phi))
+        assert n.target.verdicts[route, n.domain.edges, n.vertex_image] == conclude(own, *args)
+    targets = {id(phi.target): phi.target for _, phi in calls}.values()
+    entries = [entry for g in targets for entry in kept(g, route)]
+    assert len(entries) == len(distinct)
+    if route == "derivatives":
+        # the shared pass checks under half the stages, and the second derives nothing
+        assert shared_stages < fresh_stages // 2
+        assert second_derives == 0 and cold_derives > 1000
+        assert any(flagged for _, (_, _, _, flagged) in entries)
+        assert not any(_holds_a_graph_or_map(entry) for entry in entries)
+    else:
+        assert all(ints_and_tuples(entry) for entry in entries)
+
+
+def test_a_map_that_normalizes_to_a_kept_key_runs_no_route_code(monkeypatch):
+    # the stationary walk normalizes to the identity path onto C5, which
+    # every route concludes first; the degree-3 map is asked again as an
+    # equal map of its own
+    g = cycle_target(5)
+    identity = SimplicialMap(path_domain(5), g, (0, 1, 2, 3, 4))
+    stationary = SimplicialMap(path_domain(7), g, (0, 1, 1, 2, 3, 3, 4))
+    star = SimplicialMap(DomainGraph(4, ((0, 1), (0, 2), (0, 3))), g, (0, 1, 4, 1))
+    again = SimplicialMap(star.domain, g, star.vertex_image)
+    routes = (decide_path, decide_map, decide_path_via_vk, oracle_result, partial(oracle_result, prune=False))
+    first = [route(identity) for route in routes] + [decide_deg3_to_circle(star), oracle_result(star)]
+
+    def refused(*args):
+        raise AssertionError("route code run on a kept key")
+
+    for module, name in ((decide, "_run_stages"), (decide, "obstruction_vanishes"), (oracle, "_search")):
+        monkeypatch.setattr(module, name, refused)
+    assert [route(stationary) for route in routes] + [decide_deg3_to_circle(again), oracle_result(again)] == first
+    # a map of another key reaches the route code
+    reversed_path = SimplicialMap(path_domain(5), g, (4, 3, 2, 1, 0))
+    other_star = SimplicialMap(star.domain, g, (0, 4, 1, 4))
+    for route, phi in [(route, reversed_path) for route in routes] + [(decide_deg3_to_circle, other_star)]:
+        with pytest.raises(AssertionError, match="kept key"):
+            route(phi)
 
 
 def test_decide_memo_shares_stage_0_across_budgets(monkeypatch):
@@ -759,11 +881,11 @@ def test_decide_memo_shares_stage_0_across_budgets(monkeypatch):
         g = first.target
         for phi in (first, SimplicialMap(second.domain, g, second.vertex_image)):
             assert decide_cycle(phi) == decide_cycle(_on_fresh_target(phi))
-        assert not any(_holds_a_graph_or_map(entry) for entry in _memo_entries(g))
+        assert not any(_holds_a_graph_or_map(entry) for entry in _verdicts_under(g))
     # a verdict is lent to later maps with the same stage 0, also one whose
     # derives use up the whole budget, as on the identity path onto C5,
     # whose branch-free first stage is the only one checked
-    checked = _counting_stages(monkeypatch)
+    checked = _counting(monkeypatch, decide, "find_crossing_pair")
     g = cycle_target(5)
     lent = [decide_cycle(SimplicialMap(m.domain, g, m.vertex_image)) for m in (identity, stationary)]
     assert lent[0] == lent[1] and len(checked) == 1
@@ -775,99 +897,39 @@ def test_decide_memo_shares_stage_0_across_budgets(monkeypatch):
 
 def test_a_decide_memo_hit_enters_no_derivative_stage(monkeypatch):
     # the stationary walk normalizes to the identity cycle onto C5, which
-    # is decided first; the second map is answered from the memo alone
+    # is decided first; the second map is answered from the kept run alone
     g = cycle_target(5)
     identity = SimplicialMap(cycle_domain(5), g, (0, 1, 2, 3, 4))
     stationary = SimplicialMap(cycle_domain(7), g, (0, 1, 1, 2, 3, 3, 4))
     first = decide_cycle(identity)
 
     def refused(phi, max_steps):
-        raise AssertionError("derivative_stages entered on a memo hit")
+        raise AssertionError("derivative_stages entered on a kept run")
 
     monkeypatch.setattr(decide, "derivative_stages", refused)
     assert decide_cycle(stationary) == decide_cycle(identity) == first
     assert decide_map(stationary) == first
-    with pytest.raises(AssertionError, match="memo hit"):
+    with pytest.raises(AssertionError, match="kept run"):
         decide_cycle(SimplicialMap(cycle_domain(5), g, (4, 3, 2, 1, 0)))
 
 
 def test_a_corpus_run_leaves_no_decide_memo_entry_on_a_derived_target():
-    # each run is kept under its normalized input's target alone, also when
-    # it built derived targets on its way
+    # each run and each obstruction is kept under its normalized input's
+    # target alone, also when it built derived targets on its way; only the
+    # oracle, asked on a refused stage, may keep its search in a derived one
     targets = {}
     for shape in ("path", "cycle"):
         spec = CorpusSpec(shape, ("theta", "ex33", "C3"), k_min=3 if shape == "cycle" else 1, k_max=6)
         for iid, phi in generate(spec):
             evaluate_instance(iid, phi, shape, "-")
-            targets[id(phi.target)] = phi.target
-    for g in targets.values():
-        assert g.decide_memo and list(_memo_entries(g)) == list(g.decide_memo.items())
-    assert sum(len(g.derived_memo) for g in targets.values()) > 10
+            targets[id(phi.target)] = (shape, phi.target)
 
+    def on_walk_routes(entries):
+        return [entry for entry in entries if entry[0][0] in ("derivatives", "obstruction")]
 
-# --- obstruction_memo ------------------------------------------------------------
-
-
-def test_shared_obstruction_memo_gives_the_verdicts_of_fresh_targets(monkeypatch):
-    # the maps of one corpus share each target and so its obstruction_memo;
-    # each map on its own copy of the target draws its cochain itself
-    drawn = []
-    system = vankampen.obstruction_system
-
-    def counted(phi):
-        drawn.append(phi)
-        return system(phi)
-
-    monkeypatch.setattr(vankampen, "obstruction_system", counted)
-    routes = [(decide_path_via_vk, phi) for _, phi in generate(CorpusSpec("path", tuple(TARGETS), k_max=5))]
-    deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
-    routes += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]
-    # a vanishing obstruction puts no witness in the verdict, so the stored
-    # (vanishes, certificate) is compared as well, against a direct computation
-    shared = [(repr(route(phi)), decide._obstruction(phi)) for route, phi in routes]
-    shared_drawn = len(drawn)
-    alone = []
-    for route, phi in routes:
-        own = _on_fresh_target(phi)
-        alone.append((repr(route(own)), vankampen.obstruction_vanishes(own)))
-    assert alone == shared
-    assert len(drawn) - shared_drawn == 2 * len(routes)
-    assert len(routes) > 2 * shared_drawn
-    targets = {id(phi.target): phi.target for _, phi in routes}.values()
-    entries = [entry for g in targets for entry in g.obstruction_memo.items()]
-    assert len(entries) == shared_drawn
-    assert all(ints_and_tuples(entry) for entry in entries)
-
-
-# --- oracle_memo -----------------------------------------------------------------
-
-
-def test_shared_oracle_memo_gives_the_results_of_fresh_targets(monkeypatch):
-    # the maps of one corpus share each target and so its oracle_memo, where
-    # each distinct normalized map is searched once; each map on its own copy
-    # of the target searches its lifts itself
-    searched = []
-    expand = oracle.build_expansion
-
-    def counted(phi):
-        searched.append(phi)
-        return expand(phi)
-
-    monkeypatch.setattr(oracle, "build_expansion", counted)
-    maps = []
-    for shape in ("path", "cycle"):
-        spec = CorpusSpec(shape, tuple(TARGETS), k_min=3 if shape == "cycle" else 1, k_max=5)
-        maps += [phi for _, phi in generate(spec)]
-    maps += [phi for _, phi in generate(CorpusSpec("deg3", tuple(TARGETS), k_max=7, seed=5, count=13))]
-    shared = [oracle_result(phi) for phi in maps]
-    distinct = {(id(m.target), m.domain.edges, m.vertex_image) for m in map(normalize_nondegenerate, maps)}
-    assert len(searched) == len(distinct) < len(maps) // 2
-    assert [oracle_result(phi) for phi in maps] == shared
-    assert len(searched) == len(distinct)
-    # a fresh search gives the verdict, the lift and both counts of the kept one
-    assert [oracle_result(_on_fresh_target(phi)) for phi in maps] == shared
-    assert len(searched) == len(distinct) + len(maps)
-    targets = {id(phi.target): phi.target for phi in maps}.values()
-    entries = [entry for g in targets for entry in g.oracle_memo.items()]
-    assert len(entries) == len(distinct)
-    assert all(ints_and_tuples(entry) for entry in entries)
+    for shape, g in targets.values():
+        assert kept(g, "derivatives")
+        # only a path corpus asks the obstruction
+        assert bool(kept(g, "obstruction")) == (shape == "path")
+        assert on_walk_routes(_verdicts_under(g)) == on_walk_routes(g.verdicts.items())
+    assert sum(len(g.derived_memo) for _, g in targets.values()) > 10

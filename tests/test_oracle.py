@@ -26,22 +26,21 @@ from embapprox.errors import OracleBudgetExceeded, PreconditionError
 from embapprox.oracle import (
     Lift,
     build_expansion,
-    is_approximable_oracle,
     lift_crossing_check,
     oracle_result,
 )
 
 
 def test_catalog_verdicts():
-    assert is_approximable_oracle(winding_map(1))[0] is True
-    assert is_approximable_oracle(winding_map(-1))[0] is True
-    assert is_approximable_oracle(winding_map(0))[0] is True
-    assert is_approximable_oracle(winding_map(2))[0] is False
-    assert is_approximable_oracle(winding_map(-3))[0] is False
-    assert is_approximable_oracle(euler_cycle_map())[0] is True
-    assert is_approximable_oracle(whole_fold())[0] is True
-    assert is_approximable_oracle(terminal_flower())[0] is True
-    assert is_approximable_oracle(x_cross_path())[0] is False
+    assert oracle_result(winding_map(1)).approximable is True
+    assert oracle_result(winding_map(-1)).approximable is True
+    assert oracle_result(winding_map(0)).approximable is True
+    assert oracle_result(winding_map(2)).approximable is False
+    assert oracle_result(winding_map(-3)).approximable is False
+    assert oracle_result(euler_cycle_map()).approximable is True
+    assert oracle_result(whole_fold()).approximable is True
+    assert oracle_result(terminal_flower()).approximable is True
+    assert oracle_result(x_cross_path()).approximable is False
 
 
 def test_total_lifts_counts_lane_orderings():
@@ -121,8 +120,9 @@ def test_pruned_exhaustion_can_conclude_within_any_budget():
 
 
 def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
-    # the first call fills the target's oracle_memo; every later call on a
-    # map that normalizes to the same one must answer as a fresh search does
+    # the first call keeps its search in the target's verdicts; every later
+    # call on a map that normalizes to the same one must answer as a fresh
+    # search does
     phi = winding_map(0)
     pruned = oracle_result(phi)
     assert pruned.approximable and pruned.lifts_examined == 1
@@ -132,7 +132,7 @@ def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
             oracle_result(psi, max_lifts=0)
         assert info.value.lifts_examined == 0
     # a search that ran out of budget keeps nothing
-    assert unkept.target.oracle_memo == {}
+    assert unkept.target.verdicts == {}
     # the unpruned search counts the rejected lift before the accepted one
     fresh = oracle_result(winding_map(0), prune=False)
     assert oracle_result(phi, prune=False) == fresh
@@ -142,7 +142,8 @@ def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
     assert info.value.lifts_examined == 1
     assert oracle_result(phi, prune=False, max_lifts=2) == fresh
     assert oracle_result(phi) == pruned
-    assert len(phi.target.oracle_memo) == 2
+    assert len(phi.target.verdicts) == 2
+    assert {route for route, _, _ in phi.target.verdicts} == {"oracle", "oracle-unpruned"}
 
 
 def test_lift_crossing_check_reports_the_forced_disc():
@@ -161,7 +162,7 @@ def test_lift_crossing_check_reports_the_forced_disc():
 def test_degenerate_handling_by_shape():
     g = small_targets()["C4"]
     degen_path = SimplicialMap(path_domain(3), g, (0, 0, 1))
-    assert is_approximable_oracle(degen_path)[0] is True
+    assert oracle_result(degen_path).approximable is True
     y = DomainGraph(4, ((0, 1), (0, 2), (0, 3)))
     degen_general = SimplicialMap(y, g, (0, 0, 1, 3))
     with pytest.raises(PreconditionError):
