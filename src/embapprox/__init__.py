@@ -33,7 +33,6 @@ from .vankampen import (
     build_deleted_product,
     intersection_cochain,
     obstruction_vanishes,
-    path_cut_components,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "build_deleted_product",
     "intersection_cochain",
     "obstruction_vanishes",
-    "path_cut_components",
 ]
 
 __version__ = "0.1.0"

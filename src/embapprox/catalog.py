@@ -89,11 +89,12 @@ TARGETS = {
 }
 
 
-def small_targets(max_edges: int = 6) -> dict[str, PlaneGraph]:
+def small_targets() -> dict[str, PlaneGraph]:
+    """Fresh copies of the catalog targets with at most six edges, by name."""
     out = {}
     for name, build in TARGETS.items():
         g = build()
-        if len(g.edges) <= max_edges:
+        if len(g.edges) <= 6:
             out[name] = g
     return out
 

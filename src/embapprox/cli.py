@@ -20,7 +20,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
 
-from .core import classes, parse_instance
+from .core import parse_instance, zero_components
 from .corpus import TSV_HEADER, CorpusSpec, run_agreement
 from .decide import decide_map
 from .derivative import derivative_stages, winding_report
@@ -63,15 +63,14 @@ def _dot(phi, title: str, domain_names, target_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stage0_names(phi) -> list[str]:
+def _stage0_names(count: int, member) -> list[str]:
     """Names of stage 0's vertices: the input ids of each class, joined by "+".
 
-    Stage 0 is phi quotiented by its degenerate edges, whose classes
-    `classes` numbers by smallest vertex as the quotient does; each class
-    lists its vertex ids in increasing order.
+    Stage 0 is the input quotiented by its degenerate edges, into count
+    classes; member gives each input vertex's class as `zero_components`
+    numbers them, by smallest vertex.  Each class lists its vertex ids in
+    increasing order.
     """
-    d = phi.domain
-    member, count = classes(d.n, (d.edges[e] for e in phi.degenerate_edges))
     groups: list[list[str]] = [[] for _ in range(count)]
     for x, c in enumerate(member):
         groups[c].append(str(x))
@@ -124,7 +123,9 @@ def _cmd_derive(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.mkdir(parents=True, exist_ok=True)
-        domain_names = _stage0_names(phi)
+        # stage 0 is built here, with the classes that name its vertices
+        phi, member = zero_components(phi)
+        domain_names = _stage0_names(phi.domain.n, member)
         target_names = [phi.target.name_of(v) for v in range(phi.target.n)]
     stages = derivative_stages(phi, steps)
     del phi
@@ -348,8 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_at_least(0),
         default=None,
         metavar="N",
-        help="examine at most N complete lifts, else exit 4 (inconclusive); the partial"
-        " assignments the search cuts are not counted, so N does not bound its time",
+        help="examine at most N complete lifts, else exit 4 (inconclusive); the search stops"
+        " at its first complete lift, so only N = 0 exits 4, on an approximable map, and"
+        " N does not bound its time",
     )
     p.add_argument("--witness", action="store_true", help="print the accepted lift's lane orders")
     p.set_defaults(func=_cmd_oracle)
@@ -370,8 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_at_least(0),
         default=None,
         metavar="N",
-        help="per-instance oracle budget of N complete lifts, as for oracle; an"
-        " instance that exhausts it is inconclusive and counts as a disagreement",
+        help="per-instance oracle budget of N complete lifts, as for oracle; only N = 0"
+        " leaves an instance inconclusive (an approximable one), and that counts as a"
+        " disagreement",
     )
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", metavar="FILE")

@@ -224,15 +224,15 @@ class PlaneGraph(FieldState):
     def verdicts(self) -> dict:
         """What each route concluded, per normalized map into this graph (`verdict_once`).
 
-        Keyed by the route's name ("derivatives", "obstruction", "oracle"
-        or "oracle-unpruned"), the normalized map's domain edges and its
-        vertex image, which fix its domain's shape too.  Each value is what
-        its route keeps, never a map or a graph: a derivative run's (clean
-        passes, final events, approximable, flagged for review), the
-        obstruction's (vanishes, certificate cells or None) and a lift
-        search's (approximable, lane rows or None, lifts examined, total
-        lifts).  Like crossing_memo it goes away with the graph and is not
-        part of equality.
+        Keyed by the route's name ("derivatives", "obstruction" or
+        "oracle"), the normalized map's domain edges and its vertex image,
+        which fix its domain's shape too.  Each value is what its route
+        keeps, never a map or a graph: a derivative run's (clean passes,
+        final events, approximable, flagged for review), the obstruction's
+        (vanishes, certificate cells or None) and the lift search's
+        (approximable, lane rows or None, lifts examined, total lifts).
+        Like crossing_memo it goes away with the graph and is not part of
+        equality.
         """
         return {}
 

@@ -29,7 +29,7 @@ route for paths uses the obstruction alone.  Each route concludes once
 per normalized map and target (`core.verdict_once`): the derivative run
 under the route "derivatives", the obstruction's (vanishes, certificate
 cells or None) under "obstruction" for both routes that read it, and the
-oracle's searches, the flagged fallback's included, under its own names;
+oracle's search, the flagged fallback's included, under its own name;
 derived targets keep no derivative run.  Every verdict carries a trace of
 per-step events.
 """

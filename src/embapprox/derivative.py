@@ -60,11 +60,17 @@ class PhiComponent:
 @dataclass(frozen=True)
 class DerivativeStep:
     source: SimplicialMap
-    kprime: DomainGraph
-    gprime: PlaneGraph
     map: SimplicialMap
     terminal_approximable: bool
     realized_edges: tuple[int, ...]  # target edge id per gprime vertex
+
+    @property
+    def kprime(self) -> DomainGraph:
+        return self.map.domain
+
+    @property
+    def gprime(self) -> PlaneGraph:
+        return self.map.target
 
 
 def phi_components(phi: SimplicialMap) -> tuple[PhiComponent, ...]:
@@ -301,7 +307,7 @@ def _stage(phi, edge_of, shared, kprime, terminal) -> DerivativeStep:
     idx = gprime.edge_index
     edge_image = tuple([idx[vertex_of[a], vertex_of[b]] for a, b in pairs])
     phiprime = SimplicialMap._built(kprime, gprime, image, edge_image)
-    return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
+    return DerivativeStep(phi, phiprime, terminal, realized_edges)
 
 
 def _stabilized(step: DerivativeStep) -> bool:

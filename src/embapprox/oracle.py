@@ -8,40 +8,26 @@ domain vertex over it is a star: a centre joined to the ports of its edges.
 The centres are distinct points, so two stars cross exactly when their
 ports alternate around the disc, whether or not their edges share a domain
 vertex.  The disc is the one of `geometry`, which the mod-2 drawing of
-`vankampen` shares: both take their port order from `disc_ports` and
-their crossings from `proper_crossing`.  The search over all per-edge
-copy assignments runs on `core.backtrack`; it is exhaustive and
-therefore decides approximability outright, at factorial cost.  Its
-outcome is kept by `core.verdict_once` under the route "oracle", or
-"oracle-unpruned" without pruning, so each distinct normalized map into
-one target is searched once per flag, whoever asks: the corpus runner,
+`vankampen` shares: both take their port order from `disc_ports`.  The
+search over all per-edge copy assignments runs on `core.backtrack`; it
+cuts a branch as soon as its placed ports alternate, so every complete
+lift it reaches is accepted.  It is exhaustive and therefore decides
+approximability outright, at factorial cost.  Its outcome is kept by
+`core.verdict_once` under the route "oracle", so each distinct normalized
+map into one target is searched once, whoever asks: the corpus runner,
 `decide`'s flagged fallback or the oracle route itself.  ``max_lifts``
 counts complete lifts only; the partial assignments the search extends
-and prunes on the way are not counted.
+and cuts on the way are not counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
 
-from .core import SimplicialMap, WalkArc, backtrack, verdict_once
+from .core import SimplicialMap, backtrack, verdict_once
 from .errors import OracleBudgetExceeded, PreconditionError
-from .geometry import disc_ports, proper_crossing
-
-
-@dataclass(frozen=True)
-class Expansion:
-    """The target with every edge split into one lane per domain strand.
-
-    ``refined[v]`` lists the (edge, lane) ports around the disc of target
-    vertex v in counterclockwise order, as `disc_ports` gives them.
-    """
-
-    phi: SimplicialMap
-    strands: tuple[tuple[int, ...], ...]  # per target edge: domain edges onto it
-    refined: tuple[tuple[tuple[int, int], ...], ...]
+from .geometry import disc_ports
 
 
 @dataclass(frozen=True)
@@ -52,16 +38,6 @@ class Lift:
 
 
 @dataclass(frozen=True)
-class LiftCrossing:
-    """Two stars' length-2 walks whose ports alternate around one disc."""
-
-    disc: int
-    arc_p: WalkArc
-    arc_q: WalkArc
-    positions: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class OracleResult:
     approximable: bool
     lift: Lift | None
@@ -69,68 +45,10 @@ class OracleResult:
     total_lifts: int
 
 
-def build_expansion(phi: SimplicialMap) -> Expansion:
-    if not phi.is_nondegenerate():
-        raise PreconditionError("map has degenerate edges; normalize first")
-    g = phi.target
-    strands: list[list[int]] = [[] for _ in g.edges]
-    for eid, img in enumerate(phi.edge_image):
-        strands[img].append(eid)
-    refined = disc_ports(g, {a: range(len(s)) for a, s in enumerate(strands) if s})
-    return Expansion(phi, tuple(tuple(s) for s in strands), refined)
-
-
 def _branch_end(phi: SimplicialMap, eid: int, v: int) -> int:
     """The domain endpoint of edge eid mapping to target vertex v."""
     u, w = phi.domain.edges[eid]
     return u if phi.vertex_image[u] == v else w
-
-
-def _arc(phi: SimplicialMap, x: int, e1: int, e2: int) -> WalkArc:
-    d = phi.domain
-    a, b = d.edges[e1]
-    c, e = d.edges[e2]
-    return WalkArc(
-        vertices=(b if a == x else a, x, e if c == x else c),
-        edges=(e1, e2),
-        closed=False,
-    )
-
-
-def _disc_witness(phi: SimplicialMap, v: int, entries) -> LiftCrossing | None:
-    """Least crossing among the occupied ports of one disc, if any.
-
-    entries: (position, star center, domain edge) triples.
-    """
-    stars: dict[int, list[tuple[int, int]]] = {}
-    for pos, x, eid in entries:
-        stars.setdefault(x, []).append((pos, eid))
-    best = None
-    for x, y in combinations(sorted(stars), 2):
-        if len(stars[x]) < 2 or len(stars[y]) < 2:
-            continue
-        for (pa, ea), (pb, eb) in combinations(sorted(stars[x]), 2):
-            for (qa, ec), (qb, ed) in combinations(sorted(stars[y]), 2):
-                if not proper_crossing(pa, pb, qa, qb):
-                    continue
-                key = tuple(sorted((pa, pb, qa, qb)))
-                if best is None or key < best[0]:
-                    best = (key, LiftCrossing(v, _arc(phi, x, ea, eb), _arc(phi, y, ec, ed), key))
-    return None if best is None else best[1]
-
-
-def lift_crossing_check(exp: Expansion, lift: Lift) -> LiftCrossing | None:
-    """Full scan of every disc of the lifted drawing; least witness or None."""
-    phi = exp.phi
-    for v in range(phi.target.n):
-        entries = []
-        for pos, (a, lane) in enumerate(exp.refined[v]):
-            eid = lift.by_edge[a][lane]
-            entries.append((pos, _branch_end(phi, eid, v), eid))
-        found = _disc_witness(phi, v, entries)
-        if found is not None:
-            return found
-    return None
 
 
 def _forces_crossing(stars: dict[int, list[int]], x: int, pos: int) -> bool:
@@ -154,25 +72,21 @@ def _forces_crossing(stars: dict[int, list[int]], x: int, pos: int) -> bool:
     return False
 
 
-def oracle_result(
-    phi: SimplicialMap,
-    *,
-    max_lifts: int | None = None,
-    prune: bool = True,
-) -> OracleResult:
+def oracle_result(phi: SimplicialMap, *, max_lifts: int | None = None) -> OracleResult:
     """Exhaustive decision with the first accepted lift in search order.
 
     Strands are placed in increasing domain edge id, which makes the
-    accepted lift the lexicographically least one.  ``prune`` cuts a branch
-    as soon as the placed ports already force a crossing; prunes never
-    remove an acceptable completion, so the verdict and first accepted lift
-    match the unpruned search.
-    Each distinct normalized map into one target is searched once per
-    ``prune`` flag (`core.verdict_once`).  The search is deterministic, so
-    a call that finds its search kept raises `OracleBudgetExceeded` exactly
-    when that search examined more than ``max_lifts`` lifts, as a fresh
-    search would; a search that runs out of budget keeps nothing.  A
-    negative budget examines no lift, as 0 does.
+    accepted lift the lexicographically least one.  A branch is cut as soon
+    as the placed ports already force a crossing; cuts never remove an
+    acceptable completion, and a complete lift that is reached crosses
+    nowhere, so the search stops at the first one: ``lifts_examined`` is 1
+    on an approximable map and 0 on any other.
+    Each distinct normalized map into one target is searched once
+    (`core.verdict_once`).  The search is deterministic, so a call that
+    finds its search kept raises `OracleBudgetExceeded` exactly when that
+    search examined more than ``max_lifts`` lifts, as a fresh search
+    would; a search that runs out of budget keeps nothing.  A negative
+    budget examines no lift, as 0 does.
     """
     if phi.domain.shape == "general" and not phi.is_nondegenerate():
         raise PreconditionError(
@@ -180,29 +94,29 @@ def oracle_result(
         )
     if max_lifts is not None:
         max_lifts = max(max_lifts, 0)
-    route = "oracle" if prune else "oracle-unpruned"
-    approximable, by_edge, examined, total = verdict_once(route, phi, _search, max_lifts, prune)
+    approximable, by_edge, examined, total = verdict_once("oracle", phi, _search, max_lifts)
     if max_lifts is not None and examined > max_lifts:
         raise OracleBudgetExceeded(max_lifts)
     return OracleResult(approximable, None if by_edge is None else Lift(by_edge), examined, total)
 
 
-def _search(phi: SimplicialMap, max_lifts: int | None, prune: bool) -> tuple:
+def _search(phi: SimplicialMap, max_lifts: int | None) -> tuple:
     """The lift search of a normalized map: (approximable, lane rows or None, examined, total)."""
-    exp = build_expansion(phi)
     g = phi.target
     edges = len(phi.domain.edges)
-    total = 1
-    for s in exp.strands:
-        total *= factorial(len(s))
-
+    strands: list[list[int]] = [[] for _ in g.edges]  # per target edge: domain edges onto it
+    for eid, a in enumerate(phi.edge_image):
+        strands[a].append(eid)
     # lane l of target edge a is the global slot base[a] + l; at[0][slot] and
     # at[1][slot] are its ports' positions in the discs of a's two ends
+    total = 1
     base = [0]
-    for s in exp.strands:
+    for s in strands:
+        total *= factorial(len(s))
         base.append(base[-1] + len(s))
     at = ([-1] * edges, [-1] * edges)
-    for v, row in enumerate(exp.refined):
+    ports = disc_ports(g, {a: range(len(s)) for a, s in enumerate(strands) if s})
+    for v, row in enumerate(ports):
         for i, (a, lane) in enumerate(row):
             at[v != g.edges[a][0]][base[a] + lane] = i
     slot_of = [-1] * edges
@@ -221,7 +135,7 @@ def _search(phi: SimplicialMap, max_lifts: int | None, prune: bool) -> tuple:
             if rider[slot] >= 0:
                 continue
             p, q = at[0][slot], at[1][slot]
-            if prune and (_forces_crossing(stars_v, x, p) or _forces_crossing(stars_w, y, q)):
+            if _forces_crossing(stars_v, x, p) or _forces_crossing(stars_w, y, q):
                 continue
             own_v.append(p)
             own_w.append(q)
@@ -234,7 +148,7 @@ def _search(phi: SimplicialMap, max_lifts: int | None, prune: bool) -> tuple:
         examined += 1
         if max_lifts is not None and examined > max_lifts:
             raise OracleBudgetExceeded(examined - 1)
-        return prune or lift_crossing_check(exp, Lift(_lanes(base, rider))) is None
+        return True
 
     # the search stays suspended at its first accepted lift, so rider holds it
     accepted = next(backtrack(range(edges), candidates, complete, slot_of, rider), None)
@@ -246,4 +160,3 @@ def _search(phi: SimplicialMap, max_lifts: int | None, prune: bool) -> tuple:
 def _lanes(base: list[int], rider: list[int]) -> tuple[tuple[int, ...], ...]:
     """The rows of `Lift.by_edge`: per target edge, the domain edges on its lanes."""
     return tuple(tuple(rider[lo:hi]) for lo, hi in zip(base, base[1:]))
-

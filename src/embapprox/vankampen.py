@@ -339,23 +339,13 @@ def obstruction_vanishes(phi: SimplicialMap):
     return False, _cells(system.rows, cert, len(system.domain.edges))
 
 
-def path_cut_components(phi: SimplicialMap) -> tuple[int, ...]:
-    """Per-component crossing parities of a path domain, cut along red cells.
+def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
+    """Per-component crossing parities of a path's drawn system, cut along red cells.
 
     Components of 2-cells glued across non-red 1-cells qualify when every
     1-cell they expose on the outer boundary of the square complex is red;
     parities of qualifying components are invariant across drawings, and the
     vector is zero exactly when the obstruction vanishes.
-    """
-    if phi.domain.shape != "path":
-        raise PreconditionError("cut components are defined for path domains")
-    phi = normalize_nondegenerate(phi)
-    return cut_components(obstruction_system(phi))
-
-
-def cut_components(system: ObstructionSystem) -> tuple[int, ...]:
-    """`path_cut_components` of a path's already drawn system.
-
     On a path each 1-cell bounds at most two 2-cells.  Two equations that
     share an unknown are glued, and one that holds an unknown alone exposes
     it.  Every face of a red 2-cell is red, so each red 2-cell is a
@@ -399,11 +389,6 @@ class PairReport:
     red2: tuple[bool, ...]
     values: tuple[int, ...]
     vanishes: bool
-
-    @computed_once
-    def cells2(self) -> tuple[tuple[int, int], ...]:
-        """Every pair cell (K edge, L edge), in the order of red2 and values, built on first use."""
-        return tuple(divmod(c, self.width) for c in range(len(self.red2)))
 
 
 def pair_report(phi: SimplicialMap, psi: SimplicialMap) -> PairReport:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -17,10 +18,11 @@ from embapprox.catalog import (
     small_targets,
     theta_target,
 )
-from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair
+from embapprox.core import DomainGraph, PlaneGraph, SimplicialMap, WalkArc, _pair, normalize_nondegenerate
 from embapprox.decide import Event, Verdict
 from embapprox.derivative import ComponentWinding, WindingReport, derivative_stages, winding_report
 from embapprox.errors import DerivePreconditionError, InvariantError, PreconditionError
+from embapprox.geometry import disc_ports, proper_crossing
 from embapprox.oracle import oracle_result
 from embapprox.transversal import CrossingWitness, find_crossing_pair
 
@@ -606,6 +608,11 @@ def reference_cut_components(edges, complex, values) -> tuple[int, ...]:
     return tuple(vector)
 
 
+def path_cut_components(phi: SimplicialMap) -> tuple[int, ...]:
+    """`vankampen.cut_components` of a path map's normalized drawing."""
+    return vankampen.cut_components(vankampen.obstruction_system(normalize_nondegenerate(phi)))
+
+
 def ints_and_tuples(value) -> bool:
     """Does value hold only ints (bools among them), None and tuples of them?
 
@@ -686,3 +693,75 @@ def reference_number(phi: SimplicialMap) -> tuple[list[int], list[int], list[lis
                 if j >= 0:
                     columns[j].append(r)
     return cells, rows, columns
+
+
+# --- reference lift search -----------------------------------------------------
+
+
+def reference_lift_crossing(phi: SimplicialMap, by_edge) -> tuple | None:
+    """The least crossing of a lift of the normalized phi, or None when it crosses nowhere.
+
+    Read from the definition in `oracle`'s module docstring: ``by_edge[a]``
+    lists the domain edges on the lanes of target edge a, and `disc_ports`
+    places the lanes around each target vertex's disc.  Each domain vertex
+    over the disc is a star with a port per edge, and two stars cross when
+    two ports of one alternate with two of the other, shared domain
+    vertices or not.  Discs are scanned in id order, and within the first
+    disc that crosses the least sorted quadruple of positions wins.  The
+    crossing is (disc, positions, the two arcs as (end, centre, end)
+    domain vertex triples).
+    """
+    g, edges = phi.target, phi.domain.edges
+    ports = disc_ports(g, {a: range(len(row)) for a, row in enumerate(by_edge) if row})
+    for v, row in enumerate(ports):
+        stars: dict[int, list[tuple[int, int]]] = {}  # centre -> (position, far end)
+        for pos, (a, lane) in enumerate(row):
+            x, y = edges[by_edge[a][lane]]
+            centre, far = (x, y) if phi.vertex_image[x] == v else (y, x)
+            stars.setdefault(centre, []).append((pos, far))
+        best = None
+        for x, y in combinations(sorted(stars), 2):
+            for (pa, ea), (pb, eb) in combinations(stars[x], 2):
+                for (qa, ec), (qb, ed) in combinations(stars[y], 2):
+                    if proper_crossing(pa, pb, qa, qb):
+                        key = tuple(sorted((pa, pb, qa, qb)))
+                        if best is None or key < best[1]:
+                            best = (v, key, (ea, x, eb), (ec, y, ed))
+        if best is not None:
+            return best
+    return None
+
+
+def reference_lifts(phi: SimplicialMap):
+    """Every lift of the normalized phi as `Lift.by_edge` rows, unpruned, in search order.
+
+    Domain edges take lanes of their image edge in increasing edge id, each
+    trying the free lanes in increasing order, which is the order the
+    oracle's search visits complete lifts in.
+    """
+    img = phi.edge_image
+    rows = [[-1] * img.count(a) for a in range(len(phi.target.edges))]
+
+    def place(e: int):
+        if e == len(img):
+            yield tuple(map(tuple, rows))
+            return
+        row = rows[img[e]]
+        for lane, rider in enumerate(row):
+            if rider < 0:
+                row[lane] = e
+                yield from place(e + 1)
+                row[lane] = -1
+
+    yield from place(0)
+
+
+def reference_oracle(phi: SimplicialMap) -> tuple:
+    """The unpruned search with the strict disc check: (approximable, first lift or None, lifts examined)."""
+    phi = normalize_nondegenerate(phi)
+    examined = 0
+    for by_edge in reference_lifts(phi):
+        examined += 1
+        if reference_lift_crossing(phi, by_edge) is None:
+            return True, by_edge, examined
+    return False, None, examined

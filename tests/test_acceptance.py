@@ -15,6 +15,7 @@ from conftest import (
     contract_edge,
     drawn_verdict,
     mirrored_map,
+    path_cut_components,
     random_lane_orders,
     random_walk_map,
     sample_corpus,
@@ -27,11 +28,7 @@ from embapprox.decide import decide_cycle, decide_path
 from embapprox.derivative import derive, winding_report
 from embapprox.errors import DerivePreconditionError
 from embapprox.oracle import oracle_result
-from embapprox.vankampen import (
-    obstruction_vanishes,
-    pair_report,
-    path_cut_components,
-)
+from embapprox.vankampen import obstruction_vanishes, pair_report
 
 ALL_TARGETS = tuple(small_targets())
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import gc
 import os
@@ -247,6 +248,37 @@ def test_importing_the_package_loads_no_process_pool():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name a module loads, also inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        hint = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+            used |= _names_used(ast.parse(hint.value, mode="eval"))
+    return used
+
+
+def test_every_imported_name_is_used():
+    # a deletion leaves no dead import behind; __init__ imports to export
+    unused = []
+    for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_full_derivative_iteration_statuses():

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import path_cut_components
+
 from embapprox import cli, vankampen
 from embapprox.catalog import cycle_domain, cycle_target, path_domain
 from embapprox.core import SimplicialMap, format_instance, parse_instance
@@ -407,7 +409,7 @@ def test_vk_draws_once_and_prints_the_cut_components(capsys, monkeypatch):
         assert len(calls) == 1, inst.name
         cut = [line for line in out.splitlines() if line.startswith("cut-components:")]
         if phi.domain.shape == "path":
-            vec = vankampen.path_cut_components(phi)
+            vec = path_cut_components(phi)
             assert cut == ["cut-components: " + (" ".join(map(str, vec)) if vec else "-")]
             paths += 1
         else:

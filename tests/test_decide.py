@@ -7,7 +7,6 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -795,12 +794,11 @@ def _route_corpus(route: str) -> tuple:
         deg3 = CorpusSpec("deg3", ("C3", "C4", "C5"), k_max=7, seed=5, count=100)
         calls += [(decide_deg3_to_circle, phi) for _, phi in generate(deg3)]
         return calls, decide, "obstruction_vanishes", ()
-    prune = route == "oracle"
     maps = _walks(5) + [phi for _, phi in generate(CorpusSpec("deg3", tuple(TARGETS), k_max=7, seed=5, count=13))]
-    return [(partial(oracle_result, prune=prune), phi) for phi in maps], oracle, "_search", (None, prune)
+    return [(oracle_result, phi) for phi in maps], oracle, "_search", (None,)
 
 
-@pytest.mark.parametrize("route", ("derivatives", "obstruction", "oracle", "oracle-unpruned"))
+@pytest.mark.parametrize("route", ("derivatives", "obstruction", "oracle"))
 def test_shared_verdicts_give_the_results_of_fresh_targets(route, monkeypatch):
     # the maps of one corpus share each target and so its verdicts, where
     # each route concludes each distinct normalized map once; each map on
@@ -851,7 +849,7 @@ def test_a_map_that_normalizes_to_a_kept_key_runs_no_route_code(monkeypatch):
     stationary = SimplicialMap(path_domain(7), g, (0, 1, 1, 2, 3, 3, 4))
     star = SimplicialMap(DomainGraph(4, ((0, 1), (0, 2), (0, 3))), g, (0, 1, 4, 1))
     again = SimplicialMap(star.domain, g, star.vertex_image)
-    routes = (decide_path, decide_map, decide_path_via_vk, oracle_result, partial(oracle_result, prune=False))
+    routes = (decide_path, decide_map, decide_path_via_vk, oracle_result)
     first = [route(identity) for route in routes] + [decide_deg3_to_circle(star), oracle_result(star)]
 
     def refused(*args):

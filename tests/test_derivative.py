@@ -373,7 +373,7 @@ def _reference_derive(phi: SimplicialMap) -> DerivativeStep:
     kp_edges = tuple(sorted(_pair(i, j) for i, j in shared))
     kprime = DomainGraph(m, kp_edges)
     phiprime = SimplicialMap(kprime, gprime, tuple(vertex_of[c.target_edge] for c in comps))
-    return DerivativeStep(phi, kprime, gprime, phiprime, terminal, realized_edges)
+    return DerivativeStep(phi, phiprime, terminal, realized_edges)
 
 
 def _assert_stages_match_reference(phi: SimplicialMap, max_stages: int) -> int:

@@ -6,10 +6,13 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_walk_map, relabelled
+from conftest import random_walk_map, reference_lift_crossing, reference_oracle, relabelled
 
 from embapprox.catalog import (
+    TARGETS,
     euler_cycle_map,
     path_domain,
     small_targets,
@@ -20,15 +23,10 @@ from embapprox.catalog import (
     x_cross_path,
 )
 from embapprox.core import DomainGraph, SimplicialMap, normalize_nondegenerate, parse_instance
-from embapprox.corpus import CorpusSpec, run_agreement
+from embapprox.corpus import CorpusSpec, generate, random_deg3_map, run_agreement
 from embapprox.decide import decide_deg3_to_circle
 from embapprox.errors import OracleBudgetExceeded, PreconditionError
-from embapprox.oracle import (
-    Lift,
-    build_expansion,
-    lift_crossing_check,
-    oracle_result,
-)
+from embapprox.oracle import oracle_result
 
 
 def test_catalog_verdicts():
@@ -51,17 +49,33 @@ def test_total_lifts_counts_lane_orderings():
 
 
 def test_single_rejected_lift_is_fully_examined_without_pruning():
-    res = oracle_result(x_cross_path(), prune=False)
+    # the unpruned reference reaches the one lift and rejects it; the search
+    # cuts it before it is complete
+    assert reference_oracle(x_cross_path()) == (False, None, 1)
+    res = oracle_result(x_cross_path())
     assert res.approximable is False and res.lift is None
-    assert res.lifts_examined == 1
+    assert res.lifts_examined == 0
 
 
 def test_accepted_lift_structure():
-    res = oracle_result(euler_cycle_map())
+    phi = euler_cycle_map()
+    res = oracle_result(phi)
     assert res.approximable is True
     assert all(len(row) == 1 for row in res.lift.by_edge)
-    exp = build_expansion(euler_cycle_map())
-    assert res.lift.by_edge == tuple(tuple(s) for s in exp.strands)
+    strands = tuple((phi.edge_image.index(a),) for a in range(len(phi.target.edges)))
+    assert res.lift.by_edge == strands
+
+
+def _assert_matches_the_reference(phi):
+    """The search's verdict and first accepted lift are the unpruned reference's."""
+    res = oracle_result(phi)
+    approximable, by_edge, examined = reference_oracle(phi)
+    assert res.approximable == approximable, phi.vertex_image
+    assert (None if res.lift is None else res.lift.by_edge) == by_edge, phi.vertex_image
+    # every complete lift the search reaches is accepted, so it stops at the first
+    assert res.lifts_examined == approximable <= examined
+    if by_edge is not None:
+        assert reference_lift_crossing(normalize_nondegenerate(phi), by_edge) is None
 
 
 def test_prune_never_changes_verdict_or_first_accepted_lift():
@@ -73,12 +87,28 @@ def test_prune_never_changes_verdict_or_first_accepted_lift():
         pool.append(random_walk_map(rng, targets["theta"], rng.randrange(3, 7), closed=False))
         pool.append(random_walk_map(rng, targets["fiveod"], 7, closed=False))
         pool.append(random_walk_map(rng, targets["C5"], rng.randrange(3, 7), closed=rng.random() < 0.5))
+    # every closed walk of 6 vertices into theta and C3, 30 of them rejected
+    pool += [phi for _, phi in generate(CorpusSpec("cycle", ("theta", "C3"), k_min=6, k_max=6))]
+    assert sum(not oracle_result(phi).approximable for phi in pool) > 30
     for phi in pool:
-        fast = oracle_result(phi, prune=True)
-        slow = oracle_result(phi, prune=False)
-        assert fast.approximable == slow.approximable, phi.vertex_image
-        assert fast.lift == slow.lift, phi.vertex_image
-        assert fast.lifts_examined <= slow.lifts_examined
+        _assert_matches_the_reference(phi)
+
+
+@st.composite
+def _lift_maps(draw):
+    """A walk of at most 7 vertices into theta, W4, ex33 or fiveod, or a degree-3 map into C3-C5."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_deg3_map(TARGETS[draw(st.sampled_from(("C3", "C4", "C5")))](), rng, 6)
+    g = TARGETS[draw(st.sampled_from(("theta", "W4", "ex33", "fiveod")))]()
+    k = draw(st.integers(1, 7))
+    return random_walk_map(rng, g, k, closed=k >= 3 and draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lift_maps())
+def test_the_search_matches_the_unpruned_reference_on_random_maps(phi):
+    _assert_matches_the_reference(phi)
 
 
 def test_strand_order_never_changes_the_verdict():
@@ -100,26 +130,24 @@ def test_strand_order_never_changes_the_verdict():
 
 def test_budget_counts_fully_examined_leaves():
     phi = winding_map(0)
-    res = oracle_result(phi, prune=False)
-    assert res.approximable is True and res.lifts_examined >= 1
     # one lift less than needed: inconclusive
     with pytest.raises(OracleBudgetExceeded) as info:
-        oracle_result(phi, prune=False, max_lifts=res.lifts_examined - 1)
-    assert info.value.lifts_examined == res.lifts_examined - 1
+        oracle_result(phi, max_lifts=0)
+    assert info.value.lifts_examined == 0
     # exactly enough budget: the verdict is reached
-    again = oracle_result(phi, prune=False, max_lifts=res.lifts_examined)
-    assert again.approximable is True
+    res = oracle_result(phi, max_lifts=1)
+    assert res.approximable is True and res.lifts_examined == 1
 
 
 def test_pruned_exhaustion_can_conclude_within_any_budget():
     # pruning rejects every branch of the double winding before reaching a
     # single leaf, so even a zero budget yields the negative verdict
-    res = oracle_result(winding_map(2), prune=True, max_lifts=0)
+    res = oracle_result(winding_map(2), max_lifts=0)
     assert res.approximable is False
     assert res.lifts_examined == 0
 
 
-def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
+def test_a_kept_search_keeps_the_budget():
     # the first call keeps its search in the target's verdicts; every later
     # call on a map that normalizes to the same one must answer as a fresh
     # search does
@@ -133,30 +161,21 @@ def test_a_kept_search_keeps_the_budget_and_the_prune_flag():
         assert info.value.lifts_examined == 0
     # a search that ran out of budget keeps nothing
     assert unkept.target.verdicts == {}
-    # the unpruned search counts the rejected lift before the accepted one
-    fresh = oracle_result(winding_map(0), prune=False)
-    assert oracle_result(phi, prune=False) == fresh
-    assert fresh.lifts_examined == 2 > pruned.lifts_examined
-    with pytest.raises(OracleBudgetExceeded) as info:
-        oracle_result(phi, prune=False, max_lifts=1)
-    assert info.value.lifts_examined == 1
-    assert oracle_result(phi, prune=False, max_lifts=2) == fresh
-    assert oracle_result(phi) == pruned
-    assert len(phi.target.verdicts) == 2
-    assert {route for route, _, _ in phi.target.verdicts} == {"oracle", "oracle-unpruned"}
+    assert oracle_result(phi, max_lifts=1) == oracle_result(winding_map(0)) == pruned
+    assert [route for route, _, _ in phi.target.verdicts] == ["oracle"]
 
 
 def test_lift_crossing_check_reports_the_forced_disc():
     phi = x_cross_path()
-    exp = build_expansion(phi)
-    lift = Lift(by_edge=tuple(tuple(s) for s in exp.strands))
-    hit = lift_crossing_check(exp, lift)
+    by_edge = tuple((phi.edge_image.index(a),) for a in range(len(phi.target.edges)))
+    hit = reference_lift_crossing(phi, by_edge)
     assert hit is not None
-    assert hit.disc == 0  # the degree-four vertex
-    assert len(hit.positions) == 4
+    disc, positions, _, _ = hit
+    assert disc == 0  # the degree-four vertex
+    assert len(positions) == 4
     # accepted lifts pass the check
     ok = oracle_result(winding_map(1))
-    assert lift_crossing_check(build_expansion(winding_map(1)), ok.lift) is None
+    assert reference_lift_crossing(winding_map(1), ok.lift.by_edge) is None
 
 
 def test_degenerate_handling_by_shape():
@@ -210,10 +229,10 @@ def test_alternating_stars_cross_even_when_their_arcs_share_ends():
     assert decide_deg3_to_circle(phi).approximable is False
     # the lift an oracle exempting arcs with a shared domain vertex accepted:
     # lanes 0-5, 3-5, 0-7, 3-7 on v0-v1 alternate the stars of 0 and 3 at v1
-    old = Lift(((0, 4, 1, 5), (3, 7, 8), (2, 6)))
-    hit = lift_crossing_check(build_expansion(phi), old)
-    assert hit is not None and hit.disc == 1
-    assert {hit.arc_p.vertices, hit.arc_q.vertices} == {(7, 0, 5), (7, 3, 5)}
+    old = ((0, 4, 1, 5), (3, 7, 8), (2, 6))
+    hit = reference_lift_crossing(phi, old)
+    assert hit is not None and hit[0] == 1
+    assert set(hit[2:]) == {(7, 0, 5), (7, 3, 5)}
 
 
 def test_oracle_agrees_with_the_degree3_circle_rule():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     drawn_verdict,
     mirrored_map,
+    path_cut_components,
     random_lane_orders,
     random_walk_map,
     reference_cut_components,
@@ -51,7 +52,6 @@ from embapprox.vankampen import (
     obstruction_report,
     obstruction_vanishes,
     pair_report,
-    path_cut_components,
 )
 
 
@@ -175,11 +175,6 @@ def test_cut_components_match_a_search_over_the_equations():
             assert got == want, phi
 
 
-def test_path_cut_components_requires_a_path():
-    with pytest.raises(PreconditionError):
-        path_cut_components(winding_map(2))
-
-
 def test_crossing_path_has_an_odd_cut_component():
     cuts = path_cut_components(x_cross_path())
     assert any(c % 2 == 1 for c in cuts)
@@ -252,9 +247,13 @@ def test_all_red_maps_skip_the_drawing_but_keep_its_checks(monkeypatch):
 def test_pair_values_are_binary_and_zero_on_red_cells():
     phi, psi = ex33_pair()
     report = pair_report(phi, psi)
-    assert len(report.values) == len(report.cells2)
+    assert len(report.values) == len(report.red2) == len(phi.domain.edges) * report.width
     assert any(report.red2) and not all(report.red2)
-    for red, v in zip(report.red2, report.values):
+    ends = phi.target.edges
+    for c, (red, v) in enumerate(zip(report.red2, report.values)):
+        # cell c pairs K edge i with L edge j, red when their images share no vertex
+        i, j = divmod(c, report.width)
+        assert red == (not set(ends[phi.edge_image[i]]) & set(ends[psi.edge_image[j]]))
         assert v in (0, 1)
         if red:
             assert v == 0
